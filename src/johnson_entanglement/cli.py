@@ -63,22 +63,30 @@ def _graph_spec(args) -> GraphSpec:
 
 
 def _hopping(args, spec: GraphSpec) -> tuple[HoppingProfile, float | None]:
-    if getattr(args, "exp_hopping", None) is not None:
-        c = args.exp_hopping
+    c = getattr(args, "exp_hopping", None)
+    if c is not None:
         if c < 0:
             raise ConfigError("exponential hopping constant must be nonnegative")
-        return HoppingProfile(tuple(math.exp(-c * i) for i in range(spec.k + 1))), c
-    alphas = _parse_float_list(args.alpha)
-    if len(alphas) > spec.k + 1:
-        raise ConfigError(f"{len(alphas)} hopping amplitudes for diameter {spec.k}")
-    return HoppingProfile(alphas), None
+        # alpha_0 = 1 even for c = inf, where -c * 0 would be nan
+        alphas = (1.0,) + tuple(math.exp(-c * i) for i in range(1, spec.k + 1))
+    else:
+        alphas = _parse_float_list(args.alpha)
+        if len(alphas) > spec.k + 1:
+            raise ConfigError(f"{len(alphas)} hopping amplitudes for diameter {spec.k}")
+    try:
+        return HoppingProfile(alphas), c
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _energy_table(args, spec: GraphSpec):
     hop, c = _hopping(args, spec)
-    if c is not None:
-        return spectral.energy_exponential(spec, c)
-    return spectral.energy_table(spec, hop)
+    try:
+        if c is not None:
+            return spectral.energy_exponential(spec, c)
+        return spectral.energy_table(spec, hop)
+    except OverflowError:
+        raise ConfigError("hopping amplitudes too large: level energies overflow a float") from None
 
 
 def _filling(args, spec: GraphSpec, table) -> FillingSpec:

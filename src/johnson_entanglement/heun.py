@@ -8,25 +8,37 @@ matrix.  T has a well-spread simple spectrum where the correlation matrix
 clusters against 0 and 1, so diagonalizing T and reading the correlation
 eigenvalues from Rayleigh quotients is the numerically comfortable path at
 large n.
+
+The A ladder a, its diagonal b and theta* are cached once per graph as
+read-only (module, distance) arrays, and T is affine in (mu, nu) on them, so
+every module's T comes out of one vector expression.  The subsystem blocks
+of T are stacked by size, each stack is diagonalized by one ``eigh`` call,
+and the Rayleigh quotients of a stack are read in one batched product.
+Only blocks whose T spectrum clusters take the per-block fallback.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .scheme import GraphSpec, default_base_vertex, neighborhood_size
+from .scheme import GraphSpec, neighborhood_size
 from .spectral import (
     CorrelationSpectrum,
     FillingSpec,
     SubsystemSpec,
-    clamp_unit_interval,
-    group_spectrum,
     theta_eigenvalue,
 )
-from .terwilliger import ModuleLabel, enumerate_modules, module_correlation_block
+from .terwilliger import (
+    ModuleLabel,
+    enumerate_modules,
+    module_correlation_block,
+    module_table,
+    size_groups,
+)
 
 __all__ = [
     "HeunSpec",
@@ -165,22 +177,44 @@ def tridiagonal_Astar_coefficients(j_x2: int, label: ModuleLabel, spec: GraphSpe
     return a_star, b_star
 
 
+@lru_cache(maxsize=32)
+def _chain_arrays(spec: GraphSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-graph A ladder a[m, i], diagonal b[m, i] and theta*[i], read-only.
+
+    Rows follow :func:`enumerate_modules`; a and b are zero off the chain.
+    """
+    labels = enumerate_modules(spec)
+    a = np.zeros((len(labels), spec.k + 1))
+    b = np.zeros((len(labels), spec.k + 1))
+    for m, label in enumerate(labels):
+        for i in label.distances:
+            a[m, i], b[m, i] = tridiagonal_A_coefficients(label, label.m1_x2(i, spec), spec)
+    theta = np.array([dual_eigenvalue_at_distance(i, spec) for i in range(spec.k + 1)])
+    for arr in (a, b, theta):
+        arr.flags.writeable = False
+    return a, b, theta
+
+
 def module_Astar_values(label: ModuleLabel, spec: GraphSpec) -> np.ndarray:
     """Diagonal of A* on the module chain, ordered by ascending distance."""
-    return np.array([dual_eigenvalue_at_distance(i, spec) for i in label.distances])
+    return _chain_arrays(spec)[2][label.i_min : label.i_max + 1]
 
 
 def module_A_action(label: ModuleLabel, spec: GraphSpec) -> np.ndarray:
     """Dense tridiagonal matrix of A on the module chain (ascending distance)."""
-    dim = label.dim
-    out = np.zeros((dim, dim))
-    for r, i in enumerate(label.distances):
-        a, b = tridiagonal_A_coefficients(label, label.m1_x2(i, spec), spec)
-        out[r, r] = b
-        if r + 1 < dim:
-            out[r, r + 1] = a
-            out[r + 1, r] = a
-    return out
+    a, b, _ = _chain_arrays(spec)
+    m = module_table(spec).row[label]
+    return TridiagonalMatrix(
+        tuple(b[m, label.i_min : label.i_max + 1]), tuple(a[m, label.i_min : label.i_max])
+    ).dense()
+
+
+def _T_entries(spec: GraphSpec, hs: HeunSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal T[m, i] and coupling T[m, i] between distances i and i + 1, all modules."""
+    a, b, theta = _chain_arrays(spec)
+    diag = hs.nu * b + hs.mu * theta + 2.0 * b * theta
+    off = a[:, :-1] * ((theta[1:] + theta[:-1]) + hs.nu)
+    return diag, off
 
 
 def build_T(label: ModuleLabel, hs: HeunSpec, spec: GraphSpec) -> TridiagonalMatrix:
@@ -190,17 +224,12 @@ def build_T(label: ModuleLabel, hs: HeunSpec, spec: GraphSpec) -> TridiagonalMat
     at i = n_cut the parenthesis is the defining relation for nu and cancels to
     an exact floating-point zero, which is what decouples the subsystem block.
     """
-    thetas = module_Astar_values(label, spec)
-    diag = []
-    off = []
-    for r, i in enumerate(label.distances):
-        a, b = tridiagonal_A_coefficients(label, label.m1_x2(i, spec), spec)
-        t = thetas[r]
-        diag.append(hs.nu * b + hs.mu * t + 2.0 * b * t)
-        if r + 1 < label.dim:
-            t_next = dual_eigenvalue_at_distance(i + 1, spec)
-            off.append(a * ((t_next + t) + hs.nu))
-    return TridiagonalMatrix(tuple(diag), tuple(off))
+    diag, off = _T_entries(spec, hs)
+    m = module_table(spec).row[label]
+    return TridiagonalMatrix(
+        tuple(diag[m, label.i_min : label.i_max + 1].tolist()),
+        tuple(off[m, label.i_min : label.i_max].tolist()),
+    )
 
 
 def build_T_level_basis(label: ModuleLabel, hs: HeunSpec, spec: GraphSpec) -> TridiagonalMatrix:
@@ -237,10 +266,6 @@ def _heun_filling(spec: GraphSpec, hs: HeunSpec) -> FillingSpec:
     return FillingSpec(frozenset(range(spec.n - 2 * spec.k, hs.j0_x2 + 1, 2)))
 
 
-def _heun_subsystem(spec: GraphSpec, hs: HeunSpec) -> SubsystemSpec:
-    return SubsystemSpec(frozenset(range(hs.n_cut + 1)), default_base_vertex(spec))
-
-
 def commutant_residual(
     label: ModuleLabel,
     hs: HeunSpec,
@@ -260,47 +285,62 @@ def commutant_residual(
     return float(np.max(np.abs(c_block @ t_block - t_block @ c_block)))
 
 
+def _cluster_readout(w: np.ndarray, q: np.ndarray, c_block: np.ndarray) -> np.ndarray:
+    """Readout for one block whose T spectrum clusters: rediagonalize C in each cluster span."""
+    size = len(w)
+    scale = max(1.0, float(np.max(np.abs(w))))
+    pos = 0
+    lams: list[float] = []
+    while pos < size:
+        end = pos + 1
+        while end < size and w[end] - w[end - 1] < CLUSTER_REL_TOL * scale:
+            end += 1
+        if end - pos == 1:
+            v = q[:, pos]
+            lams.append(float(v @ c_block @ v))
+        else:
+            span = q[:, pos:end]
+            small = span.T @ c_block @ span
+            lams.extend(float(x) for x in np.linalg.eigvalsh(0.5 * (small + small.T)))
+        pos = end
+    return np.array(lams)
+
+
 def spectrum_via_heun(spec: GraphSpec, hs: HeunSpec) -> CorrelationSpectrum:
     """Correlation spectrum with per-module eigenvectors supplied by T.
 
-    Per module: diagonalize the subsystem block of T, then evaluate the
-    correlation block on each eigenvector.  T eigenvalue clusters (relative
-    gap under 1e-8) fall back to rediagonalizing the correlation matrix
-    inside the cluster span.  Multiplicities are the module multiplicities.
+    The subsystem blocks of T are stacked by size and diagonalized together;
+    each correlation eigenvalue is the Rayleigh quotient of the correlation
+    block on a T eigenvector.  Blocks whose T eigenvalues cluster (relative
+    gap under ``CLUSTER_REL_TOL``) fall back to rediagonalizing the
+    correlation matrix inside the cluster span.  Multiplicities are the
+    module multiplicities.
     """
-    filling = _heun_filling(spec, hs)
-    sub = _heun_subsystem(spec, hs)
-    pairs: list[tuple[float, int]] = []
-    covered = 0
-    for label in enumerate_modules(spec):
-        t_block = restrict_to_subsystem(build_T(label, hs, spec), label, hs.n_cut).dense()
-        size = t_block.shape[0]
-        if size == 0:
-            continue
-        covered += size * label.degeneracy
-        c_block = module_correlation_block(label, filling, sub, spec).matrix
-        w, q = np.linalg.eigh(t_block)
-        scale = max(1.0, float(np.max(np.abs(w))))
-        pos = 0
-        lams: list[float] = []
-        while pos < size:
-            end = pos + 1
-            while end < size and w[end] - w[end - 1] < CLUSTER_REL_TOL * scale:
-                end += 1
-            if end - pos == 1:
-                v = q[:, pos]
-                lams.append(float(v @ c_block @ v))
-            else:
-                span = q[:, pos:end]
-                small = span.T @ c_block @ span
-                lams.extend(float(x) for x in np.linalg.eigvalsh(0.5 * (small + small.T)))
-            pos = end
-        for lam in clamp_unit_interval(np.array(lams)):
-            pairs.append((float(lam), label.degeneracy))
+    table = module_table(spec)
+    diag, off = _T_entries(spec, hs)
+    sizes = np.minimum(table.i_max, hs.n_cut) - table.i_min + 1
+    levels = table.level_index(sorted(_heun_filling(spec, hs).occupied))
+    parts = []
+    for size, ms in size_groups(sizes):
+        rows = table.i_min[ms, None] + np.arange(size)
+        t = np.zeros((len(ms), size, size))
+        r = np.arange(size)
+        t[:, r, r] = diag[ms[:, None], rows]
+        t[:, r[:-1], r[1:]] = t[:, r[1:], r[:-1]] = off[ms[:, None], rows[:, :-1]]
+        c = table.blocks(ms, rows, levels)
+        w, q = np.linalg.eigh(t)
+        # Rayleigh quotients v^T C v for every eigenvector v of every block, as
+        # stacked (1 x size) products: the same vector-matrix-vector sums a
+        # lone block takes, so the values do not depend on the stacking
+        vecs = q.swapaxes(1, 2)[:, :, None, :]
+        lams = ((vecs @ c[:, None]) @ vecs.swapaxes(2, 3))[:, :, 0, 0]
+        scale = np.maximum(1.0, np.max(np.abs(w), axis=1))
+        clustered = np.any(np.diff(w, axis=1) < CLUSTER_REL_TOL * scale[:, None], axis=1)
+        for blk in np.nonzero(clustered)[0]:
+            lams[blk] = _cluster_readout(w[blk], q[blk], c[blk])
+        parts.append((ms, lams))
     expected = sum(neighborhood_size(spec, i) for i in range(hs.n_cut + 1))
-    if covered != expected:
-        raise ArithmeticError(f"module rows cover {covered} modes, subsystem has {expected}")
-    return CorrelationSpectrum(group_spectrum(pairs))
+    return table.spectrum(sizes, parts, expected)
 
 
 def validate_action_convention(spec: GraphSpec, tol: float = 1e-8) -> float:

@@ -21,10 +21,8 @@ from .scheme import (
     GraphSpec,
     Vertex,
     adjacency_matrix,
-    default_base_vertex,
     dense_cap,
     distances_from,
-    neighborhood_size,
 )
 from .specfn import _dual_hahn_rational, _hyp2f1_rational
 
@@ -356,16 +354,3 @@ def adjacency_via_polynomial(i: int, spec: GraphSpec, cap: int | None = None) ->
         total = total + coef * prod
     sgn = -1.0 if i % 2 else 1.0
     return sgn * math.comb(k, i) * total
-
-
-def subsystem_size(spec: GraphSpec, sub: SubsystemSpec) -> int:
-    """Number of sites in the subsystem, from the neighborhood-size formula."""
-    return sum(neighborhood_size(spec, i) for i in sub.distances)
-
-
-def nearest_neighbor_profile(spec: GraphSpec) -> HoppingProfile:
-    return HoppingProfile((0.0, 1.0) + (0.0,) * (spec.k - 1))
-
-
-def default_subsystem(spec: GraphSpec, distances) -> SubsystemSpec:
-    return SubsystemSpec(frozenset(distances), default_base_vertex(spec))

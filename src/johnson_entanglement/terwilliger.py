@@ -4,8 +4,15 @@ The adjacency/dual-adjacency pair embeds into two commuting su(2) copies of
 sizes n - k and k; the vertex space splits into modules V_(j1, j2), each a
 chain visiting at most one site per neighborhood of the base vertex.  Inside
 a module the correlation projector has entries built purely from
-Clebsch-Gordan coefficients, which is what makes n = 30 runs cheap: no object
+Clebsch-Gordan coefficients, which is what makes n = 30 runs cheap: no block
 ever grows past (k + 1) x (k + 1).
+
+Each graph gets one :class:`ModuleTable`, built on first use and kept: the
+module list, exact multiplicities and a Clebsch-Gordan table indexed by
+(module, distance, level) whose level columns are filled only when a filling
+first occupies them.  The spectrum routes cut every module's block out of
+that table at once, stack blocks of equal size and diagonalize each stack
+with one LAPACK call.
 
 Doubled integers label all spins.  A module's chain rows are indexed by the
 distance i, with m1 = (n - k)/2 - i and m2 = i - k/2.
@@ -15,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,8 +40,11 @@ from .spectral import (
 __all__ = [
     "ModuleLabel",
     "ModuleBlock",
+    "ModuleTable",
     "HahnRelationReport",
     "enumerate_modules",
+    "module_table",
+    "size_groups",
     "module_degeneracy",
     "level_degeneracy",
     "module_admissible_levels",
@@ -100,11 +111,12 @@ def module_degeneracy(spec: GraphSpec, j1_x2: int, j2_x2: int) -> int:
     return d
 
 
+@lru_cache(maxsize=256)
 def enumerate_modules(spec: GraphSpec) -> tuple[ModuleLabel, ...]:
     """All modules with positive multiplicity and a nonempty chain.
 
     Ordered by ascending (j1_x2, j2_x2).  Completeness holds exactly:
-    sum over modules of dim * degeneracy = C(n, k).
+    sum over modules of dim * degeneracy = C(n, k).  Memoized per graph.
     """
     n, k = spec.n, spec.k
     labels = []
@@ -142,21 +154,117 @@ def level_degeneracy(j_x2: int, spec: GraphSpec) -> int:
     return total
 
 
-def _column(label: ModuleLabel, spec: GraphSpec, j_x2: int) -> tuple[float, ...]:
-    # cg_column orders by descending m1 = ascending i, starting at i_min.
-    return cg_column(j_x2, label.j1_x2, label.j2_x2, spec.n - 2 * spec.k)
+class ModuleTable:
+    """Per-graph module data shared by every block and spectrum evaluation.
+
+    Row m belongs to ``labels[m]``.  ``g[m, i, l]`` is the coupling
+    coefficient of the chain row at distance i with the level of index l
+    (doubled label n - 2k + 2l); it is zero off the chain and outside the
+    module's admissible levels.  Level columns come from :func:`cg_column`
+    the first time a caller asks for them, so the table only ever holds the
+    columns some filling has occupied; ``filled[m, l]`` is set for those and
+    for every inadmissible level.  Use :func:`module_table`, which keeps one
+    table per graph.
+    """
+
+    def __init__(self, spec: GraphSpec):
+        self.spec = spec
+        self.labels = enumerate_modules(spec)
+        self.row = {m: r for r, m in enumerate(self.labels)}
+        self.degeneracies = tuple(m.degeneracy for m in self.labels)  # exact ints
+        self.i_min = np.array([m.i_min for m in self.labels])
+        self.i_max = np.array([m.i_max for m in self.labels])
+        base = spec.n - 2 * spec.k
+        self.level_lo = np.array([max(abs(m.j1_x2 - m.j2_x2), base) - base for m in self.labels]) // 2
+        self.level_hi = np.array([m.j1_x2 + m.j2_x2 - base for m in self.labels]) // 2
+        levels = np.arange(spec.k + 1)
+        self.filled = (levels < self.level_lo[:, None]) | (levels > self.level_hi[:, None])
+        self.g = np.zeros((len(self.labels), spec.k + 1, 0))
+
+    def level_index(self, levels_x2) -> np.ndarray:
+        """Level indices l = (j_x2 - (n - 2k)) / 2 of doubled labels, in the given order."""
+        return (np.asarray(levels_x2, dtype=np.intp) - (self.spec.n - 2 * self.spec.k)) // 2
+
+    def entries(self, ms: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Stacked G[b, r, c] = <row rows[b, r] | level cols[b, c]> of module ms[b]."""
+        self._fill(ms, cols)
+        return self.g[ms[:, None, None], rows[:, :, None], cols[:, None, :]]
+
+    def _fill(self, ms: np.ndarray, cols: np.ndarray) -> None:
+        if cols.size and cols.max() >= self.g.shape[2]:
+            grown = np.zeros(self.g.shape[:2] + (cols.max() + 1,))
+            grown[:, :, : self.g.shape[2]] = self.g
+            self.g = grown
+        spec = self.spec
+        for b, c in zip(*np.nonzero(~self.filled[ms[:, None], cols])):
+            m, lev = int(ms[b]), int(cols[b, c])
+            label = self.labels[m]
+            # cg_column orders by descending m1 = ascending i, starting at i_min.
+            col = cg_column(spec.n - 2 * spec.k + 2 * lev, label.j1_x2, label.j2_x2, spec.n - 2 * spec.k)
+            self.g[m, label.i_min : label.i_max + 1, lev] = col
+            self.filled[m, lev] = True
+
+    def blocks(self, ms: np.ndarray, rows: np.ndarray, levels: np.ndarray) -> np.ndarray:
+        """Stacked correlation blocks G G^T over the given rows and sorted occupied levels.
+
+        Each module's G holds exactly its admissible occupied levels, in
+        order; modules are multiplied in groups of equal level count, so each
+        product sums the same terms in the same order as a lone module would.
+        """
+        start, count = _window(levels, self.level_lo[ms], self.level_hi[ms])
+        c = np.zeros((len(ms),) + (rows.shape[1],) * 2)
+        for width, sel in size_groups(count):
+            cols = levels[start[sel, None] + np.arange(width)]
+            g = self.entries(ms[sel], rows[sel], cols)
+            c[sel] = g @ g.swapaxes(1, 2)
+        return 0.5 * (c + c.swapaxes(1, 2))
+
+    def spectrum(self, sizes: np.ndarray, parts, expected: int) -> CorrelationSpectrum:
+        """Merge per-stack eigenvalues into one spectrum weighted by multiplicity.
+
+        ``parts`` pairs each stack's module rows with its (stack, size)
+        eigenvalue array; ``sizes`` holds every module's block size, so the
+        covered mode count is checked against ``expected`` exactly.
+        """
+        covered = sum(int(s) * d for s, d in zip(sizes, self.degeneracies) if s > 0)
+        if covered != expected:
+            raise ArithmeticError(f"module rows cover {covered} modes, subsystem has {expected}")
+        values = clamp_unit_interval(np.concatenate([lams.ravel() for _, lams in parts]))
+        degs = [self.degeneracies[m] for ms, lams in parts for m in ms for _ in range(lams.shape[1])]
+        return CorrelationSpectrum(group_spectrum(zip(values.tolist(), degs)))
+
+
+def _window(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and length of the run of sorted ``values`` inside each [lo, hi]."""
+    start = np.searchsorted(values, lo)
+    return start, np.searchsorted(values, hi, side="right") - start
+
+
+@lru_cache(maxsize=32)
+def module_table(spec: GraphSpec) -> ModuleTable:
+    """The graph's :class:`ModuleTable`, built once and shared by every caller."""
+    return ModuleTable(spec)
+
+
+def size_groups(sizes: np.ndarray):
+    """(size, positions) for each distinct positive size, ascending."""
+    # a set, not np.unique, which imports numpy.ma on first use
+    for size in sorted(set(sizes[sizes > 0].tolist())):
+        yield size, np.nonzero(sizes == size)[0]
+
+
+def _one_module(label: ModuleLabel, spec: GraphSpec, rows) -> tuple[ModuleTable, np.ndarray, np.ndarray]:
+    table = module_table(spec)
+    ms = np.array([table.row[label]])
+    return table, ms, np.asarray(rows, dtype=np.intp).reshape(1, -1)
 
 
 def correlation_entries(
     label: ModuleLabel, spec: GraphSpec, rows: list[int], levels_x2: list[int]
 ) -> np.ndarray:
     """Coefficient matrix G with G[r, c] = <row r | level c>; the block is G G^T."""
-    g = np.zeros((len(rows), len(levels_x2)))
-    for c, j_x2 in enumerate(levels_x2):
-        col = _column(label, spec, j_x2)
-        for r, i in enumerate(rows):
-            g[r, c] = col[i - label.i_min]
-    return g
+    table, ms, rows = _one_module(label, spec, rows)
+    return table.entries(ms, rows, table.level_index(levels_x2).reshape(1, -1))[0]
 
 
 def module_correlation_block(
@@ -168,10 +276,9 @@ def module_correlation_block(
     0 x 0 block.  The block is symmetric PSD with spectrum inside [0, 1].
     """
     rows = sorted(set(sub.distances) & set(label.distances))
-    levels = [j for j in module_admissible_levels(label, spec) if j in filling.occupied]
-    g = correlation_entries(label, spec, rows, levels)
-    block = g @ g.T
-    return ModuleBlock(label, tuple(rows), 0.5 * (block + block.T))
+    table, ms, stacked_rows = _one_module(label, spec, rows)
+    block = table.blocks(ms, stacked_rows, table.level_index(sorted(filling.occupied)))[0]
+    return ModuleBlock(label, tuple(rows), block)
 
 
 def single_neighborhood_eigenvalue(
@@ -180,10 +287,10 @@ def single_neighborhood_eigenvalue(
     """Closed-form eigenvalue sum_{j in SE} c^2 for the one-row block at distance i."""
     if i not in label.distances:
         raise ValueError(f"module ({label.j1_x2}, {label.j2_x2}) misses neighborhood {i}")
+    levels = [j for j in module_admissible_levels(label, spec) if j in filling.occupied]
     total = 0.0
-    for j_x2 in module_admissible_levels(label, spec):
-        if j_x2 in filling.occupied:
-            total += _column(label, spec, j_x2)[i - label.i_min] ** 2
+    for c in correlation_entries(label, spec, [i], levels)[0].tolist():
+        total += c**2
     return float(min(total, 1.0))
 
 
@@ -192,24 +299,21 @@ def assemble_spectrum(
 ) -> CorrelationSpectrum:
     """Correlation spectrum from per-module blocks, weighted by multiplicities.
 
-    Each distinct block is diagonalized once; its eigenvalues enter with the
-    module multiplicity.  The total multiplicity always equals the subsystem
-    size.
+    Every module's block is cut from the graph's :class:`ModuleTable`; blocks
+    of equal size are stacked and diagonalized by one ``eigvalsh`` call, and
+    each eigenvalue enters with its module multiplicity.  The total
+    multiplicity always equals the subsystem size.
     """
-    pairs: list[tuple[float, int]] = []
-    covered = 0
-    for label in enumerate_modules(spec):
-        block = module_correlation_block(label, filling, sub, spec)
-        size = block.matrix.shape[0]
-        if size == 0:
-            continue
-        covered += size * label.degeneracy
-        for lam in clamp_unit_interval(np.linalg.eigvalsh(block.matrix)):
-            pairs.append((float(lam), label.degeneracy))
+    table = module_table(spec)
+    distances = np.array(sorted(sub.distances))
+    start, sizes = _window(distances, table.i_min, table.i_max)
+    levels = table.level_index(sorted(filling.occupied))
+    parts = []
+    for size, ms in size_groups(sizes):
+        rows = distances[start[ms, None] + np.arange(size)]
+        parts.append((ms, np.linalg.eigvalsh(table.blocks(ms, rows, levels))))
     expected = sum(neighborhood_size(spec, i) for i in sub.distances)
-    if covered != expected:
-        raise ArithmeticError(f"module rows cover {covered} modes, subsystem has {expected}")
-    return CorrelationSpectrum(group_spectrum(pairs))
+    return table.spectrum(sizes, parts, expected)
 
 
 @dataclass(frozen=True)

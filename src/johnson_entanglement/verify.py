@@ -9,7 +9,9 @@ are enumerated grids, never sampled.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -19,7 +21,7 @@ from . import scheme, spectral, terwilliger
 from .scheme import GraphSpec, default_base_vertex
 from .spectral import CorrelationSpectrum, FillingSpec, SubsystemSpec
 
-__all__ = ["CheckResult", "run_battery", "expand_spectrum", "spectra_max_diff"]
+__all__ = ["CheckResult", "run_battery", "spectra_max_diff"]
 
 DEFAULT_SIZES = ((4, 2), (6, 3), (8, 4))
 QUICK_SIZES = ((4, 2), (6, 3))
@@ -37,22 +39,24 @@ class CheckResult:
         object.__setattr__(self, "worst", float(self.worst))
 
 
-def expand_spectrum(spectrum: CorrelationSpectrum) -> list[float]:
-    """Eigenvalues repeated by multiplicity, ascending (dense-scale only)."""
-    out: list[float] = []
-    for lam, mult in spectrum.entries:
-        out.extend([lam] * mult)
-    return sorted(out)
-
-
 def spectra_max_diff(a: CorrelationSpectrum, b: CorrelationSpectrum) -> float:
-    """Worst per-eigenvalue gap between two spectra; inf on a size mismatch."""
-    ea, eb = expand_spectrum(a), expand_spectrum(b)
-    if len(ea) != len(eb):
+    """Worst per-eigenvalue gap between two spectra; inf on a size mismatch.
+
+    Both sorted (lambda, multiplicity) lists are compared at every point
+    where the cumulative multiplicity starts a new run in either list, so
+    the cost grows with the number of distinct values and multiplicities
+    are never expanded.
+    """
+    ea, eb = sorted(a.entries), sorted(b.entries)
+    if a.total_multiplicity != b.total_multiplicity:
         return math.inf
     if not ea:
         return 0.0
-    return max(abs(x - y) for x, y in zip(ea, eb))
+    ca = list(accumulate(mult for _, mult in ea))
+    cb = list(accumulate(mult for _, mult in eb))
+    # the pair of values only changes where a run of either list starts
+    starts = {0, *ca[:-1], *cb[:-1]}
+    return max(abs(ea[bisect_right(ca, t)][0] - eb[bisect_right(cb, t)][0]) for t in starts)
 
 
 def _bottom_filling(spec: GraphSpec, levels: int) -> FillingSpec:

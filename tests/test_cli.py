@@ -36,6 +36,10 @@ def test_energies_constant_alpha0(tmp_path):
     assert run(["energies", "--n", "6", "--k", "2", "--alpha", "1", "--output", str(out)]) == 0
     rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
     assert {r[5] for r in rows} == {"1"}
+    # exp(-c i) at c = inf keeps only alpha_0 = 1
+    assert run(["energies", "--n", "6", "--k", "2", "--exp-hopping", "inf", "--output", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+    assert {r[5] for r in rows} == {"1"}
 
 
 def test_entropy_all_routes_worked_example(tmp_path):
@@ -125,6 +129,14 @@ def test_exit_code_bad_config():
     assert run(["entropy", "--n", "4", "--k", "2", "--distances", "0", "--occupied", "1"]) == 2
     assert run(["energies", "--n", "4", "--k", "2", "--alpha", "1,2,3,4"]) == 2
     assert run(["entropy", "--n", "6", "--k", "3", "--occupied", "0,4", "--distances", "0,1", "--route", "heun"]) == 2
+
+
+@pytest.mark.parametrize("hopping", [["--alpha", "nan,1"], ["--alpha", "1e308,1e308"], ["--exp-hopping", "nan"]])
+def test_exit_code_bad_hopping(hopping, capsys):
+    code = run(["entropy", "--n", "8", "--k", "4", "--cutoff", "1"] + hopping)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
 
 
 def test_exit_code_capacity():
