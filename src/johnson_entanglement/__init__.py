@@ -26,7 +26,7 @@ from .spectral import (
     fill_ground_state,
     spectrum_oracle,
 )
-from .specfn import clebsch_gordan, dual_hahn
+from .specfn import clebsch_gordan
 from .terwilliger import ModuleLabel, assemble_spectrum, enumerate_modules, level_degeneracy
 
 __version__ = "0.1.0"
@@ -48,7 +48,6 @@ __all__ = [
     "chopped_correlation_oracle",
     "clebsch_gordan",
     "default_base_vertex",
-    "dual_hahn",
     "energy_exponential",
     "energy_table",
     "enumerate_modules",

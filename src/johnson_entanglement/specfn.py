@@ -1,103 +1,36 @@
-"""Special-function kernel: terminating hypergeometric sums, dual Hahn
-polynomials and su(2) Clebsch-Gordan coefficients.
+"""Special-function kernel: exact dual Hahn sums and su(2) Clebsch-Gordan
+coefficients.
 
 Angular-momentum labels are passed as doubled integers (``j_x2 = 2*j``) so
-half-integers, parities and selection rules stay exact.  Coefficient
-magnitudes are assembled in exact rational arithmetic, with a single square
-root at the end; binomials up to n = 30 therefore cost no precision.
+half-integers, parities and selection rules stay exact.  A Clebsch-Gordan
+column is a normalized dual Hahn polynomial in its degree, so
+:func:`cg_column` generates it whole from the integer three-term degree
+recurrence and the integer ratio of consecutive weights.  Each entry is then
+one correctly rounded integer division and one square root, with no loss of
+precision at any graph size.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 __all__ = [
-    "DualHahnParams",
-    "pochhammer",
-    "hyp2f1_terminating",
-    "dual_hahn",
     "clebsch_gordan",
     "cg_column",
 ]
 
 
-def pochhammer(a: float, m: int) -> float:
-    """Rising factorial a (a+1) ... (a+m-1); the empty product is 1."""
-    if m < 0:
-        raise ValueError("pochhammer order must be a nonnegative integer")
-    out = 1.0
-    for r in range(m):
-        out *= a + r
-    return out
-
-
-def hyp2f1_terminating(a_neg: int, b: float, c: float, z: float) -> float:
-    """Gauss 2F1(a, b; c; z) for nonpositive integer a, summed term by term.
-
-    The series stops after |a| + 1 terms.  Raises if a denominator factor
-    (c)_m vanishes while the numerator has not yet terminated.
-    """
-    if a_neg > 0:
-        raise ValueError("first parameter must be a nonpositive integer")
-    total = 1.0
-    term = 1.0
-    for m in range(-a_neg):
-        num = (a_neg + m) * (b + m)
-        if num == 0.0:
-            break
-        den = (c + m) * (m + 1)
-        if den == 0.0:
-            raise ZeroDivisionError(
-                f"2F1 pole: (c)_m vanishes at m={m + 1} before termination"
-            )
-        term *= num * z / den
-        total += term
-    return total
-
-
-@dataclass(frozen=True)
-class DualHahnParams:
-    """Parameter triple (gamma, delta, N) of a dual Hahn family."""
-
-    gamma: float
-    delta: float
-    N: int
-
-    def __post_init__(self):
-        if self.N < 0:
-            raise ValueError("N must be nonnegative")
-
-
-def dual_hahn(i: int, lam: float, p: DualHahnParams) -> float:
-    """Dual Hahn polynomial R_i(lam; gamma, delta, N), degree i in lam.
-
-    ``lam`` is the quadratic grid variable lam(x) = x (x + gamma + delta + 1).
-    Evaluated as the terminating series
-
-        sum_r (-i)_r / ((gamma+1)_r (-N)_r r!) prod_{l<r} (l(gamma+delta+1) + l^2 - lam)
-
-    which is polynomial in lam directly, so callers never need to recover x.
-    R_0 = 1 and R_i(0) = 1 for every degree.
-    """
-    if not 0 <= i <= p.N:
-        raise ValueError(f"degree {i} outside 0..{p.N}")
-    gd1 = p.gamma + p.delta + 1.0
-    total = 1.0
-    term = 1.0
-    for r in range(i):
-        den = (p.gamma + 1.0 + r) * (r - p.N) * (r + 1.0)
-        if den == 0.0:
-            raise ZeroDivisionError(f"dual Hahn pole: zero denominator at term {r + 1}")
-        term *= (r - i) * (r * gd1 + r * r - lam) / den
-        total += term
-    return total
-
-
 def _dual_hahn_rational(i: int, lam, gamma: int, delta: int, n_max: int) -> Fraction:
-    """Exact-rational R_i(lam; gamma, delta, N); lam may be int or Fraction."""
+    """Exact-rational dual Hahn R_i(lam; gamma, delta, N); lam may be int or Fraction.
+
+    Summed as the terminating series
+
+        sum_r (-i)_r / ((gamma+1)_r (-N)_r r!) prod_{l<r} (l(gamma+delta+1) + l^2 - lam),
+
+    polynomial in the quadratic grid variable lam(x) = x (x + gamma + delta + 1).
+    """
     gd1 = gamma + delta + 1
     total = Fraction(1)
     term = Fraction(1)
@@ -109,6 +42,8 @@ def _dual_hahn_rational(i: int, lam, gamma: int, delta: int, n_max: int) -> Frac
 
 def _hyp2f1_rational(a_neg: int, b: int, c: int, z: Fraction) -> Fraction:
     """Exact-rational terminating 2F1 for integer parameters and rational z."""
+    if a_neg > 0:
+        raise ValueError("first parameter must be a nonpositive integer")
     total = Fraction(1)
     term = Fraction(1)
     for m in range(-a_neg):
@@ -135,67 +70,17 @@ def _check_pair(name: str, j_x2: int, m_x2: int) -> None:
 def clebsch_gordan(j_x2: int, m_x2: int, j1_x2: int, m1_x2: int, j2_x2: int, m2_x2: int) -> float:
     """su(2) Clebsch-Gordan coefficient <j1 m1, j2 m2 | j m>, doubled labels.
 
-    The coefficient is a normalized dual Hahn value with degree i = j1 - m1
-    on the quadratic grid point x = j - |j1 - j2|.  Selection-rule failures
-    (m != m1 + m2, triangle, coupling parity) return 0.0; malformed (j, m)
-    pairs raise ValueError.  The highest-m1 entry of every (j; j1, j2)
-    column is fixed positive, matching the Condon-Shortley convention.
+    Malformed (j, m) pairs raise ValueError; m != m1 + m2 and the triangle
+    rule return 0.0.  Otherwise the value is the m1 entry of
+    :func:`cg_column`.
     """
     _check_pair("(j, m)", j_x2, m_x2)
     _check_pair("(j1, m1)", j1_x2, m1_x2)
     _check_pair("(j2, m2)", j2_x2, m2_x2)
     if m_x2 != m1_x2 + m2_x2:
         return 0.0
-    if (j1_x2 + j2_x2 - j_x2) % 2 != 0:
-        return 0.0
-    if not abs(j1_x2 - j2_x2) <= j_x2 <= j1_x2 + j2_x2:
-        return 0.0
-
-    sign = 1
-    if m_x2 < 0:
-        # c(j, -m; -m1, -m2) = (-1)^(j1+j2-j) c(j, m; m1, m2)
-        m_x2, m1_x2, m2_x2 = -m_x2, -m1_x2, -m2_x2
-        if ((j1_x2 + j2_x2 - j_x2) // 2) % 2:
-            sign = -sign
-    if j1_x2 > j2_x2:
-        # exchanging the coupled pair costs the same phase
-        j1_x2, m1_x2, j2_x2, m2_x2 = j2_x2, m2_x2, j1_x2, m1_x2
-        if ((j1_x2 + j2_x2 - j_x2) // 2) % 2:
-            sign = -sign
-
-    i = (j1_x2 - m1_x2) // 2
-    x = (j_x2 + j1_x2 - j2_x2) // 2
-    n_max = j1_x2
-    gamma = (j2_x2 - j1_x2 + m_x2) // 2
-    delta = (j2_x2 - j1_x2 - m_x2) // 2
-
-    # Squared normalization.  The raw weight mixes signed Pochhammers under
-    # the root; pairing (delta+1)_x against the (delta + N - i choose N - i)
-    # binomial leaves only ratios of factorials of the manifestly nonnegative
-    # integers below, so the radicand is nonnegative by construction.
-    f = math.factorial
-    w = Fraction(
-        f(n_max) ** 2
-        * f(gamma + x)
-        * (j_x2 + 1)
-        * f(gamma + i)
-        * f(delta + n_max - i)
-        * f(x + gamma + delta),
-        f(n_max - x)
-        * f(gamma) ** 2
-        * f(x)
-        * f(x + gamma + delta + 1 + n_max)
-        * f(i)
-        * f(delta + x)
-        * f(n_max - i),
-    )
-    r = _dual_hahn_rational(i, x * (x + gamma + delta + 1), gamma, delta, n_max)
-    magnitude = math.sqrt(w * r * r)
-    if r < 0:
-        sign = -sign
-    if i % 2:
-        sign = -sign
-    return sign * magnitude
+    hi = min(j1_x2, m_x2 + j2_x2)
+    return cg_column(j_x2, j1_x2, j2_x2, m_x2)[(hi - m1_x2) // 2]
 
 
 @lru_cache(maxsize=None)
@@ -204,13 +89,65 @@ def cg_column(j_x2: int, j1_x2: int, j2_x2: int, m_x2: int) -> tuple[float, ...]
 
     Descending m1 is ascending distance from the base vertex in graph
     applications, so columns drop straight into matrices indexed by
-    neighborhood number.
+    neighborhood number.  A (j, m) pair with the wrong parity or |m| > j
+    raises ValueError; a j outside the triangle gives an all-zero column.
+
+    Signs follow Condon-Shortley: the highest-m1 entry is positive.
+
+    The flips m -> -m and j1 <-> j2, each worth the phase (-1)^(j1+j2-j),
+    bring the column to m >= 0 and j1 <= j2.  There the entry of degree
+    i = j1 - m1 = 0, 1, ... is (-1)^i sqrt(w_i) R_i(lam; gamma, delta, N), a
+    dual Hahn value with N = 2 j1, gamma = j2 - j1 + m, delta = j2 - j1 - m
+    and lam = x (x + gamma + delta + 1), x = j + j1 - j2 (spin units).  With
+    a_i = (gamma+i+1)(N-i) and c_i = i(delta+N+1-i), the degree recurrence
+    a_i R_(i+1) = (a_i + c_i - lam) R_i - c_i R_(i-1) keeps R_i = P_i / D_i
+    with integer P_i and D_(i+1) = a_i D_i > 0, and the weight steps by
+    w_(i+1) / w_i = a_i / ((delta+N-i)(i+1)).  The D_i cancel against the
+    weight, so each magnitude is sqrt(W_0 P_i^2 / E_i) with integers W_0 and
+    E_(i+1) = E_i a_i (delta+N-i)(i+1): one correctly rounded division of
+    the exact rational, then one square root.
     """
     if (j1_x2 + j2_x2 - m_x2) % 2:
         raise ValueError(f"total projection m_x2={m_x2} has the wrong parity for ({j1_x2}, {j2_x2})")
     lo = max(-j1_x2, m_x2 - j2_x2)
     hi = min(j1_x2, m_x2 + j2_x2)
-    return tuple(
-        clebsch_gordan(j_x2, m_x2, j1_x2, m1_x2, j2_x2, m_x2 - m1_x2)
-        for m1_x2 in range(hi, lo - 2, -2)
-    )
+    if lo > hi:
+        return ()
+    _check_pair("(j, m)", j_x2, m_x2)
+    length = (hi - lo) // 2 + 1
+    if not abs(j1_x2 - j2_x2) <= j_x2 <= j1_x2 + j2_x2:
+        return (0.0,) * length
+
+    flips = 0
+    if m_x2 < 0:
+        m_x2 = -m_x2
+        flips += 1
+    if j1_x2 > j2_x2:
+        j1_x2, j2_x2 = j2_x2, j1_x2
+        flips += 1
+    negative = flips == 1 and ((j1_x2 + j2_x2 - j_x2) // 2) % 2 == 1
+
+    n_max = j1_x2
+    x = (j_x2 + j1_x2 - j2_x2) // 2
+    gamma = (j2_x2 - j1_x2 + m_x2) // 2
+    delta = (j2_x2 - j1_x2 - m_x2) // 2
+    lam = x * (x + gamma + delta + 1)
+    # w_0; delta may be negative, but every factorial argument here is a
+    # nonnegative integer for an admissible column.
+    f = math.factorial
+    w_num = f(n_max) * f(gamma + x) * (j_x2 + 1) * f(delta + n_max) * f(x + gamma + delta)
+    w_den = f(n_max - x) * f(gamma) * f(x) * f(x + gamma + delta + 1 + n_max) * f(delta + x)
+
+    out = []
+    p_prev, p, a_prev = 0, 1, 0  # P_(i-1), P_i, a_(i-1)
+    for i in range(length):
+        magnitude = math.sqrt(w_num * p * p / w_den)
+        # D_i > 0, so R_i < 0 exactly when P_i < 0; an exact zero keeps the
+        # flip and degree phases only.
+        out.append(-magnitude if negative ^ (p < 0) ^ (i % 2 == 1) else magnitude)
+        a = (gamma + i + 1) * (n_max - i)
+        c = i * (delta + n_max + 1 - i)
+        p_prev, p = p, (a + c - lam) * p - c * a_prev * p_prev
+        a_prev = a
+        w_den *= a * (delta + n_max - i) * (i + 1)
+    return tuple(reversed(out)) if flips == 1 else tuple(out)

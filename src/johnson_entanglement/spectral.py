@@ -74,10 +74,13 @@ class HoppingProfile:
 
 @dataclass(frozen=True)
 class EnergyLevel:
+    """One eigenspace; ``sign`` is the sign (-1, 0, 1) of the exact Omega."""
+
     j_x2: int
     theta: float
     omega: float
     degeneracy: int
+    sign: int
 
 
 @dataclass(frozen=True)
@@ -150,8 +153,6 @@ def energy_table(spec: GraphSpec, hop: HoppingProfile) -> EnergyTable:
     come from the module count.  For alpha = (0, 1, 0, ...) this collapses to
     Omega = theta.
     """
-    from .terwilliger import level_degeneracy  # runtime import; cycle otherwise
-
     n, k = spec.n, spec.k
     alphas = [Fraction(a) for a in hop.padded(k)]
     rows = []
@@ -163,9 +164,7 @@ def energy_table(spec: GraphSpec, hop: HoppingProfile) -> EnergyTable:
                 continue
             sgn = -1 if i % 2 else 1
             omega += alpha * sgn * math.comb(k, i) * _dual_hahn_rational(i, lam, 0, n - 2 * k, k)
-        rows.append(
-            EnergyLevel(j_x2, theta_eigenvalue(j_x2, spec), float(omega), level_degeneracy(j_x2, spec))
-        )
+        rows.append(_energy_level(j_x2, spec, omega))
     return EnergyTable(tuple(rows))
 
 
@@ -180,31 +179,34 @@ def energy_exponential(spec: GraphSpec, c: float) -> EnergyTable:
     """
     if c < 0:
         raise ValueError("decay constant must be nonnegative")
-    from .terwilliger import level_degeneracy
-
     n, k = spec.n, spec.k
     z = Fraction(math.exp(-c))
     rows = []
     for j_x2 in level_labels_x2(spec):
-        theta = theta_eigenvalue(j_x2, spec)
         a = (n - 2 * k - j_x2) // 2
         b = -(n - 2 * k + j_x2) // 2
         omega = (1 - z) ** ((n - j_x2) // 2) * _hyp2f1_rational(a, b, 1, z)
-        rows.append(EnergyLevel(j_x2, theta, float(omega), level_degeneracy(j_x2, spec)))
+        rows.append(_energy_level(j_x2, spec, omega))
     return EnergyTable(tuple(rows))
 
 
-def fill_ground_state(
-    table: EnergyTable, include_zero_modes: bool = False, tol: float = 1e-12
-) -> FillingSpec:
-    """Occupied set SE = { j : Omega_j < -tol }.
+def _energy_level(j_x2: int, spec: GraphSpec, omega: Fraction) -> EnergyLevel:
+    from .terwilliger import level_degeneracy  # runtime import; cycle otherwise
 
-    Levels with |Omega_j| <= tol sit at a degenerate ground-state choice;
-    they are left empty unless ``include_zero_modes`` asks for them.
+    sign = (omega > 0) - (omega < 0)
+    return EnergyLevel(j_x2, theta_eigenvalue(j_x2, spec), float(omega), level_degeneracy(j_x2, spec), sign)
+
+
+def fill_ground_state(table: EnergyTable, include_zero_modes: bool = False) -> FillingSpec:
+    """Occupied set SE = { j : Omega_j < 0 }, decided on the exact Omega.
+
+    Exact zeros sit at a degenerate ground-state choice; they are left empty
+    unless ``include_zero_modes`` asks for them.  Classifying before rounding
+    makes the filling invariant under a positive rescaling of the hopping.
     """
     occ = set()
     for row in table.rows:
-        if row.omega < -tol or (include_zero_modes and abs(row.omega) <= tol):
+        if row.sign < 0 or (include_zero_modes and row.sign == 0):
             occ.add(row.j_x2)
     return FillingSpec(frozenset(occ))
 

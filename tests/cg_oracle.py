@@ -1,12 +1,20 @@
-"""Independent Clebsch-Gordan oracle: explicit ladder operators on the dense
-product space, highest-weight seeding and Gram-Schmidt down the j ladder.
+"""Clebsch-Gordan references for the column recurrence under test.
 
-Deliberately shares no code with the closed-form evaluation under test.
+* :func:`coupled_states` / :func:`oracle_coefficient`: explicit ladder
+  operators on the dense product space, highest-weight seeding and
+  Gram-Schmidt down the j ladder.  Shares no code with the package.
+* :func:`seed_coefficient`: the per-entry closed form, a normalized dual
+  Hahn series summed in exact rationals with one square root.  It rounds
+  the same exact rational as :func:`johnson_entanglement.specfn.cg_column`,
+  so the two must agree bit for bit, signed zeros included.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
+
+from johnson_entanglement.specfn import _dual_hahn_rational
 
 
 def su2_lowering(j_x2: int) -> tuple[np.ndarray, np.ndarray]:
@@ -72,3 +80,51 @@ def oracle_coefficient(states, j_x2, m_x2, j1_x2, m1_x2, j2_x2, m2_x2) -> float:
     a = int(np.nonzero(m1s == m1_x2)[0][0])
     b = int(np.nonzero(m2s == m2_x2)[0][0])
     return float(states[(j_x2, m_x2)][a * (j2_x2 + 1) + b])
+
+
+def seed_coefficient(j_x2, m_x2, j1_x2, m1_x2, j2_x2, m2_x2) -> float:
+    """<j1 m1, j2 m2 | j m> entry by entry, for admissible doubled labels.
+
+    The degree is i = j1 - m1 and the grid point x = j - |j1 - j2| after the
+    flips to m >= 0 and j1 <= j2, each worth the phase (-1)^(j1+j2-j).
+    """
+    sign = 1
+    if m_x2 < 0:
+        m_x2, m1_x2, m2_x2 = -m_x2, -m1_x2, -m2_x2
+        if ((j1_x2 + j2_x2 - j_x2) // 2) % 2:
+            sign = -sign
+    if j1_x2 > j2_x2:
+        j1_x2, m1_x2, j2_x2, m2_x2 = j2_x2, m2_x2, j1_x2, m1_x2
+        if ((j1_x2 + j2_x2 - j_x2) // 2) % 2:
+            sign = -sign
+
+    i = (j1_x2 - m1_x2) // 2
+    x = (j_x2 + j1_x2 - j2_x2) // 2
+    n_max = j1_x2
+    gamma = (j2_x2 - j1_x2 + m_x2) // 2
+    delta = (j2_x2 - j1_x2 - m_x2) // 2
+
+    # squared normalization as ratios of factorials of nonnegative integers
+    f = math.factorial
+    w = Fraction(
+        f(n_max) ** 2
+        * f(gamma + x)
+        * (j_x2 + 1)
+        * f(gamma + i)
+        * f(delta + n_max - i)
+        * f(x + gamma + delta),
+        f(n_max - x)
+        * f(gamma) ** 2
+        * f(x)
+        * f(x + gamma + delta + 1 + n_max)
+        * f(i)
+        * f(delta + x)
+        * f(n_max - i),
+    )
+    r = _dual_hahn_rational(i, x * (x + gamma + delta + 1), gamma, delta, n_max)
+    magnitude = math.sqrt(w * r * r)
+    if r < 0:
+        sign = -sign
+    if i % 2:
+        sign = -sign
+    return sign * magnitude

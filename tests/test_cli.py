@@ -62,6 +62,15 @@ def test_entropy_all_routes_worked_example(tmp_path):
     assert float(rows2[0][4]) == pytest.approx(0.0, abs=1e-10)
 
 
+def test_entropy_filling_ignores_hopping_scale(capsys):
+    # an absolute zero-mode tolerance once emptied every level at alpha_1 = 1e-14
+    outputs = []
+    for alphas in ("0,1", "0,1e-14"):
+        assert run(["entropy", "--n", "8", "--k", "4", "--cutoff", "1", "--alpha", alphas]) == 0
+        outputs.append(capsys.readouterr().out.splitlines()[1].split(","))
+    assert outputs[0][4] == outputs[1][4] == "8.20144730305"
+
+
 def test_entropy_json_mirrors_csv(tmp_path):
     csv_path = tmp_path / "e.csv"
     json_path = tmp_path / "e.json"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from johnson_entanglement.entropy import von_neumann
 from johnson_entanglement.scheme import (
     CapacityError,
     GraphSpec,
@@ -30,6 +31,7 @@ from johnson_entanglement.spectral import (
     symmetric_eigen,
     theta_eigenvalue,
 )
+from johnson_entanglement.terwilliger import assemble_spectrum
 
 NN = HoppingProfile((0.0, 1.0))
 
@@ -112,6 +114,25 @@ def test_fill_ground_state_zero_hopping():
 def test_fill_ground_state_uniform_shift():
     table = energy_table(GraphSpec(4, 2), HoppingProfile((-10.0, 1.0)))
     assert sorted(fill_ground_state(table).occupied) == [0, 2, 4]
+
+
+@given(
+    st.lists(st.integers(-8, 8).map(lambda v: v / 4), min_size=1, max_size=4),
+    st.integers(-200, 200),
+    st.booleans(),
+)
+def test_filling_and_entropy_invariant_under_hopping_rescale(alphas, exponent, zero_modes):
+    # powers of two rescale every alpha, and so every exact Omega, without rounding
+    spec = GraphSpec(6, 3)
+    sub = SubsystemSpec(frozenset({0, 1}), default_base_vertex(spec))
+    scaled = [a * 2.0**exponent for a in alphas]
+    fillings = [
+        fill_ground_state(energy_table(spec, HoppingProfile(tuple(hop))), include_zero_modes=zero_modes)
+        for hop in (alphas, scaled)
+    ]
+    assert fillings[0] == fillings[1]
+    entropy = von_neumann(assemble_spectrum(spec, fillings[0], sub))
+    assert von_neumann(assemble_spectrum(spec, fillings[1], sub)) == entropy
 
 
 def test_symmetric_eigen_basics():
