@@ -20,7 +20,7 @@ from . import entropy as entropy_mod
 from . import heun as heun_mod
 from . import spectral, terwilliger, verify
 from .scheme import CapacityError, GraphSpec, default_base_vertex, neighborhood_size, vertex_from_subset
-from .spectral import CorrelationSpectrum, FillingSpec, HoppingProfile, SubsystemSpec
+from .spectral import FillingSpec, HoppingProfile, SubsystemSpec
 
 __all__ = ["ConfigError", "main"]
 
@@ -37,21 +37,32 @@ class ConfigError(ValueError):
 def _parse_int_set(text: str) -> set[int]:
     """Accept "0,2,5" or an inclusive range "0..4"."""
     text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return set(range(int(lo), int(hi) + 1))
-    return {int(tok) for tok in text.split(",") if tok != ""}
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            return set(range(int(lo), int(hi) + 1))
+        return {int(tok) for tok in text.split(",") if tok != ""}
+    except ValueError:
+        raise ConfigError(f"expected integers like 0,2,5 or 0..4, got {text!r}") from None
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(",") if tok != "")
+    try:
+        return tuple(float(tok) for tok in text.split(",") if tok != "")
+    except ValueError:
+        raise ConfigError(f"expected numbers like 0,1, got {text!r}") from None
 
 
 def _parse_sizes(text: str) -> tuple[tuple[int, int], ...]:
+    """Accept "4:2,6:3"; each pair must name a Johnson graph."""
     out = []
     for tok in text.split(","):
-        n, k = tok.split(":")
-        out.append((int(n), int(k)))
+        try:
+            n, k = (int(v) for v in tok.split(":"))
+            spec = GraphSpec(n, k)
+        except ValueError:
+            raise ConfigError(f"graph size {tok!r} is not n:k with 1 <= k <= n/2") from None
+        out.append((spec.n, spec.k))
     return tuple(out)
 
 
@@ -183,33 +194,6 @@ def _j_decimal(j_x2: int) -> str:
 
 # ---------------------------------------------------------------- routes
 
-def _heun_route_spectrum(spec: GraphSpec, filling: FillingSpec, sub: SubsystemSpec) -> CorrelationSpectrum:
-    """T-readout spectrum, with the projector-degenerate cases short-circuited."""
-    labels = spectral.level_labels_x2(spec)
-    distances = set(sub.distances)
-    occupied = set(filling.occupied)
-    sv = sum(neighborhood_size(spec, i) for i in distances)
-    if distances == set(range(spec.k + 1)):
-        occ = sum(terwilliger.level_degeneracy(j, spec) for j in sorted(occupied))
-        entries = []
-        if spec.vertex_count - occ:
-            entries.append((0.0, spec.vertex_count - occ))
-        if occ:
-            entries.append((1.0, occ))
-        return CorrelationSpectrum(tuple(entries))
-    if not occupied:
-        return CorrelationSpectrum(((0.0, sv),))
-    if occupied == set(labels):
-        return CorrelationSpectrum(((1.0, sv),))
-    if distances != set(range(max(distances) + 1)):
-        raise ConfigError("the T-readout route needs contiguous distances 0..N")
-    run = labels[: len(occupied)]
-    if occupied != set(run):
-        raise ConfigError("the T-readout route needs the lowest levels filled contiguously")
-    hs = heun_mod.heun_spec(spec, max(distances), run[-1])
-    return heun_mod.spectrum_via_heun(spec, hs)
-
-
 def _route_spectrum(route, spec, filling, sub, cap):
     if route == "oracle":
         c = spectral.chopped_correlation_oracle(spec, filling, sub, cap)
@@ -217,7 +201,10 @@ def _route_spectrum(route, spec, filling, sub, cap):
     if route == "modules":
         return terwilliger.assemble_spectrum(spec, filling, sub)
     if route == "heun":
-        return _heun_route_spectrum(spec, filling, sub)
+        planned = heun_mod.plan(spec, filling, sub)
+        if isinstance(planned, str):
+            raise ConfigError(planned)
+        return heun_mod.spectrum_via_heun(spec, planned) if isinstance(planned, heun_mod.HeunSpec) else planned
     raise ConfigError(f"unknown route {route!r}")
 
 
@@ -299,20 +286,11 @@ def cmd_entropy(args) -> int:
 
 
 def _diagnostics_line(spec, filling, sub) -> str:
-    distances = sorted(sub.distances)
-    occupied = sorted(filling.occupied)
-    labels = spectral.level_labels_x2(spec)
-    contiguous = (
-        distances == list(range(distances[0], distances[-1] + 1))
-        and occupied == labels[: len(occupied)]
-        and occupied
-        and len(occupied) < len(labels)
-        and max(distances) < spec.k
-    )
-    if contiguous:
-        hs = heun_mod.heun_spec(spec, max(distances), occupied[-1])
-        return f"heun weights: mu={_fmt(hs.mu)} nu={_fmt(hs.nu)}"
-    return "heun weights undefined for this configuration"
+    planned = heun_mod.plan(spec, filling, sub)
+    if isinstance(planned, heun_mod.HeunSpec):
+        return f"heun weights: mu={_fmt(planned.mu)} nu={_fmt(planned.nu)}"
+    reason = f": {planned}" if isinstance(planned, str) else ""
+    return "heun weights undefined for this configuration" + reason
 
 
 # ---------------------------------------------------------------- sweeps
@@ -352,7 +330,7 @@ def sweep_fig2a(args):
 
 def sweep_fig2b(args):
     """Entropy per site of every single shell, for every bottom-run filling."""
-    spec = GraphSpec(args.n, args.k)
+    spec = _graph_spec(args)
     labels = spectral.level_labels_x2(spec)
     rows = []
     for i in range(spec.k + 1):
@@ -391,7 +369,7 @@ def _fig3_row(spec: GraphSpec, fill: int, n_cut: int) -> dict:
     labels = spectral.level_labels_x2(spec)
     filling = FillingSpec(frozenset(labels[:fill]))
     sub = SubsystemSpec(frozenset(range(n_cut + 1)), default_base_vertex(spec))
-    rep = entropy_mod.report(spec, sub, _heun_route_spectrum(spec, filling, sub))
+    rep = entropy_mod.report(spec, sub, _route_spectrum("heun", spec, filling, sub, None))
     cut = rep.boundary_size + neighborhood_size(spec, n_cut + 1)
     return {
         "n": spec.n,
@@ -419,7 +397,7 @@ def sweep_fig3a(args):
 
 def sweep_fig3b(args):
     """Cut-boundary ratio over filling depth and ball radius at fixed (n, k)."""
-    spec = GraphSpec(args.n, args.k)
+    spec = _graph_spec(args)
     rows = [
         _fig3_row(spec, fill, n_cut)
         for fill in range(1, spec.k + 2)
@@ -435,7 +413,7 @@ def sweep_fig4(args):
     (13, 15) and (15, 15).  Each module is one chain with unit multiplicity,
     so entropies here are not weighted by module degeneracy.
     """
-    spec = GraphSpec(args.n, args.k)
+    spec = _graph_spec(args)
     labels = spectral.level_labels_x2(spec)
     fill = args.fill_levels if args.fill_levels is not None else _tenth_filling(spec.k)
     filling = FillingSpec(frozenset(labels[:fill]))

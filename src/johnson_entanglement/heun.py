@@ -30,11 +30,14 @@ from .spectral import (
     CorrelationSpectrum,
     FillingSpec,
     SubsystemSpec,
+    level_labels_x2,
     theta_eigenvalue,
 )
 from .terwilliger import (
     ModuleLabel,
     enumerate_modules,
+    level_degeneracy,
+    module_admissible_levels,
     module_correlation_block,
     module_table,
     size_groups,
@@ -44,6 +47,7 @@ __all__ = [
     "HeunSpec",
     "TridiagonalMatrix",
     "heun_spec",
+    "plan",
     "dual_eigenvalue",
     "dual_eigenvalue_at_distance",
     "tridiagonal_A_coefficients",
@@ -55,7 +59,6 @@ __all__ = [
     "restrict_to_subsystem",
     "commutant_residual",
     "spectrum_via_heun",
-    "validate_action_convention",
 ]
 
 # Relative gap below which neighboring T eigenvalues count as one cluster and
@@ -99,6 +102,31 @@ def heun_spec(spec: GraphSpec, n_cut: int, j0_x2: int) -> HeunSpec:
     mu = -(theta_eigenvalue(j0_x2 + 2, spec) + theta_eigenvalue(j0_x2, spec))
     nu = -(dual_eigenvalue_at_distance(n_cut + 1, spec) + dual_eigenvalue_at_distance(n_cut, spec))
     return HeunSpec(n_cut, j0_x2, mu, nu)
+
+
+def plan(spec: GraphSpec, filling: FillingSpec, sub: SubsystemSpec) -> HeunSpec | CorrelationSpectrum | str:
+    """How the T-readout route treats a configuration.
+
+    The closed-form spectrum when the subsystem is the whole graph or the
+    filling is empty or full; else the :class:`HeunSpec` of a ball 0..N with
+    the lowest levels filled up to j0; else the reason T does not exist.
+    """
+    labels = level_labels_x2(spec)
+    distances, occupied = set(sub.distances), set(filling.occupied)
+    if distances == set(range(spec.k + 1)):
+        occ = sum(level_degeneracy(j, spec) for j in occupied)
+        entries = ((0.0, spec.vertex_count - occ), (1.0, occ))
+        return CorrelationSpectrum(tuple((lam, mult) for lam, mult in entries if mult))
+    sv = sum(neighborhood_size(spec, i) for i in distances)
+    if not occupied:
+        return CorrelationSpectrum(((0.0, sv),))
+    if occupied == set(labels):
+        return CorrelationSpectrum(((1.0, sv),))
+    if distances != set(range(max(distances) + 1)):
+        return "the T-readout route needs contiguous distances 0..N"
+    if occupied != set(labels[: len(occupied)]):
+        return "the T-readout route needs the lowest levels filled contiguously"
+    return heun_spec(spec, max(distances), labels[len(occupied) - 1])
 
 
 def dual_eigenvalue(m1_x2: int, m2_x2: int, spec: GraphSpec) -> float:
@@ -238,8 +266,6 @@ def build_T_level_basis(label: ModuleLabel, hs: HeunSpec, spec: GraphSpec) -> Tr
     The two representations are similar, so their spectra must agree; tests
     assert that module by module.
     """
-    from .terwilliger import module_admissible_levels
-
     levels = module_admissible_levels(label, spec)
     diag = []
     off = []
@@ -262,10 +288,6 @@ def restrict_to_subsystem(t: TridiagonalMatrix, label: ModuleLabel, n_cut: int) 
     return TridiagonalMatrix(t.diagonal[:size], t.offdiagonal[: size - 1])
 
 
-def _heun_filling(spec: GraphSpec, hs: HeunSpec) -> FillingSpec:
-    return FillingSpec(frozenset(range(spec.n - 2 * spec.k, hs.j0_x2 + 1, 2)))
-
-
 def commutant_residual(
     label: ModuleLabel,
     hs: HeunSpec,
@@ -273,11 +295,9 @@ def commutant_residual(
     sub: SubsystemSpec,
     spec: GraphSpec,
 ) -> float:
-    """max |[C, T]| on the subsystem-restricted module block."""
-    if sub.distances != frozenset(range(hs.n_cut + 1)):
-        raise ValueError("subsystem must be the contiguous ball matching the cut")
-    if filling.occupied != _heun_filling(spec, hs).occupied:
-        raise ValueError("filling must be the contiguous bottom run matching j0")
+    """max |[C, T]| on the subsystem-restricted module block; ``hs`` must be the plan."""
+    if plan(spec, filling, sub) != hs:
+        raise ValueError("filling and subsystem do not plan to these cuts")
     t_block = restrict_to_subsystem(build_T(label, hs, spec), label, hs.n_cut).dense()
     if t_block.shape[0] == 0:
         return 0.0
@@ -319,7 +339,7 @@ def spectrum_via_heun(spec: GraphSpec, hs: HeunSpec) -> CorrelationSpectrum:
     table = module_table(spec)
     diag, off = _T_entries(spec, hs)
     sizes = np.minimum(table.i_max, hs.n_cut) - table.i_min + 1
-    levels = table.level_index(sorted(_heun_filling(spec, hs).occupied))
+    levels = table.level_index(range(spec.n - 2 * spec.k, hs.j0_x2 + 1, 2))
     parts = []
     for size, ms in size_groups(sizes):
         rows = table.i_min[ms, None] + np.arange(size)
@@ -341,23 +361,3 @@ def spectrum_via_heun(spec: GraphSpec, hs: HeunSpec) -> CorrelationSpectrum:
         parts.append((ms, lams))
     expected = sum(neighborhood_size(spec, i) for i in range(hs.n_cut + 1))
     return table.spectrum(sizes, parts, expected)
-
-
-def validate_action_convention(spec: GraphSpec, tol: float = 1e-8) -> float:
-    """Check each module's A action reproduces the adjacency eigenvalues.
-
-    The ladder indexing admits a transcription mirror; rebuilding the module
-    action and matching its spectrum against theta_j over the admissible
-    levels pins the convention.  Raises when the mismatch exceeds ``tol``.
-    """
-    from .terwilliger import module_admissible_levels
-
-    worst = 0.0
-    for label in enumerate_modules(spec):
-        got = np.linalg.eigvalsh(module_A_action(label, spec))
-        want = np.sort([theta_eigenvalue(j, spec) for j in module_admissible_levels(label, spec)])
-        scale = max(1.0, float(np.max(np.abs(want))))
-        worst = max(worst, float(np.max(np.abs(got - want))) / scale)
-    if worst > tol:
-        raise ArithmeticError(f"module ladder convention broken: spectral mismatch {worst:g}")
-    return worst

@@ -22,22 +22,19 @@ __all__ = [
 ]
 
 
-def _dual_hahn_rational(i: int, lam, gamma: int, delta: int, n_max: int) -> Fraction:
-    """Exact-rational dual Hahn R_i(lam; gamma, delta, N); lam may be int or Fraction.
+def _dual_hahn_run(degree: int, lam: int, gamma: int, delta: int, n_max: int) -> list[Fraction]:
+    """Exact dual Hahn values R_0..R_degree(lam; gamma, delta, N), degree <= N, in one pass.
 
-    Summed as the terminating series
-
-        sum_r (-i)_r / ((gamma+1)_r (-N)_r r!) prod_{l<r} (l(gamma+delta+1) + l^2 - lam),
-
-    polynomial in the quadratic grid variable lam(x) = x (x + gamma + delta + 1).
+    Runs the degree recurrence a_i R_(i+1) = (a_i + c_i - lam) R_i - c_i R_(i-1)
+    with a_i = (gamma+i+1)(N-i) and c_i = i(delta+N+1-i), the one behind
+    :func:`cg_column`.
     """
-    gd1 = gamma + delta + 1
-    total = Fraction(1)
-    term = Fraction(1)
-    for r in range(i):
-        term *= Fraction(r - i, (gamma + 1 + r) * (r - n_max) * (r + 1)) * (r * gd1 + r * r - lam)
-        total += term
-    return total
+    out = [Fraction(0), Fraction(1)]  # R_(-1) = 0 starts the recurrence
+    for i in range(degree):
+        a = (gamma + i + 1) * (n_max - i)
+        c = i * (delta + n_max + 1 - i)
+        out.append(((a + c - lam) * out[-1] - c * out[-2]) / a)
+    return out[1:]
 
 
 def _hyp2f1_rational(a_neg: int, b: int, c: int, z: Fraction) -> Fraction:

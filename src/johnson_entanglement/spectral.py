@@ -24,7 +24,7 @@ from .scheme import (
     dense_cap,
     distances_from,
 )
-from .specfn import _dual_hahn_rational, _hyp2f1_rational
+from .specfn import _dual_hahn_run, _hyp2f1_rational
 
 __all__ = [
     "CLAMP_SLACK",
@@ -138,32 +138,25 @@ def theta_eigenvalue(j_x2: int, spec: GraphSpec) -> float:
     return (j_x2 * (j_x2 + 2) - (n - 2 * k) ** 2) / 4.0 - n / 2.0
 
 
-def _theta_plus_k_exact(j_x2: int, spec: GraphSpec) -> Fraction:
-    n, k = spec.n, spec.k
-    return Fraction(j_x2 * (j_x2 + 2) - (n - 2 * k) ** 2, 4) + Fraction(2 * k - n, 2)
-
-
 def energy_table(spec: GraphSpec, hop: HoppingProfile) -> EnergyTable:
     """Energies Omega_j of sum_i alpha_i A_i on every adjacency eigenspace.
 
     Omega_j = sum_i alpha_i (-1)^i C(k, i) R_i(theta_j + k; 0, n-2k, k), the
-    degree-i dual Hahn expansion of A_i in A.  The alternating sum cancels
-    heavily (e.g. fast-decaying hopping near the bottom level), so it is
-    accumulated in exact rational arithmetic and rounded once.  Degeneracies
-    come from the module count.  For alpha = (0, 1, 0, ...) this collapses to
-    Omega = theta.
+    degree-i dual Hahn expansion of A_i in A, where theta_j + k = x(x+n-2k+1)
+    at x = j - (n/2 - k).  The alternating sum cancels heavily (e.g.
+    fast-decaying hopping near the bottom level), so it is accumulated in
+    exact rational arithmetic, with every R_i of a level from one pass of the
+    degree recurrence, and rounded once.  Degeneracies come from the module
+    count.  For alpha = (0, 1, 0, ...) this collapses to Omega = theta.
     """
     n, k = spec.n, spec.k
-    alphas = [Fraction(a) for a in hop.padded(k)]
+    weights = [(i, (-1) ** i * math.comb(k, i) * Fraction(a)) for i, a in enumerate(hop.padded(k)) if a]
+    top = max((i for i, _ in weights), default=0)
     rows = []
     for j_x2 in level_labels_x2(spec):
-        lam = _theta_plus_k_exact(j_x2, spec)
-        omega = Fraction(0)
-        for i, alpha in enumerate(alphas):
-            if alpha == 0:
-                continue
-            sgn = -1 if i % 2 else 1
-            omega += alpha * sgn * math.comb(k, i) * _dual_hahn_rational(i, lam, 0, n - 2 * k, k)
+        x = (j_x2 - (n - 2 * k)) // 2
+        r = _dual_hahn_run(top, x * (x + n - 2 * k + 1), 0, n - 2 * k, k)
+        omega = sum((w * r[i] for i, w in weights), Fraction(0))
         rows.append(_energy_level(j_x2, spec, omega))
     return EnergyTable(tuple(rows))
 

@@ -3,6 +3,9 @@
 * :func:`coupled_states` / :func:`oracle_coefficient`: explicit ladder
   operators on the dense product space, highest-weight seeding and
   Gram-Schmidt down the j ladder.  Shares no code with the package.
+* :func:`_dual_hahn_rational`: one dual Hahn value summed term by term as
+  the terminating series, the reference for the package's degree
+  recurrences.
 * :func:`seed_coefficient`: the per-entry closed form, a normalized dual
   Hahn series summed in exact rationals with one square root.  It rounds
   the same exact rational as :func:`johnson_entanglement.specfn.cg_column`,
@@ -14,7 +17,23 @@ from fractions import Fraction
 
 import numpy as np
 
-from johnson_entanglement.specfn import _dual_hahn_rational
+
+def _dual_hahn_rational(i: int, lam, gamma: int, delta: int, n_max: int) -> Fraction:
+    """Exact-rational dual Hahn R_i(lam; gamma, delta, N); lam may be int or Fraction.
+
+    Summed as the terminating series
+
+        sum_r (-i)_r / ((gamma+1)_r (-N)_r r!) prod_{l<r} (l(gamma+delta+1) + l^2 - lam),
+
+    polynomial in the quadratic grid variable lam(x) = x (x + gamma + delta + 1).
+    """
+    gd1 = gamma + delta + 1
+    total = Fraction(1)
+    term = Fraction(1)
+    for r in range(i):
+        term *= Fraction(r - i, (gamma + 1 + r) * (r - n_max) * (r + 1)) * (r * gd1 + r * r - lam)
+        total += term
+    return total
 
 
 def su2_lowering(j_x2: int) -> tuple[np.ndarray, np.ndarray]:

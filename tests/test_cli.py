@@ -1,9 +1,17 @@
+import contextlib
+import io
 import json
 import math
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from johnson_entanglement.cli import main
+from johnson_entanglement.heun import HeunSpec, plan
+from johnson_entanglement.scheme import GraphSpec, default_base_vertex
+from johnson_entanglement.spectral import FillingSpec, SubsystemSpec, level_labels_x2
 
 
 def run(args):
@@ -140,6 +148,25 @@ def test_exit_code_bad_config():
     assert run(["entropy", "--n", "6", "--k", "3", "--occupied", "0,4", "--distances", "0,1", "--route", "heun"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["entropy", "--n", "8", "--k", "4", "--distances", "0.."],
+        ["entropy", "--n", "8", "--k", "4", "--distances", "a"],
+        ["entropy", "--n", "8", "--k", "4", "--cutoff", "1", "--occupied", "x"],
+        ["entropy", "--n", "8", "--k", "4", "--cutoff", "1", "--alpha", "1,,x"],
+        ["verify", "--sizes", "4"],
+        ["verify", "--sizes", "4:9"],
+        ["sweep", "--figure", "fig3b", "--n", "8", "--k", "5"],
+    ],
+)
+def test_malformed_input_exits_2(argv, capsys):
+    code = run(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("hopping", [["--alpha", "nan,1"], ["--alpha", "1e308,1e308"], ["--exp-hopping", "nan"]])
 def test_exit_code_bad_hopping(hopping, capsys):
     code = run(["entropy", "--n", "8", "--k", "4", "--cutoff", "1"] + hopping)
@@ -209,6 +236,46 @@ def test_dense_cap_env_var(tmp_path, monkeypatch):
     ]) == 0
 
 
+def test_diagnostics_reports_the_planner_refusal(capsys):
+    # T needs a ball 0..N: a contiguous run 1..2 has no heun weights
+    assert run([
+        "entropy", "--n", "8", "--k", "4", "--distances", "1..2", "--fill-levels", "2",
+        "--route", "modules", "--diagnostics",
+    ]) == 0
+    err = capsys.readouterr().err
+    assert "mu=" not in err
+    assert err == (
+        "heun weights undefined for this configuration: "
+        "the T-readout route needs contiguous distances 0..N\n"
+    )
+
+
+def test_heun_plan_alone_decides_diagnostics_and_route(capsys):
+    # J(6,3), every distance subset x every filling
+    spec = GraphSpec(6, 3)
+    x0 = default_base_vertex(spec)
+    labels = level_labels_x2(spec)
+    for size in range(1, 5):
+        for distances in combinations(range(4), size):
+            for fill in range(5):
+                for occupied in combinations(labels, fill):
+                    planned = plan(spec, FillingSpec(frozenset(occupied)), SubsystemSpec(frozenset(distances), x0))
+                    base = [
+                        "entropy", "--n", "6", "--k", "3", "--distances", ",".join(map(str, distances)),
+                        "--occupied", ",".join(map(str, occupied)),
+                    ]
+                    assert run(base + ["--route", "modules", "--diagnostics"]) == 0
+                    assert ("mu=" in capsys.readouterr().err) == isinstance(planned, HeunSpec)
+                    code = run(base + ["--route", "heun"])
+                    assert (code == 2) == isinstance(planned, str), (distances, occupied)
+                    if code != 2:
+                        assert code == 0
+                        # route_discrepancy covers heun against modules (and the oracle)
+                        assert run(base + ["--route", "all"]) == 0
+                        assert float(capsys.readouterr().out.splitlines()[-1].split(",")[9]) <= 1e-8
+                    capsys.readouterr()
+
+
 def test_diagnostics_prints_weights(tmp_path, capsys):
     code = run([
         "entropy", "--n", "4", "--k", "2", "--alpha", "0,1", "--cutoff", "0",
@@ -260,3 +327,72 @@ def test_determinism_repeated_runs(tmp_path):
         assert run(base + ["--output", str(a)]) == 0
         assert run(base + ["--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+def test_verify_control_skipped_without_blocks_over_1x1(capsys):
+    # every restricted T block of J(2,1) and J(3,1) is 1x1; the perturbed-mu
+    # control once read 0 there and failed heun_commutant
+    assert run(["verify", "--quick", "--sizes", "2:1"]) == 0
+    run(["verify", "--quick", "--sizes", "3:1"])
+    assert "pass heun_commutant (worst 0)" in capsys.readouterr().err.splitlines()
+
+
+# n <= 10: two draws in three name a graph that exists, the third any pair
+_JOHNSON = st.sampled_from([(2, 1), (4, 2), (5, 2), (6, 3), (7, 3), (8, 4), (9, 2), (10, 5)])
+_GRAPH = st.one_of(_JOHNSON, _JOHNSON, st.tuples(st.integers(-1, 10), st.integers(-1, 6)))
+_MODEL = {
+    "--alpha": st.sampled_from(["0,1", "1", "", ",", "a", "1,,x", "nan,1", "-1,0.5,2", "1e308,1e308"]),
+    "--exp-hopping": st.sampled_from(["0", "1.5", "-1", "inf", "nan"]),
+    "--occupied": st.sampled_from(["0", "0,2", "1,3", "", "x", "0..", "1..3", "-2", "0,4", "2..1"]),
+    "--fill-levels": st.integers(-1, 7).map(str),
+    "--fill-fraction": st.sampled_from(["0", "0.5", "1", "1.5", "-0.1", "nan"]),
+}
+_ENTROPY = {
+    "--distances": st.sampled_from(["0", "0..2", "1..2", "0,2", "", "a", "0..", "..", "5", "0,,1", "-1"]),
+    "--cutoff": st.integers(-1, 6).map(str),
+    "--x0": st.sampled_from(["1,2", "1..3", "x", "", "9", "2,2"]),
+    "--route": st.sampled_from(["oracle", "modules", "heun", "all"]),
+    "--dense-cap": st.sampled_from(["0", "10", "300"]),
+}
+_FLAGS = ["--include-zero-modes", "--bits", "--diagnostics"]
+
+
+@st.composite
+def _argv(draw):
+    """An argv that argparse accepts, with values that may still be malformed.
+
+    Values go in ``--flag=value`` form, so one like "-1,0.5" is not read as an
+    option.
+    """
+    command = draw(st.sampled_from(["energies", "entropy", "sweep", "verify"]))
+    if command == "verify":
+        sizes = draw(st.sampled_from(["4:2", "2:1", "3:1", "5:2,4:2", "4", "4:9", "x:y", "4:2:1", "0:0", ""]))
+        return ["verify", "--quick", f"--sizes={sizes}"]
+    n, k = draw(_GRAPH)
+    if command == "sweep":
+        # an explicit small graph; fig2a ignores --n and runs up to n = 30
+        figure = draw(st.sampled_from(["fig2b", "fig3a", "fig3b", "fig4"]))
+        argv = ["sweep", "--figure", figure, f"--n={n}", f"--k={k}"]
+        if draw(st.booleans()):
+            argv.append(f"--fill-levels={draw(st.integers(-1, 7))}")
+        return argv
+    options = dict(_MODEL, **_ENTROPY) if command == "entropy" else _MODEL
+    argv = [command, f"--n={n}", f"--k={k}"]
+    chosen = draw(st.lists(st.sampled_from(sorted(options)), max_size=3, unique=True))
+    if command == "entropy" and not {"--distances", "--cutoff"} & set(chosen):
+        chosen.append(draw(st.sampled_from(["--distances", "--cutoff"])))
+    for flag in chosen:
+        argv.append(f"{flag}={draw(options[flag])}")
+    flags = _FLAGS if command == "entropy" else _FLAGS[:1]
+    return argv + draw(st.lists(st.sampled_from(flags), unique=True))
+
+
+@settings(max_examples=200)
+@given(_argv())
+def test_argv_fuzz_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), argv
+    if code in (2, 3):
+        assert err.getvalue().count("\n") <= 1, (argv, err.getvalue())

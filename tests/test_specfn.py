@@ -10,13 +10,12 @@ from hypothesis import strategies as st
 from johnson_entanglement import terwilliger
 from johnson_entanglement.scheme import GraphSpec
 from johnson_entanglement.specfn import (
-    _dual_hahn_rational,
     _hyp2f1_rational,
     cg_column,
     clebsch_gordan,
 )
 
-from cg_oracle import coupled_states, oracle_coefficient, seed_coefficient
+from cg_oracle import _dual_hahn_rational, coupled_states, oracle_coefficient, seed_coefficient
 
 
 # ----------------------------------------------------------- 2F1

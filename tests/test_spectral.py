@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,7 +32,10 @@ from johnson_entanglement.spectral import (
     symmetric_eigen,
     theta_eigenvalue,
 )
+from johnson_entanglement.specfn import _dual_hahn_run
 from johnson_entanglement.terwilliger import assemble_spectrum
+
+from cg_oracle import _dual_hahn_rational
 
 NN = HoppingProfile((0.0, 1.0))
 
@@ -53,6 +57,25 @@ def test_energy_table_matches_dense_spectrum():
         table = energy_table(spec, hop)
         expected = np.sort(np.concatenate([[row.omega] * row.degeneracy for row in table.rows]))
         assert np.max(np.abs(np.sort(w) - expected)) < 1e-8
+
+
+def test_energy_table_recurrence_matches_term_by_term_series():
+    # one recurrence pass per level gives the same exact R_i as the series,
+    # so every Omega is the same rational and rounds to the same float
+    for n in range(2, 31):
+        for k in range(1, n // 2 + 1):
+            spec = GraphSpec(n, k)
+            alphas = tuple((-0.7) ** i + 0.1 for i in range(k + 1))
+            table = energy_table(spec, HoppingProfile(alphas))
+            for row in table.rows:
+                j_x2 = row.j_x2
+                lam = Fraction(j_x2 * (j_x2 + 2) - (n - 2 * k) ** 2, 4) + Fraction(2 * k - n, 2)
+                series = [_dual_hahn_rational(i, lam, 0, n - 2 * k, k) for i in range(k + 1)]
+                assert _dual_hahn_run(k, int(lam), 0, n - 2 * k, k) == series, (n, k, j_x2)
+                omega = sum(
+                    Fraction(a) * (-1) ** i * math.comb(k, i) * r for i, (a, r) in enumerate(zip(alphas, series))
+                )
+                assert (row.omega, row.sign) == (float(omega), (omega > 0) - (omega < 0)), (n, k, j_x2)
 
 
 def test_energy_constant_alpha0():
