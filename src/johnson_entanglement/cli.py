@@ -19,7 +19,7 @@ import numpy as np
 from . import entropy as entropy_mod
 from . import heun as heun_mod
 from . import spectral, terwilliger, verify
-from .scheme import CapacityError, GraphSpec, default_base_vertex, neighborhood_size, vertex_from_subset
+from .scheme import CapacityError, ConfigError, GraphSpec, default_base_vertex, neighborhood_size, vertex_from_subset
 from .spectral import FillingSpec, HoppingProfile, SubsystemSpec
 
 __all__ = ["ConfigError", "main"]
@@ -28,22 +28,25 @@ ROUTE_AGREEMENT_TOL = 1e-6
 LN2 = math.log(2.0)
 
 
-class ConfigError(ValueError):
-    """Invalid command configuration (exit code 2)."""
-
-
 # ---------------------------------------------------------------- parsing
 
-def _parse_int_set(text: str) -> set[int]:
-    """Accept "0,2,5" or an inclusive range "0..4"."""
+def _parse_int_set(text: str, valid: range, error: str) -> set[int]:
+    """Accept "0,2,5" or an inclusive range "0..4" of values in ``valid``.
+
+    A range's endpoints are checked before it is built, so a huge one costs nothing.
+    """
     text = text.strip()
     try:
         if ".." in text:
-            lo, hi = text.split("..", 1)
-            return set(range(int(lo), int(hi) + 1))
-        return {int(tok) for tok in text.split(",") if tok != ""}
+            lo, hi = (int(v) for v in text.split("..", 1))
+            values = set(range(lo, hi + 1)) if lo > hi or (lo in valid and hi in valid) else {lo, hi}
+        else:
+            values = {int(tok) for tok in text.split(",") if tok != ""}
     except ValueError:
         raise ConfigError(f"expected integers like 0,2,5 or 0..4, got {text!r}") from None
+    if not all(v in valid for v in values):
+        raise ConfigError(error)
+    return values
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
@@ -74,7 +77,7 @@ def _graph_spec(args) -> GraphSpec:
 
 
 def _hopping(args, spec: GraphSpec) -> tuple[HoppingProfile, float | None]:
-    c = getattr(args, "exp_hopping", None)
+    c = args.exp_hopping
     if c is not None:
         if c < 0:
             raise ConfigError("exponential hopping constant must be nonnegative")
@@ -102,39 +105,29 @@ def _energy_table(args, spec: GraphSpec):
 
 def _filling(args, spec: GraphSpec, table) -> FillingSpec:
     labels = spectral.level_labels_x2(spec)
-    chosen = [
-        name
-        for name, val in (
-            ("--occupied", getattr(args, "occupied", None)),
-            ("--fill-levels", getattr(args, "fill_levels", None)),
-            ("--fill-fraction", getattr(args, "fill_fraction", None)),
-        )
-        if val is not None
-    ]
+    options = {"--occupied": args.occupied, "--fill-levels": args.fill_levels, "--fill-fraction": args.fill_fraction}
+    chosen = [name for name, val in options.items() if val is not None]
     if len(chosen) > 1:
         raise ConfigError(f"choose one of {', '.join(chosen)}")
-    if getattr(args, "occupied", None) is not None:
-        occ = _parse_int_set(args.occupied)
-        if not occ <= set(labels):
-            raise ConfigError(f"occupied doubled labels must lie in {labels}")
+    if args.occupied is not None:
+        valid = range(labels[0], labels[-1] + 1, 2)
+        occ = _parse_int_set(args.occupied, valid, f"occupied doubled labels must lie in {labels}")
         return FillingSpec(frozenset(occ))
-    if getattr(args, "fill_levels", None) is not None:
-        m = args.fill_levels
-        if not 0 <= m <= spec.k + 1:
-            raise ConfigError(f"fill level count {m} outside 0..{spec.k + 1}")
-        return FillingSpec(frozenset(labels[:m]))
-    if getattr(args, "fill_fraction", None) is not None:
-        f = args.fill_fraction
-        if not 0.0 <= f <= 1.0:
+    if args.fill_levels is not None:
+        if not 0 <= args.fill_levels <= spec.k + 1:
+            raise ConfigError(f"fill level count {args.fill_levels} outside 0..{spec.k + 1}")
+        return FillingSpec(frozenset(labels[: args.fill_levels]))
+    if args.fill_fraction is not None:
+        if not 0.0 <= args.fill_fraction <= 1.0:
             raise ConfigError("fill fraction must lie in [0, 1]")
-        m = min(spec.k + 1, max(0, round(f * (spec.k + 1))))
+        m = min(spec.k + 1, max(0, round(args.fill_fraction * (spec.k + 1))))
         return FillingSpec(frozenset(labels[:m]))
     return spectral.fill_ground_state(table, include_zero_modes=args.include_zero_modes)
 
 
 def _subsystem(args, spec: GraphSpec) -> SubsystemSpec:
-    has_d = getattr(args, "distances", None) is not None
-    has_c = getattr(args, "cutoff", None) is not None
+    has_d = args.distances is not None
+    has_c = args.cutoff is not None
     if has_d == has_c:
         raise ConfigError("give exactly one of --distances or --cutoff")
     if has_c:
@@ -142,12 +135,14 @@ def _subsystem(args, spec: GraphSpec) -> SubsystemSpec:
             raise ConfigError(f"cutoff {args.cutoff} outside 0..{spec.k}")
         distances = set(range(args.cutoff + 1))
     else:
-        distances = _parse_int_set(args.distances)
-        if not distances or not distances <= set(range(spec.k + 1)):
-            raise ConfigError(f"distances must be a nonempty subset of 0..{spec.k}")
-    if getattr(args, "x0", None) is not None:
+        error = f"distances must be a nonempty subset of 0..{spec.k}"
+        distances = _parse_int_set(args.distances, range(spec.k + 1), error)
+        if not distances:
+            raise ConfigError(error)
+    if args.x0 is not None:
         try:
-            x0 = vertex_from_subset(_parse_int_set(args.x0), spec)
+            elements = _parse_int_set(args.x0, range(1, spec.n + 1), f"base vertex elements must lie in 1..{spec.n}")
+            x0 = vertex_from_subset(elements, spec)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
     else:
@@ -183,13 +178,12 @@ def _emit(fieldnames, rows, fmt: str, path: str | None) -> None:
 def _write_text(text: str, path: str | None) -> None:
     if path in (None, "-"):
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", newline="") as fh:
             fh.write(text)
-
-
-def _j_decimal(j_x2: int) -> str:
-    return _fmt(j_x2 / 2.0)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc.strerror}") from None
 
 
 # ---------------------------------------------------------------- routes
@@ -219,7 +213,7 @@ def cmd_energies(args) -> int:
             "n": spec.n,
             "k": spec.k,
             "j_x2": row.j_x2,
-            "j": _j_decimal(row.j_x2),
+            "j": _fmt(row.j_x2 / 2.0),
             "theta": row.theta,
             "omega": row.omega,
             "degeneracy": row.degeneracy,

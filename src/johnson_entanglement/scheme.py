@@ -21,6 +21,7 @@ __all__ = [
     "DEFAULT_DENSE_CAP",
     "DENSE_CAP_ENV",
     "CapacityError",
+    "ConfigError",
     "GraphSpec",
     "Vertex",
     "dense_cap",
@@ -46,12 +47,19 @@ class CapacityError(RuntimeError):
     """An oracle-scale dense object would exceed the configured cap."""
 
 
+class ConfigError(ValueError):
+    """Invalid command configuration (exit code 2)."""
+
+
 def dense_cap(override: int | None = None) -> int:
     """Effective dense-matrix cap: explicit override, else env, else default."""
     if override is not None:
         return override
     env = os.environ.get(DENSE_CAP_ENV)
-    return int(env) if env else DEFAULT_DENSE_CAP
+    try:
+        return int(env) if env else DEFAULT_DENSE_CAP
+    except ValueError:
+        raise ConfigError(f"{DENSE_CAP_ENV} must be an integer, got {env!r}") from None
 
 
 @dataclass(frozen=True)
@@ -137,9 +145,10 @@ def distance(x: Vertex, y: Vertex, spec: GraphSpec) -> int:
 
 
 @lru_cache(maxsize=8)
-def _pairwise_distances(n: int, k: int, cap: int) -> np.ndarray:
+def _pairwise_distances(n: int, k: int) -> np.ndarray:
+    """Read-only distance matrix; the capacity check is :func:`_distance_matrix`'s."""
     spec = GraphSpec(n, k)
-    verts = enumerate_vertices(spec, cap)
+    verts = enumerate_vertices(spec, spec.vertex_count)
     ind = np.zeros((len(verts), n), dtype=np.int64)
     for v in verts:
         ind[v.index, [e - 1 for e in v.subset]] = 1
@@ -150,7 +159,7 @@ def _pairwise_distances(n: int, k: int, cap: int) -> np.ndarray:
 
 def _distance_matrix(spec: GraphSpec, cap: int | None = None) -> np.ndarray:
     _require_capacity(spec, cap)
-    return _pairwise_distances(spec.n, spec.k, dense_cap(cap))
+    return _pairwise_distances(spec.n, spec.k)
 
 
 def distances_from(x0: Vertex, spec: GraphSpec, cap: int | None = None) -> np.ndarray:

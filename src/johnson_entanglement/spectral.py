@@ -2,10 +2,10 @@
 
 The hopping Hamiltonian sum_i alpha_i A_i is simultaneously diagonalized by
 the adjacency eigenspaces; theta_j = j(j+1) - (n-2k)^2/4 - n/2 labels them by
-a (half-)integer j running from n/2 - k to n/2.  The oracle path builds the
-eigenprojectors E_j, the ground-state correlation projector and its chop to a
-vertex subset explicitly, at dense scale only, as the reference for the two
-structured routes.
+a (half-)integer j running from n/2 - k to n/2.  The oracle path diagonalizes
+the adjacency matrix once per graph and chops the ground-state correlation
+projector to a vertex subset level by level, at dense scale only, as the
+reference for the two structured routes.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -20,6 +22,7 @@ from .scheme import (
     CapacityError,
     GraphSpec,
     Vertex,
+    _require_capacity,
     adjacency_matrix,
     dense_cap,
     distances_from,
@@ -220,7 +223,7 @@ def symmetric_eigen(m: np.ndarray, cap: int | None = None) -> tuple[np.ndarray, 
         raise ValueError("matrix is not exactly symmetric")
     w, q = np.linalg.eigh(m)
     scale = max(np.max(np.abs(m)), 1.0)
-    err = np.max(np.abs(q @ np.diag(w) @ q.T - m))
+    err = np.max(np.abs((q * w) @ q.T - m))
     if err > 1e-9 * scale:
         raise ArithmeticError(f"eigendecomposition reconstruction error {err:g}")
     return w, q
@@ -230,27 +233,31 @@ def _symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def eigenprojectors_oracle(spec: GraphSpec, cap: int | None = None) -> dict[int, np.ndarray]:
-    """Eigenprojectors E_j of the adjacency matrix, keyed by doubled j.
+@lru_cache(maxsize=8)
+def _level_blocks(spec: GraphSpec) -> MappingProxyType:
+    """Read-only eigenvector block of each adjacency level, keyed by doubled j.
 
-    Eigenvalues are grouped to the nearest theta_j within 1e-6 of the
-    spectral spread; anything further from every theta is an error.  Each
-    E_j is exactly symmetric, and trace(E_j) recovers the degeneracy.
+    One eigendecomposition per graph; callers check the capacity before every
+    lookup.  Eigenvalues are grouped to the nearest theta_j within 1e-6 of
+    the spectral spread; anything further from every theta is an error.
     """
-    a = adjacency_matrix(1, spec, cap)
-    w, q = symmetric_eigen(a, cap)
+    w, q = symmetric_eigen(adjacency_matrix(1, spec, spec.vertex_count), spec.vertex_count)
     labels = level_labels_x2(spec)
     thetas = np.array([theta_eigenvalue(j_x2, spec) for j_x2 in labels])
     tol = 1e-6 * (thetas.max() - thetas.min())
-    projectors: dict[int, np.ndarray] = {}
-    for pos, j_x2 in enumerate(labels):
-        sel = np.abs(w - thetas[pos]) <= tol
-        block = q[:, sel]
-        projectors[j_x2] = _symmetrize(block @ block.T)
-    grouped = sum(int(np.sum(np.abs(w - t) <= tol)) for t in thetas)
-    if grouped != len(w):
+    sels = [np.abs(w - t) <= tol for t in thetas]
+    if sum(int(np.sum(sel)) for sel in sels) != len(w):
         raise ArithmeticError("adjacency eigenvalue did not land near a unique theta_j")
-    return projectors
+    blocks = {j_x2: q[:, sel] for j_x2, sel in zip(labels, sels)}
+    for block in blocks.values():
+        block.flags.writeable = False
+    return MappingProxyType(blocks)
+
+
+def eigenprojectors_oracle(spec: GraphSpec, cap: int | None = None) -> dict[int, np.ndarray]:
+    """Exactly symmetric eigenprojectors E_j of the adjacency matrix, keyed by doubled j."""
+    _require_capacity(spec, cap)
+    return {j_x2: _symmetrize(b @ b.T) for j_x2, b in _level_blocks(spec).items()}
 
 
 def subsystem_indices(spec: GraphSpec, sub: SubsystemSpec, cap: int | None = None) -> np.ndarray:
@@ -263,14 +270,19 @@ def subsystem_indices(spec: GraphSpec, sub: SubsystemSpec, cap: int | None = Non
 def chopped_correlation_oracle(
     spec: GraphSpec, filling: FillingSpec, sub: SubsystemSpec, cap: int | None = None
 ) -> np.ndarray:
-    """The ground-state correlation projector restricted to the subsystem rows."""
-    projectors = eigenprojectors_oracle(spec, cap)
-    dim = spec.vertex_count
-    chat = np.zeros((dim, dim))
-    for j_x2 in sorted(filling.occupied):
-        chat += projectors[j_x2]
+    """The ground-state correlation projector restricted to the subsystem rows.
+
+    Each occupied E_j is chopped before it is summed, so at most one full
+    projector is alive; every entry gets the same bits as chopping the sum.
+    """
+    _require_capacity(spec, cap)
+    blocks = _level_blocks(spec)
     idx = subsystem_indices(spec, sub, cap)
-    return _symmetrize(chat[np.ix_(idx, idx)])
+    rows = np.ix_(idx, idx)
+    chat = np.zeros((len(idx), len(idx)))
+    for j_x2 in sorted(filling.occupied):
+        chat += _symmetrize(blocks[j_x2] @ blocks[j_x2].T)[rows]
+    return _symmetrize(chat)
 
 
 def clamp_unit_interval(values: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -158,13 +159,33 @@ def test_exit_code_bad_config():
         ["verify", "--sizes", "4"],
         ["verify", "--sizes", "4:9"],
         ["sweep", "--figure", "fig3b", "--n", "8", "--k", "5"],
+        ["JE_DENSE_CAP=abc", "entropy", "--n", "6", "--k", "3", "--cutoff", "1", "--route", "oracle"],
+        ["entropy", "--n", "6", "--k", "3", "--cutoff", "1", "--output", "/nonexistent/x.csv"],
     ],
 )
-def test_malformed_input_exits_2(argv, capsys):
+def test_malformed_input_exits_2(argv, capsys, monkeypatch):
+    # a leading NAME=value sets the environment, as in a shell
+    while "=" in argv[0]:
+        name, value = argv[0].split("=", 1)
+        monkeypatch.setenv(name, value)
+        argv = argv[1:]
     code = run(argv)
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("configuration error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("option", [["--distances"], ["--cutoff", "1", "--occupied"], ["--cutoff", "1", "--x0"]])
+def test_huge_range_refused_before_it_is_built(option, capsys):
+    tracemalloc.start()
+    try:
+        code = run(["entropy", "--n", "6", "--k", "3", *option, "0..2000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("hopping", [["--alpha", "nan,1"], ["--alpha", "1e308,1e308"], ["--exp-hopping", "nan"]])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from johnson_entanglement import spectral
 from johnson_entanglement.entropy import von_neumann
 from johnson_entanglement.scheme import (
     CapacityError,
@@ -34,8 +35,10 @@ from johnson_entanglement.spectral import (
 )
 from johnson_entanglement.specfn import _dual_hahn_run
 from johnson_entanglement.terwilliger import assemble_spectrum
+from johnson_entanglement.verify import check_route_agreement, run_battery
 
 from cg_oracle import _dual_hahn_rational
+from dense_oracle import chopped_correlation_reference
 
 NN = HoppingProfile((0.0, 1.0))
 
@@ -229,6 +232,93 @@ def test_chopped_correlation_single_site_third():
     c = chopped_correlation_oracle(spec, FillingSpec(frozenset({0})), sub)
     assert c.shape == (1, 1)
     assert c[0, 0] == pytest.approx(1.0 / 3.0, abs=1e-10)
+
+
+def test_chopped_oracle_matches_projector_sum_bitwise():
+    for n in range(2, 10):
+        for k in range(1, n // 2 + 1):
+            spec = GraphSpec(n, k)
+            labels = level_labels_x2(spec)
+            x0 = default_base_vertex(spec)
+            cuts = [frozenset(range(c + 1)) for c in range(k + 1)] + [frozenset({1})]
+            if k >= 2:
+                cuts.append(frozenset({0, 2}))
+            for fill in range(k + 2):
+                filling = FillingSpec(frozenset(labels[:fill]))
+                for distances in cuts:
+                    sub = SubsystemSpec(distances, x0)
+                    got = chopped_correlation_oracle(spec, filling, sub)
+                    assert np.array_equal(got, chopped_correlation_reference(spec, filling, sub))
+
+
+def _eigh_spy(monkeypatch) -> list[tuple[int, ...]]:
+    shapes = []
+    real = np.linalg.eigh
+
+    def spy(m, *args, **kwargs):
+        shapes.append(np.shape(m))
+        return real(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    return shapes
+
+
+def test_oracle_diagonalizes_each_graph_once(monkeypatch):
+    spectral._level_blocks.cache_clear()
+    shapes = _eigh_spy(monkeypatch)
+    assert check_route_agreement(((8, 4),), None).passed
+    assert shapes.count((70, 70)) == 1
+    shapes.clear()
+    spec = GraphSpec(8, 4)
+    sub = SubsystemSpec(frozenset({0, 1}), default_base_vertex(spec))
+    chopped_correlation_oracle(spec, FillingSpec(frozenset(level_labels_x2(spec)[:2])), sub)
+    eigenprojectors_oracle(spec)
+    assert shapes == []
+
+
+def test_cold_battery_diagonalizes_each_graph_once(monkeypatch):
+    spectral._level_blocks.cache_clear()
+    shapes = _eigh_spy(monkeypatch)
+    assert all(r.passed for r in run_battery())
+    dense = sorted(s[0] for s in shapes if len(s) == 2 and s[0] > 5)
+    assert dense == [6, 20, 70]
+
+
+def test_warm_oracle_still_checks_capacity():
+    spec = GraphSpec(6, 3)
+    sub = SubsystemSpec(frozenset({0}), default_base_vertex(spec))
+    filling = FillingSpec(frozenset({0}))
+    chopped_correlation_oracle(spec, filling, sub)
+    with pytest.raises(CapacityError):
+        chopped_correlation_oracle(spec, filling, sub, cap=10)
+    with pytest.raises(CapacityError):
+        eigenprojectors_oracle(spec, cap=10)
+
+
+def test_cached_eigenvector_blocks_are_read_only():
+    eigenprojectors_oracle(GraphSpec(6, 3))
+    blocks = spectral._level_blocks(GraphSpec(6, 3))
+    assert sorted(blocks) == level_labels_x2(GraphSpec(6, 3))
+    for block in blocks.values():
+        assert not block.flags.writeable
+        with pytest.raises(ValueError):
+            block[0, 0] = 1.0
+    with pytest.raises(TypeError):
+        blocks[0] = blocks[2]
+
+
+def test_symmetric_eigen_rejects_bad_reconstruction(monkeypatch):
+    real = np.linalg.eigh
+
+    def perturbed(m):
+        w, q = real(m)
+        q = q.copy()
+        q[0, 0] += 1e-6
+        return w, q
+
+    monkeypatch.setattr(np.linalg, "eigh", perturbed)
+    with pytest.raises(ArithmeticError, match="reconstruction"):
+        symmetric_eigen(adjacency_matrix(1, GraphSpec(6, 3)))
 
 
 def test_spectrum_oracle_grouping():
