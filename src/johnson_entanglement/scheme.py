@@ -145,33 +145,38 @@ def distance(x: Vertex, y: Vertex, spec: GraphSpec) -> int:
 
 
 @lru_cache(maxsize=8)
-def _pairwise_distances(n: int, k: int) -> np.ndarray:
-    """Read-only distance matrix; the capacity check is :func:`_distance_matrix`'s."""
+def _vertex_indicators(n: int, k: int) -> np.ndarray:
+    """Read-only C(n, k) x n 0/1 matrix: row x marks the elements of vertex x.
+
+    |x intersect y| is the dot product of two rows, so every distance comes
+    from one float64 BLAS product of integers at most k: exact.  The capacity
+    check is :func:`_indicators`'s.
+    """
     spec = GraphSpec(n, k)
-    verts = enumerate_vertices(spec, spec.vertex_count)
-    ind = np.zeros((len(verts), n), dtype=np.int64)
-    for v in verts:
-        ind[v.index, [e - 1 for e in v.subset]] = 1
-    dist = k - ind @ ind.T
-    dist.flags.writeable = False
-    return dist
+    elements = np.array([v.subset for v in enumerate_vertices(spec, spec.vertex_count)]) - 1
+    ind = np.zeros((len(elements), n))
+    ind[np.arange(len(elements))[:, None], elements] = 1.0
+    ind.flags.writeable = False
+    return ind
 
 
-def _distance_matrix(spec: GraphSpec, cap: int | None = None) -> np.ndarray:
+def _indicators(spec: GraphSpec, cap: int | None = None) -> np.ndarray:
     _require_capacity(spec, cap)
-    return _pairwise_distances(spec.n, spec.k)
+    return _vertex_indicators(spec.n, spec.k)
 
 
 def distances_from(x0: Vertex, spec: GraphSpec, cap: int | None = None) -> np.ndarray:
-    """Vector of d(x0, x) over all vertices in canonical order (read-only)."""
-    return _distance_matrix(spec, cap)[x0.index]
+    """Integer vector of d(x0, x) over all vertices in canonical order."""
+    ind = _indicators(spec, cap)
+    return (spec.k - ind @ ind[x0.index]).astype(np.int64)
 
 
 def adjacency_matrix(i: int, spec: GraphSpec, cap: int | None = None) -> np.ndarray:
     """i-th distance matrix A_i: entry 1 where d(x, y) = i.  A_0 is the identity."""
     if not 0 <= i <= spec.k:
         raise ValueError(f"distance index {i} outside 0..{spec.k}")
-    return (_distance_matrix(spec, cap) == i).astype(np.float64)
+    ind = _indicators(spec, cap)
+    return (ind @ ind.T == spec.k - i).astype(np.float64)
 
 
 def dual_adjacency_matrix(x0: Vertex, spec: GraphSpec, cap: int | None = None) -> np.ndarray:

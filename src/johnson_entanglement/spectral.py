@@ -57,6 +57,8 @@ __all__ = [
 CLAMP_SLACK = 1e-6
 # Absolute tolerance when grouping eigenvalues into (value, multiplicity) runs.
 GROUP_TOL = 1e-8
+# Row height of the slabs over which symmetric_eigen checks its reconstruction.
+_SLAB_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -211,7 +213,8 @@ def symmetric_eigen(m: np.ndarray, cap: int | None = None) -> tuple[np.ndarray, 
     """Full eigendecomposition of an exactly symmetric matrix, ascending order.
 
     The reconstruction Q diag(w) Q^T is checked against the input to
-    1e-9 * max|M| before returning.
+    1e-9 * max|M| before returning, a slab of rows at a time, so the check
+    adds no full-size temporary to the eigensolve's own.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -222,9 +225,12 @@ def symmetric_eigen(m: np.ndarray, cap: int | None = None) -> tuple[np.ndarray, 
     if not np.array_equal(m, m.T):
         raise ValueError("matrix is not exactly symmetric")
     w, q = np.linalg.eigh(m)
-    scale = max(np.max(np.abs(m)), 1.0)
-    err = np.max(np.abs((q * w) @ q.T - m))
-    if err > 1e-9 * scale:
+    err = scale = 0.0
+    for top in range(0, len(w), _SLAB_ROWS):
+        rows = slice(top, top + _SLAB_ROWS)
+        err = max(err, np.max(np.abs((q[rows] * w) @ q.T - m[rows])))
+        scale = max(scale, np.max(np.abs(m[rows])))
+    if err > 1e-9 * max(scale, 1.0):
         raise ArithmeticError(f"eigendecomposition reconstruction error {err:g}")
     return w, q
 
@@ -272,8 +278,10 @@ def chopped_correlation_oracle(
 ) -> np.ndarray:
     """The ground-state correlation projector restricted to the subsystem rows.
 
-    Each occupied E_j is chopped before it is summed, so at most one full
-    projector is alive; every entry gets the same bits as chopping the sum.
+    Each occupied level product B B^T is chopped before it is symmetrized
+    and summed, so at most one full product is alive; symmetrizing is
+    elementwise, so every entry gets the same bits as chopping the sum of
+    the symmetrized projectors.
     """
     _require_capacity(spec, cap)
     blocks = _level_blocks(spec)
@@ -281,7 +289,7 @@ def chopped_correlation_oracle(
     rows = np.ix_(idx, idx)
     chat = np.zeros((len(idx), len(idx)))
     for j_x2 in sorted(filling.occupied):
-        chat += _symmetrize(blocks[j_x2] @ blocks[j_x2].T)[rows]
+        chat += _symmetrize((blocks[j_x2] @ blocks[j_x2].T)[rows])
     return _symmetrize(chat)
 
 

@@ -120,8 +120,9 @@ def enumerate_modules(spec: GraphSpec) -> tuple[ModuleLabel, ...]:
     """
     n, k = spec.n, spec.k
     labels = []
-    for j1_x2 in range((n - k) % 2, n - k + 1, 2):
-        s = ((n - k) - j1_x2) // 2
+    # a chain needs i_min <= i_max, so its depth s = (n-k)/2 - j1 is at most k
+    for s in range(min(k, (n - k) // 2) + 1):
+        j1_x2 = n - k - 2 * s
         for j2_x2 in range(k % 2, k + 1, 2):
             t = (k - j2_x2) // 2
             i_min = max(s, t)
@@ -334,10 +335,11 @@ def check_hahn_algebra(spec: GraphSpec, x0: Vertex | None = None) -> list[HahnRe
         [K2, K3] = a {K1, K2} + b K2 + c1 K1 + d1
         [K3, K1] = a K1^2     + b K1 + c2 K2 + d2
 
-    per module, with a = -2, b = -2(n-2k)^2/n, c1 = -(n-2k) - 2n, c2 = -4 and
-    central offsets d1, d2 built from the two Casimir values, which are
-    constants on a module.  Residuals are reported, not raised: the module
-    actions are basis independent, so the base vertex only tags the report.
+    per module, with a = -2, b = -2(n-2k)^2/n, c1 = -2n - (n-2k)^2, c2 = -4
+    and central offsets d1 = -b c1/4 + 2(n-2k)(cas1 - cas2) and d2 built from
+    the two Casimir values, which are constants on a module.  Residuals are
+    reported, not raised: the module actions are basis independent, so the
+    base vertex only tags the report.
     """
     from .heun import module_A_action, module_Astar_values  # runtime: heun imports us
 
@@ -345,7 +347,7 @@ def check_hahn_algebra(spec: GraphSpec, x0: Vertex | None = None) -> list[HahnRe
     n, k = spec.n, spec.k
     a = -2.0
     b = -2.0 * (n - 2 * k) ** 2 / n
-    c1 = -(n - 2 * k) - 2.0 * n
+    c1 = -2.0 * n - (n - 2 * k) ** 2
     c2 = -4.0
     reports = []
     for label in enumerate_modules(spec):
@@ -354,7 +356,7 @@ def check_hahn_algebra(spec: GraphSpec, x0: Vertex | None = None) -> list[HahnRe
         k3 = k1 @ k2 - k2 @ k1
         cas1 = label.j1_x2 * (label.j1_x2 + 2) / 4.0
         cas2 = label.j2_x2 * (label.j2_x2 + 2) / 4.0
-        d1 = -b * c1 / 4.0 + (n - 2 * k) * (cas1 - cas2)
+        d1 = -b * c1 / 4.0 + 2.0 * (n - 2 * k) * (cas1 - cas2)
         d2 = -2.0 * n + 4.0 * (cas1 + cas2) - b * b / 8.0 + b * n / 4.0
         eye = np.eye(label.dim)
         h2 = (k2 @ k3 - k3 @ k2) - (a * (k1 @ k2 + k2 @ k1) + b * k2 + c1 * k1 + d1 * eye)

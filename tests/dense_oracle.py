@@ -1,14 +1,19 @@
-"""Dense-oracle reference for the level-by-level chop under test.
+"""Dense-oracle references for the level-by-level chop and the distances.
 
 :func:`chopped_correlation_reference` sums every occupied eigenprojector
 into the full C(n, k) x C(n, k) correlation projector and chops it once.
 :func:`johnson_entanglement.spectral.chopped_correlation_oracle` chops each
-projector before adding it; every entry takes the same floating-point
-operations, so the two must agree bit for bit.
+level product before symmetrizing and adding it; every entry takes the same
+floating-point operations, so the two must agree bit for bit.
+
+:func:`pairwise_distances` is the full integer distance matrix, which
+:func:`johnson_entanglement.scheme.distances_from` and
+:func:`johnson_entanglement.scheme.adjacency_matrix` must reproduce exactly.
 """
 
 import numpy as np
 
+from johnson_entanglement.scheme import enumerate_vertices
 from johnson_entanglement.spectral import eigenprojectors_oracle, subsystem_indices
 
 
@@ -25,3 +30,12 @@ def chopped_correlation_reference(spec, filling, sub, cap=None) -> np.ndarray:
         chat += projectors[j_x2]
     idx = subsystem_indices(spec, sub, cap)
     return _symmetrize(chat[np.ix_(idx, idx)])
+
+
+def pairwise_distances(spec) -> np.ndarray:
+    """C(n, k) x C(n, k) matrix of d(x, y) = k - |x intersect y|, by integer matmul."""
+    verts = enumerate_vertices(spec, spec.vertex_count)
+    ind = np.zeros((len(verts), spec.n), dtype=np.int64)
+    for v in verts:
+        ind[v.index, [e - 1 for e in v.subset]] = 1
+    return spec.k - ind @ ind.T

@@ -12,6 +12,7 @@ from johnson_entanglement.scheme import (
     default_base_vertex,
     dense_cap,
     distance,
+    distances_from,
     dual_adjacency_matrix,
     embed_in_hypercube,
     enumerate_vertices,
@@ -21,6 +22,9 @@ from johnson_entanglement.scheme import (
     unrank_colex,
     vertex_from_subset,
 )
+from johnson_entanglement.verify import graph_sizes
+
+from dense_oracle import pairwise_distances
 
 
 def test_spec_validation():
@@ -56,6 +60,12 @@ def test_capacity_error():
     with pytest.raises(CapacityError):
         enumerate_vertices(GraphSpec(30, 15))
     assert dense_cap(100) == 100
+    spec = GraphSpec(6, 3)
+    adjacency_matrix(1, spec)  # the cached indicators do not skip the check
+    with pytest.raises(CapacityError):
+        adjacency_matrix(1, spec, cap=10)
+    with pytest.raises(CapacityError):
+        distances_from(default_base_vertex(spec), spec, cap=10)
 
 
 @given(st.integers(1, 12), st.integers(1, 6), st.data())
@@ -98,6 +108,17 @@ def test_adjacency_partition_and_regularity():
         total = sum(adjacency_matrix(i, spec) for i in range(k + 1))
         assert np.array_equal(total, np.ones((spec.vertex_count,) * 2))
         assert np.all(adjacency_matrix(1, spec).sum(axis=1) == k * (n - k))
+
+
+@pytest.mark.parametrize("n,k", graph_sizes(2, 9) + [(13, 6)])
+def test_indicator_distances_match_distance_matrix(n, k):
+    spec = GraphSpec(n, k)
+    dist = pairwise_distances(spec)
+    for v in enumerate_vertices(spec):
+        got = distances_from(v, spec)
+        assert got.dtype == dist.dtype and np.array_equal(got, dist[v.index])
+    for i in range(k + 1):
+        assert np.array_equal(adjacency_matrix(i, spec), (dist == i).astype(np.float64))
 
 
 def test_adjacency_bad_index():

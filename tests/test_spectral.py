@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,13 +8,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from johnson_entanglement import spectral
+from johnson_entanglement import scheme, spectral
 from johnson_entanglement.entropy import von_neumann
 from johnson_entanglement.scheme import (
     CapacityError,
     GraphSpec,
     adjacency_matrix,
     default_base_vertex,
+    distance,
     enumerate_vertices,
     vertex_from_subset,
 )
@@ -321,6 +324,59 @@ def test_symmetric_eigen_rejects_bad_reconstruction(monkeypatch):
         symmetric_eigen(adjacency_matrix(1, GraphSpec(6, 3)))
 
 
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_symmetric_eigen_checks_every_row_slab(monkeypatch, where):
+    # a diagonal corruption shows in exactly one row, so only its slab can see it
+    slab = spectral._SLAB_ROWS
+    dim = 2 * slab + slab // 3  # the last slab is partial
+    row = {"first": 0, "middle": slab + 5, "last": dim - 1}[where]
+    x = np.random.default_rng(7).uniform(-1.0, 1.0, (dim, dim))
+    m = x + x.T
+    real = np.linalg.eigh
+    symmetric_eigen(m)
+
+    def corrupted(a):
+        a = a.copy()
+        a[row, row] += 1e-6
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", corrupted)
+    with pytest.raises(ArithmeticError, match="reconstruction"):
+        symmetric_eigen(m)
+
+
+def _oracle_run():
+    spec = GraphSpec(12, 6)
+    sub = SubsystemSpec(frozenset({0, 1, 2}), default_base_vertex(spec))
+    chopped_correlation_oracle(spec, FillingSpec(frozenset(level_labels_x2(spec)[:3])), sub)
+
+
+def _traced_bytes(run) -> tuple[int, int]:
+    """(retained, peak) bytes that ``run`` allocates, its return value dropped."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return current - base, peak - base
+
+
+def test_warm_oracle_holds_one_full_product():
+    _oracle_run()
+    full = GraphSpec(12, 6).vertex_count ** 2 * 8
+    assert _traced_bytes(_oracle_run)[1] < 1.5 * full
+
+
+def test_cold_oracle_keeps_only_the_eigenvector_blocks():
+    spectral._level_blocks.cache_clear()
+    scheme._vertex_indicators.cache_clear()
+    full = GraphSpec(12, 6).vertex_count ** 2 * 8
+    assert _traced_bytes(_oracle_run)[0] <= 1.1 * full
+
+
 def test_spectrum_oracle_grouping():
     assert spectrum_oracle(np.eye(5)).entries == ((1.0, 5),)
     assert spectrum_oracle(np.zeros((3, 3))).entries == ((0.0, 3),)
@@ -427,3 +483,20 @@ def test_x0_override_changes_nothing_spectral():
         assert sa.entries == tuple(
             (pytest.approx(l, abs=1e-10), m) for l, m in sb.entries
         )
+
+
+@given(st.data())
+def test_x0_relabelling_leaves_oracle_spectrum_unchanged(data):
+    n = data.draw(st.integers(2, 9))
+    k = data.draw(st.integers(1, n // 2))
+    spec = GraphSpec(n, k)
+    x0 = vertex_from_subset(data.draw(st.sets(st.integers(1, n), min_size=k, max_size=k)), spec)
+    ball = frozenset(range(data.draw(st.integers(0, k)) + 1))
+    filling = FillingSpec(frozenset(level_labels_x2(spec)[: data.draw(st.integers(0, k + 1))]))
+    sub = SubsystemSpec(ball, x0)
+    ball_rows = [v.index for v in enumerate_vertices(spec) if distance(x0, v, spec) in ball]
+    assert spectral.subsystem_indices(spec, sub).tolist() == ball_rows
+    got = spectrum_oracle(chopped_correlation_oracle(spec, filling, sub))
+    default = SubsystemSpec(ball, default_base_vertex(spec))
+    want = spectrum_oracle(chopped_correlation_oracle(spec, filling, default))
+    assert got.entries == tuple((pytest.approx(l, abs=1e-10), m) for l, m in want.entries)

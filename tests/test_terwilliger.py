@@ -14,6 +14,7 @@ from johnson_entanglement.spectral import (
     spectrum_oracle,
 )
 from johnson_entanglement.terwilliger import (
+    ModuleLabel,
     check_hahn_algebra,
     assemble_spectrum,
     enumerate_modules,
@@ -23,11 +24,37 @@ from johnson_entanglement.terwilliger import (
     module_degeneracy,
     single_neighborhood_eigenvalue,
 )
+from johnson_entanglement import verify
 from johnson_entanglement.verify import spectra_max_diff
 
 
 def _by_spins(spec):
     return {(m.j1_x2, m.j2_x2): m for m in enumerate_modules(spec)}
+
+
+def _enumerate_modules_scan(spec):
+    """Reference: scan every j1, keep the modules with a nonempty chain."""
+    n, k = spec.n, spec.k
+    labels = []
+    for j1_x2 in range((n - k) % 2, n - k + 1, 2):
+        s = ((n - k) - j1_x2) // 2
+        for j2_x2 in range(k % 2, k + 1, 2):
+            t = (k - j2_x2) // 2
+            i_min = max(s, t)
+            i_max = min(n - k - s, k - t)
+            if i_min > i_max:
+                continue
+            labels.append(
+                ModuleLabel(j1_x2, j2_x2, module_degeneracy(spec, j1_x2, j2_x2), i_min, i_max)
+            )
+    labels.sort(key=lambda m: (m.j1_x2, m.j2_x2))
+    return tuple(labels)
+
+
+def test_enumerate_modules_matches_full_scan():
+    for n, k in verify.graph_sizes(2, 40):
+        spec = GraphSpec(n, k)
+        assert enumerate_modules(spec) == _enumerate_modules_scan(spec), (n, k)
 
 
 def test_modules_octahedron():
@@ -235,3 +262,8 @@ def test_hahn_second_relation_holds_off_balance():
     for n, k in [(6, 2), (7, 3), (9, 4)]:
         for rec in check_hahn_algebra(GraphSpec(n, k)):
             assert rec.h3_residual <= 1e-8, (n, k, rec)
+
+
+def test_hahn_relations_hold_off_balance():
+    # both relations, on every graph with n <= 12, balanced or not
+    assert verify.check_hahn_algebra(verify.graph_sizes(2, 12)).passed
