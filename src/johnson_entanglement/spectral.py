@@ -3,7 +3,8 @@
 The hopping Hamiltonian sum_i alpha_i A_i is simultaneously diagonalized by
 the adjacency eigenspaces; theta_j = j(j+1) - (n-2k)^2/4 - n/2 labels them by
 a (half-)integer j running from n/2 - k to n/2.  The oracle path diagonalizes
-the adjacency matrix once per graph and chops the ground-state correlation
+the adjacency matrix once per graph, one sector of the element-pair swaps
+(1 2), (3 4), ... at a time, and chops the ground-state correlation
 projector to a vertex subset level by level, at dense scale only, as the
 reference for the two structured routes.
 """
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,6 +24,7 @@ from .scheme import (
     CapacityError,
     GraphSpec,
     Vertex,
+    _indicators,
     _require_capacity,
     adjacency_matrix,
     dense_cap,
@@ -45,6 +48,7 @@ __all__ = [
     "fill_ground_state",
     "symmetric_eigen",
     "eigenprojectors_oracle",
+    "eigenprojector_traces",
     "chopped_correlation_oracle",
     "spectrum_oracle",
     "adjacency_via_polynomial",
@@ -225,6 +229,12 @@ def symmetric_eigen(m: np.ndarray, cap: int | None = None) -> tuple[np.ndarray, 
     if not np.array_equal(m, m.T):
         raise ValueError("matrix is not exactly symmetric")
     w, q = np.linalg.eigh(m)
+    _check_reconstruction(m, w, q)
+    return w, q
+
+
+def _check_reconstruction(m: np.ndarray, w: np.ndarray, q: np.ndarray) -> None:
+    """Raise unless Q diag(w) Q^T matches ``m`` to 1e-9 * max|M|, slab by slab."""
     err = scale = 0.0
     for top in range(0, len(w), _SLAB_ROWS):
         rows = slice(top, top + _SLAB_ROWS)
@@ -232,6 +242,110 @@ def symmetric_eigen(m: np.ndarray, cap: int | None = None) -> tuple[np.ndarray, 
         scale = max(scale, np.max(np.abs(m[rows])))
     if err > 1e-9 * max(scale, 1.0):
         raise ArithmeticError(f"eigendecomposition reconstruction error {err:g}")
+
+
+class _Sectors(NamedTuple):
+    """Row layout that splits the adjacency matrix by pair-swap characters.
+
+    The swaps (1 2), (3 4), ... of the elements commute with A.  A vertex
+    holding one element of s pairs lies in an orbit of 2^s vertices, told
+    apart by which of those pairs hold their second element (the pattern).
+    Row c holds vertex ``perm[c]``; rows run by orbit size, then pattern,
+    then orbit, so the rows of one size form a (2^s, orbits) grid and one
+    Hadamard product transforms all of its orbits.  ``groups`` holds
+    (start, stop, s) per orbit size and ``weight`` the orbit size 2^s of
+    each row.  After the transform, row c carries the swap character of the
+    pattern of ``perm[c]``; ``sectors`` lists the rows of each character.
+    """
+
+    perm: np.ndarray
+    groups: tuple[tuple[int, int, int], ...]
+    weight: np.ndarray
+    sectors: tuple[np.ndarray, ...]
+
+
+def _pair_swap_sectors(spec: GraphSpec) -> _Sectors:
+    """The pair-swap layout of J(n, k), read off the vertex indicators."""
+    ind = _indicators(spec, spec.vertex_count)
+    pairs = 2 * (spec.n // 2)
+    first, second = ind[:, 0:pairs:2], ind[:, 1:pairs:2]
+    split = first != second
+    flips = second > first
+    s = split.sum(axis=1)
+    pattern = (flips.astype(np.int64) << (np.cumsum(split, axis=1) - split)).sum(axis=1)
+    # an orbit is fixed by how many elements of each pair, and which unpaired one, it holds
+    orbit = np.hstack([first + second, ind[:, pairs:]])
+    perm = np.lexsort(np.vstack([orbit.T, pattern, s]))
+    s = s[perm]
+    bounds = [0, *(np.flatnonzero(np.diff(s)) + 1), len(s)]
+    groups = tuple((int(a), int(b), int(s[a])) for a, b in zip(bounds, bounds[1:]))
+    chars = flips[perm]
+    order = np.lexsort(chars.T)
+    starts = np.flatnonzero(np.any(chars[order][1:] != chars[order][:-1], axis=1)) + 1
+    return _Sectors(perm, groups, 2.0**s, tuple(np.split(order, starts)))
+
+
+def _hadamard(s: int) -> np.ndarray:
+    """Sylvester's 2^s x 2^s Hadamard matrix: entry (u, v) is (-1)^popcount(u & v)."""
+    h = np.ones((1, 1))
+    for _ in range(s):
+        h = np.block([[h, h], [h, -h]])
+    return h
+
+
+def _walsh_rows(m: np.ndarray, layout: _Sectors) -> None:
+    """Apply every orbit's unnormalized Walsh-Hadamard transform to the rows of ``m``, in place."""
+    for start, stop, s in layout.groups:
+        rows = m[start:stop]
+        rows[...] = (_hadamard(s) @ rows.reshape(2**s, -1)).reshape(rows.shape)
+
+
+def _pair_swap_transform(a: np.ndarray, layout: _Sectors) -> np.ndarray:
+    """F^T A F for the orbits' Walsh-Hadamard transform F: small integers, exact in float64."""
+    t = a[layout.perm]
+    _walsh_rows(t, layout)
+    # A is symmetric, so (F^T A[perm])^T = A[:, perm] F, and its rows perm are A[perm][:, perm] F
+    t = t.T[layout.perm]
+    _walsh_rows(t, layout)
+    return t
+
+
+def _lift_sectors(parts, layout: _Sectors) -> tuple[np.ndarray, np.ndarray]:
+    """The sector eigenpairs, sector by sector, with the eigenvectors in the vertex basis."""
+    w = np.concatenate([w_s for _, w_s, _ in parts])
+    qt = np.zeros((len(w), len(w)))
+    top = 0
+    for rows, w_s, v_s in parts:
+        qt[rows, top : top + len(w_s)] = v_s / np.sqrt(layout.weight[rows])[:, None]
+        top += len(w_s)
+    _walsh_rows(qt, layout)
+    q = np.empty_like(qt)
+    q[layout.perm] = qt
+    return w, q
+
+
+def _sectored_eigen(a: np.ndarray, spec: GraphSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of the adjacency matrix ``a``, one pair-swap sector at a time.
+
+    Every entry of the transformed matrix outside its sector blocks must be
+    an exact zero.  Each block, normalized by the orbit sizes, goes through
+    :func:`symmetric_eigen` with its own checks; the lifted decomposition is
+    then checked against ``a`` as a whole.
+    """
+    layout = _pair_swap_sectors(spec)
+    t = _pair_swap_transform(a, layout)
+    parts = []
+    for rows in layout.sectors:
+        strip = t[rows]
+        block = strip[:, rows]
+        strip[:, rows] = 0.0
+        if np.any(strip):
+            raise ArithmeticError("pair-swap transform left a nonzero entry outside its sector")
+        norm = np.sqrt(np.outer(layout.weight[rows], layout.weight[rows]))
+        parts.append((rows, *symmetric_eigen(block / norm, spec.vertex_count)))
+    del t
+    w, q = _lift_sectors(parts, layout)
+    _check_reconstruction(a, w, q)
     return w, q
 
 
@@ -243,11 +357,11 @@ def _symmetrize(m: np.ndarray) -> np.ndarray:
 def _level_blocks(spec: GraphSpec) -> MappingProxyType:
     """Read-only eigenvector block of each adjacency level, keyed by doubled j.
 
-    One eigendecomposition per graph; callers check the capacity before every
-    lookup.  Eigenvalues are grouped to the nearest theta_j within 1e-6 of
-    the spectral spread; anything further from every theta is an error.
+    One sectored eigendecomposition per graph; callers check the capacity
+    before every lookup.  Eigenvalues are grouped to the nearest theta_j within
+    1e-6 of the spectral spread; anything further from every theta is an error.
     """
-    w, q = symmetric_eigen(adjacency_matrix(1, spec, spec.vertex_count), spec.vertex_count)
+    w, q = _sectored_eigen(adjacency_matrix(1, spec, spec.vertex_count), spec)
     labels = level_labels_x2(spec)
     thetas = np.array([theta_eigenvalue(j_x2, spec) for j_x2 in labels])
     tol = 1e-6 * (thetas.max() - thetas.min())
@@ -264,6 +378,12 @@ def eigenprojectors_oracle(spec: GraphSpec, cap: int | None = None) -> dict[int,
     """Exactly symmetric eigenprojectors E_j of the adjacency matrix, keyed by doubled j."""
     _require_capacity(spec, cap)
     return {j_x2: _symmetrize(b @ b.T) for j_x2, b in _level_blocks(spec).items()}
+
+
+def eigenprojector_traces(spec: GraphSpec, cap: int | None = None) -> dict[int, float]:
+    """trace(E_j) of each adjacency level, read as the squared norm of its cached block."""
+    _require_capacity(spec, cap)
+    return {j_x2: float(np.sum(b * b)) for j_x2, b in _level_blocks(spec).items()}
 
 
 def subsystem_indices(spec: GraphSpec, sub: SubsystemSpec, cap: int | None = None) -> np.ndarray:

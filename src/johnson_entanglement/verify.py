@@ -97,15 +97,16 @@ def _check_scheme_identities(sizes, cap) -> CheckResult:
 
 
 def _check_embedding(sizes, cap) -> CheckResult:
-    worst = 0.0
+    """Hamming distances |x| + |y| - 2 x.y of the 0/1 embeddings, a row at a time, in integers."""
+    worst = 0
     for n, k in sizes:
         spec = GraphSpec(n, k)
         verts = scheme.enumerate_vertices(spec, cap)
-        vecs = [scheme.embed_in_hypercube(v, spec) for v in verts]
-        for a in range(len(verts)):
-            for b in range(a, len(verts)):
-                ham = sum(x != y for x, y in zip(vecs[a], vecs[b]))
-                worst = max(worst, abs(ham - 2 * scheme.distance(verts[a], verts[b], spec)))
+        vecs = np.array([scheme.embed_in_hypercube(v, spec) for v in verts], dtype=np.int64)
+        weights = vecs.sum(axis=1)
+        for v in verts:
+            ham = weights + weights[v.index] - 2 * (vecs @ vecs[v.index])
+            worst = max(worst, int(np.max(np.abs(ham - 2 * scheme.distances_from(v, spec, cap)))))
     return CheckResult("hypercube_embedding", worst == 0.0, worst, "hamming distance doubles graph distance")
 
 
@@ -147,9 +148,8 @@ def check_level_degeneracies(sizes, cap) -> CheckResult:
     worst = 0.0
     for n, k in sizes:
         spec = GraphSpec(n, k)
-        projectors = spectral.eigenprojectors_oracle(spec, cap)
-        for j_x2, e_j in projectors.items():
-            worst = max(worst, abs(float(np.trace(e_j)) - terwilliger.level_degeneracy(j_x2, spec)))
+        for j_x2, trace in spectral.eigenprojector_traces(spec, cap).items():
+            worst = max(worst, abs(trace - terwilliger.level_degeneracy(j_x2, spec)))
     return CheckResult("level_degeneracies", worst < 1e-6, worst, "trace(E_j) equals the module count")
 
 

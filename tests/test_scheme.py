@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from johnson_entanglement import scheme, verify
 from johnson_entanglement.scheme import (
     CapacityError,
     GraphSpec,
@@ -178,6 +179,23 @@ def test_embedding_doubles_distance(n, k):
         for b in range(a, len(verts)):
             hamming = sum(x != y for x, y in zip(vecs[a], vecs[b]))
             assert hamming == 2 * distance(verts[a], verts[b], spec)
+
+
+def test_embedding_check_catches_one_wrong_distance(monkeypatch):
+    sizes = ((6, 3), (7, 2))
+    assert verify._check_embedding(sizes, None).passed
+    real = scheme.distances_from
+
+    def corrupted(x0, spec, cap=None):
+        d = real(x0, spec, cap)
+        if (spec.n, spec.k, x0.index) == (7, 2, 11):
+            d[4] += 1
+        return d
+
+    monkeypatch.setattr(scheme, "distances_from", corrupted)
+    result = verify._check_embedding(sizes, None)
+    assert not result.passed
+    assert result.worst == 2.0
 
 
 @given(st.integers(2, 10), st.integers(1, 5), st.data())

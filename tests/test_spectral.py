@@ -38,7 +38,7 @@ from johnson_entanglement.spectral import (
 )
 from johnson_entanglement.specfn import _dual_hahn_run
 from johnson_entanglement.terwilliger import assemble_spectrum
-from johnson_entanglement.verify import check_route_agreement, run_battery
+from johnson_entanglement.verify import check_level_degeneracies, check_route_agreement, graph_sizes, run_battery
 
 from cg_oracle import _dual_hahn_rational
 from dense_oracle import chopped_correlation_reference
@@ -266,11 +266,26 @@ def _eigh_spy(monkeypatch) -> list[tuple[int, ...]]:
     return shapes
 
 
+def _per_graph(shapes, sizes) -> list[list[int]]:
+    """Cut the square (oracle) eigh calls into consecutive runs covering each graph's C(n, k) once."""
+    dims = [s[0] for s in shapes if len(s) == 2]
+    runs = []
+    for n, k in sizes:
+        run = []
+        while dims and sum(run) < math.comb(n, k):
+            run.append(dims.pop(0))
+        assert sum(run) == math.comb(n, k)
+        assert n < 4 or max(run) < math.comb(n, k)
+        runs.append(run)
+    assert dims == []
+    return runs
+
+
 def test_oracle_diagonalizes_each_graph_once(monkeypatch):
     spectral._level_blocks.cache_clear()
     shapes = _eigh_spy(monkeypatch)
     assert check_route_agreement(((8, 4),), None).passed
-    assert shapes.count((70, 70)) == 1
+    assert [max(run) for run in _per_graph(shapes, [(8, 4)])] == [19]
     shapes.clear()
     spec = GraphSpec(8, 4)
     sub = SubsystemSpec(frozenset({0, 1}), default_base_vertex(spec))
@@ -283,8 +298,62 @@ def test_cold_battery_diagonalizes_each_graph_once(monkeypatch):
     spectral._level_blocks.cache_clear()
     shapes = _eigh_spy(monkeypatch)
     assert all(r.passed for r in run_battery())
-    dense = sorted(s[0] for s in shapes if len(s) == 2 and s[0] > 5)
-    assert dense == [6, 20, 70]
+    assert [max(run) for run in _per_graph(shapes, [(4, 2), (6, 3), (8, 4)])] == [3, 7, 19]
+    shapes.clear()
+    assert all(r.passed for r in run_battery())
+    assert _per_graph(shapes, []) == []
+
+
+@pytest.mark.parametrize("n,k", graph_sizes(2, 10))
+def test_pair_swap_sectors_split_the_adjacency_exactly(n, k):
+    spec = GraphSpec(n, k)
+    a = adjacency_matrix(1, spec)
+    layout = spectral._pair_swap_sectors(spec)
+    assert sum(len(rows) for rows in layout.sectors) == spec.vertex_count
+    assert np.array_equal(np.sort(np.concatenate(layout.sectors)), np.arange(spec.vertex_count))
+    sector = np.empty(spec.vertex_count, dtype=np.int64)
+    for label, rows in enumerate(layout.sectors):
+        sector[rows] = label
+    t = spectral._pair_swap_transform(a, layout)
+    assert np.all(t[sector[:, None] != sector[None, :]] == 0.0)
+    w, q = spectral._sectored_eigen(a, spec)
+    assert np.max(np.abs(np.sort(w) - np.linalg.eigvalsh(a))) <= 1e-12
+    # independently of the layout: every lifted eigenvector is exactly even or
+    # odd under each swap of elements 2p - 1 and 2p
+    verts = enumerate_vertices(spec)
+    for p in range(1, n // 2 + 1):
+        swap = {2 * p - 1: 2 * p, 2 * p: 2 * p - 1}
+        image = [vertex_from_subset([swap.get(e, e) for e in v.subset], spec).index for v in verts]
+        assert np.all(np.all(q[image] == q, axis=0) | np.all(q[image] == -q, axis=0))
+
+
+def test_sectored_eigen_rejects_a_corrupted_lifted_vector(monkeypatch):
+    real = spectral._lift_sectors
+
+    def corrupted(parts, layout):
+        w, q = real(parts, layout)
+        q[5, 3] += 1e-6
+        return w, q
+
+    monkeypatch.setattr(spectral, "_lift_sectors", corrupted)
+    spectral._level_blocks.cache_clear()
+    with pytest.raises(ArithmeticError, match="reconstruction"):
+        spectral._level_blocks(GraphSpec(6, 3))
+
+
+def test_sectored_eigen_rejects_a_wrong_transform_sign(monkeypatch):
+    real = spectral._hadamard
+
+    def corrupted(s):
+        h = real(s)
+        if s:
+            h[-1, -1] = -h[-1, -1]
+        return h
+
+    monkeypatch.setattr(spectral, "_hadamard", corrupted)
+    spectral._level_blocks.cache_clear()
+    with pytest.raises(ArithmeticError, match="outside its sector"):
+        spectral._level_blocks(GraphSpec(6, 3))
 
 
 def test_warm_oracle_still_checks_capacity():
@@ -375,6 +444,13 @@ def test_cold_oracle_keeps_only_the_eigenvector_blocks():
     scheme._vertex_indicators.cache_clear()
     full = GraphSpec(12, 6).vertex_count ** 2 * 8
     assert _traced_bytes(_oracle_run)[0] <= 1.1 * full
+
+
+def test_level_degeneracy_check_builds_no_projector():
+    spec = GraphSpec(12, 6)
+    assert check_level_degeneracies(((12, 6),), None).passed
+    full = spec.vertex_count ** 2 * 8
+    assert _traced_bytes(lambda: check_level_degeneracies(((12, 6),), None))[1] < 1.5 * full
 
 
 def test_spectrum_oracle_grouping():
