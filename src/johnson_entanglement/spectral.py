@@ -398,18 +398,18 @@ def chopped_correlation_oracle(
 ) -> np.ndarray:
     """The ground-state correlation projector restricted to the subsystem rows.
 
-    Each occupied level product B B^T is chopped before it is symmetrized
-    and summed, so at most one full product is alive; symmetrizing is
-    elementwise, so every entry gets the same bits as chopping the sum of
-    the symmetrized projectors.
+    Each occupied level's eigenvector block is cut to the subsystem rows b
+    before b b^T is symmetrized and summed in ascending level order, so no
+    N x N array is formed.  A full-ball cut gives bit for bit the chopped sum
+    of the symmetrized projectors; any other cut agrees to roundoff.
     """
     _require_capacity(spec, cap)
     blocks = _level_blocks(spec)
     idx = subsystem_indices(spec, sub, cap)
-    rows = np.ix_(idx, idx)
     chat = np.zeros((len(idx), len(idx)))
     for j_x2 in sorted(filling.occupied):
-        chat += _symmetrize((blocks[j_x2] @ blocks[j_x2].T)[rows])
+        b = blocks[j_x2][idx]
+        chat += _symmetrize(b @ b.T)
     return _symmetrize(chat)
 
 

@@ -2,9 +2,12 @@
 
 :func:`chopped_correlation_reference` sums every occupied eigenprojector
 into the full C(n, k) x C(n, k) correlation projector and chops it once.
-:func:`johnson_entanglement.spectral.chopped_correlation_oracle` chops each
-level product before symmetrizing and adding it; every entry takes the same
-floating-point operations, so the two must agree bit for bit.
+:func:`johnson_entanglement.spectral.chopped_correlation_oracle` cuts each
+occupied level's eigenvector block to the subsystem rows before its product.
+On a full-ball cut every entry takes the same floating-point operations, so
+the two agree bit for bit; on any other cut each entry is a different sum of
+at most C(n, k) products of unit-norm row entries, so they agree to within
+2 C(n, k) 2^-53.
 
 :func:`pairwise_distances` is the full integer distance matrix, which
 :func:`johnson_entanglement.scheme.distances_from` and
