@@ -12,7 +12,7 @@ sweeps and the verification battery.
 """
 
 from .entropy import EntropyReport, report, von_neumann
-from .heun import HeunSpec, build_T, heun_spec, spectrum_via_heun
+from .heun import HeunSpec, build_T, heun_spec, spectra_via_heun, spectrum_via_heun
 from .scheme import CapacityError, GraphSpec, Vertex, default_base_vertex
 from .spectral import (
     CorrelationSpectrum,
@@ -27,7 +27,7 @@ from .spectral import (
     spectrum_oracle,
 )
 from .specfn import clebsch_gordan
-from .terwilliger import ModuleLabel, assemble_spectrum, enumerate_modules, level_degeneracy
+from .terwilliger import ModuleLabel, assemble_spectra, assemble_spectrum, enumerate_modules, level_degeneracy
 
 __version__ = "0.1.0"
 
@@ -43,6 +43,7 @@ __all__ = [
     "ModuleLabel",
     "SubsystemSpec",
     "Vertex",
+    "assemble_spectra",
     "assemble_spectrum",
     "build_T",
     "chopped_correlation_oracle",
@@ -55,6 +56,7 @@ __all__ = [
     "heun_spec",
     "level_degeneracy",
     "report",
+    "spectra_via_heun",
     "spectrum_oracle",
     "spectrum_via_heun",
     "von_neumann",

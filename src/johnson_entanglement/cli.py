@@ -195,11 +195,18 @@ def _route_spectrum(route, spec, filling, sub, cap):
     if route == "modules":
         return terwilliger.assemble_spectrum(spec, filling, sub)
     if route == "heun":
-        planned = heun_mod.plan(spec, filling, sub)
-        if isinstance(planned, str):
-            raise ConfigError(planned)
-        return heun_mod.spectrum_via_heun(spec, planned) if isinstance(planned, heun_mod.HeunSpec) else planned
+        return _heun_spectra(spec, [(filling, sub)])[0]
     raise ConfigError(f"unknown route {route!r}")
+
+
+def _heun_spectra(spec, configs):
+    """T-readout spectra of (filling, subsystem) points of one graph; the cut pairs form one batch."""
+    planned = [heun_mod.plan(spec, filling, sub) for filling, sub in configs]
+    for plan in planned:
+        if isinstance(plan, str):
+            raise ConfigError(plan)
+    solved = iter(heun_mod.spectra_via_heun(spec, [p for p in planned if isinstance(p, heun_mod.HeunSpec)]))
+    return [next(solved) if isinstance(p, heun_mod.HeunSpec) else p for p in planned]
 
 
 # ---------------------------------------------------------------- commands
@@ -294,9 +301,11 @@ def _tenth_filling(k: int) -> int:
     return max(1, math.ceil((k + 1) / 10))
 
 
-def _single_shell_entropy(spec, filling, i) -> float:
-    sub = SubsystemSpec(frozenset({i}), default_base_vertex(spec))
-    return entropy_mod.von_neumann(terwilliger.assemble_spectrum(spec, filling, sub))
+def _shell_entropies(spec, configs) -> list[float]:
+    """Entropies of (filling, shell i) points of one graph, solved as one batch."""
+    x0 = default_base_vertex(spec)
+    subs = [(filling, SubsystemSpec(frozenset({i}), x0)) for filling, i in configs]
+    return [entropy_mod.von_neumann(s) for s in terwilliger.assemble_spectra(spec, subs)]
 
 
 def sweep_fig2a(args):
@@ -307,7 +316,9 @@ def sweep_fig2a(args):
         k = spec.k
         fill = args.fill_levels if args.fill_levels is not None else _tenth_filling(k)
         filling = FillingSpec(frozenset(spectral.level_labels_x2(spec)[:fill]))
-        for shell_label, i in (("k/2", k // 2), ("k/4", k // 4), ("k/8", k // 8)):
+        shells = (("k/2", k // 2), ("k/4", k // 4), ("k/8", k // 8))
+        entropies = _shell_entropies(spec, [(filling, i) for _, i in shells])
+        for (shell_label, i), s in zip(shells, entropies):
             rows.append(
                 {
                     "n": n,
@@ -316,7 +327,7 @@ def sweep_fig2a(args):
                     "i": i,
                     "fill_levels": fill,
                     "subsystem_size": neighborhood_size(spec, i),
-                    "entropy": _single_shell_entropy(spec, filling, i),
+                    "entropy": s,
                 }
             )
     return ["n", "k", "shell", "i", "fill_levels", "subsystem_size", "entropy"], rows
@@ -326,12 +337,12 @@ def sweep_fig2b(args):
     """Entropy per site of every single shell, for every bottom-run filling."""
     spec = _graph_spec(args)
     labels = spectral.level_labels_x2(spec)
+    fills = range(1, spec.k + 2)
     rows = []
     for i in range(spec.k + 1):
         size = neighborhood_size(spec, i)
-        for fill in range(1, spec.k + 2):
-            filling = FillingSpec(frozenset(labels[:fill]))
-            s = _single_shell_entropy(spec, filling, i)
+        entropies = _shell_entropies(spec, [(FillingSpec(frozenset(labels[:fill])), i) for fill in fills])
+        for fill, s in zip(fills, entropies):
             rows.append(
                 {
                     "n": spec.n,
@@ -352,31 +363,37 @@ FIG3_FIELDS = [
 ]
 
 
-def _fig3_row(spec: GraphSpec, fill: int, n_cut: int) -> dict:
-    """One grid point of a ball sweep, with both area-law normalizations.
+def _fig3_rows(spec: GraphSpec, fill: int, cuts) -> list[dict]:
+    """Ball-sweep points at one filling, one per cut, with both area-law normalizations.
 
     ``boundary_size`` is the subsystem's outermost shell; ``cut_size`` adds
     the first shell of the complement, i.e. the full bipartition cut.  The
     ratio against the cut is the one peaking when subsystem and complement
-    are both large.
+    are both large.  The points are solved as one batch.
     """
     labels = spectral.level_labels_x2(spec)
     filling = FillingSpec(frozenset(labels[:fill]))
-    sub = SubsystemSpec(frozenset(range(n_cut + 1)), default_base_vertex(spec))
-    rep = entropy_mod.report(spec, sub, _route_spectrum("heun", spec, filling, sub, None))
-    cut = rep.boundary_size + neighborhood_size(spec, n_cut + 1)
-    return {
-        "n": spec.n,
-        "k": spec.k,
-        "cutoff": n_cut,
-        "fill_levels": fill,
-        "subsystem_size": rep.subsystem_size,
-        "boundary_size": rep.boundary_size,
-        "cut_size": cut,
-        "entropy": rep.entropy_nats,
-        "ratio_boundary": rep.ratio_boundary,
-        "ratio_cut": rep.entropy_nats / cut,
-    }
+    x0 = default_base_vertex(spec)
+    subs = [SubsystemSpec(frozenset(range(n_cut + 1)), x0) for n_cut in cuts]
+    rows = []
+    for n_cut, sub, spectrum in zip(cuts, subs, _heun_spectra(spec, [(filling, sub) for sub in subs])):
+        rep = entropy_mod.report(spec, sub, spectrum)
+        cut = rep.boundary_size + neighborhood_size(spec, n_cut + 1)
+        rows.append(
+            {
+                "n": spec.n,
+                "k": spec.k,
+                "cutoff": n_cut,
+                "fill_levels": fill,
+                "subsystem_size": rep.subsystem_size,
+                "boundary_size": rep.boundary_size,
+                "cut_size": cut,
+                "entropy": rep.entropy_nats,
+                "ratio_boundary": rep.ratio_boundary,
+                "ratio_cut": rep.entropy_nats / cut,
+            }
+        )
+    return rows
 
 
 def sweep_fig3a(args):
@@ -385,18 +402,16 @@ def sweep_fig3a(args):
     for k in range(1, args.n // 2 + 1):
         spec = GraphSpec(args.n, k)
         fill = args.fill_levels if args.fill_levels is not None else _tenth_filling(k)
-        rows.extend(_fig3_row(spec, fill, n_cut) for n_cut in range(k))
+        rows.extend(_fig3_rows(spec, fill, range(k)))
     return FIG3_FIELDS, rows
 
 
 def sweep_fig3b(args):
     """Cut-boundary ratio over filling depth and ball radius at fixed (n, k)."""
     spec = _graph_spec(args)
-    rows = [
-        _fig3_row(spec, fill, n_cut)
-        for fill in range(1, spec.k + 2)
-        for n_cut in range(spec.k)
-    ]
+    rows = []
+    for fill in range(1, spec.k + 2):
+        rows.extend(_fig3_rows(spec, fill, range(spec.k)))
     return FIG3_FIELDS, rows
 
 

@@ -11,10 +11,11 @@ large n.
 
 The A ladder a, its diagonal b and theta* are cached once per graph as
 read-only (module, distance) arrays, and T is affine in (mu, nu) on them, so
-every module's T comes out of one vector expression.  The subsystem blocks
-of T are stacked by size, each stack is diagonalized by one ``eigh`` call,
-and the Rayleigh quotients of a stack are read in one batched product.
-Only blocks whose T spectrum clusters take the per-block fallback.
+every block's T comes out of one vector expression.  Many grid points of a
+graph are solved together: their subsystem blocks of T are stacked by size
+across the points, each stack is diagonalized by one ``eigh`` call, and the
+Rayleigh quotients of a stack are read in one batched product.  Only blocks
+whose T spectrum clusters take the per-block fallback.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ __all__ = [
     "build_T_level_basis",
     "restrict_to_subsystem",
     "commutant_residual",
+    "spectra_via_heun",
     "spectrum_via_heun",
 ]
 
@@ -237,11 +239,17 @@ def module_A_action(label: ModuleLabel, spec: GraphSpec) -> np.ndarray:
     ).dense()
 
 
-def _T_entries(spec: GraphSpec, hs: HeunSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal T[m, i] and coupling T[m, i] between distances i and i + 1, all modules."""
+def _T_entries(spec: GraphSpec, mu, nu, ms: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """T of module ``ms[s]`` under weights (mu[s], nu[s]): its diagonal at the distances ``rows[s]``.
+
+    Also each row's coupling to the next; ``rows[s]`` must be a run of
+    consecutive distances.
+    """
     a, b, theta = _chain_arrays(spec)
-    diag = hs.nu * b + hs.mu * theta + 2.0 * b * theta
-    off = a[:, :-1] * ((theta[1:] + theta[:-1]) + hs.nu)
+    mu, nu = np.asarray(mu)[:, None], np.asarray(nu)[:, None]
+    b_rows, theta_rows = b[ms[:, None], rows], theta[rows]
+    diag = nu * b_rows + mu * theta_rows + 2.0 * b_rows * theta_rows
+    off = a[ms[:, None], rows[:, :-1]] * ((theta_rows[:, 1:] + theta_rows[:, :-1]) + nu)
     return diag, off
 
 
@@ -252,12 +260,9 @@ def build_T(label: ModuleLabel, hs: HeunSpec, spec: GraphSpec) -> TridiagonalMat
     at i = n_cut the parenthesis is the defining relation for nu and cancels to
     an exact floating-point zero, which is what decouples the subsystem block.
     """
-    diag, off = _T_entries(spec, hs)
-    m = module_table(spec).row[label]
-    return TridiagonalMatrix(
-        tuple(diag[m, label.i_min : label.i_max + 1].tolist()),
-        tuple(off[m, label.i_min : label.i_max].tolist()),
-    )
+    ms = np.array([module_table(spec).row[label]])
+    diag, off = _T_entries(spec, [hs.mu], [hs.nu], ms, np.arange(label.i_min, label.i_max + 1)[None, :])
+    return TridiagonalMatrix(tuple(diag[0].tolist()), tuple(off[0].tolist()))
 
 
 def build_T_level_basis(label: ModuleLabel, hs: HeunSpec, spec: GraphSpec) -> TridiagonalMatrix:
@@ -326,28 +331,30 @@ def _cluster_readout(w: np.ndarray, q: np.ndarray, c_block: np.ndarray) -> np.nd
     return np.array(lams)
 
 
-def spectrum_via_heun(spec: GraphSpec, hs: HeunSpec) -> CorrelationSpectrum:
-    """Correlation spectrum with per-module eigenvectors supplied by T.
+def spectra_via_heun(spec: GraphSpec, hss) -> list[CorrelationSpectrum]:
+    """Correlation spectra of many cut pairs of one graph, with eigenvectors supplied by T.
 
-    The subsystem blocks of T are stacked by size and diagonalized together;
-    each correlation eigenvalue is the Rayleigh quotient of the correlation
-    block on a T eigenvector.  Blocks whose T eigenvalues cluster (relative
-    gap under ``CLUSTER_REL_TOL``) fall back to rediagonalizing the
-    correlation matrix inside the cluster span.  Multiplicities are the
-    module multiplicities.
+    The subsystem blocks of T at every point are stacked by size across the
+    points and diagonalized together; each correlation eigenvalue is the
+    Rayleigh quotient of the correlation block on a T eigenvector.  Blocks
+    whose T eigenvalues cluster (relative gap under ``CLUSTER_REL_TOL``) fall
+    back to rediagonalizing the correlation matrix inside the cluster span.
+    Multiplicities are the module multiplicities.
     """
     table = module_table(spec)
-    diag, off = _T_entries(spec, hs)
-    sizes = np.minimum(table.i_max, hs.n_cut) - table.i_min + 1
-    levels = table.level_index(range(spec.n - 2 * spec.k, hs.j0_x2 + 1, 2))
-    parts = []
-    for size, ms in size_groups(sizes):
-        rows = table.i_min[ms, None] + np.arange(size)
+    mu = np.array([hs.mu for hs in hss])
+    nu = np.array([hs.nu for hs in hss])
+    base = spec.n - 2 * spec.k
+    points = [(np.arange(hs.n_cut + 1), table.level_index(range(base, hs.j0_x2 + 1, 2))) for hs in hss]
+    expected = [sum(neighborhood_size(spec, i) for i in range(hs.n_cut + 1)) for hs in hss]
+
+    def readout(pts, ms, rows, c):
+        size = rows.shape[1]
+        diag, off = _T_entries(spec, mu[pts], nu[pts], ms, rows)
         t = np.zeros((len(ms), size, size))
         r = np.arange(size)
-        t[:, r, r] = diag[ms[:, None], rows]
-        t[:, r[:-1], r[1:]] = t[:, r[1:], r[:-1]] = off[ms[:, None], rows[:, :-1]]
-        c = table.blocks(ms, rows, levels)
+        t[:, r, r] = diag
+        t[:, r[:-1], r[1:]] = t[:, r[1:], r[:-1]] = off
         w, q = np.linalg.eigh(t)
         # Rayleigh quotients v^T C v for every eigenvector v of every block, as
         # stacked (1 x size) products: the same vector-matrix-vector sums a
@@ -358,6 +365,11 @@ def spectrum_via_heun(spec: GraphSpec, hs: HeunSpec) -> CorrelationSpectrum:
         clustered = np.any(np.diff(w, axis=1) < CLUSTER_REL_TOL * scale[:, None], axis=1)
         for blk in np.nonzero(clustered)[0]:
             lams[blk] = _cluster_readout(w[blk], q[blk], c[blk])
-        parts.append((ms, lams))
-    expected = sum(neighborhood_size(spec, i) for i in range(hs.n_cut + 1))
-    return table.spectrum(sizes, parts, expected)
+        return lams
+
+    return table.spectra(points, expected, readout)
+
+
+def spectrum_via_heun(spec: GraphSpec, hs: HeunSpec) -> CorrelationSpectrum:
+    """One cut pair's :func:`spectra_via_heun`."""
+    return spectra_via_heun(spec, [hs])[0]

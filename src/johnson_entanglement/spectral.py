@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import add
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -51,8 +52,9 @@ __all__ = [
     "eigenprojector_traces",
     "chopped_correlation_oracle",
     "spectrum_oracle",
-    "adjacency_via_polynomial",
+    "adjacency_polynomial_slabs",
     "clamp_unit_interval",
+    "group_spectra",
     "group_spectrum",
 ]
 
@@ -61,7 +63,8 @@ __all__ = [
 CLAMP_SLACK = 1e-6
 # Absolute tolerance when grouping eigenvalues into (value, multiplicity) runs.
 GROUP_TOL = 1e-8
-# Row height of the slabs over which symmetric_eigen checks its reconstruction.
+# Row height of the slabs over which symmetric_eigen checks its reconstruction
+# and adjacency_polynomial_slabs rebuilds the distance matrices.
 _SLAB_ROWS = 128
 
 
@@ -423,39 +426,52 @@ def clamp_unit_interval(values: np.ndarray) -> np.ndarray:
     return np.clip(values, 0.0, 1.0)
 
 
-def group_spectrum(pairs, tol: float = GROUP_TOL) -> tuple[tuple[float, int], ...]:
-    """Merge (value, multiplicity) pairs whose values agree within ``tol``.
+def group_spectra(values, mults, owners, count: int, tol: float = GROUP_TOL) -> list[tuple]:
+    """Merge each point's (value, multiplicity) pairs whose values agree within ``tol``.
 
-    Values are sorted; a group is anchored at its first member and the
-    representative is the multiplicity-weighted mean, snapped to an exact
-    0 or 1 when it lands within ``tol`` of either endpoint.
+    Pair p belongs to point ``owners[p]`` of ``count``; multiplicities may be
+    Python ints of any size.  Per point, pairs are sorted by value, then
+    multiplicity; a group is anchored at its first member and the
+    representative is the multiplicity-weighted mean, summed in that order
+    and snapped to an exact 0 or 1 when it lands within ``tol`` of either
+    endpoint.
     """
+    out: list[list[tuple[float, int]]] = [[] for _ in range(count)]
+    values = np.asarray(values, dtype=np.float64)
+    if values.size:
+        exact = np.asarray(mults, dtype=object)
+        weights = exact.astype(np.float64)
+        owners = np.asarray(owners, dtype=np.intp)
+        order = np.lexsort((weights, values, owners))
+        values, weights, exact, owners = values[order], weights[order], exact[order], owners[order]
+        # a gap over tol always starts a group: the anchor sits at or below the previous value
+        first = np.ones(len(values), dtype=bool)
+        first[1:] = (owners[1:] != owners[:-1]) | (values[1:] - values[:-1] > tol)
+        starts = np.flatnonzero(first)
+        ends = np.append(starts[1:], len(values))
+        bounds = starts.tolist() + [len(values)]
+        # a run wider than tol splits wherever a value passes its group's anchor by more than tol
+        wide = values[ends - 1] - values[starts] > tol
+        for a, b in zip(starts[wide].tolist(), ends[wide].tolist()):
+            while values[b - 1] - values[a] > tol:
+                a += int(np.argmax(values[a:b] - values[a] > tol))
+                bounds.append(a)
+        bounds.sort()
+        products, exact, owners = (values * weights).tolist(), exact.tolist(), owners.tolist()
+        for a, b in zip(bounds, bounds[1:]):
+            mult = sum(exact[a:b])
+            mean = reduce(add, products[a:b]) / mult
+            if abs(mean) <= tol:
+                mean = 0.0
+            elif abs(mean - 1.0) <= tol:
+                mean = 1.0
+            out[owners[a]].append((mean, mult))
+    return [tuple(entries) for entries in out]
 
-    def _snap(value: float) -> float:
-        if abs(value) <= tol:
-            return 0.0
-        if abs(value - 1.0) <= tol:
-            return 1.0
-        return value
 
-    items = sorted((float(lam), int(d)) for lam, d in pairs)
-    out: list[tuple[float, int]] = []
-    anchor = None
-    acc = 0.0
-    mult = 0
-    for lam, d in items:
-        if anchor is not None and lam - anchor <= tol:
-            acc += lam * d
-            mult += d
-        else:
-            if anchor is not None:
-                out.append((_snap(acc / mult), mult))
-            anchor = lam
-            acc = lam * d
-            mult = d
-    if anchor is not None:
-        out.append((_snap(acc / mult), mult))
-    return tuple(out)
+def group_spectrum(values, mults, tol: float = GROUP_TOL) -> tuple[tuple[float, int], ...]:
+    """One point's :func:`group_spectra`."""
+    return group_spectra(values, mults, np.zeros(len(values), dtype=np.intp), 1, tol)[0]
 
 
 def spectrum_oracle(c: np.ndarray) -> CorrelationSpectrum:
@@ -464,28 +480,34 @@ def spectrum_oracle(c: np.ndarray) -> CorrelationSpectrum:
     if not np.array_equal(c, c.T):
         raise ValueError("chopped correlation matrix must be exactly symmetric")
     w = clamp_unit_interval(np.linalg.eigvalsh(c))
-    return CorrelationSpectrum(group_spectrum((lam, 1) for lam in w))
+    return CorrelationSpectrum(group_spectrum(w, np.ones(len(w), dtype=np.int64)))
 
 
-def adjacency_via_polynomial(i: int, spec: GraphSpec, cap: int | None = None) -> np.ndarray:
-    """A_i rebuilt as the degree-i dual Hahn polynomial of A, as matrices.
+def adjacency_polynomial_slabs(spec: GraphSpec, cap: int | None = None):
+    """Yield each slab of rows as its integer distances d and the same rows of every A_i rebuilt from A.
 
-    A_i = (-1)^i C(k, i) R_i(A + k; 0, n-2k, k), expanded termwise so the
-    product sweeps matrix factors (l(n-2k+1) + l^2) - (A + k).
+    A_i = (-1)^i C(k, i) R_i(A + k; 0, n-2k, k), expanded termwise over the
+    product chain P_0 = I, P_(r+1) = P_r ((r(n-2k+1) + r^2) I - (A + k I)).
+    The chain is built once per slab, as (c_r - k) P_r - P_r A, and every
+    A_i is read off it; the rebuilt A_i should equal the 0/1 rows d == i.
+    Every P_r is an integer matrix, exact while its entries stay below 2^53,
+    so each A_i is bit for bit the one a separate product per i would give.
     """
     n, k = spec.n, spec.k
-    if not 0 <= i <= k:
-        raise ValueError(f"distance index {i} outside 0..{k}")
+    ind = _indicators(spec, cap)
     a = adjacency_matrix(1, spec, cap)
-    dim = a.shape[0]
-    eye = np.eye(dim)
-    shifted = a + k * eye
-    total = np.eye(dim)
-    prod = np.eye(dim)
-    coef = 1.0
-    for r in range(i):
-        coef *= (r - i) / ((1.0 + r) * (r - k) * (r + 1.0))
-        prod = prod @ ((r * (n - 2 * k + 1) + r * r) * eye - shifted)
-        total = total + coef * prod
-    sgn = -1.0 if i % 2 else 1.0
-    return sgn * math.comb(k, i) * total
+    for top in range(0, spec.vertex_count, _SLAB_ROWS):
+        dist = k - ind[top : top + _SLAB_ROWS] @ ind.T
+        chain = [(dist == 0).astype(np.float64)]
+        for r in range(k):
+            chain.append((r * (n - 2 * k + 1) + r * r - k) * chain[-1] - chain[-1] @ a)
+        polys = []
+        for i in range(k + 1):
+            total = chain[0]
+            coef = 1.0
+            for r in range(i):
+                coef *= (r - i) / ((1.0 + r) * (r - k) * (r + 1.0))
+                total = total + coef * chain[r + 1]
+            sgn = -1.0 if i % 2 else 1.0
+            polys.append(sgn * math.comb(k, i) * total)
+        yield dist, polys

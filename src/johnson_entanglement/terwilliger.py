@@ -10,9 +10,10 @@ ever grows past (k + 1) x (k + 1).
 Each graph gets one :class:`ModuleTable`, built on first use and kept: the
 module list, exact multiplicities and a Clebsch-Gordan table indexed by
 (module, distance, level) whose level columns are filled only when a filling
-first occupies them.  The spectrum routes cut every module's block out of
-that table at once, stack blocks of equal size and diagonalize each stack
-with one LAPACK call.
+first occupies them.  The spectrum routes take many grid points of a graph
+at once: every (point, module) block is cut out of that table, blocks of
+equal size are stacked across the points and each stack is diagonalized with
+one LAPACK call.
 
 Doubled integers label all spins.  A module's chain rows are indexed by the
 distance i, with m1 = (n - k)/2 - i and m2 = i - k/2.
@@ -33,7 +34,7 @@ from .spectral import (
     FillingSpec,
     SubsystemSpec,
     clamp_unit_interval,
-    group_spectrum,
+    group_spectra,
     level_labels_x2,
 )
 
@@ -51,6 +52,7 @@ __all__ = [
     "correlation_entries",
     "module_correlation_block",
     "single_neighborhood_eigenvalue",
+    "assemble_spectra",
     "assemble_spectrum",
     "check_hahn_algebra",
 ]
@@ -172,7 +174,7 @@ class ModuleTable:
         self.spec = spec
         self.labels = enumerate_modules(spec)
         self.row = {m: r for r, m in enumerate(self.labels)}
-        self.degeneracies = tuple(m.degeneracy for m in self.labels)  # exact ints
+        self.degeneracies = np.array([m.degeneracy for m in self.labels], dtype=object)  # exact ints
         self.i_min = np.array([m.i_min for m in self.labels])
         self.i_max = np.array([m.i_max for m in self.labels])
         base = spec.n - 2 * spec.k
@@ -206,33 +208,63 @@ class ModuleTable:
             self.filled[m, lev] = True
 
     def blocks(self, ms: np.ndarray, rows: np.ndarray, levels: np.ndarray) -> np.ndarray:
-        """Stacked correlation blocks G G^T over the given rows and sorted occupied levels.
+        """Stacked correlation blocks G G^T over the given rows and occupied levels.
 
-        Each module's G holds exactly its admissible occupied levels, in
-        order; modules are multiplied in groups of equal level count, so each
-        product sums the same terms in the same order as a lone module would.
+        ``levels[b]`` holds block b's sorted occupied level indices, padded
+        with k + 1.  Each module's G holds exactly its admissible occupied
+        levels, in order; blocks are multiplied in groups of equal level
+        count, so each product sums the same terms in the same order as a
+        lone module would.
         """
-        start, count = _window(levels, self.level_lo[ms], self.level_hi[ms])
+        start = (levels < self.level_lo[ms, None]).sum(axis=1)
+        count = (levels <= self.level_hi[ms, None]).sum(axis=1) - start
         c = np.zeros((len(ms),) + (rows.shape[1],) * 2)
         for width, sel in size_groups(count):
-            cols = levels[start[sel, None] + np.arange(width)]
+            cols = levels[sel[:, None], start[sel, None] + np.arange(width)]
             g = self.entries(ms[sel], rows[sel], cols)
             c[sel] = g @ g.swapaxes(1, 2)
         return 0.5 * (c + c.swapaxes(1, 2))
 
-    def spectrum(self, sizes: np.ndarray, parts, expected: int) -> CorrelationSpectrum:
-        """Merge per-stack eigenvalues into one spectrum weighted by multiplicity.
+    def spectra(self, points, expected, readout) -> list[CorrelationSpectrum]:
+        """Correlation spectra of many grid points of this graph from one stacked pass.
 
-        ``parts`` pairs each stack's module rows with its (stack, size)
-        eigenvalue array; ``sizes`` holds every module's block size, so the
-        covered mode count is checked against ``expected`` exactly.
+        Point p is a pair of sorted arrays, its subsystem distances and its
+        occupied level indices, and has ``expected[p]`` modes.  The blocks of
+        every (point, module) pair are stacked by size across the points, and
+        ``readout(pts, ms, rows, c)`` turns a stack c of correlation blocks of
+        modules ``ms`` at points ``pts`` over distances ``rows`` into its
+        (stack, size) eigenvalues.  Each point's eigenvalues are merged with
+        their module multiplicities; its covered mode count must equal
+        ``expected[p]`` exactly.
         """
-        covered = sum(int(s) * d for s, d in zip(sizes, self.degeneracies) if s > 0)
-        if covered != expected:
-            raise ArithmeticError(f"module rows cover {covered} modes, subsystem has {expected}")
-        values = clamp_unit_interval(np.concatenate([lams.ravel() for _, lams in parts]))
-        degs = [self.degeneracies[m] for ms, lams in parts for m in ms for _ in range(lams.shape[1])]
-        return CorrelationSpectrum(group_spectrum(zip(values.tolist(), degs)))
+        if not points:
+            return []
+        width = self.spec.k + 1
+        dist = np.zeros((len(points), width), dtype=np.intp)
+        levels = np.full((len(points), width), width, dtype=np.intp)
+        start = np.zeros((len(points), len(self.labels)), dtype=np.intp)
+        sizes = np.zeros_like(start)
+        for p, (distances, occupied) in enumerate(points):
+            dist[p, : len(distances)] = distances
+            levels[p, : len(occupied)] = occupied
+            start[p], sizes[p] = _window(distances, self.i_min, self.i_max)
+        for covered, want in zip(sizes.astype(object) @ self.degeneracies, expected):
+            if covered != want:
+                raise ArithmeticError(f"module rows cover {covered} modes, subsystem has {want}")
+        values, owners, modules = [], [], []
+        for size, flat in size_groups(sizes.ravel()):
+            pts, ms = np.divmod(flat, len(self.labels))
+            rows = dist[pts[:, None], start[pts, ms][:, None] + np.arange(size)]
+            values.append(readout(pts, ms, rows, self.blocks(ms, rows, levels[pts])).ravel())
+            owners.append(np.repeat(pts, size))
+            modules.append(np.repeat(ms, size))
+        merged = group_spectra(
+            clamp_unit_interval(np.concatenate(values)),
+            self.degeneracies[np.concatenate(modules)],
+            np.concatenate(owners),
+            len(points),
+        )
+        return [CorrelationSpectrum(entries) for entries in merged]
 
 
 def _window(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -278,7 +310,7 @@ def module_correlation_block(
     """
     rows = sorted(set(sub.distances) & set(label.distances))
     table, ms, stacked_rows = _one_module(label, spec, rows)
-    block = table.blocks(ms, stacked_rows, table.level_index(sorted(filling.occupied)))[0]
+    block = table.blocks(ms, stacked_rows, table.level_index(sorted(filling.occupied))[None, :])[0]
     return ModuleBlock(label, tuple(rows), block)
 
 
@@ -295,26 +327,26 @@ def single_neighborhood_eigenvalue(
     return float(min(total, 1.0))
 
 
-def assemble_spectrum(
-    spec: GraphSpec, filling: FillingSpec, sub: SubsystemSpec
-) -> CorrelationSpectrum:
-    """Correlation spectrum from per-module blocks, weighted by multiplicities.
+def assemble_spectra(spec: GraphSpec, configs) -> list[CorrelationSpectrum]:
+    """Correlation spectra of many (filling, subsystem) points of one graph.
 
-    Every module's block is cut from the graph's :class:`ModuleTable`; blocks
-    of equal size are stacked and diagonalized by one ``eigvalsh`` call, and
-    each eigenvalue enters with its module multiplicity.  The total
-    multiplicity always equals the subsystem size.
+    Every module's block at every point is cut from the graph's
+    :class:`ModuleTable`; blocks of equal size are stacked across the points
+    and diagonalized by one ``eigvalsh`` call, and each eigenvalue enters its
+    point's spectrum with its module multiplicity.  Each point's total
+    multiplicity equals its subsystem size.
     """
     table = module_table(spec)
-    distances = np.array(sorted(sub.distances))
-    start, sizes = _window(distances, table.i_min, table.i_max)
-    levels = table.level_index(sorted(filling.occupied))
-    parts = []
-    for size, ms in size_groups(sizes):
-        rows = distances[start[ms, None] + np.arange(size)]
-        parts.append((ms, np.linalg.eigvalsh(table.blocks(ms, rows, levels))))
-    expected = sum(neighborhood_size(spec, i) for i in sub.distances)
-    return table.spectrum(sizes, parts, expected)
+    points = [
+        (np.array(sorted(sub.distances)), table.level_index(sorted(filling.occupied))) for filling, sub in configs
+    ]
+    expected = [sum(neighborhood_size(spec, i) for i in sub.distances) for _, sub in configs]
+    return table.spectra(points, expected, lambda pts, ms, rows, c: np.linalg.eigvalsh(c))
+
+
+def assemble_spectrum(spec: GraphSpec, filling: FillingSpec, sub: SubsystemSpec) -> CorrelationSpectrum:
+    """One point's :func:`assemble_spectra`."""
+    return assemble_spectra(spec, [(filling, sub)])[0]
 
 
 @dataclass(frozen=True)

@@ -113,10 +113,9 @@ def _check_embedding(sizes, cap) -> CheckResult:
 def check_hahn_polynomial(sizes, cap) -> CheckResult:
     worst = 0.0
     for n, k in sizes:
-        spec = GraphSpec(n, k)
-        for i in range(k + 1):
-            diff = scheme.adjacency_matrix(i, spec, cap) - spectral.adjacency_via_polynomial(i, spec, cap)
-            worst = max(worst, float(np.max(np.abs(diff))))
+        for dist, polys in spectral.adjacency_polynomial_slabs(GraphSpec(n, k), cap):
+            for i, poly in enumerate(polys):
+                worst = max(worst, float(np.max(np.abs((dist == i) - poly))))
     return CheckResult("hahn_polynomial_identity", worst <= 1e-8, worst, "A_i as a degree-i polynomial of A")
 
 
@@ -185,23 +184,26 @@ def check_t_basis_similarity(grid) -> CheckResult:
 
 
 def check_route_agreement(sizes, cap) -> CheckResult:
-    """Oracle against both structured routes at every ball cut and bottom-run filling."""
+    """Oracle against both structured routes at every ball cut and bottom-run filling.
+
+    Each graph's grid goes to each structured route as one batch.
+    """
     worst = 0.0
     for n, k in sizes:
         spec = GraphSpec(n, k)
         labels = spectral.level_labels_x2(spec)
         x0 = default_base_vertex(spec)
-        for j0_pos in range(k):
-            filling = FillingSpec(frozenset(labels[: j0_pos + 1]))
-            for n_cut in range(k):
-                sub = SubsystemSpec(frozenset(range(n_cut + 1)), x0)
-                s_oracle = spectral.spectrum_oracle(
-                    spectral.chopped_correlation_oracle(spec, filling, sub, cap)
-                )
-                s_modules = terwilliger.assemble_spectrum(spec, filling, sub)
-                s_heun = heun_mod.spectrum_via_heun(spec, heun_mod.heun_spec(spec, n_cut, labels[j0_pos]))
-                worst = max(worst, spectra_max_diff(s_oracle, s_modules))
-                worst = max(worst, spectra_max_diff(s_oracle, s_heun))
+        grid = [(j0_pos, n_cut) for j0_pos in range(k) for n_cut in range(k)]
+        configs = [
+            (FillingSpec(frozenset(labels[: j0_pos + 1])), SubsystemSpec(frozenset(range(n_cut + 1)), x0))
+            for j0_pos, n_cut in grid
+        ]
+        s_modules = terwilliger.assemble_spectra(spec, configs)
+        s_heun = heun_mod.spectra_via_heun(spec, [heun_mod.heun_spec(spec, n_cut, labels[j0]) for j0, n_cut in grid])
+        for (filling, sub), s_mod, s_t in zip(configs, s_modules, s_heun):
+            s_oracle = spectral.spectrum_oracle(spectral.chopped_correlation_oracle(spec, filling, sub, cap))
+            worst = max(worst, spectra_max_diff(s_oracle, s_mod))
+            worst = max(worst, spectra_max_diff(s_oracle, s_t))
     return CheckResult("route_agreement", worst <= 1e-8, worst, "oracle, module and T-readout spectra agree")
 
 
@@ -288,10 +290,8 @@ def _check_mirror_symmetry(sizes) -> CheckResult:
         spec = GraphSpec(n, k)
         x0 = default_base_vertex(spec)
         filling = FillingSpec(frozenset(spectral.level_labels_x2(spec)[: max(1, (k + 1) // 3)]))
-        values = []
-        for i in range(k + 1):
-            sub = SubsystemSpec(frozenset({i}), x0)
-            values.append(entropy_mod.von_neumann(terwilliger.assemble_spectrum(spec, filling, sub)))
+        shells = [(filling, SubsystemSpec(frozenset({i}), x0)) for i in range(k + 1)]
+        values = [entropy_mod.von_neumann(s) for s in terwilliger.assemble_spectra(spec, shells)]
         for i in range(k + 1):
             worst = max(worst, abs(values[i] - values[k - i]))
     return CheckResult("mirror_symmetry", worst <= 1e-8, worst, "S(i) = S(k-i) on balanced graphs")

@@ -12,11 +12,17 @@ at most C(n, k) products of unit-norm row entries, so they agree to within
 :func:`pairwise_distances` is the full integer distance matrix, which
 :func:`johnson_entanglement.scheme.distances_from` and
 :func:`johnson_entanglement.scheme.adjacency_matrix` must reproduce exactly.
+
+:func:`adjacency_via_polynomial` rebuilds one A_i as its own product of i
+full-size factors; :func:`johnson_entanglement.spectral.adjacency_polynomial_slabs`
+reads every A_i off one product chain and must match it bit for bit.
 """
+
+import math
 
 import numpy as np
 
-from johnson_entanglement.scheme import enumerate_vertices
+from johnson_entanglement.scheme import adjacency_matrix, enumerate_vertices
 from johnson_entanglement.spectral import eigenprojectors_oracle, subsystem_indices
 
 
@@ -42,3 +48,27 @@ def pairwise_distances(spec) -> np.ndarray:
     for v in verts:
         ind[v.index, [e - 1 for e in v.subset]] = 1
     return spec.k - ind @ ind.T
+
+
+def adjacency_via_polynomial(i: int, spec, cap=None) -> np.ndarray:
+    """A_i rebuilt as the degree-i dual Hahn polynomial of A, as matrices.
+
+    A_i = (-1)^i C(k, i) R_i(A + k; 0, n-2k, k), expanded termwise so the
+    product sweeps matrix factors (l(n-2k+1) + l^2) - (A + k).
+    """
+    n, k = spec.n, spec.k
+    if not 0 <= i <= k:
+        raise ValueError(f"distance index {i} outside 0..{k}")
+    a = adjacency_matrix(1, spec, cap)
+    dim = a.shape[0]
+    eye = np.eye(dim)
+    shifted = a + k * eye
+    total = np.eye(dim)
+    prod = np.eye(dim)
+    coef = 1.0
+    for r in range(i):
+        coef *= (r - i) / ((1.0 + r) * (r - k) * (r + 1.0))
+        prod = prod @ ((r * (n - 2 * k + 1) + r * r) * eye - shifted)
+        total = total + coef * prod
+    sgn = -1.0 if i % 2 else 1.0
+    return sgn * math.comb(k, i) * total

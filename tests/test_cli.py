@@ -417,3 +417,23 @@ def test_argv_fuzz_exits_cleanly(argv):
     assert code in (0, 1, 2, 3), argv
     if code in (2, 3):
         assert err.getvalue().count("\n") <= 1, (argv, err.getvalue())
+
+
+def test_warm_fig3b_sweep_stacks_one_filling_at_a_time():
+    # each filling's cuts are one batch, so the stacks stay small; one batch
+    # for the whole sweep would peak at several MiB
+    import argparse
+    import gc
+
+    from johnson_entanglement.cli import sweep_fig3b
+
+    args = argparse.Namespace(n=30, k=15, fill_levels=None)
+    sweep_fig3b(args)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        sweep_fig3b(args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak

@@ -24,12 +24,13 @@ from johnson_entanglement.spectral import (
     FillingSpec,
     HoppingProfile,
     SubsystemSpec,
-    adjacency_via_polynomial,
+    adjacency_polynomial_slabs,
     chopped_correlation_oracle,
     eigenprojectors_oracle,
     energy_exponential,
     energy_table,
     fill_ground_state,
+    group_spectra,
     group_spectrum,
     level_labels_x2,
     spectrum_oracle,
@@ -41,7 +42,8 @@ from johnson_entanglement.terwilliger import assemble_spectrum
 from johnson_entanglement.verify import check_level_degeneracies, check_route_agreement, graph_sizes, run_battery
 
 from cg_oracle import _dual_hahn_rational
-from dense_oracle import chopped_correlation_reference
+from dense_oracle import adjacency_via_polynomial, chopped_correlation_reference, pairwise_distances
+from merge_reference import group_spectrum_reference
 
 NN = HoppingProfile((0.0, 1.0))
 
@@ -489,7 +491,7 @@ def test_correlation_spectrum_validation():
 
 
 def test_group_spectrum_merges_and_conserves():
-    grouped = group_spectrum([(0.5, 2), (0.5 + 1e-12, 3), (0.7, 1)])
+    grouped = group_spectrum([0.5, 0.5 + 1e-12, 0.7], [2, 3, 1])
     assert len(grouped) == 2
     assert grouped[0][1] == 5
     assert sum(m for _, m in grouped) == 6
@@ -497,18 +499,84 @@ def test_group_spectrum_merges_and_conserves():
 
 @given(st.lists(st.tuples(st.floats(0, 1), st.integers(1, 4)), min_size=1, max_size=30))
 def test_group_spectrum_preserves_total(pairs):
-    grouped = group_spectrum(pairs)
+    grouped = group_spectrum([v for v, _ in pairs], [m for _, m in pairs])
     assert sum(m for _, m in grouped) == sum(m for _, m in pairs)
 
 
+@st.composite
+def _merge_pairs(draw):
+    """(value, multiplicity) pairs with exact value ties, chains spaced under
+    the merge tolerance that span more than it, and multiplicities past 2^63."""
+    tol = spectral.GROUP_TOL
+    values = []
+    for start in draw(st.lists(st.floats(0, 1), min_size=1, max_size=6)):
+        shape = draw(st.sampled_from(("single", "ties", "chain")))
+        if shape == "ties":
+            values += [start] * draw(st.integers(2, 4))
+        elif shape == "chain":
+            step = draw(st.floats(0.3, 0.99)) * tol
+            values += [min(1.0, start + j * step) for j in range(draw(st.integers(3, 7)))]
+        else:
+            values.append(start)
+    mult = st.one_of(st.integers(1, 4), st.integers(2**63 - 2, 2**70))
+    mults = draw(st.lists(mult, min_size=len(values), max_size=len(values)))
+    return list(zip(values, mults))
+
+
+@given(_merge_pairs())
+def test_vectorized_merge_equals_the_reference_loop(pairs):
+    grouped = group_spectrum([v for v, _ in pairs], [m for _, m in pairs])
+    want = group_spectrum_reference(pairs)
+    assert grouped == want
+    assert repr(grouped) == repr(want)
+    assert all(type(m) is int for _, m in grouped)
+
+
+@given(st.lists(_merge_pairs(), min_size=1, max_size=4))
+def test_batched_merge_keeps_each_point_apart(points):
+    values = [v for pairs in points for v, _ in pairs]
+    mults = [m for pairs in points for _, m in pairs]
+    owners = [p for p, pairs in enumerate(points) for _ in pairs]
+    got = group_spectra(values, mults, owners, len(points) + 1)
+    assert got == [group_spectrum_reference(pairs) for pairs in points] + [()]
+
+
+def test_merge_anchors_each_group_at_its_first_value():
+    # 0.5 + 0.6 tol joins 0.5, but 0.5 + 1.2 tol is over tol from the anchor
+    tol = spectral.GROUP_TOL
+    pairs = [(0.5, 1), (0.5 + 0.6 * tol, 1), (0.5 + 1.2 * tol, 1), (0.5, 2**64)]
+    grouped = group_spectrum([v for v, _ in pairs], [m for _, m in pairs])
+    assert grouped == group_spectrum_reference(pairs)
+    assert [m for _, m in grouped] == [2**64 + 2, 1]
+
+
+def test_merge_sums_each_group_left_to_right():
+    # long groups of generic values and multiplicities, where any other
+    # summation order (pairwise, blocked) rounds differently
+    rng = np.random.default_rng(7)
+    tol = spectral.GROUP_TOL
+    values, mults = [], []
+    for start in rng.uniform(0.0, 1.0, 40):
+        length = int(rng.integers(2, 30))
+        values += (start + rng.uniform(0.0, 0.9 * tol, length)).tolist()
+        mults += [int(m) for m in rng.integers(1, 10**6, length)]
+    mults[::7] = [2**64 + 3 * m for m in mults[::7]]
+    pairs = list(zip(values, mults))
+    assert repr(group_spectrum(values, mults)) == repr(group_spectrum_reference(pairs))
+
+
 def test_hahn_polynomial_matrix_identity():
-    # A_i equals the degree-i dual Hahn polynomial of A, all n <= 10
-    for n in range(3, 11):
-        for k in range(1, n // 2 + 1):
-            spec = GraphSpec(n, k)
-            for i in range(k + 1):
-                diff = adjacency_matrix(i, spec) - adjacency_via_polynomial(i, spec)
-                assert np.max(np.abs(diff)) <= 1e-8, (n, k, i)
+    # the product chain gives every A_i bit for bit as its own product of i
+    # factors, and that equals the distance matrix A_i; all n <= 10, and one
+    # graph with several row slabs
+    for n, k in graph_sizes(3, 10) + [(11, 5)]:
+        spec = GraphSpec(n, k)
+        slabs = list(adjacency_polynomial_slabs(spec))
+        assert np.array_equal(np.vstack([d for d, _ in slabs]), pairwise_distances(spec))
+        for i in range(k + 1):
+            rebuilt = np.vstack([polys[i] for _, polys in slabs])
+            assert np.array_equal(rebuilt, adjacency_via_polynomial(i, spec)), (n, k, i)
+            assert np.max(np.abs(adjacency_matrix(i, spec) - rebuilt)) <= 1e-8, (n, k, i)
 
 
 def test_projector_product_spectrum_in_unit_interval():
