@@ -41,7 +41,6 @@ from .terwilliger import (
     module_admissible_levels,
     module_correlation_block,
     module_table,
-    size_groups,
 )
 
 __all__ = [
