@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from operator import add
 from types import MappingProxyType
 from typing import NamedTuple
@@ -63,8 +63,9 @@ __all__ = [
 CLAMP_SLACK = 1e-6
 # Absolute tolerance when grouping eigenvalues into (value, multiplicity) runs.
 GROUP_TOL = 1e-8
-# Row height of the slabs over which symmetric_eigen checks its reconstruction
-# and adjacency_polynomial_slabs rebuilds the distance matrices.
+# Row height of the slabs over which symmetric_eigen checks its reconstruction,
+# the oracle cuts its level blocks and adjacency_polynomial_slabs rebuilds the
+# distance matrices.
 _SLAB_ROWS = 128
 
 
@@ -232,17 +233,27 @@ def symmetric_eigen(m: np.ndarray, cap: int | None = None) -> tuple[np.ndarray, 
     if not np.array_equal(m, m.T):
         raise ValueError("matrix is not exactly symmetric")
     w, q = np.linalg.eigh(m)
-    _check_reconstruction(m, w, q)
+    _check_reconstruction(w, q, lambda top, stop: m[top:stop, top:])
     return w, q
 
 
-def _check_reconstruction(m: np.ndarray, w: np.ndarray, q: np.ndarray) -> None:
-    """Raise unless Q diag(w) Q^T matches ``m`` to 1e-9 * max|M|, slab by slab."""
+def _check_reconstruction(w: np.ndarray, q: np.ndarray, rows) -> None:
+    """Raise unless Q diag(w) Q^T matches a symmetric M to 1e-9 * max|M|, slab by slab.
+
+    ``rows(top, stop)`` returns M's rows top:stop from column top on.  Q
+    diag(w) Q^T is symmetric for any Q, and M is exactly symmetric, so the
+    error below the diagonal only repeats the error above it up to roundoff.
+    Each slab is therefore compared from its first row's column on, which
+    covers every unordered entry pair, so every entry of M or its mirror,
+    and reads only the slab's own square twice.  A wrong entry of row i of
+    Q still shows, at least on the diagonal entry (i, i).
+    """
     err = scale = 0.0
     for top in range(0, len(w), _SLAB_ROWS):
-        rows = slice(top, top + _SLAB_ROWS)
-        err = max(err, np.max(np.abs((q[rows] * w) @ q.T - m[rows])))
-        scale = max(scale, np.max(np.abs(m[rows])))
+        stop = top + _SLAB_ROWS
+        m = rows(top, stop)
+        err = max(err, np.max(np.abs((q[top:stop] * w) @ q[top:].T - m)))
+        scale = max(scale, np.max(np.abs(m)))
     if err > 1e-9 * max(scale, 1.0):
         raise ArithmeticError(f"eigendecomposition reconstruction error {err:g}")
 
@@ -303,40 +314,36 @@ def _walsh_rows(m: np.ndarray, layout: _Sectors) -> None:
         rows[...] = (_hadamard(s) @ rows.reshape(2**s, -1)).reshape(rows.shape)
 
 
-def _pair_swap_transform(a: np.ndarray, layout: _Sectors) -> np.ndarray:
-    """F^T A F for the orbits' Walsh-Hadamard transform F: small integers, exact in float64."""
-    t = a[layout.perm]
+def _layout_adjacency(li: np.ndarray, k: int, top: int = 0, stop: int | None = None) -> np.ndarray:
+    """Rows top:stop of the adjacency matrix from column top on, in the row order of the indicators ``li``.
+
+    Each entry is an integer product of 0/1 indicator rows: exact.
+    """
+    return (li[top:stop] @ li[top:].T == k - 1).astype(np.float64)
+
+
+def _pair_swap_transform(li: np.ndarray, k: int, layout: _Sectors) -> np.ndarray:
+    """F^T A F for the orbits' Walsh-Hadamard transform F: small integers, exact in float64.
+
+    A is built in the layout row order of the indicators ``li``; only the
+    transposed copy ever sits next to it.
+    """
+    t = _layout_adjacency(li, k)
     _walsh_rows(t, layout)
-    # A is symmetric, so (F^T A[perm])^T = A[:, perm] F, and its rows perm are A[perm][:, perm] F
-    t = t.T[layout.perm]
+    # A is symmetric, so (F^T A)^T = A F
+    t = np.ascontiguousarray(t.T)
     _walsh_rows(t, layout)
     return t
 
 
-def _lift_sectors(parts, layout: _Sectors) -> tuple[np.ndarray, np.ndarray]:
-    """The sector eigenpairs, sector by sector, with the eigenvectors in the vertex basis."""
-    w = np.concatenate([w_s for _, w_s, _ in parts])
-    qt = np.zeros((len(w), len(w)))
-    top = 0
-    for rows, w_s, v_s in parts:
-        qt[rows, top : top + len(w_s)] = v_s / np.sqrt(layout.weight[rows])[:, None]
-        top += len(w_s)
-    _walsh_rows(qt, layout)
-    q = np.empty_like(qt)
-    q[layout.perm] = qt
-    return w, q
+def _solve_sectors(t: np.ndarray, layout: _Sectors, cap: int) -> list:
+    """(rows, eigenvalues, eigenvectors) of each sector block of the transformed matrix ``t``.
 
-
-def _sectored_eigen(a: np.ndarray, spec: GraphSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of the adjacency matrix ``a``, one pair-swap sector at a time.
-
-    Every entry of the transformed matrix outside its sector blocks must be
-    an exact zero.  Each block, normalized by the orbit sizes, goes through
-    :func:`symmetric_eigen` with its own checks; the lifted decomposition is
-    then checked against ``a`` as a whole.
+    Every entry of ``t`` outside its sector blocks must be an exact zero;
+    each block, normalized by the orbit sizes, goes through
+    :func:`symmetric_eigen` with its own checks.  The off-sector entries of
+    ``t`` are zeroed on the way.
     """
-    layout = _pair_swap_sectors(spec)
-    t = _pair_swap_transform(a, layout)
     parts = []
     for rows in layout.sectors:
         strip = t[rows]
@@ -345,11 +352,69 @@ def _sectored_eigen(a: np.ndarray, spec: GraphSpec) -> tuple[np.ndarray, np.ndar
         if np.any(strip):
             raise ArithmeticError("pair-swap transform left a nonzero entry outside its sector")
         norm = np.sqrt(np.outer(layout.weight[rows], layout.weight[rows]))
-        parts.append((rows, *symmetric_eigen(block / norm, spec.vertex_count)))
+        parts.append((rows, *symmetric_eigen(block / norm, cap)))
+    return parts
+
+
+def _lift_sectors(parts, layout: _Sectors) -> tuple[np.ndarray, np.ndarray]:
+    """The sector eigenpairs, sector by sector, with the eigenvectors in layout row order."""
+    w = np.concatenate([w_s for _, w_s, _ in parts])
+    q = np.zeros((len(w), len(w)))
+    top = 0
+    for rows, w_s, v_s in parts:
+        q[rows, top : top + len(w_s)] = v_s / np.sqrt(layout.weight[rows])[:, None]
+        top += len(w_s)
+    _walsh_rows(q, layout)
+    return w, q
+
+
+def _sectored_eigen(spec: GraphSpec, layout: _Sectors) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of the adjacency matrix, one pair-swap sector at a time, in layout order.
+
+    Row c of the eigenvectors belongs to vertex ``layout.perm[c]``.  A is
+    built in layout order from the permuted indicators, so no vertex-order
+    copy exists.  The sectors are solved by :func:`_solve_sectors`, and the
+    lifted decomposition is checked against A, rebuilt exactly slab by slab
+    from the same indicators.
+    """
+    li = _indicators(spec, spec.vertex_count)[layout.perm]
+    t = _pair_swap_transform(li, spec.k, layout)
+    parts = _solve_sectors(t, layout, spec.vertex_count)
     del t
     w, q = _lift_sectors(parts, layout)
-    _check_reconstruction(a, w, q)
+    _check_reconstruction(w, q, partial(_layout_adjacency, li, spec.k))
     return w, q
+
+
+def _level_masks(w: np.ndarray, spec: GraphSpec) -> dict[int, np.ndarray]:
+    """The eigenvalues of each adjacency level, as a mask over ``w`` keyed by doubled j.
+
+    Eigenvalues are grouped to the nearest theta_j within 1e-6 of the
+    spectral spread; anything further from every theta is an error.
+    """
+    labels = level_labels_x2(spec)
+    thetas = np.array([theta_eigenvalue(j_x2, spec) for j_x2 in labels])
+    tol = 1e-6 * (thetas.max() - thetas.min())
+    sels = [np.abs(w - t) <= tol for t in thetas]
+    if sum(int(np.sum(sel)) for sel in sels) != len(w):
+        raise ArithmeticError("adjacency eigenvalue did not land near a unique theta_j")
+    return dict(zip(labels, sels))
+
+
+def _vertex_columns(q: np.ndarray, perm: np.ndarray, sels) -> list[np.ndarray]:
+    """Each mask's columns of the layout-order ``q``, with the rows back in vertex order.
+
+    Row v of block b is row ``argsort(perm)[v]`` of ``q[:, sels[b]]``, cut a
+    slab of rows at a time.  The blocks are Fortran-ordered, as a column
+    cut of a vertex-order matrix is: sums over them round the same way.
+    """
+    inv = np.argsort(perm)
+    blocks = [np.empty((len(q), int(np.sum(sel))), order="F") for sel in sels]
+    for top in range(0, len(q), _SLAB_ROWS):
+        rows = q[inv[top : top + _SLAB_ROWS]]
+        for block, sel in zip(blocks, sels):
+            block[top : top + _SLAB_ROWS] = rows[:, sel]
+    return blocks
 
 
 def _symmetrize(m: np.ndarray) -> np.ndarray:
@@ -360,18 +425,14 @@ def _symmetrize(m: np.ndarray) -> np.ndarray:
 def _level_blocks(spec: GraphSpec) -> MappingProxyType:
     """Read-only eigenvector block of each adjacency level, keyed by doubled j.
 
-    One sectored eigendecomposition per graph; callers check the capacity
-    before every lookup.  Eigenvalues are grouped to the nearest theta_j within
-    1e-6 of the spectral spread; anything further from every theta is an error.
+    One sectored eigendecomposition per graph, in layout order; each level's
+    block is then cut with its rows in vertex order.  Callers check the
+    capacity before every lookup.
     """
-    w, q = _sectored_eigen(adjacency_matrix(1, spec, spec.vertex_count), spec)
-    labels = level_labels_x2(spec)
-    thetas = np.array([theta_eigenvalue(j_x2, spec) for j_x2 in labels])
-    tol = 1e-6 * (thetas.max() - thetas.min())
-    sels = [np.abs(w - t) <= tol for t in thetas]
-    if sum(int(np.sum(sel)) for sel in sels) != len(w):
-        raise ArithmeticError("adjacency eigenvalue did not land near a unique theta_j")
-    blocks = {j_x2: q[:, sel] for j_x2, sel in zip(labels, sels)}
+    layout = _pair_swap_sectors(spec)
+    w, q = _sectored_eigen(spec, layout)
+    masks = _level_masks(w, spec)
+    blocks = dict(zip(masks, _vertex_columns(q, layout.perm, masks.values())))
     for block in blocks.values():
         block.flags.writeable = False
     return MappingProxyType(blocks)
@@ -402,9 +463,11 @@ def chopped_correlation_oracle(
     """The ground-state correlation projector restricted to the subsystem rows.
 
     Each occupied level's eigenvector block is cut to the subsystem rows b
-    before b b^T is symmetrized and summed in ascending level order, so no
-    N x N array is formed.  A full-ball cut gives bit for bit the chopped sum
-    of the symmetrized projectors; any other cut agrees to roundoff.
+    before b b^T is summed in ascending level order, so no N x N array is
+    formed.  numpy computes b b^T as one symmetric rank-k update, exactly
+    symmetric, so only the sum is symmetrized.  A full-ball cut gives bit
+    for bit the chopped sum of the symmetrized projectors; any other cut
+    agrees to roundoff.
     """
     _require_capacity(spec, cap)
     blocks = _level_blocks(spec)
@@ -412,7 +475,7 @@ def chopped_correlation_oracle(
     chat = np.zeros((len(idx), len(idx)))
     for j_x2 in sorted(filling.occupied):
         b = blocks[j_x2][idx]
-        chat += _symmetrize(b @ b.T)
+        chat += b @ b.T
     return _symmetrize(chat)
 
 

@@ -201,6 +201,8 @@ class ModuleTable:
         spec = self.spec
         for b, c in zip(*np.nonzero(~self.filled[ms[:, None], cols])):
             m, lev = int(ms[b]), int(cols[b, c])
+            if self.filled[m, lev]:  # an earlier entry of this stack holds the same module
+                continue
             label = self.labels[m]
             # cg_column orders by descending m1 = ascending i, starting at i_min.
             col = cg_column(spec.n - 2 * spec.k + 2 * lev, label.j1_x2, label.j2_x2, spec.n - 2 * spec.k)

@@ -16,12 +16,19 @@ at most C(n, k) products of unit-norm row entries, so they agree to within
 :func:`adjacency_via_polynomial` rebuilds one A_i as its own product of i
 full-size factors; :func:`johnson_entanglement.spectral.adjacency_polynomial_slabs`
 reads every A_i off one product chain and must match it bit for bit.
+
+:func:`level_blocks_reference` runs the sectored eigensolve from a
+vertex-order A, lifts the eigenvectors straight back to vertex order and
+checks them on the full square.  The cached blocks of
+:func:`johnson_entanglement.spectral._level_blocks`, solved in layout order
+throughout, must equal its blocks bit for bit and in memory order.
 """
 
 import math
 
 import numpy as np
 
+from johnson_entanglement import spectral
 from johnson_entanglement.scheme import adjacency_matrix, enumerate_vertices
 from johnson_entanglement.spectral import eigenprojectors_oracle, subsystem_indices
 
@@ -72,3 +79,25 @@ def adjacency_via_polynomial(i: int, spec, cap=None) -> np.ndarray:
         total = total + coef * prod
     sgn = -1.0 if i % 2 else 1.0
     return sgn * math.comb(k, i) * total
+
+
+def level_blocks_reference(spec) -> dict[int, np.ndarray]:
+    """Each level's eigenvector block, keyed by doubled j, from a vertex-order pipeline.
+
+    A is gathered into the pair-swap layout for the transform, and the
+    lifted eigenvectors are scattered back to vertex order, checked against
+    A on every entry and cut by level as columns of that matrix.
+    """
+    a = adjacency_matrix(1, spec)
+    layout = spectral._pair_swap_sectors(spec)
+    t = a[layout.perm]
+    spectral._walsh_rows(t, layout)
+    # A is symmetric, so (F^T A[perm])^T = A[:, perm] F, and its rows perm are A[perm][:, perm] F
+    t = t.T[layout.perm]
+    spectral._walsh_rows(t, layout)
+    w, qt = spectral._lift_sectors(spectral._solve_sectors(t, layout, spec.vertex_count), layout)
+    q = np.empty_like(qt)
+    q[layout.perm] = qt
+    if np.max(np.abs((q * w) @ q.T - a)) > 1e-9:
+        raise ArithmeticError("eigendecomposition reconstruction error")
+    return {j_x2: q[:, sel] for j_x2, sel in spectral._level_masks(w, spec).items()}

@@ -13,6 +13,7 @@ from johnson_entanglement.entropy import von_neumann
 from johnson_entanglement.scheme import (
     CapacityError,
     GraphSpec,
+    _indicators,
     adjacency_matrix,
     default_base_vertex,
     distance,
@@ -42,7 +43,12 @@ from johnson_entanglement.terwilliger import assemble_spectrum
 from johnson_entanglement.verify import check_level_degeneracies, check_route_agreement, graph_sizes, run_battery
 
 from cg_oracle import _dual_hahn_rational
-from dense_oracle import adjacency_via_polynomial, chopped_correlation_reference, pairwise_distances
+from dense_oracle import (
+    adjacency_via_polynomial,
+    chopped_correlation_reference,
+    level_blocks_reference,
+    pairwise_distances,
+)
 from merge_reference import group_spectrum_reference
 
 NN = HoppingProfile((0.0, 1.0))
@@ -326,10 +332,12 @@ def test_pair_swap_sectors_split_the_adjacency_exactly(n, k):
     sector = np.empty(spec.vertex_count, dtype=np.int64)
     for label, rows in enumerate(layout.sectors):
         sector[rows] = label
-    t = spectral._pair_swap_transform(a, layout)
+    t = spectral._pair_swap_transform(_indicators(spec)[layout.perm], k, layout)
     assert np.all(t[sector[:, None] != sector[None, :]] == 0.0)
-    w, q = spectral._sectored_eigen(a, spec)
+    w, qt = spectral._sectored_eigen(spec, layout)
     assert np.max(np.abs(np.sort(w) - np.linalg.eigvalsh(a))) <= 1e-12
+    q = np.empty_like(qt)
+    q[layout.perm] = qt
     # independently of the layout: every lifted eigenvector is exactly even or
     # odd under each swap of elements 2p - 1 and 2p
     verts = enumerate_vertices(spec)
@@ -351,6 +359,48 @@ def test_sectored_eigen_rejects_a_corrupted_lifted_vector(monkeypatch):
     spectral._level_blocks.cache_clear()
     with pytest.raises(ArithmeticError, match="reconstruction"):
         spectral._level_blocks(GraphSpec(6, 3))
+
+
+def _bits(x: np.ndarray) -> np.ndarray:
+    return x.view(np.int64)
+
+
+@pytest.mark.parametrize("n,k", graph_sizes(2, 10) + [(12, 6)])
+def test_layout_order_level_blocks_match_the_vertex_order_reference(n, k):
+    spec = GraphSpec(n, k)
+    spectral._level_blocks.cache_clear()
+    got = spectral._level_blocks(spec)
+    ref = level_blocks_reference(spec)
+    assert list(got) == list(ref)
+    for j_x2, block in ref.items():
+        assert np.array_equal(_bits(got[j_x2]), _bits(block))
+        assert got[j_x2].strides == block.strides
+
+
+def test_cold_level_blocks_hold_at_most_two_full_arrays():
+    spec = GraphSpec(12, 6)
+    _indicators(spec)
+    spectral._level_blocks.cache_clear()
+    full = spec.vertex_count**2 * 8
+    assert _traced_bytes(lambda: spectral._level_blocks(spec))[1] < 2.5 * full
+
+
+def test_reconstruction_check_reads_the_last_row_of_the_last_slab(monkeypatch):
+    # the diagonal entry of the last row sits in the last slab's triangle only
+    spec = GraphSpec(12, 6)
+    assert spec.vertex_count % spectral._SLAB_ROWS  # the last slab is partial
+    real = spectral._layout_adjacency
+
+    def corrupted(li, k, top=0, stop=None):
+        a = real(li, k, top, stop)
+        if top > 0 and top + len(a) == len(li):
+            a[-1, -1] += 1e-6
+        return a
+
+    monkeypatch.setattr(spectral, "_layout_adjacency", corrupted)
+    spectral._level_blocks.cache_clear()
+    with pytest.raises(ArithmeticError, match="reconstruction"):
+        spectral._level_blocks(spec)
 
 
 def test_sectored_eigen_rejects_a_wrong_transform_sign(monkeypatch):

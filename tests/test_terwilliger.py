@@ -13,8 +13,10 @@ from johnson_entanglement.spectral import (
     level_labels_x2,
     spectrum_oracle,
 )
+from johnson_entanglement import terwilliger
 from johnson_entanglement.terwilliger import (
     ModuleLabel,
+    ModuleTable,
     check_hahn_algebra,
     assemble_spectrum,
     enumerate_modules,
@@ -239,6 +241,28 @@ def test_admissible_levels_count_is_dim(n, data):
     spec = GraphSpec(n, k)
     for label in enumerate_modules(spec):
         assert len(module_admissible_levels(label, spec)) == label.dim
+
+
+def test_module_table_fetches_each_new_column_once(monkeypatch):
+    calls = []
+    real = terwilliger.cg_column
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(terwilliger, "cg_column", spy)
+    table = ModuleTable(GraphSpec(10, 5))
+    wide = int(np.argmax(table.level_hi - table.level_lo))
+    levels = np.arange(table.level_lo[wide], table.level_hi[wide] + 1)
+    # the same module at three points of a stack, then again in a later stack
+    ms = np.array([wide, wide, wide])
+    rows = np.zeros((3, 1), dtype=np.intp)
+    first = table.entries(ms, rows, np.array([levels[:2], levels[:2], levels[1:3]]))
+    assert len(calls) == 3 == len(set(calls))
+    again = table.entries(ms[:1], rows[:1], levels[None, :2])
+    assert len(calls) == 3
+    assert np.array_equal(again[0], first[0])
 
 
 def test_hahn_relations_balanced_graphs():
