@@ -9,6 +9,7 @@ half-integer labels appear in ``*_x2`` columns next to a decimal column.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -195,18 +196,18 @@ def _route_spectrum(route, spec, filling, sub, cap):
     if route == "modules":
         return terwilliger.assemble_spectrum(spec, filling, sub)
     if route == "heun":
-        return _heun_spectra(spec, [(filling, sub)])[0]
+        return next(_heun_spectra(spec, [(filling, sub)]))
     raise ConfigError(f"unknown route {route!r}")
 
 
 def _heun_spectra(spec, configs):
-    """T-readout spectra of (filling, subsystem) points of one graph; the cut pairs form one batch."""
+    """T-readout spectra of (filling, subsystem) points of one graph, in order; the cut pairs form one batch."""
     planned = [heun_mod.plan(spec, filling, sub) for filling, sub in configs]
     for plan in planned:
         if isinstance(plan, str):
             raise ConfigError(plan)
-    solved = iter(heun_mod.spectra_via_heun(spec, [p for p in planned if isinstance(p, heun_mod.HeunSpec)]))
-    return [next(solved) if isinstance(p, heun_mod.HeunSpec) else p for p in planned]
+    solved = heun_mod.spectra_via_heun(spec, [p for p in planned if isinstance(p, heun_mod.HeunSpec)])
+    return (next(solved) if isinstance(p, heun_mod.HeunSpec) else p for p in planned)
 
 
 # ---------------------------------------------------------------- commands
@@ -304,8 +305,9 @@ def _tenth_filling(k: int) -> int:
 def _shell_entropies(spec, configs) -> list[float]:
     """Entropies of (filling, shell i) points of one graph, solved as one batch."""
     x0 = default_base_vertex(spec)
-    subs = [(filling, SubsystemSpec(frozenset({i}), x0)) for filling, i in configs]
-    return [entropy_mod.von_neumann(s) for s in terwilliger.assemble_spectra(spec, subs)]
+    shells = {i: SubsystemSpec(frozenset({i}), x0) for _, i in configs}
+    spectra = terwilliger.assemble_spectra(spec, [(filling, shells[i]) for filling, i in configs])
+    return [entropy_mod.von_neumann(s) for s in spectra]
 
 
 def sweep_fig2a(args):
@@ -334,26 +336,26 @@ def sweep_fig2a(args):
 
 
 def sweep_fig2b(args):
-    """Entropy per site of every single shell, for every bottom-run filling."""
+    """Entropy per site of every single shell, for every bottom-run filling, solved as one batch."""
     spec = _graph_spec(args)
     labels = spectral.level_labels_x2(spec)
-    fills = range(1, spec.k + 2)
+    fillings = {fill: FillingSpec(frozenset(labels[:fill])) for fill in range(1, spec.k + 2)}
+    grid = [(i, fill) for i in range(spec.k + 1) for fill in fillings]
+    entropies = _shell_entropies(spec, [(fillings[fill], i) for i, fill in grid])
     rows = []
-    for i in range(spec.k + 1):
+    for (i, fill), s in zip(grid, entropies):
         size = neighborhood_size(spec, i)
-        entropies = _shell_entropies(spec, [(FillingSpec(frozenset(labels[:fill])), i) for fill in fills])
-        for fill, s in zip(fills, entropies):
-            rows.append(
-                {
-                    "n": spec.n,
-                    "k": spec.k,
-                    "i": i,
-                    "fill_levels": fill,
-                    "subsystem_size": size,
-                    "entropy": s,
-                    "entropy_per_site": s / size,
-                }
-            )
+        rows.append(
+            {
+                "n": spec.n,
+                "k": spec.k,
+                "i": i,
+                "fill_levels": fill,
+                "subsystem_size": size,
+                "entropy": s,
+                "entropy_per_site": s / size,
+            }
+        )
     return ["n", "k", "i", "fill_levels", "subsystem_size", "entropy", "entropy_per_site"], rows
 
 
@@ -363,8 +365,8 @@ FIG3_FIELDS = [
 ]
 
 
-def _fig3_rows(spec: GraphSpec, fill: int, cuts) -> list[dict]:
-    """Ball-sweep points at one filling, one per cut, with both area-law normalizations.
+def _fig3_rows(spec: GraphSpec, grid) -> list[dict]:
+    """Ball-sweep points, one per (fill, cut) of ``grid``, with both area-law normalizations.
 
     ``boundary_size`` is the subsystem's outermost shell; ``cut_size`` adds
     the first shell of the complement, i.e. the full bipartition cut.  The
@@ -372,11 +374,12 @@ def _fig3_rows(spec: GraphSpec, fill: int, cuts) -> list[dict]:
     are both large.  The points are solved as one batch.
     """
     labels = spectral.level_labels_x2(spec)
-    filling = FillingSpec(frozenset(labels[:fill]))
     x0 = default_base_vertex(spec)
-    subs = [SubsystemSpec(frozenset(range(n_cut + 1)), x0) for n_cut in cuts]
+    fillings = {fill: FillingSpec(frozenset(labels[:fill])) for fill, _ in grid}
+    balls = {n_cut: SubsystemSpec(frozenset(range(n_cut + 1)), x0) for _, n_cut in grid}
+    configs = [(fillings[fill], balls[n_cut]) for fill, n_cut in grid]
     rows = []
-    for n_cut, sub, spectrum in zip(cuts, subs, _heun_spectra(spec, [(filling, sub) for sub in subs])):
+    for (fill, n_cut), (_, sub), spectrum in zip(grid, configs, _heun_spectra(spec, configs)):
         rep = entropy_mod.report(spec, sub, spectrum)
         cut = rep.boundary_size + neighborhood_size(spec, n_cut + 1)
         rows.append(
@@ -402,17 +405,14 @@ def sweep_fig3a(args):
     for k in range(1, args.n // 2 + 1):
         spec = GraphSpec(args.n, k)
         fill = args.fill_levels if args.fill_levels is not None else _tenth_filling(k)
-        rows.extend(_fig3_rows(spec, fill, range(k)))
+        rows.extend(_fig3_rows(spec, [(fill, n_cut) for n_cut in range(k)]))
     return FIG3_FIELDS, rows
 
 
 def sweep_fig3b(args):
     """Cut-boundary ratio over filling depth and ball radius at fixed (n, k)."""
     spec = _graph_spec(args)
-    rows = []
-    for fill in range(1, spec.k + 2):
-        rows.extend(_fig3_rows(spec, fill, range(spec.k)))
-    return FIG3_FIELDS, rows
+    return FIG3_FIELDS, _fig3_rows(spec, [(fill, n_cut) for fill in range(1, spec.k + 2) for n_cut in range(spec.k)])
 
 
 def sweep_fig4(args):
@@ -520,7 +520,9 @@ def _add_model(p):
     p.add_argument("--include-zero-modes", action="store_true", help="treat zero-energy levels as occupied")
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     import argparse
 
     parser = argparse.ArgumentParser(

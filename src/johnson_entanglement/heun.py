@@ -21,6 +21,7 @@ whose T spectrum clusters take the per-block fallback.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -211,14 +212,26 @@ def _chain_arrays(spec: GraphSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-graph A ladder a[m, i], diagonal b[m, i] and theta*[i], read-only.
 
     Rows follow :func:`enumerate_modules`; a and b are zero off the chain.
+    Every (module, distance) pair of a chain is evaluated at once, in the
+    operation order of :func:`tridiagonal_A_coefficients`: the integer
+    products are exact in int64 and rounded once, so both give the same
+    floats.
     """
+    n, k = spec.n, spec.k
     labels = enumerate_modules(spec)
-    a = np.zeros((len(labels), spec.k + 1))
-    b = np.zeros((len(labels), spec.k + 1))
-    for m, label in enumerate(labels):
-        for i in label.distances:
-            a[m, i], b[m, i] = tridiagonal_A_coefficients(label, label.m1_x2(i, spec), spec)
-    theta = np.array([dual_eigenvalue_at_distance(i, spec) for i in range(spec.k + 1)])
+    j1, j2, i_min, dims = np.array([(m.j1_x2, m.j2_x2, m.i_min, m.dim) for m in labels], dtype=np.int64).T
+    # one entry per (module, distance) pair, row by row along each chain
+    m = np.repeat(np.arange(len(labels)), dims)
+    i = np.arange(len(m)) - np.repeat(np.cumsum(dims) - dims - i_min, dims)
+    j1, j2 = j1[m], j2[m]
+    m1_x2 = (n - k) - 2 * i
+    m2_x2 = (n - 2 * k) - m1_x2
+    prod = ((j1 + m1_x2) // 2) * ((j1 - m1_x2) // 2 + 1) * ((j2 - m2_x2) // 2) * ((j2 + m2_x2) // 2 + 1)
+    a = np.zeros((len(labels), k + 1))
+    b = np.zeros((len(labels), k + 1))
+    a[m, i] = np.sqrt(prod.astype(np.float64))
+    b[m, i] = (j1 * (j1 + 2) + j2 * (j2 + 2) - m1_x2**2 - m2_x2**2) / 4.0 - n / 2.0
+    theta = np.array([dual_eigenvalue_at_distance(i, spec) for i in range(k + 1)])
     for arr in (a, b, theta):
         arr.flags.writeable = False
     return a, b, theta
@@ -330,11 +343,12 @@ def _cluster_readout(w: np.ndarray, q: np.ndarray, c_block: np.ndarray) -> np.nd
     return np.array(lams)
 
 
-def spectra_via_heun(spec: GraphSpec, hss) -> list[CorrelationSpectrum]:
-    """Correlation spectra of many cut pairs of one graph, with eigenvectors supplied by T.
+def spectra_via_heun(spec: GraphSpec, hss) -> Iterator[CorrelationSpectrum]:
+    """Correlation spectra of many cut pairs of one graph, in order, with eigenvectors supplied by T.
 
-    The subsystem blocks of T at every point are stacked by size across the
-    points and diagonalized together; each correlation eigenvalue is the
+    The subsystem blocks of T at every point that are not exact 0/1
+    projections (see :meth:`.terwilliger.ModuleTable.spectra`) are stacked by size across
+    the points and diagonalized together; each correlation eigenvalue is the
     Rayleigh quotient of the correlation block on a T eigenvector.  Blocks
     whose T eigenvalues cluster (relative gap under ``CLUSTER_REL_TOL``) fall
     back to rediagonalizing the correlation matrix inside the cluster span.
@@ -371,4 +385,4 @@ def spectra_via_heun(spec: GraphSpec, hss) -> list[CorrelationSpectrum]:
 
 def spectrum_via_heun(spec: GraphSpec, hs: HeunSpec) -> CorrelationSpectrum:
     """One cut pair's :func:`spectra_via_heun`."""
-    return spectra_via_heun(spec, [hs])[0]
+    return next(spectra_via_heun(spec, [hs]))

@@ -12,6 +12,7 @@ reference for the two structured routes.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
@@ -489,7 +490,7 @@ def clamp_unit_interval(values: np.ndarray) -> np.ndarray:
     return np.clip(values, 0.0, 1.0)
 
 
-def group_spectra(values, mults, owners, count: int, tol: float = GROUP_TOL) -> list[tuple]:
+def group_spectra(values, mults, owners, count: int, tol: float = GROUP_TOL) -> Iterator[tuple]:
     """Merge each point's (value, multiplicity) pairs whose values agree within ``tol``.
 
     Pair p belongs to point ``owners[p]`` of ``count``; multiplicities may be
@@ -497,44 +498,65 @@ def group_spectra(values, mults, owners, count: int, tol: float = GROUP_TOL) -> 
     multiplicity; a group is anchored at its first member and the
     representative is the multiplicity-weighted mean, summed in that order
     and snapped to an exact 0 or 1 when it lands within ``tol`` of either
-    endpoint.
+    endpoint.  The sort and the group bounds are found for every point at
+    once, on the first request; the Python-number phase runs one point at a
+    time, and each point's entries are yielded as soon as they are merged.
     """
-    out: list[list[tuple[float, int]]] = [[] for _ in range(count)]
+    yield from _merge_points(*_group_bounds(values, mults, owners, count, tol), tol)
+
+
+def _group_bounds(values, mults, owners, count: int, tol: float):
+    """The pairs of :func:`group_spectra` in merge order, and where their groups start.
+
+    Returns the sorted value * multiplicity products, the sorted exact
+    multiplicities, the group starts with the end appended, and per point
+    the range of its pairs with the range of its bounds.
+    """
     values = np.asarray(values, dtype=np.float64)
-    if values.size:
-        exact = np.asarray(mults, dtype=object)
-        weights = exact.astype(np.float64)
-        owners = np.asarray(owners, dtype=np.intp)
-        order = np.lexsort((weights, values, owners))
-        values, weights, exact, owners = values[order], weights[order], exact[order], owners[order]
-        # a gap over tol always starts a group: the anchor sits at or below the previous value
-        first = np.ones(len(values), dtype=bool)
-        first[1:] = (owners[1:] != owners[:-1]) | (values[1:] - values[:-1] > tol)
-        starts = np.flatnonzero(first)
-        ends = np.append(starts[1:], len(values))
-        bounds = starts.tolist() + [len(values)]
-        # a run wider than tol splits wherever a value passes its group's anchor by more than tol
-        wide = values[ends - 1] - values[starts] > tol
-        for a, b in zip(starts[wide].tolist(), ends[wide].tolist()):
-            while values[b - 1] - values[a] > tol:
-                a += int(np.argmax(values[a:b] - values[a] > tol))
-                bounds.append(a)
-        bounds.sort()
-        products, exact, owners = (values * weights).tolist(), exact.tolist(), owners.tolist()
-        for a, b in zip(bounds, bounds[1:]):
-            mult = sum(exact[a:b])
-            mean = reduce(add, products[a:b]) / mult
+    exact = np.asarray(mults, dtype=object)
+    weights = exact.astype(np.float64)
+    owners = np.asarray(owners, dtype=np.intp)
+    order = np.lexsort((weights, values, owners))
+    values, weights, exact, owners = values[order], weights[order], exact[order], owners[order]
+    # a gap over tol always starts a group: the anchor sits at or below the previous value
+    first = np.ones(len(values), dtype=bool)
+    first[1:] = (owners[1:] != owners[:-1]) | (values[1:] - values[:-1] > tol)
+    starts = np.flatnonzero(first)
+    ends = np.append(starts, len(values))[1:]
+    bounds = starts.tolist() + [len(values)]
+    # a run wider than tol splits wherever a value passes its group's anchor by more than tol
+    wide = values[ends - 1] - values[starts] > tol
+    for a, b in zip(starts[wide].tolist(), ends[wide].tolist()):
+        while values[b - 1] - values[a] > tol:
+            a += int(np.argmax(values[a:b] - values[a] > tol))
+            bounds.append(a)
+    bounds = np.sort(bounds)
+    # each point's first pair starts a group and its last pair ends one
+    cuts = np.searchsorted(owners, np.arange(count + 1)).tolist()
+    edges = np.searchsorted(bounds, cuts).tolist()
+    return values * weights, exact, bounds, zip(cuts, cuts[1:], edges, edges[1:])
+
+
+def _merge_points(products, exact, bounds, runs, tol: float) -> Iterator[tuple]:
+    """Each point's merged entries from :func:`_group_bounds`, one point at a time."""
+    for lo, hi, first, last in runs:
+        point_bounds = (bounds[first : last + 1] - lo).tolist()
+        point_products, point_exact = products[lo:hi].tolist(), exact[lo:hi].tolist()
+        entries = []
+        for a, b in zip(point_bounds, point_bounds[1:]):
+            mult = sum(point_exact[a:b])
+            mean = reduce(add, point_products[a:b]) / mult
             if abs(mean) <= tol:
                 mean = 0.0
             elif abs(mean - 1.0) <= tol:
                 mean = 1.0
-            out[owners[a]].append((mean, mult))
-    return [tuple(entries) for entries in out]
+            entries.append((mean, mult))
+        yield tuple(entries)
 
 
 def group_spectrum(values, mults, tol: float = GROUP_TOL) -> tuple[tuple[float, int], ...]:
     """One point's :func:`group_spectra`."""
-    return group_spectra(values, mults, np.zeros(len(values), dtype=np.intp), 1, tol)[0]
+    return next(group_spectra(values, mults, np.zeros(len(values), dtype=np.intp), 1, tol))
 
 
 def spectrum_oracle(c: np.ndarray) -> CorrelationSpectrum:

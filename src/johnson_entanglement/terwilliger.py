@@ -11,7 +11,9 @@ Each graph gets one :class:`ModuleTable`, built on first use and kept: the
 module list, exact multiplicities and a Clebsch-Gordan table indexed by
 (module, distance, level) whose level columns are filled only when a filling
 first occupies them.  The spectrum routes take many grid points of a graph
-at once: every (point, module) block is cut out of that table, blocks of
+at once.  A (point, module) block that none or all of the module's levels
+fill, or whose chain lies wholly in the subsystem, holds only exact 0s and
+1s and is counted; every other block is cut out of that table, blocks of
 equal size are stacked across the points and each stack is diagonalized with
 one LAPACK call.
 
@@ -22,6 +24,7 @@ distance i, with m1 = (n - k)/2 - i and m2 = i - k/2.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -147,14 +150,15 @@ def module_admissible_levels(label: ModuleLabel, spec: GraphSpec) -> list[int]:
 
 
 def level_degeneracy(j_x2: int, spec: GraphSpec) -> int:
-    """Degeneracy D_j: total multiplicity of modules whose chain couples to j."""
+    """Degeneracy D_j of the level j, the classical m_i = C(n, i) - C(n, i - 1) with i = n/2 - j.
+
+    It equals the total multiplicity of the modules whose chain couples to j,
+    which ``verify.check_level_degeneracies`` checks.
+    """
     if j_x2 not in level_labels_x2(spec):
         raise ValueError(f"level j_x2={j_x2} outside {spec.n - 2 * spec.k}..{spec.n}")
-    total = 0
-    for label in enumerate_modules(spec):
-        if abs(label.j1_x2 - label.j2_x2) <= j_x2 <= label.j1_x2 + label.j2_x2:
-            total += label.degeneracy
-    return total
+    i = (spec.n - j_x2) // 2
+    return math.comb(spec.n, i) - (math.comb(spec.n, i - 1) if i else 0)
 
 
 class ModuleTable:
@@ -180,6 +184,9 @@ class ModuleTable:
         base = spec.n - 2 * spec.k
         self.level_lo = np.array([max(abs(m.j1_x2 - m.j2_x2), base) - base for m in self.labels]) // 2
         self.level_hi = np.array([m.j1_x2 + m.j2_x2 - base for m in self.labels]) // 2
+        self.dim = self.i_max - self.i_min + 1
+        if not np.array_equal(self.level_hi - self.level_lo + 1, self.dim):
+            raise ArithmeticError("a module chain's length differs from its admissible-level count")
         levels = np.arange(spec.k + 1)
         self.filled = (levels < self.level_lo[:, None]) | (levels > self.level_hi[:, None])
         self.g = np.zeros((len(self.labels), spec.k + 1, 0))
@@ -227,20 +234,23 @@ class ModuleTable:
             c[sel] = g @ g.swapaxes(1, 2)
         return 0.5 * (c + c.swapaxes(1, 2))
 
-    def spectra(self, points, expected, readout) -> list[CorrelationSpectrum]:
+    def spectra(self, points, expected, readout) -> Iterator[CorrelationSpectrum]:
         """Correlation spectra of many grid points of this graph from one stacked pass.
 
         Point p is a pair of sorted arrays, its subsystem distances and its
-        occupied level indices, and has ``expected[p]`` modes.  The blocks of
-        every (point, module) pair are stacked by size across the points, and
-        ``readout(pts, ms, rows, c)`` turns a stack c of correlation blocks of
-        modules ``ms`` at points ``pts`` over distances ``rows`` into its
-        (stack, size) eigenvalues.  Each point's eigenvalues are merged with
-        their module multiplicities; its covered mode count must equal
-        ``expected[p]`` exactly.
+        occupied level indices, and has ``expected[p]`` modes.  A module's
+        coupling matrix is square and orthogonal, so its block holds only
+        exact 0s and 1s when none or all of its admissible levels are
+        occupied, or when the subsystem holds its whole chain; each point's
+        such modes are counted into one exact 0 and one exact 1 entry.  The
+        other blocks of every (point, module) pair are stacked by size across
+        the points, and ``readout(pts, ms, rows, c)`` turns a stack c of
+        correlation blocks of modules ``ms`` at points ``pts`` over distances
+        ``rows`` into its (stack, size) eigenvalues.  Each point's
+        eigenvalues are merged with their module multiplicities, and its
+        covered mode count must equal ``expected[p]`` exactly.  The solve
+        runs at once; the spectra are yielded one point at a time.
         """
-        if not points:
-            return []
         width = self.spec.k + 1
         dist = np.zeros((len(points), width), dtype=np.intp)
         levels = np.full((len(points), width), width, dtype=np.intp)
@@ -253,20 +263,44 @@ class ModuleTable:
         for covered, want in zip(sizes.astype(object) @ self.degeneracies, expected):
             if covered != want:
                 raise ArithmeticError(f"module rows cover {covered} modes, subsystem has {want}")
-        values, owners, modules = [], [], []
+        sizes, counted = self._exact_blocks(sizes, levels)
+        keep = np.flatnonzero(counted)
+        # every eigenvalue of the grid in one preallocated run: the counted 0s and 1s first, then each stack's
+        total = len(keep) + int(sizes.sum())
+        values, owners, mults = np.empty(total), np.empty(total, dtype=np.intp), np.empty(total, dtype=object)
+        values[: len(keep)], owners[: len(keep)], mults[: len(keep)] = keep // len(points), keep % len(points), counted[keep]
+        pos = len(keep)
         for size, flat in size_groups(sizes.ravel()):
             pts, ms = np.divmod(flat, len(self.labels))
             rows = dist[pts[:, None], start[pts, ms][:, None] + np.arange(size)]
-            values.append(readout(pts, ms, rows, self.blocks(ms, rows, levels[pts])).ravel())
-            owners.append(np.repeat(pts, size))
-            modules.append(np.repeat(ms, size))
-        merged = group_spectra(
-            clamp_unit_interval(np.concatenate(values)),
-            self.degeneracies[np.concatenate(modules)],
-            np.concatenate(owners),
-            len(points),
-        )
-        return [CorrelationSpectrum(entries) for entries in merged]
+            run = slice(pos, pos + len(flat) * size)
+            values[run] = readout(pts, ms, rows, self.blocks(ms, rows, levels[pts])).ravel()
+            owners[run] = np.repeat(pts, size)
+            mults[run] = np.repeat(self.degeneracies[ms], size)
+            pos = run.stop
+        merged = group_spectra(clamp_unit_interval(values), mults, owners, len(points))
+        return (CorrelationSpectrum(entries) for entries in merged)
+
+    def _exact_blocks(self, sizes: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Split the (point, module) blocks of ``sizes`` rows into exact 0/1 projections and the rest.
+
+        A block is exact when none or all of the module's admissible levels
+        are occupied, or when the subsystem holds the whole chain.  Returns
+        the sizes with the exact blocks zeroed, and the exact modes weighted
+        by module multiplicity: entry p counts point p's 0s, entry P + p its 1s.
+        """
+        width = self.spec.k + 1
+        # occupied admissible levels of each (point, module), from each point's running level count
+        below = np.zeros((len(levels), width + 2), dtype=np.intp)
+        np.put_along_axis(below, levels + 1, 1, axis=1)
+        below = np.cumsum(below[:, : width + 1], axis=1)
+        count = below[:, self.level_hi + 1] - below[:, self.level_lo]
+        whole = sizes == self.dim
+        full = count == self.dim
+        ones = np.where(full, sizes, np.where(whole, count, 0))
+        exact = full | whole | (count == 0)
+        counted = np.concatenate([np.where(exact, sizes, 0) - ones, ones]).astype(object) @ self.degeneracies
+        return np.where(exact, 0, sizes), counted
 
 
 def _window(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -329,14 +363,14 @@ def single_neighborhood_eigenvalue(
     return float(min(total, 1.0))
 
 
-def assemble_spectra(spec: GraphSpec, configs) -> list[CorrelationSpectrum]:
-    """Correlation spectra of many (filling, subsystem) points of one graph.
+def assemble_spectra(spec: GraphSpec, configs) -> Iterator[CorrelationSpectrum]:
+    """Correlation spectra of many (filling, subsystem) points of one graph, in order.
 
     Every module's block at every point is cut from the graph's
-    :class:`ModuleTable`; blocks of equal size are stacked across the points
-    and diagonalized by one ``eigvalsh`` call, and each eigenvalue enters its
-    point's spectrum with its module multiplicity.  Each point's total
-    multiplicity equals its subsystem size.
+    :class:`ModuleTable`; the blocks that are not exact 0/1 projections are
+    stacked by size across the points and diagonalized by one ``eigvalsh``
+    call, and each eigenvalue enters its point's spectrum with its module
+    multiplicity.  Each point's total multiplicity equals its subsystem size.
     """
     table = module_table(spec)
     points = [
@@ -348,7 +382,7 @@ def assemble_spectra(spec: GraphSpec, configs) -> list[CorrelationSpectrum]:
 
 def assemble_spectrum(spec: GraphSpec, filling: FillingSpec, sub: SubsystemSpec) -> CorrelationSpectrum:
     """One point's :func:`assemble_spectra`."""
-    return assemble_spectra(spec, [(filling, sub)])[0]
+    return next(assemble_spectra(spec, [(filling, sub)]))
 
 
 @dataclass(frozen=True)

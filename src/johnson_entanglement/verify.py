@@ -144,11 +144,17 @@ def check_module_completeness(sizes) -> CheckResult:
 
 
 def check_level_degeneracies(sizes, cap) -> CheckResult:
+    """trace(E_j) against the total multiplicity of the modules coupling to j, which must equal the closed form."""
     worst = 0.0
     for n, k in sizes:
         spec = GraphSpec(n, k)
         for j_x2, trace in spectral.eigenprojector_traces(spec, cap).items():
-            worst = max(worst, abs(trace - terwilliger.level_degeneracy(j_x2, spec)))
+            count = sum(
+                m.degeneracy
+                for m in terwilliger.enumerate_modules(spec)
+                if abs(m.j1_x2 - m.j2_x2) <= j_x2 <= m.j1_x2 + m.j2_x2
+            )
+            worst = max(worst, abs(trace - count), abs(count - terwilliger.level_degeneracy(j_x2, spec)))
     return CheckResult("level_degeneracies", worst < 1e-6, worst, "trace(E_j) equals the module count")
 
 

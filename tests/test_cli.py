@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from johnson_entanglement.cli import main
+from johnson_entanglement.cli import _build_parser, main
 from johnson_entanglement.heun import HeunSpec, plan
 from johnson_entanglement.scheme import GraphSpec, default_base_vertex
 from johnson_entanglement.spectral import FillingSpec, SubsystemSpec, level_labels_x2
@@ -348,6 +348,43 @@ def test_determinism_repeated_runs(tmp_path):
         assert run(base + ["--output", str(a)]) == 0
         assert run(base + ["--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+def test_whole_grid_sweep_memory_stays_flat(tmp_path):
+    # fig3b at n = 30 solves its 240 points in one pass; the merge streams one
+    # point at a time, so a warm sweep stays far below holding every spectrum
+    out = tmp_path / "fig3b.csv"
+    assert run(["sweep", "--figure", "fig3b", "--output", str(out)]) == 0
+    tracemalloc.start()
+    try:
+        assert run(["sweep", "--figure", "fig3b", "--output", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
+def test_cached_parser_keeps_no_parsed_state(capsys):
+    # the parser is built once per process: a flag or option of one call
+    # must not reach the next, so each output equals that of a fresh parser
+    sequence = [
+        ["entropy", "--n", "8", "--k", "4", "--cutoff", "1", "--bits"],
+        ["entropy", "--n", "8", "--k", "4", "--cutoff", "1"],
+        ["sweep", "--figure", "fig3a", "--n", "8", "--fill-levels", "2"],
+        ["sweep", "--figure", "fig3a", "--n", "8"],
+    ]
+    cached = []
+    for argv in sequence:
+        assert run(argv) == 0
+        cached.append(capsys.readouterr().out)
+    assert _build_parser() is _build_parser()
+    fresh = []
+    for argv in sequence:
+        _build_parser.cache_clear()
+        assert run(argv) == 0
+        fresh.append(capsys.readouterr().out)
+    assert cached == fresh
+    assert cached[0] != cached[1] and cached[2] != cached[3]
 
 
 def test_verify_control_skipped_without_blocks_over_1x1(capsys):

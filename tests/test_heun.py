@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from johnson_entanglement.heun import (
+    _chain_arrays,
     build_T,
     build_T_level_basis,
     commutant_residual,
@@ -89,6 +90,26 @@ def test_A_coefficients_vanish_at_chain_ends():
             m2_top = (n - 2 * k) - m1_top
             top_out = ((j1 - m1_top) // 2) * ((j2 + m2_top) // 2)
             assert top_out == 0
+
+
+def _scalar_chain_arrays(spec):
+    labels = enumerate_modules(spec)
+    a = np.zeros((len(labels), spec.k + 1))
+    b = np.zeros_like(a)
+    for m, label in enumerate(labels):
+        for i in label.distances:
+            a[m, i], b[m, i] = tridiagonal_A_coefficients(label, label.m1_x2(i, spec), spec)
+    return a, b
+
+
+@pytest.mark.parametrize("n", [*range(2, 31), 400])
+def test_chain_arrays_equal_the_scalar_coefficients(n):
+    for k in range(1, n // 2 + 1) if n <= 30 else [n // 2]:
+        spec = GraphSpec(n, k)
+        a, b, theta = _chain_arrays.__wrapped__(spec)  # uncached: keeps no J(400,200) arrays alive
+        want_a, want_b = _scalar_chain_arrays(spec)
+        assert np.array_equal(a, want_a) and np.array_equal(b, want_b), (n, k)
+        assert not (a.flags.writeable or b.flags.writeable or theta.flags.writeable)
 
 
 def test_A_action_trace_identity():

@@ -20,13 +20,16 @@ from johnson_entanglement.spectral import (
     level_labels_x2,
 )
 from johnson_entanglement.terwilliger import (
+    ModuleTable,
     assemble_spectra,
     assemble_spectrum,
     enumerate_modules,
+    module_admissible_levels,
     module_correlation_block,
 )
 from johnson_entanglement.verify import DEFAULT_SIZES, graph_sizes, spectra_max_diff
 
+from block_reference import solve_every_block
 from merge_reference import group_spectrum_reference
 
 
@@ -62,22 +65,49 @@ def test_stacked_routes_match_per_module_reference(n, k):
 @pytest.mark.parametrize("n", range(2, 15))
 def test_batches_equal_one_point_calls_on_the_figure_grids(n):
     # every (fill, cut) of the fig3a/fig3b ball grids, closed-form T-readout
-    # points included, and every (shell, fill) of the fig2b grid, one grid
-    # row per batch as the sweeps hand them over
+    # points included, and every (shell, fill) of the fig2b grid, each whole
+    # grid in one batch as the sweeps hand it over
     for _, k in graph_sizes(n, n):
         spec = GraphSpec(n, k)
         x0 = default_base_vertex(spec)
         fills = range(1, k + 2)
-        for fill in fills:
-            row = [(_bottom(spec, fill), _ball(spec, n_cut)) for n_cut in range(k)]
-            batch = _heun_spectra(spec, row)
-            assert [s.entries for s in batch] == [_heun_spectra(spec, [pt])[0].entries for pt in row]
-            batch = assemble_spectra(spec, row)
-            assert [s.entries for s in batch] == [assemble_spectrum(spec, *pt).entries for pt in row]
-        for i in range(k + 1):
-            row = [(_bottom(spec, fill), SubsystemSpec(frozenset({i}), x0)) for fill in fills]
-            batch = assemble_spectra(spec, row)
-            assert [s.entries for s in batch] == [assemble_spectrum(spec, *pt).entries for pt in row]
+        grid = [(_bottom(spec, fill), _ball(spec, n_cut)) for fill in fills for n_cut in range(k)]
+        batch = _heun_spectra(spec, grid)
+        assert [s.entries for s in batch] == [next(_heun_spectra(spec, [pt])).entries for pt in grid]
+        batch = assemble_spectra(spec, grid)
+        assert [s.entries for s in batch] == [assemble_spectrum(spec, *pt).entries for pt in grid]
+        grid = [(_bottom(spec, fill), SubsystemSpec(frozenset({i}), x0)) for i in range(k + 1) for fill in fills]
+        batch = assemble_spectra(spec, grid)
+        assert [s.entries for s in batch] == [assemble_spectrum(spec, *pt).entries for pt in grid]
+
+
+def _scattered_fillings(spec):
+    labels = level_labels_x2(spec)
+    return [FillingSpec(frozenset(labels[::2])), FillingSpec(frozenset(labels[1::3] + labels[-1:]))]
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_counted_exact_blocks_match_solving_every_block(n, monkeypatch):
+    # both routes, bit for bit, against the pass that solves every block:
+    # every lowest-M filling and two scattered ones, every ball and every
+    # single shell (the T readout takes the balls under a lowest filling)
+    for _, k in graph_sizes(n, n):
+        spec = GraphSpec(n, k)
+        x0 = default_base_vertex(spec)
+        fillings = [_bottom(spec, fill) for fill in range(k + 2)] + _scattered_fillings(spec)
+        subs = [_ball(spec, n_cut) for n_cut in range(k + 1)]
+        subs += [SubsystemSpec(frozenset({i}), x0) for i in range(1, k + 1)]
+        configs = [(filling, sub) for filling in fillings for sub in subs]
+        labels = level_labels_x2(spec)
+        hss = [heun_spec(spec, n_cut, labels[fill - 1]) for fill in range(1, k + 1) for n_cut in range(k)]
+        counted = [s.entries for s in assemble_spectra(spec, configs)]
+        counted_heun = [s.entries for s in spectra_via_heun(spec, hss)]
+        with monkeypatch.context() as patch:
+            patch.setattr(ModuleTable, "spectra", solve_every_block)
+            solved = [s.entries for s in assemble_spectra(spec, configs)]
+            solved_heun = [s.entries for s in spectra_via_heun(spec, hss)]
+        assert counted == solved and repr(counted) == repr(solved), (n, k)
+        assert counted_heun == solved_heun and repr(counted_heun) == repr(solved_heun), (n, k)
 
 
 def test_multiplicities_beyond_int64_stay_exact():
@@ -116,50 +146,74 @@ def test_spectra_max_diff_walks_interleaved_runs():
     assert spectra_max_diff(CorrelationSpectrum(()), CorrelationSpectrum(())) == 0.0
 
 
-def test_forced_clusters_reach_the_projection_fallback(monkeypatch):
-    # with an infinite tolerance every block of two or more rows is one T
-    # cluster, so each must go through the per-block projection readout
+def _block_sizes(spec, hss, keep):
+    """Sizes over one row of the ball blocks of every point, for the modules ``keep(label, hs)`` selects."""
+    sizes = [
+        min(m.i_max, hs.n_cut) - m.i_min + 1 for hs in hss for m in enumerate_modules(spec) if keep(m, hs)
+    ]
+    return sorted(s for s in sizes if s > 1)
+
+
+def _crossing_block_sizes(spec, hss):
+    """Ball blocks that cross both cuts: some but not all admissible levels filled, part of the chain inside.
+
+    Every other block is an exact 0/1 projection, counted without a solve.
+    """
+
+    def crossing(m, hs):
+        levels = module_admissible_levels(m, spec)
+        return levels[0] <= hs.j0_x2 < levels[-1] and m.i_min <= hs.n_cut < m.i_max
+
+    return _block_sizes(spec, hss, crossing)
+
+
+def _forced_cluster_readouts(monkeypatch, spec, hss):
+    """Spectra with every block of two or more rows forced into one T cluster.
+
+    Also the blocks the per-block projection readout saw, as (size, distance
+    of the correlation block from a projector).
+    """
     import johnson_entanglement.heun as heun_module
 
-    spec = GraphSpec(8, 4)
-    hs = heun_spec(spec, 2, level_labels_x2(spec)[1])
-    expected = spectrum_via_heun(spec, hs)
     seen = []
     original = heun_module._cluster_readout
 
     def spy(w, q, c_block):
-        seen.append(len(w))
+        seen.append((len(w), float(np.max(np.abs(c_block @ c_block - c_block)))))
         return original(w, q, c_block)
 
     monkeypatch.setattr(heun_module, "_cluster_readout", spy)
     monkeypatch.setattr(heun_module, "CLUSTER_REL_TOL", float("inf"))
-    forced = heun_module.spectrum_via_heun(spec, hs)
-    sizes = [min(m.i_max, hs.n_cut) - m.i_min + 1 for m in enumerate_modules(spec)]
-    assert sorted(seen) == sorted(s for s in sizes if s > 1)
+    return list(spectra_via_heun(spec, hss)), seen
+
+
+def test_forced_clusters_reach_the_projection_fallback(monkeypatch):
+    # with an infinite tolerance every solved block of two or more rows is one
+    # T cluster, so each must go through the per-block projection readout;
+    # the exact 0/1 blocks are counted and never reach it
+    spec = GraphSpec(8, 4)
+    hs = heun_spec(spec, 2, level_labels_x2(spec)[1])
+    expected = spectrum_via_heun(spec, hs)
+    (forced,), seen = _forced_cluster_readouts(monkeypatch, spec, [hs])
+    assert sorted(size for size, _ in seen) == _crossing_block_sizes(spec, [hs])
+    assert min(gap for _, gap in seen) > 1e-6
     assert spectra_max_diff(expected, forced) <= 1e-8
 
 
 def test_forced_clusters_reach_the_projection_fallback_in_a_batch(monkeypatch):
-    # the same forcing through one many-point batch: every point's blocks go
-    # through the per-block readout, and each result lands in its own point
-    import johnson_entanglement.heun as heun_module
-
+    # the same forcing through one many-point batch: every point's solved
+    # blocks, and no exact 0/1 block, go through the per-block readout, and
+    # each result lands in its own point
     spec = GraphSpec(8, 4)
     labels = level_labels_x2(spec)
     hss = [heun_spec(spec, n_cut, labels[j0]) for n_cut, j0 in ((2, 1), (1, 0), (3, 2), (2, 2))]
     expected = [spectrum_via_heun(spec, hs) for hs in hss]
     assert min(spectra_max_diff(a, b) for a, b in itertools.combinations(expected, 2)) > 1e-3
-    seen = []
-    original = heun_module._cluster_readout
-
-    def spy(w, q, c_block):
-        seen.append(len(w))
-        return original(w, q, c_block)
-
-    monkeypatch.setattr(heun_module, "_cluster_readout", spy)
-    monkeypatch.setattr(heun_module, "CLUSTER_REL_TOL", float("inf"))
-    forced = spectra_via_heun(spec, hss)
-    sizes = [min(m.i_max, hs.n_cut) - m.i_min + 1 for hs in hss for m in enumerate_modules(spec)]
-    assert sorted(seen) == sorted(s for s in sizes if s > 1)
+    forced, seen = _forced_cluster_readouts(monkeypatch, spec, hss)
+    crossing = _crossing_block_sizes(spec, hss)
+    assert sorted(size for size, _ in seen) == crossing
+    assert crossing != _block_sizes(spec, hss, lambda *_: True)
+    # a block with an eigenvalue strictly inside (0, 1) is no projector
+    assert min(gap for _, gap in seen) > 1e-6
     for want, got in zip(expected, forced, strict=True):
         assert spectra_max_diff(want, got) <= 1e-8

@@ -587,7 +587,7 @@ def test_batched_merge_keeps_each_point_apart(points):
     values = [v for pairs in points for v, _ in pairs]
     mults = [m for pairs in points for _, m in pairs]
     owners = [p for p, pairs in enumerate(points) for _ in pairs]
-    got = group_spectra(values, mults, owners, len(points) + 1)
+    got = list(group_spectra(values, mults, owners, len(points) + 1))
     assert got == [group_spectrum_reference(pairs) for pairs in points] + [()]
 
 

@@ -113,13 +113,27 @@ def test_level_degeneracy_top_is_one():
 
 
 def test_level_degeneracy_classical_formula():
-    # D_j = C(n, u) - C(n, u-1) with u = (n - j_x2) / 2
-    for n, k in [(8, 4), (9, 3), (11, 5)]:
-        spec = GraphSpec(n, k)
-        for j_x2 in level_labels_x2(spec):
-            u = (n - j_x2) // 2
-            expected = math.comb(n, u) - (math.comb(n, u - 1) if u else 0)
-            assert level_degeneracy(j_x2, spec) == expected
+    # D_j = C(n, u) - C(n, u-1) with u = (n - j_x2) / 2, which must equal the
+    # total multiplicity of the modules whose chain couples to j
+    for n in range(2, 41):
+        for k in range(1, n // 2 + 1):
+            spec = GraphSpec(n, k)
+            for j_x2 in level_labels_x2(spec):
+                u = (n - j_x2) // 2
+                expected = math.comb(n, u) - (math.comb(n, u - 1) if u else 0)
+                coupled = [m for m in enumerate_modules(spec) if abs(m.j1_x2 - m.j2_x2) <= j_x2 <= m.j1_x2 + m.j2_x2]
+                assert level_degeneracy(j_x2, spec) == expected == sum(m.degeneracy for m in coupled), (n, k, j_x2)
+
+
+def test_chain_length_equals_the_admissible_level_count():
+    # the coupling matrix of every module is square, which the exact 0/1 block count relies on
+    modules = 0
+    for n in range(2, 61):
+        for k in range(1, n // 2 + 1):
+            for m in enumerate_modules(GraphSpec(n, k)):
+                assert m.dim == len(module_admissible_levels(m, GraphSpec(n, k))), (n, k, m)
+                modules += 1
+    assert modules == 57_755
 
 
 def test_level_degeneracy_sums_to_vertex_count():
