@@ -1,5 +1,7 @@
 """Command-line front end: energy tables, entropy runs, figure sweeps and the
-verification battery.
+verification battery.  Every spectrum comes through the one route dispatch,
+:func:`.heun.spectra`; the fig2a-fig3b sweeps are (graph, route, points)
+batches that one ``_grid_sweep`` solves and reads off the entropy reports.
 
 Exit codes: 0 success, 1 verification or cross-route agreement failure,
 2 invalid configuration, 3 dense-capacity overflow.  Output is deterministic:
@@ -10,6 +12,7 @@ half-integer labels appear in ``*_x2`` columns next to a decimal column.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import sys
@@ -26,7 +29,6 @@ from .spectral import FillingSpec, HoppingProfile, SubsystemSpec
 __all__ = ["ConfigError", "main"]
 
 ROUTE_AGREEMENT_TOL = 1e-6
-LN2 = math.log(2.0)
 
 
 # ---------------------------------------------------------------- parsing
@@ -115,15 +117,25 @@ def _filling(args, spec: GraphSpec, table) -> FillingSpec:
         occ = _parse_int_set(args.occupied, valid, f"occupied doubled labels must lie in {labels}")
         return FillingSpec(frozenset(occ))
     if args.fill_levels is not None:
-        if not 0 <= args.fill_levels <= spec.k + 1:
-            raise ConfigError(f"fill level count {args.fill_levels} outside 0..{spec.k + 1}")
-        return FillingSpec(frozenset(labels[: args.fill_levels]))
+        return _lowest_levels(spec, args.fill_levels)
     if args.fill_fraction is not None:
         if not 0.0 <= args.fill_fraction <= 1.0:
             raise ConfigError("fill fraction must lie in [0, 1]")
         m = min(spec.k + 1, max(0, round(args.fill_fraction * (spec.k + 1))))
         return FillingSpec(frozenset(labels[:m]))
     return spectral.fill_ground_state(table, include_zero_modes=args.include_zero_modes)
+
+
+def _lowest_levels(spec: GraphSpec, fill: int) -> FillingSpec:
+    """The ``fill`` lowest levels counted by j label; a count outside 0..k+1 is a configuration error."""
+    if not 0 <= fill <= spec.k + 1:
+        raise ConfigError(f"fill level count {fill} outside 0..{spec.k + 1}")
+    return FillingSpec(frozenset(spectral.level_labels_x2(spec)[:fill]))
+
+
+def _default_fill(args, spec: GraphSpec) -> int:
+    """A sweep's ``--fill-levels``, else one tenth of the k + 1 levels, at least 1."""
+    return args.fill_levels if args.fill_levels is not None else max(1, math.ceil((spec.k + 1) / 10))
 
 
 def _subsystem(args, spec: GraphSpec) -> SubsystemSpec:
@@ -187,47 +199,15 @@ def _write_text(text: str, path: str | None) -> None:
         raise ConfigError(f"cannot write {path!r}: {exc.strerror}") from None
 
 
-# ---------------------------------------------------------------- routes
-
-def _route_spectrum(route, spec, filling, sub, cap):
-    if route == "oracle":
-        c = spectral.chopped_correlation_oracle(spec, filling, sub, cap)
-        return spectral.spectrum_oracle(c)
-    if route == "modules":
-        return terwilliger.assemble_spectrum(spec, filling, sub)
-    if route == "heun":
-        return next(_heun_spectra(spec, [(filling, sub)]))
-    raise ConfigError(f"unknown route {route!r}")
-
-
-def _heun_spectra(spec, configs):
-    """T-readout spectra of (filling, subsystem) points of one graph, in order; the cut pairs form one batch."""
-    planned = [heun_mod.plan(spec, filling, sub) for filling, sub in configs]
-    for plan in planned:
-        if isinstance(plan, str):
-            raise ConfigError(plan)
-    solved = heun_mod.spectra_via_heun(spec, [p for p in planned if isinstance(p, heun_mod.HeunSpec)])
-    return (next(solved) if isinstance(p, heun_mod.HeunSpec) else p for p in planned)
-
-
 # ---------------------------------------------------------------- commands
 
 def cmd_energies(args) -> int:
     spec = _graph_spec(args)
     table = _energy_table(args, spec)
-    filling = _filling(args, spec, table)
+    filled = _filling(args, spec, table).occupied
     rows = [
-        {
-            "n": spec.n,
-            "k": spec.k,
-            "j_x2": row.j_x2,
-            "j": _fmt(row.j_x2 / 2.0),
-            "theta": row.theta,
-            "omega": row.omega,
-            "degeneracy": row.degeneracy,
-            "occupied": int(row.j_x2 in filling.occupied),
-        }
-        for row in table.rows
+        {"n": spec.n, "k": spec.k, **asdict(level), "j": _fmt(level.j_x2 / 2.0), "occupied": int(level.j_x2 in filled)}
+        for level in table.rows
     ]
     fields = ["n", "k", "j_x2", "j", "theta", "omega", "degeneracy", "occupied"]
     _emit(fields, rows, args.format, args.output)
@@ -239,34 +219,18 @@ def cmd_entropy(args) -> int:
     table = _energy_table(args, spec)
     filling = _filling(args, spec, table)
     sub = _subsystem(args, spec)
-    routes = ["oracle", "modules", "heun"] if args.route == "all" else [args.route]
-    spectra = {r: _route_spectrum(r, spec, filling, sub, args.dense_cap) for r in routes}
+    routes = list(heun_mod.ROUTES) if args.route == "all" else [args.route]
+    spectra = {r: next(heun_mod.spectra(spec, [(filling, sub)], r, args.dense_cap)) for r in routes}
 
-    discrepancy = 0.0
-    if len(routes) > 1:
-        for i, r1 in enumerate(routes):
-            for r2 in routes[i + 1 :]:
-                discrepancy = max(discrepancy, verify.spectra_max_diff(spectra[r1], spectra[r2]))
+    pairs = itertools.combinations(routes, 2)
+    discrepancy = max((verify.spectra_max_diff(spectra[a], spectra[b]) for a, b in pairs), default=0.0)
 
     unit = "bits" if args.bits else "nats"
-    scale = 1.0 / LN2 if args.bits else 1.0
-    rows = []
-    for r in routes:
-        rep = entropy_mod.report(spec, sub, spectra[r])
-        rows.append(
-            {
-                "n": spec.n,
-                "k": spec.k,
-                "route": r,
-                "unit": unit,
-                "entropy": rep.entropy_nats * scale,
-                "subsystem_size": rep.subsystem_size,
-                "boundary_size": rep.boundary_size,
-                "ratio_subsystem": rep.ratio_subsystem * scale,
-                "ratio_boundary": rep.ratio_boundary * scale,
-                "route_discrepancy": discrepancy,
-            }
-        )
+    scale = 1.0 / entropy_mod.LN2 if args.bits else 1.0
+    rows = [
+        {**_report_row(spec, sub, spectra[r], scale), "route": r, "unit": unit, "route_discrepancy": discrepancy}
+        for r in routes
+    ]
     fields = [
         "n", "k", "route", "unit", "entropy", "subsystem_size",
         "boundary_size", "ratio_subsystem", "ratio_boundary", "route_discrepancy",
@@ -275,11 +239,7 @@ def cmd_entropy(args) -> int:
     if args.diagnostics:
         print(_diagnostics_line(spec, filling, sub), file=sys.stderr)
     if args.spectrum_output:
-        srows = [
-            {"route": r, "lambda": lam, "multiplicity": mult}
-            for r in routes
-            for lam, mult in spectra[r].entries
-        ]
+        srows = [{"route": r, "lambda": lam, "multiplicity": mult} for r in routes for lam, mult in spectra[r].entries]
         _emit(["route", "lambda", "multiplicity"], srows, args.format, args.spectrum_output)
     if discrepancy > ROUTE_AGREEMENT_TOL:
         print(f"route disagreement {discrepancy:g} over {ROUTE_AGREEMENT_TOL:g}", file=sys.stderr)
@@ -295,124 +255,76 @@ def _diagnostics_line(spec, filling, sub) -> str:
     return "heun weights undefined for this configuration" + reason
 
 
+def _report_row(spec: GraphSpec, sub: SubsystemSpec, spectrum, scale: float = 1.0) -> dict:
+    """The graph and every figure of :func:`.entropy.report` by column name, entropies times ``scale``.
+
+    ``entropy_per_site`` is another name for ``ratio_subsystem``.
+    """
+    rep = entropy_mod.report(spec, sub, spectrum)
+    row = {f: v * scale if isinstance(v, float) else v for f, v in asdict(rep).items()}
+    row["entropy"] = row.pop("entropy_nats")
+    return {"n": spec.n, "k": spec.k, **row, "entropy_per_site": row["ratio_subsystem"]}
+
+
 # ---------------------------------------------------------------- sweeps
 
-def _tenth_filling(k: int) -> int:
-    """Lowest levels counted by j label: one tenth of the k + 1 levels, at least 1."""
-    return max(1, math.ceil((k + 1) / 10))
+def _grid_sweep(fields, grid, args) -> tuple[list[str], list[dict]]:
+    """Rows of the (graph, route, points) batches of ``grid(args)``; each batch is solved in one call.
 
-
-def _shell_entropies(spec, configs) -> list[float]:
-    """Entropies of (filling, shell i) points of one graph, solved as one batch."""
-    x0 = default_base_vertex(spec)
-    shells = {i: SubsystemSpec(frozenset({i}), x0) for _, i in configs}
-    spectra = terwilliger.assemble_spectra(spec, [(filling, shells[i]) for filling, i in configs])
-    return [entropy_mod.von_neumann(s) for s in spectra]
-
-
-def sweep_fig2a(args):
-    """Single-shell entropies at shells near k/2, k/4, k/8 versus n (k = n/2)."""
+    A point (fill, distances, echo) is the lowest ``fill`` levels and the
+    distances from the default base vertex; its row echoes ``echo`` and the
+    fill.  A point echoing a ``cut_size`` also gets the entropy's ratio to it.
+    """
     rows = []
+    for spec, route, points in grid(args):
+        x0 = default_base_vertex(spec)
+        fillings = {fill: _lowest_levels(spec, fill) for fill, _, _ in points}
+        subs = {d: SubsystemSpec(frozenset(d), x0) for _, d, _ in points}
+        spectra = heun_mod.spectra(spec, [(fillings[fill], subs[d]) for fill, d, _ in points], route)
+        for (fill, d, echo), spectrum in zip(points, spectra):
+            row = {**_report_row(spec, subs[d], spectrum), **echo, "fill_levels": fill}
+            if "cut_size" in echo:
+                row["ratio_cut"] = row["entropy"] / echo["cut_size"]
+            rows.append({f: row[f] for f in fields})
+    return fields, rows
+
+
+def _fig2a(args):
+    """Single-shell entropies at shells near k/2, k/4, k/8 versus n (k = n/2)."""
     for n in range(8, 31, 2):
         spec = GraphSpec(n, n // 2)
-        k = spec.k
-        fill = args.fill_levels if args.fill_levels is not None else _tenth_filling(k)
-        filling = FillingSpec(frozenset(spectral.level_labels_x2(spec)[:fill]))
-        shells = (("k/2", k // 2), ("k/4", k // 4), ("k/8", k // 8))
-        entropies = _shell_entropies(spec, [(filling, i) for _, i in shells])
-        for (shell_label, i), s in zip(shells, entropies):
-            rows.append(
-                {
-                    "n": n,
-                    "k": k,
-                    "shell": shell_label,
-                    "i": i,
-                    "fill_levels": fill,
-                    "subsystem_size": neighborhood_size(spec, i),
-                    "entropy": s,
-                }
-            )
-    return ["n", "k", "shell", "i", "fill_levels", "subsystem_size", "entropy"], rows
+        fill = _default_fill(args, spec)
+        shells = {f"k/{d}": spec.k // d for d in (2, 4, 8)}
+        yield spec, "modules", [(fill, range(i, i + 1), {"shell": name, "i": i}) for name, i in shells.items()]
 
 
-def sweep_fig2b(args):
-    """Entropy per site of every single shell, for every bottom-run filling, solved as one batch."""
+def _fig2b(args):
+    """Entropy per site of every single shell, for every bottom-run filling."""
     spec = _graph_spec(args)
-    labels = spectral.level_labels_x2(spec)
-    fillings = {fill: FillingSpec(frozenset(labels[:fill])) for fill in range(1, spec.k + 2)}
-    grid = [(i, fill) for i in range(spec.k + 1) for fill in fillings]
-    entropies = _shell_entropies(spec, [(fillings[fill], i) for i, fill in grid])
-    rows = []
-    for (i, fill), s in zip(grid, entropies):
-        size = neighborhood_size(spec, i)
-        rows.append(
-            {
-                "n": spec.n,
-                "k": spec.k,
-                "i": i,
-                "fill_levels": fill,
-                "subsystem_size": size,
-                "entropy": s,
-                "entropy_per_site": s / size,
-            }
-        )
-    return ["n", "k", "i", "fill_levels", "subsystem_size", "entropy", "entropy_per_site"], rows
+    fills = range(1, spec.k + 2)
+    yield spec, "modules", [(fill, range(i, i + 1), {"i": i}) for i in range(spec.k + 1) for fill in fills]
 
 
-FIG3_FIELDS = [
-    "n", "k", "cutoff", "fill_levels", "subsystem_size",
-    "boundary_size", "cut_size", "entropy", "ratio_boundary", "ratio_cut",
-]
+def _ball(spec: GraphSpec, fill: int, n_cut: int) -> tuple:
+    """The ball 0..N under ``fill`` levels, echoing its cut: its outermost shell and the complement's first.
 
-
-def _fig3_rows(spec: GraphSpec, grid) -> list[dict]:
-    """Ball-sweep points, one per (fill, cut) of ``grid``, with both area-law normalizations.
-
-    ``boundary_size`` is the subsystem's outermost shell; ``cut_size`` adds
-    the first shell of the complement, i.e. the full bipartition cut.  The
-    ratio against the cut is the one peaking when subsystem and complement
-    are both large.  The points are solved as one batch.
+    The entropy's ratio to the whole cut peaks when subsystem and complement are both large.
     """
-    labels = spectral.level_labels_x2(spec)
-    x0 = default_base_vertex(spec)
-    fillings = {fill: FillingSpec(frozenset(labels[:fill])) for fill, _ in grid}
-    balls = {n_cut: SubsystemSpec(frozenset(range(n_cut + 1)), x0) for _, n_cut in grid}
-    configs = [(fillings[fill], balls[n_cut]) for fill, n_cut in grid]
-    rows = []
-    for (fill, n_cut), (_, sub), spectrum in zip(grid, configs, _heun_spectra(spec, configs)):
-        rep = entropy_mod.report(spec, sub, spectrum)
-        cut = rep.boundary_size + neighborhood_size(spec, n_cut + 1)
-        rows.append(
-            {
-                "n": spec.n,
-                "k": spec.k,
-                "cutoff": n_cut,
-                "fill_levels": fill,
-                "subsystem_size": rep.subsystem_size,
-                "boundary_size": rep.boundary_size,
-                "cut_size": cut,
-                "entropy": rep.entropy_nats,
-                "ratio_boundary": rep.ratio_boundary,
-                "ratio_cut": rep.entropy_nats / cut,
-            }
-        )
-    return rows
+    cut = neighborhood_size(spec, n_cut) + neighborhood_size(spec, n_cut + 1)
+    return fill, range(n_cut + 1), {"cutoff": n_cut, "cut_size": cut}
 
 
-def sweep_fig3a(args):
+def _fig3a(args):
     """Cut-boundary ratio over graph diameter k and ball radius N."""
-    rows = []
     for k in range(1, args.n // 2 + 1):
         spec = GraphSpec(args.n, k)
-        fill = args.fill_levels if args.fill_levels is not None else _tenth_filling(k)
-        rows.extend(_fig3_rows(spec, [(fill, n_cut) for n_cut in range(k)]))
-    return FIG3_FIELDS, rows
+        yield spec, "heun", [_ball(spec, _default_fill(args, spec), n_cut) for n_cut in range(k)]
 
 
-def sweep_fig3b(args):
+def _fig3b(args):
     """Cut-boundary ratio over filling depth and ball radius at fixed (n, k)."""
     spec = _graph_spec(args)
-    return FIG3_FIELDS, _fig3_rows(spec, [(fill, n_cut) for fill in range(1, spec.k + 2) for n_cut in range(spec.k)])
+    yield spec, "heun", [_ball(spec, fill, n_cut) for fill in range(1, spec.k + 2) for n_cut in range(spec.k)]
 
 
 def sweep_fig4(args):
@@ -423,20 +335,15 @@ def sweep_fig4(args):
     so entropies here are not weighted by module degeneracy.
     """
     spec = _graph_spec(args)
-    labels = spectral.level_labels_x2(spec)
-    fill = args.fill_levels if args.fill_levels is not None else _tenth_filling(spec.k)
-    filling = FillingSpec(frozenset(labels[:fill]))
-    x0 = default_base_vertex(spec)
+    fill = _default_fill(args, spec)
+    filling = _lowest_levels(spec, fill)
     wanted = {(spec.k - 2, spec.k), (spec.k, spec.k)}
     rows = []
     for label in terwilliger.enumerate_modules(spec):
         if (label.j1_x2, label.j2_x2) not in wanted:
             continue
         for prefix in range(1, label.dim):
-            prefix_set = frozenset(range(label.i_min, label.i_min + prefix))
-            block = terwilliger.module_correlation_block(
-                label, filling, SubsystemSpec(prefix_set, x0), spec
-            ).matrix
+            last = label.i_min + prefix - 1
             rows.append(
                 {
                     "n": spec.n,
@@ -446,15 +353,8 @@ def sweep_fig4(args):
                     "chain_length": label.dim,
                     "prefix_length": prefix,
                     "fill_levels": fill,
-                    "entropy_prefix": _chain_entropy(block),
-                    "entropy_boundary_site": _chain_entropy(
-                        terwilliger.module_correlation_block(
-                            label,
-                            filling,
-                            SubsystemSpec(frozenset({label.i_min + prefix - 1}), x0),
-                            spec,
-                        ).matrix
-                    ),
+                    "entropy_prefix": _chain_entropy(spec, label, filling, range(label.i_min, last + 1)),
+                    "entropy_boundary_site": _chain_entropy(spec, label, filling, {last}),
                 }
             )
     return [
@@ -463,23 +363,32 @@ def sweep_fig4(args):
     ], rows
 
 
-def _chain_entropy(block) -> float:
+def _chain_entropy(spec, label, filling, distances) -> float:
+    sub = SubsystemSpec(frozenset(distances), default_base_vertex(spec))
+    block = terwilliger.module_correlation_block(label, filling, sub, spec).matrix
     lams = spectral.clamp_unit_interval(np.linalg.eigvalsh(block))
     return float(sum(entropy_mod.binary_entropy(float(lam)) for lam in lams))
 
 
+FIG3_FIELDS = [
+    "n", "k", "cutoff", "fill_levels", "subsystem_size",
+    "boundary_size", "cut_size", "entropy", "ratio_boundary", "ratio_cut",
+]
+# figure -> function of the parsed arguments giving (field names, rows)
 SWEEPS = {
-    "fig2a": sweep_fig2a,
-    "fig2b": sweep_fig2b,
-    "fig3a": sweep_fig3a,
-    "fig3b": sweep_fig3b,
+    "fig2a": functools.partial(
+        _grid_sweep, ["n", "k", "shell", "i", "fill_levels", "subsystem_size", "entropy"], _fig2a
+    ),
+    "fig2b": functools.partial(
+        _grid_sweep, ["n", "k", "i", "fill_levels", "subsystem_size", "entropy", "entropy_per_site"], _fig2b
+    ),
+    "fig3a": functools.partial(_grid_sweep, FIG3_FIELDS, _fig3a),
+    "fig3b": functools.partial(_grid_sweep, FIG3_FIELDS, _fig3b),
     "fig4": sweep_fig4,
 }
 
 
 def cmd_sweep(args) -> int:
-    if args.figure not in SWEEPS:
-        raise ConfigError(f"unknown figure {args.figure!r}")
     fields, rows = SWEEPS[args.figure](args)
     _emit(fields, rows, args.format, args.output)
     return 0

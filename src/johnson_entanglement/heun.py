@@ -16,6 +16,11 @@ graph are solved together: their subsystem blocks of T are stacked by size
 across the points, each stack is diagonalized by one ``eigh`` call, and the
 Rayleigh quotients of a stack are read in one batched product.  Only blocks
 whose T spectrum clusters take the per-block fallback.
+
+:func:`plan` says whether a point needs T and refuses those where T does not
+exist.  :func:`spectra` is the one route dispatch for the command line, the
+figure sweeps and ``verify``: it sends a graph's (filling, subsystem) points
+to the dense oracle, :func:`.terwilliger.assemble_spectra` or here.
 """
 
 from __future__ import annotations
@@ -27,24 +32,27 @@ from functools import lru_cache
 
 import numpy as np
 
-from .scheme import GraphSpec, neighborhood_size
+from .scheme import ConfigError, GraphSpec, default_base_vertex
 from .spectral import (
     CorrelationSpectrum,
     FillingSpec,
     SubsystemSpec,
+    chopped_correlation_oracle,
     level_labels_x2,
+    spectrum_oracle,
     theta_eigenvalue,
 )
 from .terwilliger import (
     ModuleLabel,
+    assemble_spectra,
     enumerate_modules,
-    level_degeneracy,
     module_admissible_levels,
     module_correlation_block,
     module_table,
 )
 
 __all__ = [
+    "ROUTES",
     "HeunSpec",
     "TridiagonalMatrix",
     "heun_spec",
@@ -59,9 +67,12 @@ __all__ = [
     "build_T_level_basis",
     "restrict_to_subsystem",
     "commutant_residual",
+    "spectra",
     "spectra_via_heun",
     "spectrum_via_heun",
 ]
+
+ROUTES = ("oracle", "modules", "heun")
 
 # Relative gap below which neighboring T eigenvalues count as one cluster and
 # the correlation matrix is rediagonalized inside the cluster span.
@@ -106,24 +117,18 @@ def heun_spec(spec: GraphSpec, n_cut: int, j0_x2: int) -> HeunSpec:
     return HeunSpec(n_cut, j0_x2, mu, nu)
 
 
-def plan(spec: GraphSpec, filling: FillingSpec, sub: SubsystemSpec) -> HeunSpec | CorrelationSpectrum | str:
+def plan(spec: GraphSpec, filling: FillingSpec, sub: SubsystemSpec) -> HeunSpec | str | None:
     """How the T-readout route treats a configuration.
 
-    The closed-form spectrum when the subsystem is the whole graph or the
-    filling is empty or full; else the :class:`HeunSpec` of a ball 0..N with
-    the lowest levels filled up to j0; else the reason T does not exist.
+    None when the subsystem is the whole graph or the filling is empty or
+    full: every module block is then an exact 0/1 projection, counted
+    without T.  Else the :class:`HeunSpec` of a ball 0..N with the lowest
+    levels filled up to j0, or the reason T does not exist.
     """
     labels = level_labels_x2(spec)
     distances, occupied = set(sub.distances), set(filling.occupied)
-    if distances == set(range(spec.k + 1)):
-        occ = sum(level_degeneracy(j, spec) for j in occupied)
-        entries = ((0.0, spec.vertex_count - occ), (1.0, occ))
-        return CorrelationSpectrum(tuple((lam, mult) for lam, mult in entries if mult))
-    sv = sum(neighborhood_size(spec, i) for i in distances)
-    if not occupied:
-        return CorrelationSpectrum(((0.0, sv),))
-    if occupied == set(labels):
-        return CorrelationSpectrum(((1.0, sv),))
+    if distances == set(range(spec.k + 1)) or not occupied or occupied == set(labels):
+        return None
     if distances != set(range(max(distances) + 1)):
         return "the T-readout route needs contiguous distances 0..N"
     if occupied != set(labels[: len(occupied)]):
@@ -343,23 +348,25 @@ def _cluster_readout(w: np.ndarray, q: np.ndarray, c_block: np.ndarray) -> np.nd
     return np.array(lams)
 
 
-def spectra_via_heun(spec: GraphSpec, hss) -> Iterator[CorrelationSpectrum]:
-    """Correlation spectra of many cut pairs of one graph, in order, with eigenvectors supplied by T.
+def spectra_via_heun(spec: GraphSpec, configs) -> Iterator[CorrelationSpectrum]:
+    """Correlation spectra of many (filling, subsystem) points of one graph, in order, with eigenvectors supplied by T.
 
-    The subsystem blocks of T at every point that are not exact 0/1
-    projections (see :meth:`.terwilliger.ModuleTable.spectra`) are stacked by size across
-    the points and diagonalized together; each correlation eigenvalue is the
-    Rayleigh quotient of the correlation block on a T eigenvector.  Blocks
-    whose T eigenvalues cluster (relative gap under ``CLUSTER_REL_TOL``) fall
-    back to rediagonalizing the correlation matrix inside the cluster span.
-    Multiplicities are the module multiplicities.
+    A point :func:`plan` refuses raises :class:`.scheme.ConfigError` with its
+    reason.  :meth:`.terwilliger.ModuleTable.spectra` stacks the blocks, and
+    each stack's T blocks are diagonalized together; each correlation
+    eigenvalue is the Rayleigh quotient of the correlation block on a T
+    eigenvector.  Blocks whose T eigenvalues cluster (relative gap under
+    ``CLUSTER_REL_TOL``) fall back to rediagonalizing the correlation matrix
+    inside the cluster span.  A point planned to None has only exact 0/1
+    blocks, so its NaN weights never reach the readout; if they did, the
+    spectrum's range check would fail.
     """
-    table = module_table(spec)
-    mu = np.array([hs.mu for hs in hss])
-    nu = np.array([hs.nu for hs in hss])
-    base = spec.n - 2 * spec.k
-    points = [(np.arange(hs.n_cut + 1), table.level_index(range(base, hs.j0_x2 + 1, 2))) for hs in hss]
-    expected = [sum(neighborhood_size(spec, i) for i in range(hs.n_cut + 1)) for hs in hss]
+    planned = [plan(spec, filling, sub) for filling, sub in configs]
+    for reason in planned:
+        if isinstance(reason, str):
+            raise ConfigError(reason)
+    mu = np.array([np.nan if hs is None else hs.mu for hs in planned])
+    nu = np.array([np.nan if hs is None else hs.nu for hs in planned])
 
     def readout(pts, ms, rows, c):
         size = rows.shape[1]
@@ -380,9 +387,26 @@ def spectra_via_heun(spec: GraphSpec, hss) -> Iterator[CorrelationSpectrum]:
             lams[blk] = _cluster_readout(w[blk], q[blk], c[blk])
         return lams
 
-    return table.spectra(points, expected, readout)
+    return module_table(spec).spectra(configs, readout)
 
 
 def spectrum_via_heun(spec: GraphSpec, hs: HeunSpec) -> CorrelationSpectrum:
-    """One cut pair's :func:`spectra_via_heun`."""
-    return next(spectra_via_heun(spec, [hs]))
+    """:func:`spectra_via_heun` of the ball 0..n_cut under levels up to j0, weighted as by :func:`heun_spec`."""
+    filling = FillingSpec(frozenset(range(spec.n - 2 * spec.k, hs.j0_x2 + 1, 2)))
+    sub = SubsystemSpec(frozenset(range(hs.n_cut + 1)), default_base_vertex(spec))
+    return next(spectra_via_heun(spec, [(filling, sub)]))
+
+
+def spectra(spec: GraphSpec, configs, route: str, cap: int | None = None) -> Iterator[CorrelationSpectrum]:
+    """Spectra of (filling, subsystem) points of one graph along one of :data:`ROUTES`, in order.
+
+    ``oracle`` solves one point at a time under the dense cap ``cap``; the
+    structured routes take all the points as one batch.
+    """
+    if route == "oracle":
+        return (spectrum_oracle(chopped_correlation_oracle(spec, filling, sub, cap)) for filling, sub in configs)
+    if route == "modules":
+        return assemble_spectra(spec, configs)
+    if route == "heun":
+        return spectra_via_heun(spec, configs)
+    raise ConfigError(f"unknown route {route!r}")

@@ -77,10 +77,6 @@ class GraphSpec:
     def vertex_count(self) -> int:
         return math.comb(self.n, self.k)
 
-    @property
-    def diameter(self) -> int:
-        return self.k
-
 
 @dataclass(frozen=True)
 class Vertex:

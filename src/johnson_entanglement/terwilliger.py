@@ -10,12 +10,13 @@ ever grows past (k + 1) x (k + 1).
 Each graph gets one :class:`ModuleTable`, built on first use and kept: the
 module list, exact multiplicities and a Clebsch-Gordan table indexed by
 (module, distance, level) whose level columns are filled only when a filling
-first occupies them.  The spectrum routes take many grid points of a graph
-at once.  A (point, module) block that none or all of the module's levels
-fill, or whose chain lies wholly in the subsystem, holds only exact 0s and
-1s and is counted; every other block is cut out of that table, blocks of
-equal size are stacked across the points and each stack is diagonalized with
-one LAPACK call.
+first occupies them.  Both structured routes hand :meth:`ModuleTable.spectra`
+many (filling, subsystem) points of a graph at once.  A (point, module)
+block that none or all of the module's levels fill, or whose chain lies
+wholly in the subsystem, holds only exact 0s and 1s and is counted, so the
+whole-graph, empty and full fillings need no solve; every other block is cut
+out of that table, blocks of equal size are stacked across the points and
+each stack is diagonalized with one LAPACK call.
 
 Doubled integers label all spins.  A module's chain rows are indexed by the
 distance i, with m1 = (n - k)/2 - i and m2 = i - k/2.
@@ -30,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .scheme import GraphSpec, Vertex, neighborhood_size
+from .scheme import GraphSpec, neighborhood_size
 from .specfn import cg_column
 from .spectral import (
     CorrelationSpectrum,
@@ -234,41 +235,28 @@ class ModuleTable:
             c[sel] = g @ g.swapaxes(1, 2)
         return 0.5 * (c + c.swapaxes(1, 2))
 
-    def spectra(self, points, expected, readout) -> Iterator[CorrelationSpectrum]:
-        """Correlation spectra of many grid points of this graph from one stacked pass.
+    def spectra(self, configs, readout) -> Iterator[CorrelationSpectrum]:
+        """Correlation spectra of many (filling, subsystem) points of this graph from one stacked pass.
 
-        Point p is a pair of sorted arrays, its subsystem distances and its
-        occupied level indices, and has ``expected[p]`` modes.  A module's
-        coupling matrix is square and orthogonal, so its block holds only
-        exact 0s and 1s when none or all of its admissible levels are
-        occupied, or when the subsystem holds its whole chain; each point's
-        such modes are counted into one exact 0 and one exact 1 entry.  The
-        other blocks of every (point, module) pair are stacked by size across
-        the points, and ``readout(pts, ms, rows, c)`` turns a stack c of
-        correlation blocks of modules ``ms`` at points ``pts`` over distances
-        ``rows`` into its (stack, size) eigenvalues.  Each point's
-        eigenvalues are merged with their module multiplicities, and its
-        covered mode count must equal ``expected[p]`` exactly.  The solve
+        A module's coupling matrix is square and orthogonal, so its block
+        holds only exact 0s and 1s when none or all of its admissible levels
+        are occupied, or when the subsystem holds its whole chain; each
+        point's such modes are counted into one exact 0 and one exact 1
+        entry.  The other blocks of every (point, module) pair are stacked by
+        size across the points, and ``readout(pts, ms, rows, c)`` turns a
+        stack c of correlation blocks of modules ``ms`` at points ``pts`` over
+        distances ``rows`` into its (stack, size) eigenvalues.  Each point's
+        eigenvalues are merged with their module multiplicities.  The solve
         runs at once; the spectra are yielded one point at a time.
         """
-        width = self.spec.k + 1
-        dist = np.zeros((len(points), width), dtype=np.intp)
-        levels = np.full((len(points), width), width, dtype=np.intp)
-        start = np.zeros((len(points), len(self.labels)), dtype=np.intp)
-        sizes = np.zeros_like(start)
-        for p, (distances, occupied) in enumerate(points):
-            dist[p, : len(distances)] = distances
-            levels[p, : len(occupied)] = occupied
-            start[p], sizes[p] = _window(distances, self.i_min, self.i_max)
-        for covered, want in zip(sizes.astype(object) @ self.degeneracies, expected):
-            if covered != want:
-                raise ArithmeticError(f"module rows cover {covered} modes, subsystem has {want}")
+        dist, levels, start, sizes = self.layout(configs)
+        points = len(configs)
         sizes, counted = self._exact_blocks(sizes, levels)
         keep = np.flatnonzero(counted)
         # every eigenvalue of the grid in one preallocated run: the counted 0s and 1s first, then each stack's
         total = len(keep) + int(sizes.sum())
         values, owners, mults = np.empty(total), np.empty(total, dtype=np.intp), np.empty(total, dtype=object)
-        values[: len(keep)], owners[: len(keep)], mults[: len(keep)] = keep // len(points), keep % len(points), counted[keep]
+        values[: len(keep)], owners[: len(keep)], mults[: len(keep)] = keep // points, keep % points, counted[keep]
         pos = len(keep)
         for size, flat in size_groups(sizes.ravel()):
             pts, ms = np.divmod(flat, len(self.labels))
@@ -278,8 +266,30 @@ class ModuleTable:
             owners[run] = np.repeat(pts, size)
             mults[run] = np.repeat(self.degeneracies[ms], size)
             pos = run.stop
-        merged = group_spectra(clamp_unit_interval(values), mults, owners, len(points))
+        merged = group_spectra(clamp_unit_interval(values), mults, owners, points)
         return (CorrelationSpectrum(entries) for entries in merged)
+
+    def layout(self, configs) -> tuple[np.ndarray, ...]:
+        """Each point's sorted distances and occupied level indices padded with k + 1, and each chain's run in them.
+
+        Each point's covered modes must equal its subsystem size exactly.
+        """
+        width = self.spec.k + 1
+        dist = np.zeros((len(configs), width), dtype=np.intp)
+        levels = np.full((len(configs), width), width, dtype=np.intp)
+        start = np.zeros((len(configs), len(self.labels)), dtype=np.intp)
+        sizes = np.zeros_like(start)
+        for p, (filling, sub) in enumerate(configs):
+            distances = sorted(sub.distances)
+            occupied = self.level_index(sorted(filling.occupied))
+            dist[p, : len(distances)] = distances
+            levels[p, : len(occupied)] = occupied
+            start[p], sizes[p] = _window(distances, self.i_min, self.i_max)
+        for covered, (_, sub) in zip(sizes.astype(object) @ self.degeneracies, configs):
+            want = sum(neighborhood_size(self.spec, i) for i in sub.distances)
+            if covered != want:
+                raise ArithmeticError(f"module rows cover {covered} modes, subsystem has {want}")
+        return dist, levels, start, sizes
 
     def _exact_blocks(self, sizes: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Split the (point, module) blocks of ``sizes`` rows into exact 0/1 projections and the rest.
@@ -366,18 +376,9 @@ def single_neighborhood_eigenvalue(
 def assemble_spectra(spec: GraphSpec, configs) -> Iterator[CorrelationSpectrum]:
     """Correlation spectra of many (filling, subsystem) points of one graph, in order.
 
-    Every module's block at every point is cut from the graph's
-    :class:`ModuleTable`; the blocks that are not exact 0/1 projections are
-    stacked by size across the points and diagonalized by one ``eigvalsh``
-    call, and each eigenvalue enters its point's spectrum with its module
-    multiplicity.  Each point's total multiplicity equals its subsystem size.
+    :meth:`ModuleTable.spectra`, with each stack of blocks diagonalized by one ``eigvalsh`` call.
     """
-    table = module_table(spec)
-    points = [
-        (np.array(sorted(sub.distances)), table.level_index(sorted(filling.occupied))) for filling, sub in configs
-    ]
-    expected = [sum(neighborhood_size(spec, i) for i in sub.distances) for _, sub in configs]
-    return table.spectra(points, expected, lambda pts, ms, rows, c: np.linalg.eigvalsh(c))
+    return module_table(spec).spectra(configs, lambda pts, ms, rows, c: np.linalg.eigvalsh(c))
 
 
 def assemble_spectrum(spec: GraphSpec, filling: FillingSpec, sub: SubsystemSpec) -> CorrelationSpectrum:
@@ -395,7 +396,7 @@ class HahnRelationReport:
     h3_residual: float
 
 
-def check_hahn_algebra(spec: GraphSpec, x0: Vertex | None = None) -> list[HahnRelationReport]:
+def check_hahn_algebra(spec: GraphSpec) -> list[HahnRelationReport]:
     """Numerically test the commutator algebra closed by A and rescaled A*.
 
     With K1 = 2k(n-k)/(n(n-1)) A*, K2 = A and K3 = [K1, K2], evaluates
@@ -406,12 +407,11 @@ def check_hahn_algebra(spec: GraphSpec, x0: Vertex | None = None) -> list[HahnRe
     per module, with a = -2, b = -2(n-2k)^2/n, c1 = -2n - (n-2k)^2, c2 = -4
     and central offsets d1 = -b c1/4 + 2(n-2k)(cas1 - cas2) and d2 built from
     the two Casimir values, which are constants on a module.  Residuals are
-    reported, not raised: the module actions are basis independent, so the
-    base vertex only tags the report.
+    reported, not raised; the module actions, and so the relations, are the
+    same for every base vertex.
     """
     from .heun import module_A_action, module_Astar_values  # runtime: heun imports us
 
-    del x0  # relations are identical for every base vertex
     n, k = spec.n, spec.k
     a = -2.0
     b = -2.0 * (n - 2 * k) ** 2 / n

@@ -70,30 +70,39 @@ def graph_sizes(lo: int, hi: int) -> list[tuple[int, int]]:
 
 
 def _check_scheme_identities(sizes, cap) -> CheckResult:
+    """Distance partition, regularity and projector resolution, one N x N matrix at a time beside the A_i sum.
+
+    0/1 matrices that sum to the all-ones matrix are disjoint.  The
+    projectors and A* are diagonal and compared as diagonals.
+    """
     worst = 0.0
     for n, k in sizes:
         spec = GraphSpec(n, k)
-        dim = spec.vertex_count
-        total = np.zeros((dim, dim))
+        total = np.zeros((spec.vertex_count,) * 2)
         for i in range(k + 1):
             a_i = scheme.adjacency_matrix(i, spec, cap)
+            worst = max(worst, float(np.count_nonzero((a_i != 0) & (a_i != 1))))
+            if i == 1:
+                worst = max(worst, float(np.max(np.abs(a_i.sum(axis=1) - k * (n - k)))))
             total += a_i
-            for i2 in range(i + 1, k + 1):
-                worst = max(worst, float(np.max(a_i * scheme.adjacency_matrix(i2, spec, cap))))
-        worst = max(worst, float(np.max(np.abs(total - np.ones((dim, dim))))))
-        a1 = scheme.adjacency_matrix(1, spec, cap)
-        worst = max(worst, float(np.max(np.abs(a1.sum(axis=1) - k * (n - k)))))
+        total -= 1.0
+        worst = max(worst, float(np.max(np.abs(total))))
         x0 = default_base_vertex(spec)
-        proj_sum = np.zeros((dim, dim))
-        astar = scheme.dual_adjacency_matrix(x0, spec, cap)
-        rebuilt = np.zeros((dim, dim))
+        astar, off = _diagonal(scheme.dual_adjacency_matrix(x0, spec, cap))
+        proj_sum = rebuilt = 0.0
         for i in range(k + 1):
-            e_i = scheme.neighborhood_projector(x0, i, spec, cap)
-            proj_sum += e_i
-            rebuilt += heun_mod.dual_eigenvalue_at_distance(i, spec) * e_i
-        worst = max(worst, float(np.max(np.abs(proj_sum - np.eye(dim)))))
-        worst = max(worst, float(np.max(np.abs(rebuilt - astar))))
+            e_i, off_i = _diagonal(scheme.neighborhood_projector(x0, i, spec, cap))
+            off += off_i
+            proj_sum = proj_sum + e_i
+            rebuilt = rebuilt + heun_mod.dual_eigenvalue_at_distance(i, spec) * e_i
+        worst = max(worst, off, float(np.max(np.abs(proj_sum - 1.0))), float(np.max(np.abs(rebuilt - astar))))
     return CheckResult("scheme_identities", worst <= 1e-10, worst, "distance partition, regularity, projector resolution")
+
+
+def _diagonal(m: np.ndarray) -> tuple[np.ndarray, int]:
+    """The diagonal of ``m`` and the count of nonzero entries off it."""
+    diag = np.diagonal(m).copy()
+    return diag, np.count_nonzero(m) - np.count_nonzero(diag)
 
 
 def _check_embedding(sizes, cap) -> CheckResult:
@@ -192,24 +201,21 @@ def check_t_basis_similarity(grid) -> CheckResult:
 def check_route_agreement(sizes, cap) -> CheckResult:
     """Oracle against both structured routes at every ball cut and bottom-run filling.
 
-    Each graph's grid goes to each structured route as one batch.
+    Each graph's grid goes to each route through :func:`.heun.spectra`; the
+    structured routes take it as one batch.
     """
     worst = 0.0
     for n, k in sizes:
         spec = GraphSpec(n, k)
         labels = spectral.level_labels_x2(spec)
         x0 = default_base_vertex(spec)
-        grid = [(j0_pos, n_cut) for j0_pos in range(k) for n_cut in range(k)]
         configs = [
             (FillingSpec(frozenset(labels[: j0_pos + 1])), SubsystemSpec(frozenset(range(n_cut + 1)), x0))
-            for j0_pos, n_cut in grid
+            for j0_pos in range(k)
+            for n_cut in range(k)
         ]
-        s_modules = terwilliger.assemble_spectra(spec, configs)
-        s_heun = heun_mod.spectra_via_heun(spec, [heun_mod.heun_spec(spec, n_cut, labels[j0]) for j0, n_cut in grid])
-        for (filling, sub), s_mod, s_t in zip(configs, s_modules, s_heun):
-            s_oracle = spectral.spectrum_oracle(spectral.chopped_correlation_oracle(spec, filling, sub, cap))
-            worst = max(worst, spectra_max_diff(s_oracle, s_mod))
-            worst = max(worst, spectra_max_diff(s_oracle, s_t))
+        for s_o, s_mod, s_t in zip(*(heun_mod.spectra(spec, configs, r, cap) for r in heun_mod.ROUTES)):
+            worst = max(worst, spectra_max_diff(s_o, s_mod), spectra_max_diff(s_o, s_t))
     return CheckResult("route_agreement", worst <= 1e-8, worst, "oracle, module and T-readout spectra agree")
 
 
@@ -274,14 +280,8 @@ def check_purity_duality(sizes, cap) -> CheckResult:
             for se in (frozenset(labels[:1]), frozenset(labels[:2]), frozenset(labels[::2])):
                 count += 1
                 filling = FillingSpec(se)
-                sub = SubsystemSpec(sd, x0)
-                comp = SubsystemSpec(frozenset(range(k + 1)) - sd, x0)
-                s_a = entropy_mod.von_neumann(
-                    spectral.spectrum_oracle(spectral.chopped_correlation_oracle(spec, filling, sub, cap))
-                )
-                s_b = entropy_mod.von_neumann(
-                    spectral.spectrum_oracle(spectral.chopped_correlation_oracle(spec, filling, comp, cap))
-                )
+                pair = [(filling, SubsystemSpec(sd, x0)), (filling, SubsystemSpec(frozenset(range(k + 1)) - sd, x0))]
+                s_a, s_b = map(entropy_mod.von_neumann, heun_mod.spectra(spec, pair, "oracle", cap))
                 worst = max(worst, abs(s_a - s_b))
     return CheckResult(
         "purity_duality", worst <= 1e-7 and count >= 20, worst, f"S(SV) = S(complement) on {count} configurations"

@@ -10,23 +10,14 @@ their module multiplicities.
 import numpy as np
 
 from johnson_entanglement.spectral import CorrelationSpectrum, clamp_unit_interval, group_spectra
-from johnson_entanglement.terwilliger import _window, size_groups
+from johnson_entanglement.terwilliger import size_groups
 
 
-def solve_every_block(table, points, expected, readout) -> list[CorrelationSpectrum]:
+def solve_every_block(table, configs, readout) -> list[CorrelationSpectrum]:
     """:meth:`ModuleTable.spectra` with every nonempty block solved."""
-    if not points:
+    if not configs:
         return []
-    width = table.spec.k + 1
-    dist = np.zeros((len(points), width), dtype=np.intp)
-    levels = np.full((len(points), width), width, dtype=np.intp)
-    start = np.zeros((len(points), len(table.labels)), dtype=np.intp)
-    sizes = np.zeros_like(start)
-    for p, (distances, occupied) in enumerate(points):
-        dist[p, : len(distances)] = distances
-        levels[p, : len(occupied)] = occupied
-        start[p], sizes[p] = _window(distances, table.i_min, table.i_max)
-    assert list(sizes.astype(object) @ table.degeneracies) == list(expected)
+    dist, levels, start, sizes = table.layout(configs)
     values, owners, modules = [], [], []
     for size, flat in size_groups(sizes.ravel()):
         pts, ms = np.divmod(flat, len(table.labels))
@@ -38,6 +29,6 @@ def solve_every_block(table, points, expected, readout) -> list[CorrelationSpect
         clamp_unit_interval(np.concatenate(values)),
         table.degeneracies[np.concatenate(modules)],
         np.concatenate(owners),
-        len(points),
+        len(configs),
     )
     return [CorrelationSpectrum(entries) for entries in merged]

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from johnson_entanglement.cli import main, sweep_fig2b, sweep_fig3a, sweep_fig3b
+from johnson_entanglement.cli import SWEEPS, main
 from johnson_entanglement.heun import heun_spec, spectrum_via_heun
 from johnson_entanglement.entropy import von_neumann
 from johnson_entanglement.scheme import GraphSpec, default_base_vertex
@@ -128,15 +128,15 @@ def test_criterion_09_figure_scale_runs():
     ln2 = math.log(2.0)
 
     args = argparse.Namespace(n=30, k=15, fill_levels=None)
-    _, rows2b = sweep_fig2b(args)
+    _, rows2b = SWEEPS["fig2b"](args)
     assert len(rows2b) == 16 * 16
     table = {(r["i"], r["fill_levels"]): r["entropy"] for r in rows2b}
     for r in rows2b:
         assert r["entropy"] <= r["subsystem_size"] * ln2 * (1 + 1e-12)
         assert abs(r["entropy"] - table[(15 - r["i"], r["fill_levels"])]) <= 1e-8
 
-    _, rows3a = sweep_fig3a(args)
-    _, rows3b = sweep_fig3b(args)
+    _, rows3a = SWEEPS["fig3a"](args)
+    _, rows3b = SWEEPS["fig3b"](args)
     for r in rows3a + rows3b:
         assert r["entropy"] <= r["subsystem_size"] * ln2 * (1 + 1e-12)
     peak_3a = max(rows3a, key=lambda r: r["ratio_cut"])

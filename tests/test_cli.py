@@ -161,6 +161,8 @@ def test_exit_code_bad_config():
         ["sweep", "--figure", "fig3b", "--n", "8", "--k", "5"],
         ["JE_DENSE_CAP=abc", "entropy", "--n", "6", "--k", "3", "--cutoff", "1", "--route", "oracle"],
         ["entropy", "--n", "6", "--k", "3", "--cutoff", "1", "--output", "/nonexistent/x.csv"],
+        ["sweep", "--figure", "fig2a", "--fill-levels", "-2"],
+        ["sweep", "--figure", "fig4", "--fill-levels", "99"],
     ],
 )
 def test_malformed_input_exits_2(argv, capsys, monkeypatch):
@@ -456,20 +458,20 @@ def test_argv_fuzz_exits_cleanly(argv):
         assert err.getvalue().count("\n") <= 1, (argv, err.getvalue())
 
 
-def test_warm_fig3b_sweep_stacks_one_filling_at_a_time():
-    # each filling's cuts are one batch, so the stacks stay small; one batch
-    # for the whole sweep would peak at several MiB
+def test_warm_fig3b_sweep_solves_its_whole_grid_in_two_mib():
+    # the whole 240-point grid is one batch; a warm sweep peaks near 1.4 MB,
+    # and a whole-grid Python merge would take several MiB
     import argparse
     import gc
 
-    from johnson_entanglement.cli import sweep_fig3b
+    from johnson_entanglement.cli import SWEEPS
 
     args = argparse.Namespace(n=30, k=15, fill_levels=None)
-    sweep_fig3b(args)
+    SWEEPS["fig3b"](args)
     gc.collect()
     tracemalloc.start()
     try:
-        sweep_fig3b(args)
+        SWEEPS["fig3b"](args)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -9,8 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from johnson_entanglement.cli import _heun_spectra
-from johnson_entanglement.heun import heun_spec, spectra_via_heun, spectrum_via_heun
+from johnson_entanglement.heun import heun_spec, spectra, spectra_via_heun, spectrum_via_heun
 from johnson_entanglement.scheme import GraphSpec, default_base_vertex, neighborhood_size
 from johnson_entanglement.spectral import (
     CorrelationSpectrum,
@@ -24,6 +23,7 @@ from johnson_entanglement.terwilliger import (
     assemble_spectra,
     assemble_spectrum,
     enumerate_modules,
+    level_degeneracy,
     module_admissible_levels,
     module_correlation_block,
 )
@@ -64,16 +64,16 @@ def test_stacked_routes_match_per_module_reference(n, k):
 
 @pytest.mark.parametrize("n", range(2, 15))
 def test_batches_equal_one_point_calls_on_the_figure_grids(n):
-    # every (fill, cut) of the fig3a/fig3b ball grids, closed-form T-readout
-    # points included, and every (shell, fill) of the fig2b grid, each whole
-    # grid in one batch as the sweeps hand it over
+    # every (fill, cut) of the fig3a/fig3b ball grids, the full filling that
+    # needs no T included, and every (shell, fill) of the fig2b grid, each
+    # whole grid in one batch as the sweeps hand it over
     for _, k in graph_sizes(n, n):
         spec = GraphSpec(n, k)
         x0 = default_base_vertex(spec)
         fills = range(1, k + 2)
         grid = [(_bottom(spec, fill), _ball(spec, n_cut)) for fill in fills for n_cut in range(k)]
-        batch = _heun_spectra(spec, grid)
-        assert [s.entries for s in batch] == [next(_heun_spectra(spec, [pt])).entries for pt in grid]
+        batch = spectra_via_heun(spec, grid)
+        assert [s.entries for s in batch] == [next(spectra_via_heun(spec, [pt])).entries for pt in grid]
         batch = assemble_spectra(spec, grid)
         assert [s.entries for s in batch] == [assemble_spectrum(spec, *pt).entries for pt in grid]
         grid = [(_bottom(spec, fill), SubsystemSpec(frozenset({i}), x0)) for i in range(k + 1) for fill in fills]
@@ -98,16 +98,36 @@ def test_counted_exact_blocks_match_solving_every_block(n, monkeypatch):
         subs = [_ball(spec, n_cut) for n_cut in range(k + 1)]
         subs += [SubsystemSpec(frozenset({i}), x0) for i in range(1, k + 1)]
         configs = [(filling, sub) for filling in fillings for sub in subs]
-        labels = level_labels_x2(spec)
-        hss = [heun_spec(spec, n_cut, labels[fill - 1]) for fill in range(1, k + 1) for n_cut in range(k)]
+        balls = [(_bottom(spec, fill), _ball(spec, n_cut)) for fill in range(1, k + 1) for n_cut in range(k)]
         counted = [s.entries for s in assemble_spectra(spec, configs)]
-        counted_heun = [s.entries for s in spectra_via_heun(spec, hss)]
+        counted_heun = [s.entries for s in spectra_via_heun(spec, balls)]
         with monkeypatch.context() as patch:
             patch.setattr(ModuleTable, "spectra", solve_every_block)
             solved = [s.entries for s in assemble_spectra(spec, configs)]
-            solved_heun = [s.entries for s in spectra_via_heun(spec, hss)]
+            solved_heun = [s.entries for s in spectra_via_heun(spec, balls)]
         assert counted == solved and repr(counted) == repr(solved), (n, k)
         assert counted_heun == solved_heun and repr(counted_heun) == repr(solved_heun), (n, k)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_heun_counts_the_points_that_need_no_T(n, monkeypatch):
+    # the whole graph under every lowest filling, and every ball under the
+    # empty and the full filling: only exact 0/1 blocks, so no T is built
+    import johnson_entanglement.heun as heun_module
+
+    monkeypatch.setattr(heun_module, "_T_entries", None)
+    for _, k in graph_sizes(n, n):
+        spec = GraphSpec(n, k)
+        labels = level_labels_x2(spec)
+        points = [(_bottom(spec, fill), _ball(spec, k)) for fill in range(k + 2)]
+        points += [(_bottom(spec, fill), _ball(spec, n_cut)) for fill in (0, k + 1) for n_cut in range(k + 1)]
+        for (filling, sub), got in zip(points, spectra(spec, points, "heun"), strict=True):
+            size = sum(neighborhood_size(spec, i) for i in sub.distances)
+            occ = size if filling.occupied == set(labels) else 0
+            if len(sub.distances) == k + 1:
+                occ = sum(level_degeneracy(j, spec) for j in filling.occupied)
+            want = tuple((lam, mult) for lam, mult in ((0.0, size - occ), (1.0, occ)) if mult)
+            assert got.entries == want and repr(got.entries) == repr(want), (n, k, filling, sub)
 
 
 def test_multiplicities_beyond_int64_stay_exact():
@@ -184,7 +204,9 @@ def _forced_cluster_readouts(monkeypatch, spec, hss):
 
     monkeypatch.setattr(heun_module, "_cluster_readout", spy)
     monkeypatch.setattr(heun_module, "CLUSTER_REL_TOL", float("inf"))
-    return list(spectra_via_heun(spec, hss)), seen
+    labels = level_labels_x2(spec)
+    configs = [(_bottom(spec, labels.index(hs.j0_x2) + 1), _ball(spec, hs.n_cut)) for hs in hss]
+    return list(spectra_via_heun(spec, configs)), seen
 
 
 def test_forced_clusters_reach_the_projection_fallback(monkeypatch):

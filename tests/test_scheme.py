@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -196,6 +197,50 @@ def test_embedding_check_catches_one_wrong_distance(monkeypatch):
     result = verify._check_embedding(sizes, None)
     assert not result.passed
     assert result.worst == 2.0
+
+
+def test_scheme_identity_check_holds_a_few_matrices_at_a_time():
+    # one N x N matrix is built at a time next to the running sum of the A_i
+    # (about 3.1 N x N arrays at the peak); pairwise A_i products and N x N
+    # projector sums held 9
+    spec = GraphSpec(12, 6)
+    scheme._vertex_indicators(12, 6)
+    tracemalloc.start()
+    try:
+        result = verify._check_scheme_identities(((12, 6),), None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.passed
+    assert peak < 4 * 8 * spec.vertex_count**2, peak
+
+
+@pytest.mark.parametrize("fault", ["split entry", "off-diagonal projector"])
+def test_scheme_identity_check_catches_a_broken_partition(fault, monkeypatch):
+    # A_2 and A_3 sharing a distance-2 entry as 0.5 + 0.5 still sum to J,
+    # so only the 0/1 test sees it; a projector entry off the diagonal is
+    # counted, as the diagonals alone resolve the identity
+    sizes = ((6, 3),)
+    assert verify._check_scheme_identities(sizes, None).worst <= 1e-10
+    real_adjacency, real_projector = scheme.adjacency_matrix, scheme.neighborhood_projector
+    y = int(np.flatnonzero(real_adjacency(2, GraphSpec(6, 3))[0])[0])
+
+    def split(i, spec, cap=None):
+        a = real_adjacency(i, spec, cap)
+        if i in (2, 3):
+            a[0, y] = a[y, 0] = 0.5
+        return a
+
+    def leaky(x0, i, spec, cap=None):
+        e = real_projector(x0, i, spec, cap)
+        e[0, 1] = 1.0 if i == 0 else 0.0
+        return e
+
+    if fault == "split entry":
+        monkeypatch.setattr(scheme, "adjacency_matrix", split)
+    else:
+        monkeypatch.setattr(scheme, "neighborhood_projector", leaky)
+    assert not verify._check_scheme_identities(sizes, None).passed
 
 
 @given(st.integers(2, 10), st.integers(1, 5), st.data())
