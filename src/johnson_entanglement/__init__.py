@@ -24,10 +24,11 @@ from .spectral import (
     energy_exponential,
     energy_table,
     fill_ground_state,
+    level_degeneracy,
     spectrum_oracle,
 )
 from .specfn import clebsch_gordan
-from .terwilliger import ModuleLabel, assemble_spectra, assemble_spectrum, enumerate_modules, level_degeneracy
+from .terwilliger import ModuleLabel, assemble_spectra, assemble_spectrum, enumerate_modules
 
 __version__ = "0.1.0"
 

@@ -298,10 +298,17 @@ def _fig2a(args):
         yield spec, "modules", [(fill, range(i, i + 1), {"shell": name, "i": i}) for name, i in shells.items()]
 
 
+def _every_fill(args, spec: GraphSpec) -> range:
+    """Every bottom-run fill count 1..k + 1, for a sweep that refuses ``--fill-levels``."""
+    if args.fill_levels is not None:
+        raise ConfigError(f"--figure {args.figure} sweeps every filling and takes no --fill-levels")
+    return range(1, spec.k + 2)
+
+
 def _fig2b(args):
     """Entropy per site of every single shell, for every bottom-run filling."""
     spec = _graph_spec(args)
-    fills = range(1, spec.k + 2)
+    fills = _every_fill(args, spec)
     yield spec, "modules", [(fill, range(i, i + 1), {"i": i}) for i in range(spec.k + 1) for fill in fills]
 
 
@@ -324,7 +331,7 @@ def _fig3a(args):
 def _fig3b(args):
     """Cut-boundary ratio over filling depth and ball radius at fixed (n, k)."""
     spec = _graph_spec(args)
-    yield spec, "heun", [_ball(spec, fill, n_cut) for fill in range(1, spec.k + 2) for n_cut in range(spec.k)]
+    yield spec, "heun", [_ball(spec, fill, n_cut) for fill in _every_fill(args, spec) for n_cut in range(spec.k)]
 
 
 def sweep_fig4(args):
@@ -365,7 +372,7 @@ def sweep_fig4(args):
 
 def _chain_entropy(spec, label, filling, distances) -> float:
     sub = SubsystemSpec(frozenset(distances), default_base_vertex(spec))
-    block = terwilliger.module_correlation_block(label, filling, sub, spec).matrix
+    block = terwilliger.module_correlation_block(label, filling, sub, spec)
     lams = spectral.clamp_unit_interval(np.linalg.eigvalsh(block))
     return float(sum(entropy_mod.binary_entropy(float(lam)) for lam in lams))
 

@@ -25,7 +25,6 @@ to the dense oracle, :func:`.terwilliger.assemble_spectra` or here.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -42,31 +41,15 @@ from .spectral import (
     spectrum_oracle,
     theta_eigenvalue,
 )
-from .terwilliger import (
-    ModuleLabel,
-    assemble_spectra,
-    enumerate_modules,
-    module_admissible_levels,
-    module_correlation_block,
-    module_table,
-)
+from .terwilliger import ModuleLabel, assemble_spectra, enumerate_modules, module_table
 
 __all__ = [
     "ROUTES",
     "HeunSpec",
-    "TridiagonalMatrix",
     "heun_spec",
     "plan",
-    "dual_eigenvalue",
     "dual_eigenvalue_at_distance",
-    "tridiagonal_A_coefficients",
-    "tridiagonal_Astar_coefficients",
-    "module_A_action",
-    "module_Astar_values",
     "build_T",
-    "build_T_level_basis",
-    "restrict_to_subsystem",
-    "commutant_residual",
     "spectra",
     "spectra_via_heun",
     "spectrum_via_heun",
@@ -90,19 +73,6 @@ class HeunSpec:
     j0_x2: int
     mu: float
     nu: float
-
-
-@dataclass(frozen=True)
-class TridiagonalMatrix:
-    diagonal: tuple[float, ...]
-    offdiagonal: tuple[float, ...]
-
-    def dense(self) -> np.ndarray:
-        d = np.diag(self.diagonal)
-        if self.offdiagonal:
-            off = np.array(self.offdiagonal)
-            d += np.diag(off, 1) + np.diag(off, -1)
-        return d
 
 
 def heun_spec(spec: GraphSpec, n_cut: int, j0_x2: int) -> HeunSpec:
@@ -136,80 +106,13 @@ def plan(spec: GraphSpec, filling: FillingSpec, sub: SubsystemSpec) -> HeunSpec 
     return heun_spec(spec, max(distances), labels[len(occupied) - 1])
 
 
-def dual_eigenvalue(m1_x2: int, m2_x2: int, spec: GraphSpec) -> float:
-    """Dual adjacency eigenvalue theta*_(m1, m2), affine in m1 - m2."""
-    n, k = spec.n, spec.k
-    if m1_x2 + m2_x2 != n - 2 * k:
-        raise ValueError("m1 + m2 must equal n/2 - k")
-    return (
-        -(n - 1) * (n - 2 * k) ** 2 / (4.0 * k * (n - k))
-        + n * (n - 1) * (m1_x2 - m2_x2) / (4.0 * k * (n - k))
-    )
-
-
 def dual_eigenvalue_at_distance(i: int, spec: GraphSpec) -> float:
-    """theta* on the i-th neighborhood; n - 1 at i = 0, strictly decreasing."""
-    n, k = spec.n, spec.k
-    return dual_eigenvalue((n - k) - 2 * i, 2 * i - k, spec)
+    """theta* on the i-th neighborhood; n - 1 at i = 0, strictly decreasing.
 
-
-def tridiagonal_A_coefficients(label: ModuleLabel, m1_x2: int, spec: GraphSpec) -> tuple[float, float]:
-    """Ladder weight a_m1 and diagonal b_m1 of A on a module chain.
-
-    a_m1 = sqrt((j1+m1)(j1-m1+1)(j2-m2)(j2+m2+1)) couples m1 to m1 - 1, i.e.
-    the row at distance i to the row at i + 1, and vanishes at the chain
-    ends; b_m1 = j1(j1+1) + j2(j2+1) - m1^2 - m2^2 - n/2.
+    Affine in m1 - m2 = n - 4i, with m1 = (n - k)/2 - i and m2 = i - k/2.
     """
     n, k = spec.n, spec.k
-    m2_x2 = (n - 2 * k) - m1_x2
-    i = ((n - k) - m1_x2) // 2
-    if i not in label.distances:
-        raise ValueError(f"m1_x2={m1_x2} outside the module chain")
-    j1, j2 = label.j1_x2, label.j2_x2
-    prod = (
-        ((j1 + m1_x2) // 2)
-        * ((j1 - m1_x2) // 2 + 1)
-        * ((j2 - m2_x2) // 2)
-        * ((j2 + m2_x2) // 2 + 1)
-    )
-    a = math.sqrt(prod)
-    b = (j1 * (j1 + 2) + j2 * (j2 + 2) - m1_x2**2 - m2_x2**2) / 4.0 - n / 2.0
-    return a, b
-
-
-def tridiagonal_Astar_coefficients(j_x2: int, label: ModuleLabel, spec: GraphSpec) -> tuple[float, float]:
-    """Ladder weight a*_j and diagonal b*_j of A* in the module's level basis.
-
-    a*_j couples j to j - 1 and carries the square root of a product that
-    vanishes at the admissible-range edges, so no coupling ever leaves the
-    module.  For a one-row chain only b* is meaningful and it equals the
-    dual eigenvalue of that single row.
-    """
-    n, k = spec.n, spec.k
-    j1, j2 = label.j1_x2, label.j2_x2
-    if not abs(j1 - j2) <= j_x2 <= j1 + j2:
-        raise ValueError(f"level j_x2={j_x2} outside the module's coupling range")
-    pref = n * (n - 1) / (k * (n - k))
-    mm = n - 2 * k
-    num = (
-        (j_x2**2 - mm**2)
-        * (j_x2**2 - (j1 - j2) ** 2)
-        * ((j1 + j2 + 2) ** 2 - j_x2**2)
-    )
-    if j_x2 <= 1 or num <= 0:
-        # j = 0 or 1/2 can only be a chain's lowest level, where the
-        # vanishing numerator factor already means "no coupling below"
-        a_star = 0.0
-    else:
-        a_star = pref * math.sqrt(num / ((j_x2**2 - 1) * j_x2**2)) / 8.0
-    base = -(n - 1) * (n - 2 * k) / (2.0 * k)
-    swing = n * (n - 1) * (n - 2 * k) / (2.0 * k * (n - k))
-    if j_x2 == 0:
-        ratio = 0.0
-    else:
-        ratio = (j1 + j2 + 2) * (j1 - j2) / (2.0 * j_x2 * (j_x2 + 2))
-    b_star = base + swing * (0.5 + ratio)
-    return a_star, b_star
+    return -(n - 1) * (n - 2 * k) ** 2 / (4.0 * k * (n - k)) + n * (n - 1) * (n - 4 * i) / (4.0 * k * (n - k))
 
 
 @lru_cache(maxsize=32)
@@ -217,10 +120,11 @@ def _chain_arrays(spec: GraphSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-graph A ladder a[m, i], diagonal b[m, i] and theta*[i], read-only.
 
     Rows follow :func:`enumerate_modules`; a and b are zero off the chain.
-    Every (module, distance) pair of a chain is evaluated at once, in the
-    operation order of :func:`tridiagonal_A_coefficients`: the integer
-    products are exact in int64 and rounded once, so both give the same
-    floats.
+    a[m, i] = sqrt((j1+m1)(j1-m1+1)(j2-m2)(j2+m2+1)) couples the row at
+    distance i to the row at i + 1 and vanishes at the chain ends;
+    b = j1(j1+1) + j2(j2+1) - m1^2 - m2^2 - n/2.  Every (module, distance)
+    pair of a chain is evaluated at once: the integer products are exact in
+    int64 and rounded once, so each entry is the float of the scalar formula.
     """
     n, k = spec.n, spec.k
     labels = enumerate_modules(spec)
@@ -242,20 +146,6 @@ def _chain_arrays(spec: GraphSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return a, b, theta
 
 
-def module_Astar_values(label: ModuleLabel, spec: GraphSpec) -> np.ndarray:
-    """Diagonal of A* on the module chain, ordered by ascending distance."""
-    return _chain_arrays(spec)[2][label.i_min : label.i_max + 1]
-
-
-def module_A_action(label: ModuleLabel, spec: GraphSpec) -> np.ndarray:
-    """Dense tridiagonal matrix of A on the module chain (ascending distance)."""
-    a, b, _ = _chain_arrays(spec)
-    m = module_table(spec).row[label]
-    return TridiagonalMatrix(
-        tuple(b[m, label.i_min : label.i_max + 1]), tuple(a[m, label.i_min : label.i_max])
-    ).dense()
-
-
 def _T_entries(spec: GraphSpec, mu, nu, ms: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """T of module ``ms[s]`` under weights (mu[s], nu[s]): its diagonal at the distances ``rows[s]``.
 
@@ -270,61 +160,26 @@ def _T_entries(spec: GraphSpec, mu, nu, ms: np.ndarray, rows: np.ndarray) -> tup
     return diag, off
 
 
-def build_T(label: ModuleLabel, hs: HeunSpec, spec: GraphSpec) -> TridiagonalMatrix:
-    """T on the module chain in the distance basis.
+def _tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Stacked dense symmetric tridiagonal matrices: ``diag[s]`` on the diagonal, ``off[s]`` beside it."""
+    size = diag.shape[1]
+    t = np.zeros((len(diag), size, size))
+    r = np.arange(size)
+    t[:, r, r] = diag
+    t[:, r[:-1], r[1:]] = t[:, r[1:], r[:-1]] = off
+    return t
+
+
+def build_T(label: ModuleLabel, hs: HeunSpec, spec: GraphSpec) -> np.ndarray:
+    """Dense T on the module chain in the distance basis, rows by ascending distance.
 
     Off-diagonal between rows i and i+1 is a_m1(i) (theta*(i+1) + theta*(i) + nu);
     at i = n_cut the parenthesis is the defining relation for nu and cancels to
-    an exact floating-point zero, which is what decouples the subsystem block.
+    an exact floating-point zero, which is what decouples the subsystem block:
+    the rows at distances <= n_cut are the leading square of T.
     """
     ms = np.array([module_table(spec).row[label]])
-    diag, off = _T_entries(spec, [hs.mu], [hs.nu], ms, np.arange(label.i_min, label.i_max + 1)[None, :])
-    return TridiagonalMatrix(tuple(diag[0].tolist()), tuple(off[0].tolist()))
-
-
-def build_T_level_basis(label: ModuleLabel, hs: HeunSpec, spec: GraphSpec) -> TridiagonalMatrix:
-    """T on the same module in the level basis; the cut sits after j0 instead.
-
-    The two representations are similar, so their spectra must agree; tests
-    assert that module by module.
-    """
-    levels = module_admissible_levels(label, spec)
-    diag = []
-    off = []
-    for pos, j_x2 in enumerate(levels):
-        a_star, b_star = tridiagonal_Astar_coefficients(j_x2, label, spec)
-        th = theta_eigenvalue(j_x2, spec)
-        diag.append(hs.mu * b_star + hs.nu * th + 2.0 * b_star * th)
-        if pos + 1 < len(levels):
-            a_next, _ = tridiagonal_Astar_coefficients(j_x2 + 2, label, spec)
-            th_next = theta_eigenvalue(j_x2 + 2, spec)
-            off.append(a_next * ((th_next + th) + hs.mu))
-    return TridiagonalMatrix(tuple(diag), tuple(off))
-
-
-def restrict_to_subsystem(t: TridiagonalMatrix, label: ModuleLabel, n_cut: int) -> TridiagonalMatrix:
-    """Rows of T at distances <= n_cut; exact because the cut coupling is zero."""
-    size = min(label.i_max, n_cut) - label.i_min + 1
-    if size <= 0:
-        return TridiagonalMatrix((), ())
-    return TridiagonalMatrix(t.diagonal[:size], t.offdiagonal[: size - 1])
-
-
-def commutant_residual(
-    label: ModuleLabel,
-    hs: HeunSpec,
-    filling: FillingSpec,
-    sub: SubsystemSpec,
-    spec: GraphSpec,
-) -> float:
-    """max |[C, T]| on the subsystem-restricted module block; ``hs`` must be the plan."""
-    if plan(spec, filling, sub) != hs:
-        raise ValueError("filling and subsystem do not plan to these cuts")
-    t_block = restrict_to_subsystem(build_T(label, hs, spec), label, hs.n_cut).dense()
-    if t_block.shape[0] == 0:
-        return 0.0
-    c_block = module_correlation_block(label, filling, sub, spec).matrix
-    return float(np.max(np.abs(c_block @ t_block - t_block @ c_block)))
+    return _tridiagonal(*_T_entries(spec, [hs.mu], [hs.nu], ms, np.arange(label.i_min, label.i_max + 1)[None, :]))[0]
 
 
 def _cluster_readout(w: np.ndarray, q: np.ndarray, c_block: np.ndarray) -> np.ndarray:
@@ -369,13 +224,7 @@ def spectra_via_heun(spec: GraphSpec, configs) -> Iterator[CorrelationSpectrum]:
     nu = np.array([np.nan if hs is None else hs.nu for hs in planned])
 
     def readout(pts, ms, rows, c):
-        size = rows.shape[1]
-        diag, off = _T_entries(spec, mu[pts], nu[pts], ms, rows)
-        t = np.zeros((len(ms), size, size))
-        r = np.arange(size)
-        t[:, r, r] = diag
-        t[:, r[:-1], r[1:]] = t[:, r[1:], r[:-1]] = off
-        w, q = np.linalg.eigh(t)
+        w, q = np.linalg.eigh(_tridiagonal(*_T_entries(spec, mu[pts], nu[pts], ms, rows)))
         # Rayleigh quotients v^T C v for every eigenvector v of every block, as
         # stacked (1 x size) products: the same vector-matrix-vector sums a
         # lone block takes, so the values do not depend on the stacking

@@ -45,6 +45,7 @@ __all__ = [
     "CorrelationSpectrum",
     "level_labels_x2",
     "theta_eigenvalue",
+    "level_degeneracy",
     "energy_table",
     "energy_exponential",
     "fill_ground_state",
@@ -152,6 +153,18 @@ def theta_eigenvalue(j_x2: int, spec: GraphSpec) -> float:
     return (j_x2 * (j_x2 + 2) - (n - 2 * k) ** 2) / 4.0 - n / 2.0
 
 
+def level_degeneracy(j_x2: int, spec: GraphSpec) -> int:
+    """Degeneracy D_j of the level j, the classical m_i = C(n, i) - C(n, i - 1) with i = n/2 - j.
+
+    It equals the total multiplicity of the modules whose chain couples to j,
+    which ``verify.check_level_degeneracies`` checks.
+    """
+    if j_x2 not in level_labels_x2(spec):
+        raise ValueError(f"level j_x2={j_x2} outside {spec.n - 2 * spec.k}..{spec.n}")
+    i = (spec.n - j_x2) // 2
+    return math.comb(spec.n, i) - (math.comb(spec.n, i - 1) if i else 0)
+
+
 def energy_table(spec: GraphSpec, hop: HoppingProfile) -> EnergyTable:
     """Energies Omega_j of sum_i alpha_i A_i on every adjacency eigenspace.
 
@@ -160,8 +173,9 @@ def energy_table(spec: GraphSpec, hop: HoppingProfile) -> EnergyTable:
     at x = j - (n/2 - k).  The alternating sum cancels heavily (e.g.
     fast-decaying hopping near the bottom level), so it is accumulated in
     exact rational arithmetic, with every R_i of a level from one pass of the
-    degree recurrence, and rounded once.  Degeneracies come from the module
-    count.  For alpha = (0, 1, 0, ...) this collapses to Omega = theta.
+    degree recurrence, and rounded once.  Degeneracies are
+    :func:`level_degeneracy`.  For alpha = (0, 1, 0, ...) this collapses to
+    Omega = theta.
     """
     n, k = spec.n, spec.k
     weights = [(i, (-1) ** i * math.comb(k, i) * Fraction(a)) for i, a in enumerate(hop.padded(k)) if a]
@@ -198,8 +212,6 @@ def energy_exponential(spec: GraphSpec, c: float) -> EnergyTable:
 
 
 def _energy_level(j_x2: int, spec: GraphSpec, omega: Fraction) -> EnergyLevel:
-    from .terwilliger import level_degeneracy  # runtime import; cycle otherwise
-
     sign = (omega > 0) - (omega < 0)
     return EnergyLevel(j_x2, theta_eigenvalue(j_x2, spec), float(omega), level_degeneracy(j_x2, spec), sign)
 

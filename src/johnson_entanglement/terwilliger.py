@@ -39,26 +39,21 @@ from .spectral import (
     SubsystemSpec,
     clamp_unit_interval,
     group_spectra,
-    level_labels_x2,
+    level_degeneracy,
 )
 
 __all__ = [
     "ModuleLabel",
-    "ModuleBlock",
     "ModuleTable",
-    "HahnRelationReport",
     "enumerate_modules",
     "module_table",
     "size_groups",
     "module_degeneracy",
     "level_degeneracy",
     "module_admissible_levels",
-    "correlation_entries",
     "module_correlation_block",
-    "single_neighborhood_eigenvalue",
     "assemble_spectra",
     "assemble_spectrum",
-    "check_hahn_algebra",
 ]
 
 
@@ -83,21 +78,6 @@ class ModuleLabel:
     @property
     def distances(self) -> range:
         return range(self.i_min, self.i_max + 1)
-
-    def m1_x2(self, i: int, spec: GraphSpec) -> int:
-        return (spec.n - spec.k) - 2 * i
-
-    def m2_x2(self, i: int, spec: GraphSpec) -> int:
-        return 2 * i - spec.k
-
-
-@dataclass(frozen=True)
-class ModuleBlock:
-    """Restriction of the chopped correlation matrix to one module's rows."""
-
-    label: ModuleLabel
-    distances: tuple[int, ...]
-    matrix: np.ndarray
 
 
 def module_degeneracy(spec: GraphSpec, j1_x2: int, j2_x2: int) -> int:
@@ -148,18 +128,6 @@ def module_admissible_levels(label: ModuleLabel, spec: GraphSpec) -> list[int]:
     """Doubled j labels coupled inside the module: max(|j1-j2|, n/2-k) .. j1+j2."""
     lo = max(abs(label.j1_x2 - label.j2_x2), spec.n - 2 * spec.k)
     return list(range(lo, label.j1_x2 + label.j2_x2 + 1, 2))
-
-
-def level_degeneracy(j_x2: int, spec: GraphSpec) -> int:
-    """Degeneracy D_j of the level j, the classical m_i = C(n, i) - C(n, i - 1) with i = n/2 - j.
-
-    It equals the total multiplicity of the modules whose chain couples to j,
-    which ``verify.check_level_degeneracies`` checks.
-    """
-    if j_x2 not in level_labels_x2(spec):
-        raise ValueError(f"level j_x2={j_x2} outside {spec.n - 2 * spec.k}..{spec.n}")
-    i = (spec.n - j_x2) // 2
-    return math.comb(spec.n, i) - (math.comb(spec.n, i - 1) if i else 0)
 
 
 class ModuleTable:
@@ -332,45 +300,17 @@ def size_groups(sizes: np.ndarray):
         yield size, np.nonzero(sizes == size)[0]
 
 
-def _one_module(label: ModuleLabel, spec: GraphSpec, rows) -> tuple[ModuleTable, np.ndarray, np.ndarray]:
-    table = module_table(spec)
-    ms = np.array([table.row[label]])
-    return table, ms, np.asarray(rows, dtype=np.intp).reshape(1, -1)
-
-
-def correlation_entries(
-    label: ModuleLabel, spec: GraphSpec, rows: list[int], levels_x2: list[int]
-) -> np.ndarray:
-    """Coefficient matrix G with G[r, c] = <row r | level c>; the block is G G^T."""
-    table, ms, rows = _one_module(label, spec, rows)
-    return table.entries(ms, rows, table.level_index(levels_x2).reshape(1, -1))[0]
-
-
 def module_correlation_block(
     label: ModuleLabel, filling: FillingSpec, sub: SubsystemSpec, spec: GraphSpec
-) -> ModuleBlock:
-    """Correlation block sum_{j in SE} c^j_m1 c^j_m1' over the subsystem rows.
+) -> np.ndarray:
+    """Correlation block sum_{j in SE} c^j_m1 c^j_m1' over the subsystem rows, by ascending distance.
 
     Rows outside the module's chain are absent; an empty restriction yields a
     0 x 0 block.  The block is symmetric PSD with spectrum inside [0, 1].
     """
-    rows = sorted(set(sub.distances) & set(label.distances))
-    table, ms, stacked_rows = _one_module(label, spec, rows)
-    block = table.blocks(ms, stacked_rows, table.level_index(sorted(filling.occupied))[None, :])[0]
-    return ModuleBlock(label, tuple(rows), block)
-
-
-def single_neighborhood_eigenvalue(
-    label: ModuleLabel, i: int, filling: FillingSpec, spec: GraphSpec
-) -> float:
-    """Closed-form eigenvalue sum_{j in SE} c^2 for the one-row block at distance i."""
-    if i not in label.distances:
-        raise ValueError(f"module ({label.j1_x2}, {label.j2_x2}) misses neighborhood {i}")
-    levels = [j for j in module_admissible_levels(label, spec) if j in filling.occupied]
-    total = 0.0
-    for c in correlation_entries(label, spec, [i], levels)[0].tolist():
-        total += c**2
-    return float(min(total, 1.0))
+    table = module_table(spec)
+    rows = np.array([sorted(set(sub.distances) & set(label.distances))], dtype=np.intp)
+    return table.blocks(np.array([table.row[label]]), rows, table.level_index(sorted(filling.occupied))[None, :])[0]
 
 
 def assemble_spectra(spec: GraphSpec, configs) -> Iterator[CorrelationSpectrum]:
@@ -384,57 +324,3 @@ def assemble_spectra(spec: GraphSpec, configs) -> Iterator[CorrelationSpectrum]:
 def assemble_spectrum(spec: GraphSpec, filling: FillingSpec, sub: SubsystemSpec) -> CorrelationSpectrum:
     """One point's :func:`assemble_spectra`."""
     return next(assemble_spectra(spec, [(filling, sub)]))
-
-
-@dataclass(frozen=True)
-class HahnRelationReport:
-    """Residuals of the two quadratic commutator relations on one module."""
-
-    j1_x2: int
-    j2_x2: int
-    h2_residual: float
-    h3_residual: float
-
-
-def check_hahn_algebra(spec: GraphSpec) -> list[HahnRelationReport]:
-    """Numerically test the commutator algebra closed by A and rescaled A*.
-
-    With K1 = 2k(n-k)/(n(n-1)) A*, K2 = A and K3 = [K1, K2], evaluates
-
-        [K2, K3] = a {K1, K2} + b K2 + c1 K1 + d1
-        [K3, K1] = a K1^2     + b K1 + c2 K2 + d2
-
-    per module, with a = -2, b = -2(n-2k)^2/n, c1 = -2n - (n-2k)^2, c2 = -4
-    and central offsets d1 = -b c1/4 + 2(n-2k)(cas1 - cas2) and d2 built from
-    the two Casimir values, which are constants on a module.  Residuals are
-    reported, not raised; the module actions, and so the relations, are the
-    same for every base vertex.
-    """
-    from .heun import module_A_action, module_Astar_values  # runtime: heun imports us
-
-    n, k = spec.n, spec.k
-    a = -2.0
-    b = -2.0 * (n - 2 * k) ** 2 / n
-    c1 = -2.0 * n - (n - 2 * k) ** 2
-    c2 = -4.0
-    reports = []
-    for label in enumerate_modules(spec):
-        k2 = module_A_action(label, spec)
-        k1 = (2.0 * k * (n - k) / (n * (n - 1))) * np.diag(module_Astar_values(label, spec))
-        k3 = k1 @ k2 - k2 @ k1
-        cas1 = label.j1_x2 * (label.j1_x2 + 2) / 4.0
-        cas2 = label.j2_x2 * (label.j2_x2 + 2) / 4.0
-        d1 = -b * c1 / 4.0 + 2.0 * (n - 2 * k) * (cas1 - cas2)
-        d2 = -2.0 * n + 4.0 * (cas1 + cas2) - b * b / 8.0 + b * n / 4.0
-        eye = np.eye(label.dim)
-        h2 = (k2 @ k3 - k3 @ k2) - (a * (k1 @ k2 + k2 @ k1) + b * k2 + c1 * k1 + d1 * eye)
-        h3 = (k3 @ k1 - k1 @ k3) - (a * (k1 @ k1) + b * k1 + c2 * k2 + d2 * eye)
-        reports.append(
-            HahnRelationReport(
-                label.j1_x2,
-                label.j2_x2,
-                float(np.max(np.abs(h2))),
-                float(np.max(np.abs(h3))),
-            )
-        )
-    return reports

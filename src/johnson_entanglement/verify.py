@@ -4,7 +4,9 @@ runnable at small sizes where the dense oracle is available.
 Each check returns its worst observed metric so regressions show up as
 numbers, not just booleans, and holds the only copy of its tolerance.  The
 checks take their grids as input; :func:`run_battery` and the acceptance
-tests pass their own.  Grids are enumerated, never sampled.
+tests pass their own.  Grids are enumerated, never sampled.  The algebra
+that only the checks need (the module A and A* actions, the level-basis T,
+the Hahn-relation residuals) lives here, on plain arrays.
 """
 
 from __future__ import annotations
@@ -132,9 +134,11 @@ def _check_cg_orthonormality(sizes) -> CheckResult:
     worst = 0.0
     probe = [GraphSpec(n, k) for n, k in sizes] + [GraphSpec(30, 15), GraphSpec(29, 13)]
     for spec in probe:
-        for label in terwilliger.enumerate_modules(spec):
-            levels = terwilliger.module_admissible_levels(label, spec)
-            g = terwilliger.correlation_entries(label, spec, list(label.distances), levels)
+        table = terwilliger.module_table(spec)
+        for m, label in enumerate(table.labels):
+            # the module's whole square coupling matrix: every chain row against every admissible level
+            rows, levels = label.distances, range(table.level_lo[m], table.level_hi[m] + 1)
+            g = table.entries(np.array([m]), np.array([rows]), np.array([levels]))[0]
             eye = np.eye(label.dim)
             worst = max(worst, float(np.max(np.abs(g.T @ g - eye))))
             worst = max(worst, float(np.max(np.abs(g @ g.T - eye))))
@@ -167,6 +171,57 @@ def check_level_degeneracies(sizes, cap) -> CheckResult:
     return CheckResult("level_degeneracies", worst < 1e-6, worst, "trace(E_j) equals the module count")
 
 
+def _A_action(label, spec: GraphSpec) -> np.ndarray:
+    """A on the module chain by ascending distance: the ladder and diagonal the T route is built from."""
+    a, b, _ = heun_mod._chain_arrays(spec)
+    m = terwilliger.module_table(spec).row[label]
+    return heun_mod._tridiagonal(b[None, m, label.i_min : label.i_max + 1], a[None, m, label.i_min : label.i_max])[0]
+
+
+def _Astar_coefficients(j_x2: int, label, spec: GraphSpec) -> tuple[float, float]:
+    """Ladder weight a*_j and diagonal b*_j of A* in the module's level basis.
+
+    a*_j couples j to j - 1 and carries the square root of a product that
+    vanishes at the admissible-range edges, so no coupling ever leaves the
+    module.  For a one-row chain only b* is meaningful and it equals the
+    dual eigenvalue of that single row.
+    """
+    n, k = spec.n, spec.k
+    j1, j2 = label.j1_x2, label.j2_x2
+    if not abs(j1 - j2) <= j_x2 <= j1 + j2:
+        raise ValueError(f"level j_x2={j_x2} outside the module's coupling range")
+    pref = n * (n - 1) / (k * (n - k))
+    mm = n - 2 * k
+    num = (
+        (j_x2**2 - mm**2)
+        * (j_x2**2 - (j1 - j2) ** 2)
+        * ((j1 + j2 + 2) ** 2 - j_x2**2)
+    )
+    if j_x2 <= 1 or num <= 0:
+        # j = 0 or 1/2 can only be a chain's lowest level, where the
+        # vanishing numerator factor already means "no coupling below"
+        a_star = 0.0
+    else:
+        a_star = pref * math.sqrt(num / ((j_x2**2 - 1) * j_x2**2)) / 8.0
+    base = -(n - 1) * (n - 2 * k) / (2.0 * k)
+    swing = n * (n - 1) * (n - 2 * k) / (2.0 * k * (n - k))
+    if j_x2 == 0:
+        ratio = 0.0
+    else:
+        ratio = (j1 + j2 + 2) * (j1 - j2) / (2.0 * j_x2 * (j_x2 + 2))
+    b_star = base + swing * (0.5 + ratio)
+    return a_star, b_star
+
+
+def _T_level_basis(label, hs, spec: GraphSpec) -> np.ndarray:
+    """T on the module in the level basis, where its cut sits after j0; similar to :func:`.heun.build_T`."""
+    levels = terwilliger.module_admissible_levels(label, spec)
+    a_star, b_star = np.array([_Astar_coefficients(j_x2, label, spec) for j_x2 in levels]).T
+    th = np.array([spectral.theta_eigenvalue(j_x2, spec) for j_x2 in levels])
+    diag, off = hs.mu * b_star + hs.nu * th + 2.0 * b_star * th, a_star[1:] * ((th[1:] + th[:-1]) + hs.mu)
+    return heun_mod._tridiagonal(diag[None], off[None])[0]
+
+
 def check_action_convention(sizes) -> CheckResult:
     """Each module's A action against theta_j over its admissible levels.
 
@@ -177,7 +232,7 @@ def check_action_convention(sizes) -> CheckResult:
     for n, k in sizes:
         spec = GraphSpec(n, k)
         for label in terwilliger.enumerate_modules(spec):
-            got = np.linalg.eigvalsh(heun_mod.module_A_action(label, spec))
+            got = np.linalg.eigvalsh(_A_action(label, spec))
             levels = terwilliger.module_admissible_levels(label, spec)
             want = np.sort([spectral.theta_eigenvalue(j, spec) for j in levels])
             worst = max(worst, float(np.max(np.abs(got - want))) / max(1.0, float(np.max(np.abs(want)))))
@@ -191,8 +246,8 @@ def check_t_basis_similarity(grid) -> CheckResult:
         spec = GraphSpec(n, k)
         hs = heun_mod.heun_spec(spec, n_cut, spectral.level_labels_x2(spec)[j0_pos])
         for label in terwilliger.enumerate_modules(spec):
-            w1 = np.linalg.eigvalsh(heun_mod.build_T(label, hs, spec).dense())
-            w2 = np.linalg.eigvalsh(heun_mod.build_T_level_basis(label, hs, spec).dense())
+            w1 = np.linalg.eigvalsh(heun_mod.build_T(label, hs, spec))
+            w2 = np.linalg.eigvalsh(_T_level_basis(label, hs, spec))
             scale = max(1.0, float(np.max(np.abs(w1))))
             worst = max(worst, float(np.max(np.abs(w1 - w2))) / scale)
     return CheckResult("t_basis_similarity", worst <= 1e-8, worst, "distance- and level-basis T agree spectrally")
@@ -219,12 +274,50 @@ def check_route_agreement(sizes, cap) -> CheckResult:
     return CheckResult("route_agreement", worst <= 1e-8, worst, "oracle, module and T-readout spectra agree")
 
 
+def _hahn_residuals(spec: GraphSpec):
+    """(label, h2, h3) per module: the worst entries of the two quadratic commutator relations.
+
+    With K1 = 2k(n-k)/(n(n-1)) A*, K2 = A and K3 = [K1, K2], evaluates
+
+        [K2, K3] = a {K1, K2} + b K2 + c1 K1 + d1
+        [K3, K1] = a K1^2     + b K1 + c2 K2 + d2
+
+    per module, with a = -2, b = -2(n-2k)^2/n, c1 = -2n - (n-2k)^2, c2 = -4
+    and central offsets d1 = -b c1/4 + 2(n-2k)(cas1 - cas2) and d2 built from
+    the two Casimir values, which are constants on a module.  The module
+    actions, and so the relations, are the same for every base vertex.
+    """
+    n, k = spec.n, spec.k
+    a = -2.0
+    b = -2.0 * (n - 2 * k) ** 2 / n
+    c1 = -2.0 * n - (n - 2 * k) ** 2
+    c2 = -4.0
+    for label in terwilliger.enumerate_modules(spec):
+        k2 = _A_action(label, spec)
+        astar = [heun_mod.dual_eigenvalue_at_distance(i, spec) for i in label.distances]
+        k1 = (2.0 * k * (n - k) / (n * (n - 1))) * np.diag(astar)
+        k3 = k1 @ k2 - k2 @ k1
+        cas1 = label.j1_x2 * (label.j1_x2 + 2) / 4.0
+        cas2 = label.j2_x2 * (label.j2_x2 + 2) / 4.0
+        d1 = -b * c1 / 4.0 + 2.0 * (n - 2 * k) * (cas1 - cas2)
+        d2 = -2.0 * n + 4.0 * (cas1 + cas2) - b * b / 8.0 + b * n / 4.0
+        eye = np.eye(label.dim)
+        h2 = (k2 @ k3 - k3 @ k2) - (a * (k1 @ k2 + k2 @ k1) + b * k2 + c1 * k1 + d1 * eye)
+        h3 = (k3 @ k1 - k1 @ k3) - (a * (k1 @ k1) + b * k1 + c2 * k2 + d2 * eye)
+        yield label, float(np.max(np.abs(h2))), float(np.max(np.abs(h3)))
+
+
 def check_hahn_algebra(sizes) -> CheckResult:
     worst = 0.0
     for n, k in sizes:
-        for rec in terwilliger.check_hahn_algebra(GraphSpec(n, k)):
-            worst = max(worst, rec.h2_residual, rec.h3_residual)
+        for _, h2, h3 in _hahn_residuals(GraphSpec(n, k)):
+            worst = max(worst, h2, h3)
     return CheckResult("hahn_algebra_residuals", worst <= 1e-8, worst, "quadratic commutator relations per module")
+
+
+def _commutator(c: np.ndarray, t: np.ndarray) -> float:
+    """max |[C, T]| over the entries."""
+    return float(np.max(np.abs(c @ t - t @ c)))
 
 
 def check_heun_commutant(grid) -> CheckResult:
@@ -243,21 +336,26 @@ def check_heun_commutant(grid) -> CheckResult:
         hs = heun_mod.heun_spec(spec, n_cut, labels[j0_pos])
         filling = FillingSpec(frozenset(labels[: j0_pos + 1]))
         sub = SubsystemSpec(frozenset(range(n_cut + 1)), default_base_vertex(spec))
+        if heun_mod.plan(spec, filling, sub) != hs:
+            raise ValueError("filling and subsystem do not plan to these cuts")
         perturbed = replace(hs, mu=hs.mu + 1.0)
         controls = []
         for label in terwilliger.enumerate_modules(spec):
-            worst = max(worst, heun_mod.commutant_residual(label, hs, filling, sub, spec))
-            if label.i_min <= n_cut < label.i_max:
-                off = heun_mod.build_T(label, hs, spec).offdiagonal
-                cuts_zero = cuts_zero and off[n_cut - label.i_min] == 0.0
             levels = terwilliger.module_admissible_levels(label, spec)
             if hs.j0_x2 in levels[:-1]:
-                off = heun_mod.build_T_level_basis(label, hs, spec).offdiagonal
-                cuts_zero = cuts_zero and off[levels.index(hs.j0_x2)] == 0.0
-            t_block = heun_mod.restrict_to_subsystem(heun_mod.build_T(label, perturbed, spec), label, n_cut).dense()
-            if t_block.shape[0] > 1:
-                c_block = terwilliger.module_correlation_block(label, filling, sub, spec).matrix
-                controls.append(float(np.max(np.abs(c_block @ t_block - t_block @ c_block))))
+                pos = levels.index(hs.j0_x2)
+                cuts_zero = cuts_zero and _T_level_basis(label, hs, spec)[pos, pos + 1] == 0.0
+            # the subsystem rows of the chain are the leading ones
+            size = min(label.i_max, n_cut) - label.i_min + 1
+            if size <= 0:
+                continue
+            t = heun_mod.build_T(label, hs, spec)
+            if size < label.dim:
+                cuts_zero = cuts_zero and t[size - 1, size] == 0.0
+            c_block = terwilliger.module_correlation_block(label, filling, sub, spec)
+            worst = max(worst, _commutator(c_block, t[:size, :size]))
+            if size > 1:
+                controls.append(_commutator(c_block, heun_mod.build_T(label, perturbed, spec)[:size, :size]))
         if controls:
             control_ok = control_ok and max(controls) > 1e-3
         else:

@@ -163,6 +163,8 @@ def test_exit_code_bad_config():
         ["entropy", "--n", "6", "--k", "3", "--cutoff", "1", "--output", "/nonexistent/x.csv"],
         ["sweep", "--figure", "fig2a", "--fill-levels", "-2"],
         ["sweep", "--figure", "fig4", "--fill-levels", "99"],
+        ["sweep", "--figure", "fig2b", "--n", "8", "--k", "4", "--fill-levels", "2"],
+        ["sweep", "--figure", "fig3b", "--n", "8", "--k", "4", "--fill-levels", "99"],
     ],
 )
 def test_malformed_input_exits_2(argv, capsys, monkeypatch):

@@ -3,21 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from johnson_entanglement.heun import (
-    _chain_arrays,
-    build_T,
-    build_T_level_basis,
-    commutant_residual,
-    dual_eigenvalue,
-    dual_eigenvalue_at_distance,
-    heun_spec,
-    module_A_action,
-    module_Astar_values,
-    restrict_to_subsystem,
-    spectrum_via_heun,
-    tridiagonal_A_coefficients,
-    tridiagonal_Astar_coefficients,
-)
+from johnson_entanglement.heun import _chain_arrays, build_T, dual_eigenvalue_at_distance, heun_spec, spectrum_via_heun
 from johnson_entanglement.scheme import GraphSpec, default_base_vertex, dual_adjacency_matrix, neighborhood_size
 from johnson_entanglement.spectral import (
     FillingSpec,
@@ -33,6 +19,9 @@ from johnson_entanglement.terwilliger import (
     module_admissible_levels,
 )
 from johnson_entanglement.verify import (
+    _A_action,
+    _Astar_coefficients,
+    _T_level_basis,
     check_action_convention,
     check_heun_commutant,
     check_t_basis_similarity,
@@ -45,6 +34,34 @@ def _module(spec, j1_x2, j2_x2):
         if (label.j1_x2, label.j2_x2) == (j1_x2, j2_x2):
             return label
     raise LookupError
+
+
+def _m1_x2(i, spec):
+    return (spec.n - spec.k) - 2 * i
+
+
+def _A_coefficients(label, m1_x2, spec):
+    """Scalar reference for the chain arrays: ladder weight a_m1 and diagonal b_m1 of A on a module chain.
+
+    a_m1 = sqrt((j1+m1)(j1-m1+1)(j2-m2)(j2+m2+1)) couples m1 to m1 - 1, i.e.
+    the row at distance i to the row at i + 1, and vanishes at the chain
+    ends; b_m1 = j1(j1+1) + j2(j2+1) - m1^2 - m2^2 - n/2.
+    """
+    n, k = spec.n, spec.k
+    m2_x2 = (n - 2 * k) - m1_x2
+    i = ((n - k) - m1_x2) // 2
+    if i not in label.distances:
+        raise ValueError(f"m1_x2={m1_x2} outside the module chain")
+    j1, j2 = label.j1_x2, label.j2_x2
+    prod = (
+        ((j1 + m1_x2) // 2)
+        * ((j1 - m1_x2) // 2 + 1)
+        * ((j2 - m2_x2) // 2)
+        * ((j2 + m2_x2) // 2 + 1)
+    )
+    a = math.sqrt(prod)
+    b = (j1 * (j1 + 2) + j2 * (j2 + 2) - m1_x2**2 - m2_x2**2) / 4.0 - n / 2.0
+    return a, b
 
 
 def test_dual_eigenvalue_at_base_vertex():
@@ -62,11 +79,6 @@ def test_dual_eigenvalue_strictly_decreasing():
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
-def test_dual_eigenvalue_constraint():
-    with pytest.raises(ValueError):
-        dual_eigenvalue(2, 2, GraphSpec(4, 2))
-
-
 def test_dual_eigenvalue_matches_dense_diagonal():
     spec = GraphSpec(5, 2)
     x0 = default_base_vertex(spec)
@@ -82,10 +94,10 @@ def test_A_coefficients_vanish_at_chain_ends():
     for n, k in [(6, 3), (9, 4)]:
         spec = GraphSpec(n, k)
         for label in enumerate_modules(spec):
-            a_bottom, _ = tridiagonal_A_coefficients(label, label.m1_x2(label.i_max, spec), spec)
+            a_bottom, _ = _A_coefficients(label, _m1_x2(label.i_max, spec), spec)
             assert a_bottom == 0.0
             # coupling out of the top row also vanishes by the mirrored factor
-            m1_top = label.m1_x2(label.i_min, spec)
+            m1_top = _m1_x2(label.i_min, spec)
             j1, j2 = label.j1_x2, label.j2_x2
             m2_top = (n - 2 * k) - m1_top
             top_out = ((j1 - m1_top) // 2) * ((j2 + m2_top) // 2)
@@ -98,7 +110,7 @@ def _scalar_chain_arrays(spec):
     b = np.zeros_like(a)
     for m, label in enumerate(labels):
         for i in label.distances:
-            a[m, i], b[m, i] = tridiagonal_A_coefficients(label, label.m1_x2(i, spec), spec)
+            a[m, i], b[m, i] = _A_coefficients(label, _m1_x2(i, spec), spec)
     return a, b
 
 
@@ -116,14 +128,14 @@ def test_A_action_trace_identity():
     for n, k in [(6, 3), (8, 4), (9, 4)]:
         spec = GraphSpec(n, k)
         for label in enumerate_modules(spec):
-            action = module_A_action(label, spec)
+            action = _A_action(label, spec)
             expected = sum(theta_eigenvalue(j, spec) for j in module_admissible_levels(label, spec))
             assert np.trace(action) == pytest.approx(expected, abs=1e-9)
 
 
 def test_A_action_octahedron_module_spectrum():
     spec = GraphSpec(4, 2)
-    action = module_A_action(_module(spec, 2, 2), spec)
+    action = _A_action(_module(spec, 2, 2), spec)
     assert np.allclose(np.sort(np.linalg.eigvalsh(action)), [-2.0, 0.0, 4.0], atol=1e-10)
 
 
@@ -144,7 +156,7 @@ def test_Astar_one_dimensional_modules():
             found += 1
             levels = module_admissible_levels(label, spec)
             assert len(levels) == 1
-            _, b_star = tridiagonal_Astar_coefficients(levels[0], label, spec)
+            _, b_star = _Astar_coefficients(levels[0], label, spec)
             assert b_star == pytest.approx(dual_eigenvalue_at_distance(label.i_min, spec))
     assert found > 0
 
@@ -158,7 +170,7 @@ def test_Astar_action_octahedron_spectrum():
     dim = len(levels)
     m = np.zeros((dim, dim))
     for pos, j_x2 in enumerate(levels):
-        a_star, b_star = tridiagonal_Astar_coefficients(j_x2, label, spec)
+        a_star, b_star = _Astar_coefficients(j_x2, label, spec)
         m[pos, pos] = b_star
         if pos > 0:
             m[pos, pos - 1] = a_star
@@ -172,14 +184,14 @@ def test_Astar_boundary_weight_vanishes():
         levels = module_admissible_levels(label, spec)
         if len(levels) < 2:
             continue
-        a_star, _ = tridiagonal_Astar_coefficients(levels[0], label, spec)
+        a_star, _ = _Astar_coefficients(levels[0], label, spec)
         assert a_star == pytest.approx(0.0, abs=1e-12)
 
 
 def test_Astar_range_check():
     spec = GraphSpec(4, 2)
     with pytest.raises(ValueError):
-        tridiagonal_Astar_coefficients(6, _module(spec, 2, 2), spec)
+        _Astar_coefficients(6, _module(spec, 2, 2), spec)
 
 
 def test_heun_spec_validation():
@@ -203,12 +215,12 @@ def test_T_cut_coupling_is_exactly_zero():
                 t = build_T(label, hs, spec)
                 for offset, i in enumerate(range(label.i_min, label.i_max)):
                     if i == n_cut:
-                        assert t.offdiagonal[offset] == 0.0  # exact zero, not small
-                t_lvl = build_T_level_basis(label, hs, spec)
+                        assert t[offset, offset + 1] == t[offset + 1, offset] == 0.0  # exact zero, not small
+                t_lvl = _T_level_basis(label, hs, spec)
                 levels = module_admissible_levels(label, spec)
                 for pos, j_x2 in enumerate(levels[:-1]):
                     if j_x2 == j0:
-                        assert t_lvl.offdiagonal[pos] == 0.0
+                        assert t_lvl[pos, pos + 1] == t_lvl[pos + 1, pos] == 0.0
 
 
 def test_T_one_dimensional_module_is_scalar():
@@ -216,7 +228,7 @@ def test_T_one_dimensional_module_is_scalar():
     hs = heun_spec(spec, 0, 2)
     label = _module(spec, 2, 0)
     t = build_T(label, hs, spec)
-    assert len(t.diagonal) == 1 and t.offdiagonal == ()
+    assert t.shape == (1, 1)
 
 
 def test_T_basis_spectra_agree():
@@ -231,23 +243,6 @@ def test_commutant_control_skips_only_all_scalar_blocks():
     assert "control skipped on 2 of 2 configurations" in result.detail
     mixed = check_heun_commutant([(3, 1, 0, 0), (8, 4, 1, 1)])
     assert mixed.passed and "skipped on 1 of 2 configurations" in mixed.detail
-
-
-def test_commutant_validates_consistency():
-    spec = GraphSpec(8, 4)
-    labels = level_labels_x2(spec)
-    hs = heun_spec(spec, 1, labels[1])
-    label = enumerate_modules(spec)[0]
-    with pytest.raises(ValueError):
-        commutant_residual(
-            label, hs, FillingSpec(frozenset(labels[:1])),
-            SubsystemSpec(frozenset({0, 1}), default_base_vertex(spec)), spec,
-        )
-    with pytest.raises(ValueError):
-        commutant_residual(
-            label, hs, FillingSpec(frozenset(labels[:2])),
-            SubsystemSpec(frozenset({0}), default_base_vertex(spec)), spec,
-        )
 
 
 def test_spectrum_via_heun_matches_other_routes():
@@ -314,6 +309,7 @@ def test_restriction_sizes():
     hs = heun_spec(spec, 1, level_labels_x2(spec)[0])
     total = 0
     for label in enumerate_modules(spec):
-        t = restrict_to_subsystem(build_T(label, hs, spec), label, hs.n_cut)
-        total += len(t.diagonal) * label.degeneracy
+        rows = [i for i in label.distances if i <= hs.n_cut]
+        t = build_T(label, hs, spec)[: len(rows), : len(rows)]
+        total += len(t) * label.degeneracy
     assert total == neighborhood_size(spec, 0) + neighborhood_size(spec, 1)

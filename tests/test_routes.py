@@ -44,7 +44,7 @@ def _bottom(spec, fill):
 def _per_module_reference(spec, filling, sub):
     pairs = []
     for label in enumerate_modules(spec):
-        block = module_correlation_block(label, filling, sub, spec).matrix
+        block = module_correlation_block(label, filling, sub, spec)
         if block.shape[0]:
             pairs.extend((lam, label.degeneracy) for lam in clamp_unit_interval(np.linalg.eigvalsh(block)))
     return CorrelationSpectrum(group_spectrum_reference(pairs))
