@@ -26,17 +26,19 @@ to the dense oracle, :func:`.terwilliger.assemble_spectra` or here.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .scheme import ConfigError, GraphSpec, default_base_vertex
+from .scheme import ConfigError, GraphSpec, _require_capacity, default_base_vertex, neighborhood_size
 from .spectral import (
     CorrelationSpectrum,
     FillingSpec,
     SubsystemSpec,
     chopped_correlation_oracle,
+    group_spectrum,
+    level_degeneracy,
     level_labels_x2,
     spectrum_oracle,
     theta_eigenvalue,
@@ -246,14 +248,41 @@ def spectrum_via_heun(spec: GraphSpec, hs: HeunSpec) -> CorrelationSpectrum:
     return next(spectra_via_heun(spec, [(filling, sub)]))
 
 
+def _oracle_spectrum(spec: GraphSpec, filling: FillingSpec, sub: SubsystemSpec, cap: int | None) -> CorrelationSpectrum:
+    """The oracle spectrum of the subsystem A, solved on the smaller of A and B, the other distances from x0.
+
+    The correlation matrix is a projector of rank N_f, the occupied
+    degeneracies summed, so each value lam of C_B in (0, 1) is a value 1 - lam
+    of C_A, as often.  With q such values, A has N_f - q - (B's exact 1s)
+    exact 1s and exact 0s in its other rows.  An empty B is the whole graph.
+    """
+    _require_capacity(spec, cap)
+    size = sum(neighborhood_size(spec, d) for d in sub.distances)
+    if 2 * size <= spec.vertex_count:
+        return spectrum_oracle(chopped_correlation_oracle(spec, filling, sub, cap))
+    other = frozenset(range(spec.k + 1)) - sub.distances
+    entries = ()
+    if other:
+        entries = spectrum_oracle(chopped_correlation_oracle(spec, filling, replace(sub, distances=other), cap)).entries
+    mixed = [(1.0 - lam, mult) for lam, mult in entries if 0.0 < lam < 1.0]
+    q = sum(mult for _, mult in mixed)
+    rank = sum(level_degeneracy(j_x2, spec) for j_x2 in filling.occupied)
+    ones = rank - q - sum(mult for lam, mult in entries if lam == 1.0)
+    zeros = size - ones - q
+    if min(ones, zeros) < 0:
+        raise ArithmeticError(f"complement spectrum leaves {ones} exact 1s and {zeros} exact 0s")
+    values, mults = zip(*[(lam, mult) for lam, mult in [(0.0, zeros), (1.0, ones), *mixed] if mult])
+    return CorrelationSpectrum(group_spectrum(values, mults))
+
+
 def spectra(spec: GraphSpec, configs, route: str, cap: int | None = None) -> Iterator[CorrelationSpectrum]:
     """Spectra of (filling, subsystem) points of one graph along one of :data:`ROUTES`, in order.
 
-    ``oracle`` solves one point at a time under the dense cap ``cap``; the
-    structured routes take all the points as one batch.
+    ``oracle`` solves one point at a time on its smaller side, under the
+    dense cap ``cap``; the structured routes take all the points as one batch.
     """
     if route == "oracle":
-        return (spectrum_oracle(chopped_correlation_oracle(spec, filling, sub, cap)) for filling, sub in configs)
+        return (_oracle_spectrum(spec, filling, sub, cap) for filling, sub in configs)
     if route == "modules":
         return assemble_spectra(spec, configs)
     if route == "heun":

@@ -3,7 +3,7 @@
 Vertices are the k-subsets of {1..n}; two vertices are adjacent when their
 subsets differ by a single element, and d(x, y) = k - |x intersect y|.  Every
 dense matrix in the package is indexed by one fixed vertex order:
-colexicographic, whose rank/unrank is O(k).  Dense objects are only built
+colexicographic, whose rank is O(k).  Dense objects are only built
 below a configurable cap; the module-decomposition routes never need them.
 """
 
@@ -26,7 +26,6 @@ __all__ = [
     "Vertex",
     "dense_cap",
     "rank_colex",
-    "unrank_colex",
     "enumerate_vertices",
     "vertex_from_subset",
     "default_base_vertex",
@@ -89,20 +88,6 @@ class Vertex:
 def rank_colex(subset: tuple[int, ...]) -> int:
     """Colexicographic rank of a strictly increasing subset of {1..n}."""
     return sum(math.comb(c - 1, t + 1) for t, c in enumerate(subset))
-
-
-def unrank_colex(rank: int, n: int, k: int) -> tuple[int, ...]:
-    """Inverse of :func:`rank_colex` for k-subsets of {1..n}."""
-    out = []
-    c = n
-    r = rank
-    for t in range(k, 0, -1):
-        while math.comb(c - 1, t) > r:
-            c -= 1
-        r -= math.comb(c - 1, t)
-        out.append(c)
-        c -= 1
-    return tuple(reversed(out))
 
 
 def _require_capacity(spec: GraphSpec, cap: int | None) -> None:

@@ -2,11 +2,13 @@
 
 The hopping Hamiltonian sum_i alpha_i A_i is simultaneously diagonalized by
 the adjacency eigenspaces; theta_j = j(j+1) - (n-2k)^2/4 - n/2 labels them by
-a (half-)integer j running from n/2 - k to n/2.  The oracle path diagonalizes
-the adjacency matrix once per graph, one sector of the element-pair swaps
-(1 2), (3 4), ... at a time, and chops the ground-state correlation
-projector to a vertex subset level by level, at dense scale only, as the
-reference for the two structured routes.
+a (half-)integer j running from n/2 - k to n/2.  J(n, k) is distance-regular,
+so each eigenprojector is a function of graph distance alone, an exact
+rational per distance (Delsarte 1973; Brouwer, Cohen and Neumaier,
+*Distance-Regular Graphs*, 1989, 9.1).  The oracle sums the occupied ones
+into the correlation kernel f, rounds it once per distance and reads the
+chopped correlation matrix off the subsystem's distances, at dense scale
+only, as the reference for the two structured routes.
 """
 
 from __future__ import annotations
@@ -15,22 +17,18 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, reduce
+from itertools import combinations
 from operator import add
-from types import MappingProxyType
-from typing import NamedTuple
 
 import numpy as np
 
 from .scheme import (
-    CapacityError,
     GraphSpec,
     Vertex,
-    _indicators,
     _require_capacity,
     adjacency_matrix,
-    dense_cap,
-    distances_from,
+    default_base_vertex,
 )
 from .specfn import _dual_hahn_run, _hyp2f1_rational
 
@@ -49,12 +47,10 @@ __all__ = [
     "energy_table",
     "energy_exponential",
     "fill_ground_state",
-    "symmetric_eigen",
     "eigenprojectors_oracle",
     "eigenprojector_traces",
     "chopped_correlation_oracle",
     "spectrum_oracle",
-    "adjacency_polynomial_slabs",
     "clamp_unit_interval",
     "group_spectra",
     "group_spectrum",
@@ -65,10 +61,6 @@ __all__ = [
 CLAMP_SLACK = 1e-6
 # Absolute tolerance when grouping eigenvalues into (value, multiplicity) runs.
 GROUP_TOL = 1e-8
-# Row height of the slabs over which symmetric_eigen checks its reconstruction,
-# the oracle cuts its level blocks and adjacency_polynomial_slabs rebuilds the
-# distance matrices.
-_SLAB_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -230,244 +222,85 @@ def fill_ground_state(table: EnergyTable, include_zero_modes: bool = False) -> F
     return FillingSpec(frozenset(occ))
 
 
-def symmetric_eigen(m: np.ndarray, cap: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition of an exactly symmetric matrix, ascending order.
+@lru_cache(maxsize=64)
+def _level_kernel(spec: GraphSpec, j_x2: int) -> tuple[Fraction, ...]:
+    """Exact entry of the eigenprojector E_j at each distance d = 0..k.
 
-    The reconstruction Q diag(w) Q^T is checked against the input to
-    1e-9 * max|M| before returning, a slab of rows at a time, so the check
-    adds no full-size temporary to the eigensolve's own.
+    J(n, k) is distance-regular, so E_j[x, y] = m_i P_d(i) / (C(n, k) v_d)
+    with i = n/2 - j, d = d(x, y), v_d = C(k, d) C(n-k, d) and the Eberlein
+    sum P_d(i) = sum_t (-1)^t C(i, t) C(k-i, d-t) C(n-k-i, d-t).
     """
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("expected a square matrix")
-    limit = dense_cap(cap)
-    if m.shape[0] > limit:
-        raise CapacityError(f"matrix dimension {m.shape[0]} over the dense cap {limit}")
-    if not np.array_equal(m, m.T):
-        raise ValueError("matrix is not exactly symmetric")
-    w, q = np.linalg.eigh(m)
-    _check_reconstruction(w, q, lambda top, stop: m[top:stop, top:])
-    return w, q
+    n, k, comb = spec.n, spec.k, math.comb
+    i = (n - j_x2) // 2
+    m = level_degeneracy(j_x2, spec)
+    return tuple(
+        Fraction(
+            m * sum((-1) ** t * comb(i, t) * comb(k - i, d - t) * comb(n - k - i, d - t) for t in range(d + 1)),
+            spec.vertex_count * comb(k, d) * comb(n - k, d),
+        )
+        for d in range(k + 1)
+    )
 
 
-def _check_reconstruction(w: np.ndarray, q: np.ndarray, rows) -> None:
-    """Raise unless Q diag(w) Q^T matches a symmetric M to 1e-9 * max|M|, slab by slab.
+@lru_cache(maxsize=32)
+def _correlation_kernel(spec: GraphSpec, occupied: frozenset[int]) -> np.ndarray:
+    """Read-only f with f[d] the ground-state correlation at distance d: the occupied E_j summed exactly, rounded once."""
+    f = np.array([float(sum(_level_kernel(spec, j_x2)[d] for j_x2 in occupied)) for d in range(spec.k + 1)])
+    f.flags.writeable = False
+    return f
 
-    ``rows(top, stop)`` returns M's rows top:stop from column top on.  Q
-    diag(w) Q^T is symmetric for any Q, and M is exactly symmetric, so the
-    error below the diagonal only repeats the error above it up to roundoff.
-    Each slab is therefore compared from its first row's column on, which
-    covers every unordered entry pair, so every entry of M or its mirror,
-    and reads only the slab's own square twice.  A wrong entry of row i of
-    Q still shows, at least on the diagonal entry (i, i).
+
+def _subsystem_distances(spec: GraphSpec, sub: SubsystemSpec) -> np.ndarray:
+    """Integer distances between the subsystem's vertices, rows in colex rank order.
+
+    A vertex at distance d from x0 is x0 with a d-set R of its elements
+    removed and a d-set S of the others added, and two such vertices lie at
+    distance |R| + |R'| - |R & R'| - |S & S'|.  The rows are listed from
+    (R, S), so neither a list of all C(n, k) vertices nor an N x N array is
+    made; the overlaps are one float64 product of 0/1 rows, exact.
     """
-    err = scale = 0.0
-    for top in range(0, len(w), _SLAB_ROWS):
-        stop = top + _SLAB_ROWS
-        m = rows(top, stop)
-        err = max(err, np.max(np.abs((q[top:stop] * w) @ q[top:].T - m)))
-        scale = max(scale, np.max(np.abs(m)))
-    if err > 1e-9 * max(scale, 1.0):
-        raise ArithmeticError(f"eigendecomposition reconstruction error {err:g}")
+    n = spec.n
+    x0 = np.zeros(n)
+    x0[[e - 1 for e in sub.x0.subset]] = 1.0
 
+    def subsets(elements, d):
+        combos = list(combinations(elements, d))
+        return np.eye(n)[np.array(combos, dtype=np.intp).reshape(len(combos), d)].sum(axis=1)
 
-class _Sectors(NamedTuple):
-    """Row layout that splits the adjacency matrix by pair-swap characters.
-
-    The swaps (1 2), (3 4), ... of the elements commute with A.  A vertex
-    holding one element of s pairs lies in an orbit of 2^s vertices, told
-    apart by which of those pairs hold their second element (the pattern).
-    Row c holds vertex ``perm[c]``; rows run by orbit size, then pattern,
-    then orbit, so the rows of one size form a (2^s, orbits) grid and one
-    Hadamard product transforms all of its orbits.  ``groups`` holds
-    (start, stop, s) per orbit size and ``weight`` the orbit size 2^s of
-    each row.  After the transform, row c carries the swap character of the
-    pattern of ``perm[c]``; ``sectors`` lists the rows of each character.
-    """
-
-    perm: np.ndarray
-    groups: tuple[tuple[int, int, int], ...]
-    weight: np.ndarray
-    sectors: tuple[np.ndarray, ...]
-
-
-def _pair_swap_sectors(spec: GraphSpec) -> _Sectors:
-    """The pair-swap layout of J(n, k), read off the vertex indicators."""
-    ind = _indicators(spec, spec.vertex_count)
-    pairs = 2 * (spec.n // 2)
-    first, second = ind[:, 0:pairs:2], ind[:, 1:pairs:2]
-    split = first != second
-    flips = second > first
-    s = split.sum(axis=1)
-    pattern = (flips.astype(np.int64) << (np.cumsum(split, axis=1) - split)).sum(axis=1)
-    # an orbit is fixed by how many elements of each pair, and which unpaired one, it holds
-    orbit = np.hstack([first + second, ind[:, pairs:]])
-    perm = np.lexsort(np.vstack([orbit.T, pattern, s]))
-    s = s[perm]
-    bounds = [0, *(np.flatnonzero(np.diff(s)) + 1), len(s)]
-    groups = tuple((int(a), int(b), int(s[a])) for a, b in zip(bounds, bounds[1:]))
-    chars = flips[perm]
-    order = np.lexsort(chars.T)
-    starts = np.flatnonzero(np.any(chars[order][1:] != chars[order][:-1], axis=1)) + 1
-    return _Sectors(perm, groups, 2.0**s, tuple(np.split(order, starts)))
-
-
-def _hadamard(s: int) -> np.ndarray:
-    """Sylvester's 2^s x 2^s Hadamard matrix: entry (u, v) is (-1)^popcount(u & v)."""
-    h = np.ones((1, 1))
-    for _ in range(s):
-        h = np.block([[h, h], [h, -h]])
-    return h
-
-
-def _walsh_rows(m: np.ndarray, layout: _Sectors) -> None:
-    """Apply every orbit's unnormalized Walsh-Hadamard transform to the rows of ``m``, in place."""
-    for start, stop, s in layout.groups:
-        rows = m[start:stop]
-        rows[...] = (_hadamard(s) @ rows.reshape(2**s, -1)).reshape(rows.shape)
-
-
-def _layout_adjacency(li: np.ndarray, k: int, top: int = 0, stop: int | None = None) -> np.ndarray:
-    """Rows top:stop of the adjacency matrix from column top on, in the row order of the indicators ``li``.
-
-    Each entry is an integer product of 0/1 indicator rows: exact.
-    """
-    return (li[top:stop] @ li[top:].T == k - 1).astype(np.float64)
-
-
-def _pair_swap_transform(li: np.ndarray, k: int, layout: _Sectors) -> np.ndarray:
-    """F^T A F for the orbits' Walsh-Hadamard transform F: small integers, exact in float64.
-
-    A is built in the layout row order of the indicators ``li``; only the
-    transposed copy ever sits next to it.
-    """
-    t = _layout_adjacency(li, k)
-    _walsh_rows(t, layout)
-    # A is symmetric, so (F^T A)^T = A F
-    t = np.ascontiguousarray(t.T)
-    _walsh_rows(t, layout)
-    return t
-
-
-def _solve_sectors(t: np.ndarray, layout: _Sectors, cap: int) -> list:
-    """(rows, eigenvalues, eigenvectors) of each sector block of the transformed matrix ``t``.
-
-    Every entry of ``t`` outside its sector blocks must be an exact zero;
-    each block, normalized by the orbit sizes, goes through
-    :func:`symmetric_eigen` with its own checks.  The off-sector entries of
-    ``t`` are zeroed on the way.
-    """
-    parts = []
-    for rows in layout.sectors:
-        strip = t[rows]
-        block = strip[:, rows]
-        strip[:, rows] = 0.0
-        if np.any(strip):
-            raise ArithmeticError("pair-swap transform left a nonzero entry outside its sector")
-        norm = np.sqrt(np.outer(layout.weight[rows], layout.weight[rows]))
-        parts.append((rows, *symmetric_eigen(block / norm, cap)))
-    return parts
-
-
-def _lift_sectors(parts, layout: _Sectors) -> tuple[np.ndarray, np.ndarray]:
-    """The sector eigenpairs, sector by sector, with the eigenvectors in layout row order."""
-    w = np.concatenate([w_s for _, w_s, _ in parts])
-    q = np.zeros((len(w), len(w)))
-    top = 0
-    for rows, w_s, v_s in parts:
-        q[rows, top : top + len(w_s)] = v_s / np.sqrt(layout.weight[rows])[:, None]
-        top += len(w_s)
-    _walsh_rows(q, layout)
-    return w, q
-
-
-def _sectored_eigen(spec: GraphSpec, layout: _Sectors) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of the adjacency matrix, one pair-swap sector at a time, in layout order.
-
-    Row c of the eigenvectors belongs to vertex ``layout.perm[c]``.  A is
-    built in layout order from the permuted indicators, so no vertex-order
-    copy exists.  The sectors are solved by :func:`_solve_sectors`, and the
-    lifted decomposition is checked against A, rebuilt exactly slab by slab
-    from the same indicators.
-    """
-    li = _indicators(spec, spec.vertex_count)[layout.perm]
-    t = _pair_swap_transform(li, spec.k, layout)
-    parts = _solve_sectors(t, layout, spec.vertex_count)
-    del t
-    w, q = _lift_sectors(parts, layout)
-    _check_reconstruction(w, q, partial(_layout_adjacency, li, spec.k))
-    return w, q
-
-
-def _level_masks(w: np.ndarray, spec: GraphSpec) -> dict[int, np.ndarray]:
-    """The eigenvalues of each adjacency level, as a mask over ``w`` keyed by doubled j.
-
-    Eigenvalues are grouped to the nearest theta_j within 1e-6 of the
-    spectral spread; anything further from every theta is an error.
-    """
-    labels = level_labels_x2(spec)
-    thetas = np.array([theta_eigenvalue(j_x2, spec) for j_x2 in labels])
-    tol = 1e-6 * (thetas.max() - thetas.min())
-    sels = [np.abs(w - t) <= tol for t in thetas]
-    if sum(int(np.sum(sel)) for sel in sels) != len(w):
-        raise ArithmeticError("adjacency eigenvalue did not land near a unique theta_j")
-    return dict(zip(labels, sels))
-
-
-def _vertex_columns(q: np.ndarray, perm: np.ndarray, sels) -> list[np.ndarray]:
-    """Each mask's columns of the layout-order ``q``, with the rows back in vertex order.
-
-    Row v of block b is row ``argsort(perm)[v]`` of ``q[:, sels[b]]``, cut a
-    slab of rows at a time.  The blocks are Fortran-ordered, as a column
-    cut of a vertex-order matrix is: sums over them round the same way.
-    """
-    inv = np.argsort(perm)
-    blocks = [np.empty((len(q), int(np.sum(sel))), order="F") for sel in sels]
-    for top in range(0, len(q), _SLAB_ROWS):
-        rows = q[inv[top : top + _SLAB_ROWS]]
-        for block, sel in zip(blocks, sels):
-            block[top : top + _SLAB_ROWS] = rows[:, sel]
-    return blocks
-
-
-def _symmetrize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.T)
-
-
-@lru_cache(maxsize=8)
-def _level_blocks(spec: GraphSpec) -> MappingProxyType:
-    """Read-only eigenvector block of each adjacency level, keyed by doubled j.
-
-    One sectored eigendecomposition per graph, in layout order; each level's
-    block is then cut with its rows in vertex order.  Callers check the
-    capacity before every lookup.
-    """
-    layout = _pair_swap_sectors(spec)
-    w, q = _sectored_eigen(spec, layout)
-    masks = _level_masks(w, spec)
-    blocks = dict(zip(masks, _vertex_columns(q, layout.perm, masks.values())))
-    for block in blocks.values():
-        block.flags.writeable = False
-    return MappingProxyType(blocks)
+    inside, outside = np.flatnonzero(x0), np.flatnonzero(x0 == 0.0)
+    moved = np.vstack([(subsets(inside, d)[:, None] + subsets(outside, d)).reshape(-1, n) for d in sorted(sub.distances)])
+    # colex order compares the largest elements first: sort the vertex rows by element n, then n - 1, ...
+    moved = moved[np.lexsort((x0 + moved * (1.0 - 2.0 * x0)).T)]
+    d = moved.sum(axis=1) / 2.0
+    g = moved @ moved.T
+    g *= -1.0
+    g += d[:, None]
+    g += d[None, :]
+    return g.astype(np.intp)
 
 
 def eigenprojectors_oracle(spec: GraphSpec, cap: int | None = None) -> dict[int, np.ndarray]:
-    """Exactly symmetric eigenprojectors E_j of the adjacency matrix, keyed by doubled j."""
+    """Eigenprojectors E_j of the adjacency matrix, keyed by doubled j: each its exact kernel read off the distances."""
     _require_capacity(spec, cap)
-    return {j_x2: _symmetrize(b @ b.T) for j_x2, b in _level_blocks(spec).items()}
+    dist = _subsystem_distances(spec, SubsystemSpec(frozenset(range(spec.k + 1)), default_base_vertex(spec)))
+    return {j_x2: _correlation_kernel(spec, frozenset({j_x2}))[dist] for j_x2 in level_labels_x2(spec)}
 
 
-def eigenprojector_traces(spec: GraphSpec, cap: int | None = None) -> dict[int, float]:
-    """trace(E_j) of each adjacency level, read as the squared norm of its cached block."""
-    _require_capacity(spec, cap)
-    return {j_x2: float(np.sum(b * b)) for j_x2, b in _level_blocks(spec).items()}
+def eigenprojector_traces(spec: GraphSpec, cap: int | None = None) -> dict[int, int]:
+    """trace(E_j) of each adjacency level: the eigenvalues of one plain ``eigvalsh(A)`` near theta_j.
 
-
-def subsystem_indices(spec: GraphSpec, sub: SubsystemSpec, cap: int | None = None) -> np.ndarray:
-    """Canonical-order indices of the vertices at the selected distances."""
-    d = distances_from(sub.x0, spec, cap)
-    mask = np.isin(d, sorted(sub.distances))
-    return np.nonzero(mask)[0]
+    It reads no kernel, so it checks the level degeneracies on its own.
+    Eigenvalues are grouped to the nearest theta_j within 1e-6 of the
+    spectral spread; anything further from every theta is an error.
+    """
+    w = np.linalg.eigvalsh(adjacency_matrix(1, spec, cap))
+    labels = level_labels_x2(spec)
+    thetas = [theta_eigenvalue(j_x2, spec) for j_x2 in labels]
+    tol = 1e-6 * (max(thetas) - min(thetas))
+    counts = {j_x2: int(np.sum(np.abs(w - t) <= tol)) for j_x2, t in zip(labels, thetas)}
+    if sum(counts.values()) != len(w):
+        raise ArithmeticError("adjacency eigenvalue did not land near a unique theta_j")
+    return counts
 
 
 def chopped_correlation_oracle(
@@ -475,21 +308,11 @@ def chopped_correlation_oracle(
 ) -> np.ndarray:
     """The ground-state correlation projector restricted to the subsystem rows.
 
-    Each occupied level's eigenvector block is cut to the subsystem rows b
-    before b b^T is summed in ascending level order, so no N x N array is
-    formed.  numpy computes b b^T as one symmetric rank-k update, exactly
-    symmetric, so only the sum is symmetrized.  A full-ball cut gives bit
-    for bit the chopped sum of the symmetrized projectors; any other cut
-    agrees to roundoff.
+    Entry (x, y) is the kernel f at d(x, y), so the matrix is exactly
+    symmetric; at most two |A| x |A| arrays exist at once.
     """
     _require_capacity(spec, cap)
-    blocks = _level_blocks(spec)
-    idx = subsystem_indices(spec, sub, cap)
-    chat = np.zeros((len(idx), len(idx)))
-    for j_x2 in sorted(filling.occupied):
-        b = blocks[j_x2][idx]
-        chat += b @ b.T
-    return _symmetrize(chat)
+    return _correlation_kernel(spec, filling.occupied)[_subsystem_distances(spec, sub)]
 
 
 def clamp_unit_interval(values: np.ndarray) -> np.ndarray:
@@ -578,33 +401,3 @@ def spectrum_oracle(c: np.ndarray) -> CorrelationSpectrum:
         raise ValueError("chopped correlation matrix must be exactly symmetric")
     w = clamp_unit_interval(np.linalg.eigvalsh(c))
     return CorrelationSpectrum(group_spectrum(w, np.ones(len(w), dtype=np.int64)))
-
-
-def adjacency_polynomial_slabs(spec: GraphSpec, cap: int | None = None):
-    """Yield each slab of rows as its integer distances d and the same rows of every A_i rebuilt from A.
-
-    A_i = (-1)^i C(k, i) R_i(A + k; 0, n-2k, k), expanded termwise over the
-    product chain P_0 = I, P_(r+1) = P_r ((r(n-2k+1) + r^2) I - (A + k I)).
-    The chain is built once per slab, as (c_r - k) P_r - P_r A, and every
-    A_i is read off it; the rebuilt A_i should equal the 0/1 rows d == i.
-    Every P_r is an integer matrix, exact while its entries stay below 2^53,
-    so each A_i is bit for bit the one a separate product per i would give.
-    """
-    n, k = spec.n, spec.k
-    ind = _indicators(spec, cap)
-    a = adjacency_matrix(1, spec, cap)
-    for top in range(0, spec.vertex_count, _SLAB_ROWS):
-        dist = k - ind[top : top + _SLAB_ROWS] @ ind.T
-        chain = [(dist == 0).astype(np.float64)]
-        for r in range(k):
-            chain.append((r * (n - 2 * k + 1) + r * r - k) * chain[-1] - chain[-1] @ a)
-        polys = []
-        for i in range(k + 1):
-            total = chain[0]
-            coef = 1.0
-            for r in range(i):
-                coef *= (r - i) / ((1.0 + r) * (r - k) * (r + 1.0))
-                total = total + coef * chain[r + 1]
-            sgn = -1.0 if i % 2 else 1.0
-            polys.append(sgn * math.comb(k, i) * total)
-        yield dist, polys

@@ -1,51 +1,58 @@
-"""Dense-oracle references for the level-by-level chop and the distances.
+"""Dense references for the distance-kernel oracle, its chop and the distances.
 
-:func:`chopped_correlation_reference` sums every occupied eigenprojector
-into the full C(n, k) x C(n, k) correlation projector and chops it once.
-:func:`johnson_entanglement.spectral.chopped_correlation_oracle` cuts each
-occupied level's eigenvector block to the subsystem rows before its product.
-On a full-ball cut every entry takes the same floating-point operations, so
-the two agree bit for bit; on any other cut each entry is a different sum of
-at most C(n, k) products of unit-norm row entries, so they agree to within
-2 C(n, k) 2^-53.
+:func:`level_blocks_reference` diagonalizes the whole C(n, k) x C(n, k)
+adjacency matrix with one plain ``np.linalg.eigh`` call, in vertex order,
+and cuts the eigenvectors by level.  :func:`chopped_correlation_reference`
+sums the occupied blocks' products b b^T on the subsystem rows.  It shares
+nothing with :func:`johnson_entanglement.spectral.chopped_correlation_oracle`,
+which reads each entry off the exact kernel at the pair's distance.  Each
+reference entry is a sum of at most C(n, k) products of unit-norm row
+entries, so the two agree to within 2 C(n, k) 2^-53.
+
+:func:`subsystem_indices` cuts the subsystem rows out of the canonical
+vertex order, from :func:`johnson_entanglement.scheme.distances_from`.
 
 :func:`pairwise_distances` is the full integer distance matrix, which
 :func:`johnson_entanglement.scheme.distances_from` and
 :func:`johnson_entanglement.scheme.adjacency_matrix` must reproduce exactly.
 
 :func:`adjacency_via_polynomial` rebuilds one A_i as its own product of i
-full-size factors; :func:`johnson_entanglement.spectral.adjacency_polynomial_slabs`
+full-size factors; the battery's ``verify._adjacency_polynomial_slabs``
 reads every A_i off one product chain and must match it bit for bit.
-
-:func:`level_blocks_reference` runs the sectored eigensolve from a
-vertex-order A, lifts the eigenvectors straight back to vertex order and
-checks them on the full square.  The cached blocks of
-:func:`johnson_entanglement.spectral._level_blocks`, solved in layout order
-throughout, must equal its blocks bit for bit and in memory order.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
-from johnson_entanglement import spectral
-from johnson_entanglement.scheme import adjacency_matrix, enumerate_vertices
-from johnson_entanglement.spectral import eigenprojectors_oracle, subsystem_indices
+from johnson_entanglement.scheme import adjacency_matrix, distances_from, enumerate_vertices
+from johnson_entanglement.spectral import level_labels_x2, theta_eigenvalue
 
 
-def _symmetrize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.T)
+@lru_cache(maxsize=4)
+def level_blocks_reference(spec) -> dict[int, np.ndarray]:
+    """Each level's eigenvector block, keyed by doubled j, from one plain eigh of A in vertex order."""
+    w, q = np.linalg.eigh(adjacency_matrix(1, spec))
+    thetas = {j_x2: theta_eigenvalue(j_x2, spec) for j_x2 in level_labels_x2(spec)}
+    nearest = np.array(list(thetas))[np.argmin(np.abs(w[:, None] - np.array(list(thetas.values()))), axis=1)]
+    return {j_x2: q[:, nearest == j_x2] for j_x2 in thetas}
 
 
-def chopped_correlation_reference(spec, filling, sub, cap=None) -> np.ndarray:
-    """The summed ground-state projector restricted to the subsystem rows."""
-    projectors = eigenprojectors_oracle(spec, cap)
-    dim = spec.vertex_count
-    chat = np.zeros((dim, dim))
+def subsystem_indices(spec, sub) -> np.ndarray:
+    """Canonical-order indices of the vertices at the selected distances."""
+    return np.flatnonzero(np.isin(distances_from(sub.x0, spec), sorted(sub.distances)))
+
+
+def chopped_correlation_reference(spec, filling, sub) -> np.ndarray:
+    """The summed occupied eigenvector products, restricted to the subsystem rows and symmetrized."""
+    blocks = level_blocks_reference(spec)
+    idx = subsystem_indices(spec, sub)
+    chat = np.zeros((len(idx), len(idx)))
     for j_x2 in sorted(filling.occupied):
-        chat += projectors[j_x2]
-    idx = subsystem_indices(spec, sub, cap)
-    return _symmetrize(chat[np.ix_(idx, idx)])
+        b = blocks[j_x2][idx]
+        chat += b @ b.T
+    return 0.5 * (chat + chat.T)
 
 
 def pairwise_distances(spec) -> np.ndarray:
@@ -79,25 +86,3 @@ def adjacency_via_polynomial(i: int, spec, cap=None) -> np.ndarray:
         total = total + coef * prod
     sgn = -1.0 if i % 2 else 1.0
     return sgn * math.comb(k, i) * total
-
-
-def level_blocks_reference(spec) -> dict[int, np.ndarray]:
-    """Each level's eigenvector block, keyed by doubled j, from a vertex-order pipeline.
-
-    A is gathered into the pair-swap layout for the transform, and the
-    lifted eigenvectors are scattered back to vertex order, checked against
-    A on every entry and cut by level as columns of that matrix.
-    """
-    a = adjacency_matrix(1, spec)
-    layout = spectral._pair_swap_sectors(spec)
-    t = a[layout.perm]
-    spectral._walsh_rows(t, layout)
-    # A is symmetric, so (F^T A[perm])^T = A[:, perm] F, and its rows perm are A[perm][:, perm] F
-    t = t.T[layout.perm]
-    spectral._walsh_rows(t, layout)
-    w, qt = spectral._lift_sectors(spectral._solve_sectors(t, layout, spec.vertex_count), layout)
-    q = np.empty_like(qt)
-    q[layout.perm] = qt
-    if np.max(np.abs((q * w) @ q.T - a)) > 1e-9:
-        raise ArithmeticError("eigendecomposition reconstruction error")
-    return {j_x2: q[:, sel] for j_x2, sel in spectral._level_masks(w, spec).items()}

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from johnson_entanglement.heun import heun_spec, spectra, spectra_via_heun, spectrum_via_heun
+from johnson_entanglement.heun import heun_spec, plan, spectra, spectra_via_heun, spectrum_via_heun
 from johnson_entanglement.scheme import GraphSpec, default_base_vertex, neighborhood_size
 from johnson_entanglement.spectral import (
     CorrelationSpectrum,
@@ -39,6 +39,31 @@ def _ball(spec, n_cut):
 
 def _bottom(spec, fill):
     return FillingSpec(frozenset(level_labels_x2(spec)[:fill]))
+
+
+def _paper_scale_points(n):
+    """Every J(30,15) shell and ball with at most 2,000 rows on its smaller side, at two fillings; the ball 0..1 at fill 10 beyond."""
+    spec = GraphSpec(n, n // 2)
+    if n > 30:
+        return spec, [(_bottom(spec, 10), _ball(spec, 1))]
+    cuts = {frozenset({d}) for d in range(16)} | {frozenset(range(c + 1)) for c in range(16)}
+    sizes = {cut: sum(neighborhood_size(spec, d) for d in cut) for cut in cuts}
+    small = sorted((cut for cut in cuts if min(sizes[cut], spec.vertex_count - sizes[cut]) <= 2000), key=sorted)
+    return spec, [(_bottom(spec, fill), SubsystemSpec(cut, default_base_vertex(spec))) for fill in (4, 10) for cut in small]
+
+
+@pytest.mark.parametrize("n", [30, 60, 100])
+def test_kernel_agrees_with_both_structured_routes_at_paper_scale(n):
+    # the dense cap is lifted to C(n, k): the kernel solves each cut on at most
+    # 2,501 rows; the T readout takes the balls, the module route every cut
+    spec, points = _paper_scale_points(n)
+    oracle = list(spectra(spec, points, "oracle", spec.vertex_count))
+    for route in ("modules", "heun"):
+        keep = [p for p, point in enumerate(points) if route == "modules" or not isinstance(plan(spec, *point), str)]
+        assert len(keep) >= (8 if n == 30 else 1)
+        got = spectra(spec, [points[p] for p in keep], route)
+        for p, spectrum in zip(keep, got):
+            assert spectra_max_diff(oracle[p], spectrum) <= 1e-8, (route, sorted(points[p][1].distances))
 
 
 def _per_module_reference(spec, filling, sub):

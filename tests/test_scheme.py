@@ -21,12 +21,25 @@ from johnson_entanglement.scheme import (
     neighborhood_projector,
     neighborhood_size,
     rank_colex,
-    unrank_colex,
     vertex_from_subset,
 )
 from johnson_entanglement.verify import graph_sizes
 
 from dense_oracle import pairwise_distances
+
+
+def unrank_colex(rank: int, n: int, k: int) -> tuple[int, ...]:
+    """Inverse of :func:`rank_colex` for k-subsets of {1..n}."""
+    out = []
+    c = n
+    r = rank
+    for t in range(k, 0, -1):
+        while math.comb(c - 1, t) > r:
+            c -= 1
+        r -= math.comb(c - 1, t)
+        out.append(c)
+        c -= 1
+    return tuple(reversed(out))
 
 
 def test_spec_validation():

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -8,12 +9,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from johnson_entanglement import scheme, spectral
+from johnson_entanglement import heun, spectral, verify
 from johnson_entanglement.entropy import von_neumann
 from johnson_entanglement.scheme import (
     CapacityError,
     GraphSpec,
-    _indicators,
     adjacency_matrix,
     default_base_vertex,
     distance,
@@ -25,7 +25,6 @@ from johnson_entanglement.spectral import (
     FillingSpec,
     HoppingProfile,
     SubsystemSpec,
-    adjacency_polynomial_slabs,
     chopped_correlation_oracle,
     eigenprojectors_oracle,
     energy_exponential,
@@ -35,19 +34,18 @@ from johnson_entanglement.spectral import (
     group_spectrum,
     level_labels_x2,
     spectrum_oracle,
-    symmetric_eigen,
     theta_eigenvalue,
 )
 from johnson_entanglement.specfn import _dual_hahn_run
 from johnson_entanglement.terwilliger import assemble_spectrum
-from johnson_entanglement.verify import check_level_degeneracies, check_route_agreement, graph_sizes, run_battery
+from johnson_entanglement.verify import check_level_degeneracies, check_purity_duality, graph_sizes, spectra_max_diff
 
 from cg_oracle import _dual_hahn_rational
 from dense_oracle import (
     adjacency_via_polynomial,
     chopped_correlation_reference,
-    level_blocks_reference,
     pairwise_distances,
+    subsystem_indices,
 )
 from merge_reference import group_spectrum_reference
 
@@ -172,29 +170,6 @@ def test_filling_and_entropy_invariant_under_hopping_rescale(alphas, exponent, z
     assert von_neumann(assemble_spectrum(spec, fillings[1], sub)) == entropy
 
 
-def test_symmetric_eigen_basics():
-    w, _ = symmetric_eigen(np.eye(5))
-    assert np.allclose(w, 1.0)
-    w, _ = symmetric_eigen(np.diag([3.0, 1.0, 2.0]))
-    assert np.allclose(w, [1.0, 2.0, 3.0])
-
-
-def test_symmetric_eigen_octahedron_spectrum():
-    w, _ = symmetric_eigen(adjacency_matrix(1, GraphSpec(4, 2)))
-    assert np.allclose(w, [-2, -2, 0, 0, 0, 4], atol=1e-9)
-
-
-def test_symmetric_eigen_rejects_nonsymmetric():
-    m = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(ValueError):
-        symmetric_eigen(m)
-
-
-def test_symmetric_eigen_capacity():
-    with pytest.raises(CapacityError):
-        symmetric_eigen(np.eye(10), cap=5)
-
-
 def test_eigenprojectors_top_level_is_uniform():
     for n, k in [(4, 2), (6, 3)]:
         spec = GraphSpec(n, k)
@@ -245,177 +220,104 @@ def test_chopped_correlation_single_site_third():
     assert c[0, 0] == pytest.approx(1.0 / 3.0, abs=1e-10)
 
 
-def test_chopped_oracle_matches_projector_sum_bitwise():
-    # A full-ball cut keeps every row and the empty filling sums nothing, so
-    # those agree bit for bit.  Elsewhere each side sums at most N products of
-    # entries of unit-norm rows, so each entry is off by at most 2 N 2^-53.
-    for n in range(2, 10):
-        for k in range(1, n // 2 + 1):
-            spec = GraphSpec(n, k)
-            labels = level_labels_x2(spec)
-            x0 = default_base_vertex(spec)
-            ball = frozenset(range(k + 1))
-            bound = 2 * spec.vertex_count * 2.0**-53
-            cuts = [frozenset(range(c + 1)) for c in range(k + 1)] + [frozenset({1})]
-            if k >= 2:
-                cuts.append(frozenset({0, 2}))
-            for fill in range(k + 2):
-                filling = FillingSpec(frozenset(labels[:fill]))
-                for distances in cuts:
-                    sub = SubsystemSpec(distances, x0)
-                    got = chopped_correlation_oracle(spec, filling, sub)
-                    ref = chopped_correlation_reference(spec, filling, sub)
-                    assert np.array_equal(got, got.T)
-                    if fill == 0 or distances == ball:
-                        assert np.array_equal(got, ref), (n, k, fill, distances)
-                    else:
-                        assert np.all(np.abs(got - ref) <= bound), (n, k, fill, distances)
+def _distance_sets(k):
+    return [frozenset(c) for r in range(1, k + 2) for c in itertools.combinations(range(k + 1), r)]
 
 
-def _eigh_spy(monkeypatch) -> list[tuple[int, ...]]:
-    shapes = []
-    real = np.linalg.eigh
-
-    def spy(m, *args, **kwargs):
-        shapes.append(np.shape(m))
-        return real(m, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", spy)
-    return shapes
+def _fillings(spec):
+    labels = level_labels_x2(spec)
+    return [FillingSpec(frozenset(labels[:fill])) for fill in range(len(labels) + 1)] + [FillingSpec(frozenset(labels[::2]))]
 
 
-def _per_graph(shapes, sizes) -> list[list[int]]:
-    """Cut the square (oracle) eigh calls into consecutive runs covering each graph's C(n, k) once."""
-    dims = [s[0] for s in shapes if len(s) == 2]
-    runs = []
-    for n, k in sizes:
-        run = []
-        while dims and sum(run) < math.comb(n, k):
-            run.append(dims.pop(0))
-        assert sum(run) == math.comb(n, k)
-        assert n < 4 or max(run) < math.comb(n, k)
-        runs.append(run)
-    assert dims == []
-    return runs
+def test_kernel_matches_the_dense_chop_entrywise():
+    # each reference entry sums at most N products of entries of unit-norm
+    # eigenvector rows, so it is off by at most 2 N 2^-53
+    # rows in colex rank order, also from a base vertex that is not colex-first
+    for n, k in graph_sizes(2, 10):
+        spec = GraphSpec(n, k)
+        bound = 2 * spec.vertex_count * 2.0**-53
+        for x0 in (default_base_vertex(spec), vertex_from_subset(range(2, 2 * k + 1, 2), spec)):
+            for filling, distances in itertools.product(_fillings(spec), _distance_sets(k)):
+                sub = SubsystemSpec(distances, x0)
+                got = chopped_correlation_oracle(spec, filling, sub)
+                ref = chopped_correlation_reference(spec, filling, sub)
+                assert np.array_equal(got, got.T)
+                assert np.all(np.abs(got - ref) <= bound), (n, k, x0.subset, sorted(filling.occupied), sorted(distances))
 
 
-def test_oracle_diagonalizes_each_graph_once(monkeypatch):
-    spectral._level_blocks.cache_clear()
-    shapes = _eigh_spy(monkeypatch)
-    assert check_route_agreement(((8, 4),), None).passed
-    assert [max(run) for run in _per_graph(shapes, [(8, 4)])] == [19]
-    shapes.clear()
+def test_level_kernels_satisfy_the_three_term_recurrence():
+    # A E_j = theta_j E_j read at distance d: c_d f(d-1) + a_d f(d) + b_d f(d+1)
+    # = theta_j f(d), with the intersection numbers b_d = (k-d)(n-k-d) and
+    # c_d = d^2 of J(n, k); and f(0) = m_j / C(n, k) fixes the scale
+    for n, k in graph_sizes(2, 60):
+        spec = GraphSpec(n, k)
+        b = [(k - d) * (n - k - d) for d in range(k + 1)]
+        c = [d * d for d in range(k + 1)]
+        for j_x2 in level_labels_x2(spec):
+            f = spectral._level_kernel(spec, j_x2) + (Fraction(0),)
+            theta = Fraction(j_x2 * (j_x2 + 2) - (n - 2 * k) ** 2, 4) - Fraction(n, 2)
+            assert f[0] == Fraction(spectral.level_degeneracy(j_x2, spec), spec.vertex_count)
+            for d in range(k + 1):
+                a_d = k * (n - k) - b[d] - c[d]
+                assert c[d] * f[d - 1] + a_d * f[d] + b[d] * f[d + 1] == theta * f[d], (n, k, j_x2, d)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_smaller_side_spectrum_matches_the_direct_large_side(n):
+    seen = set()
+    for k in range(1, n // 2 + 1):
+        spec = GraphSpec(n, k)
+        x0 = default_base_vertex(spec)
+        bound = 2 * spec.vertex_count * 2.0**-53
+        for filling in _fillings(spec):
+            for n_cut in range(k + 1):
+                sub = SubsystemSpec(frozenset(range(n_cut + 1)), x0)
+                mapped = next(heun.spectra(spec, [(filling, sub)], "oracle"))
+                direct = spectrum_oracle(chopped_correlation_oracle(spec, filling, sub))
+                assert spectra_max_diff(mapped, direct) <= bound, (n, k, sorted(filling.occupied), n_cut)
+                seen.add(spec.vertex_count - mapped.total_multiplicity)
+    assert 0 in seen  # the whole ball: no complement to solve
+    assert n % 2 or 1 in seen  # J(2k, k): the ball 0..k-1 leaves one vertex
+
+
+def test_oracle_solves_each_cut_on_its_smaller_side(monkeypatch):
     spec = GraphSpec(8, 4)
-    sub = SubsystemSpec(frozenset({0, 1}), default_base_vertex(spec))
-    chopped_correlation_oracle(spec, FillingSpec(frozenset(level_labels_x2(spec)[:2])), sub)
-    eigenprojectors_oracle(spec)
-    assert shapes == []
+    configs = [(filling, SubsystemSpec(d, default_base_vertex(spec))) for filling in _fillings(spec) for d in _distance_sets(4)]
+    sizes = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: sizes.append(len(m)) or real(m))
+    monkeypatch.setattr(np.linalg, "eigh", None)
+    spectra = list(heun.spectra(spec, configs, "oracle"))
+    smaller = [min(s.total_multiplicity, spec.vertex_count - s.total_multiplicity) for s in spectra]
+    assert sizes == [size for size in smaller if size]
 
 
-def test_cold_battery_diagonalizes_each_graph_once(monkeypatch):
-    spectral._level_blocks.cache_clear()
-    shapes = _eigh_spy(monkeypatch)
-    assert all(r.passed for r in run_battery())
-    assert [max(run) for run in _per_graph(shapes, [(4, 2), (6, 3), (8, 4)])] == [3, 7, 19]
-    shapes.clear()
-    assert all(r.passed for r in run_battery())
-    assert _per_graph(shapes, []) == []
+def test_purity_duality_check_solves_each_side_directly(monkeypatch):
+    # the oracle route maps a cut's complement by the very duality under check
+    seen = set()
+    real = spectral.chopped_correlation_oracle
+
+    def spy(spec, filling, sub, cap=None):
+        seen.add((spec.n, filling.occupied, sub.distances))
+        return real(spec, filling, sub, cap)
+
+    monkeypatch.setattr(spectral, "chopped_correlation_oracle", spy)
+    monkeypatch.setattr(heun, "spectra", None)
+    assert check_purity_duality(((6, 3), (8, 4)), None).passed
+    for n, k in ((6, 3), (8, 4)):
+        labels = level_labels_x2(GraphSpec(n, k))
+        for sd in (frozenset({0}), frozenset({1}), frozenset({0, 1}), frozenset({0, 2}), frozenset(range(k))):
+            for se in (frozenset(labels[:1]), frozenset(labels[:2]), frozenset(labels[::2])):
+                assert {(n, se, sd), (n, se, frozenset(range(k + 1)) - sd)} <= seen
 
 
-@pytest.mark.parametrize("n,k", graph_sizes(2, 10))
-def test_pair_swap_sectors_split_the_adjacency_exactly(n, k):
-    spec = GraphSpec(n, k)
-    a = adjacency_matrix(1, spec)
-    layout = spectral._pair_swap_sectors(spec)
-    assert sum(len(rows) for rows in layout.sectors) == spec.vertex_count
-    assert np.array_equal(np.sort(np.concatenate(layout.sectors)), np.arange(spec.vertex_count))
-    sector = np.empty(spec.vertex_count, dtype=np.int64)
-    for label, rows in enumerate(layout.sectors):
-        sector[rows] = label
-    t = spectral._pair_swap_transform(_indicators(spec)[layout.perm], k, layout)
-    assert np.all(t[sector[:, None] != sector[None, :]] == 0.0)
-    w, qt = spectral._sectored_eigen(spec, layout)
-    assert np.max(np.abs(np.sort(w) - np.linalg.eigvalsh(a))) <= 1e-12
-    q = np.empty_like(qt)
-    q[layout.perm] = qt
-    # independently of the layout: every lifted eigenvector is exactly even or
-    # odd under each swap of elements 2p - 1 and 2p
-    verts = enumerate_vertices(spec)
-    for p in range(1, n // 2 + 1):
-        swap = {2 * p - 1: 2 * p, 2 * p: 2 * p - 1}
-        image = [vertex_from_subset([swap.get(e, e) for e in v.subset], spec).index for v in verts]
-        assert np.all(np.all(q[image] == q, axis=0) | np.all(q[image] == -q, axis=0))
-
-
-def test_sectored_eigen_rejects_a_corrupted_lifted_vector(monkeypatch):
-    real = spectral._lift_sectors
-
-    def corrupted(parts, layout):
-        w, q = real(parts, layout)
-        q[5, 3] += 1e-6
-        return w, q
-
-    monkeypatch.setattr(spectral, "_lift_sectors", corrupted)
-    spectral._level_blocks.cache_clear()
-    with pytest.raises(ArithmeticError, match="reconstruction"):
-        spectral._level_blocks(GraphSpec(6, 3))
-
-
-def _bits(x: np.ndarray) -> np.ndarray:
-    return x.view(np.int64)
-
-
-@pytest.mark.parametrize("n,k", graph_sizes(2, 10) + [(12, 6)])
-def test_layout_order_level_blocks_match_the_vertex_order_reference(n, k):
-    spec = GraphSpec(n, k)
-    spectral._level_blocks.cache_clear()
-    got = spectral._level_blocks(spec)
-    ref = level_blocks_reference(spec)
-    assert list(got) == list(ref)
-    for j_x2, block in ref.items():
-        assert np.array_equal(_bits(got[j_x2]), _bits(block))
-        assert got[j_x2].strides == block.strides
-
-
-def test_cold_level_blocks_hold_at_most_two_full_arrays():
-    spec = GraphSpec(12, 6)
-    _indicators(spec)
-    spectral._level_blocks.cache_clear()
-    full = spec.vertex_count**2 * 8
-    assert _traced_bytes(lambda: spectral._level_blocks(spec))[1] < 2.5 * full
-
-
-def test_reconstruction_check_reads_the_last_row_of_the_last_slab(monkeypatch):
-    # the diagonal entry of the last row sits in the last slab's triangle only
-    spec = GraphSpec(12, 6)
-    assert spec.vertex_count % spectral._SLAB_ROWS  # the last slab is partial
-    real = spectral._layout_adjacency
-
-    def corrupted(li, k, top=0, stop=None):
-        a = real(li, k, top, stop)
-        if top > 0 and top + len(a) == len(li):
-            a[-1, -1] += 1e-6
-        return a
-
-    monkeypatch.setattr(spectral, "_layout_adjacency", corrupted)
-    spectral._level_blocks.cache_clear()
-    with pytest.raises(ArithmeticError, match="reconstruction"):
-        spectral._level_blocks(spec)
-
-
-def test_sectored_eigen_rejects_a_wrong_transform_sign(monkeypatch):
-    real = spectral._hadamard
-
-    def corrupted(s):
-        h = real(s)
-        if s:
-            h[-1, -1] = -h[-1, -1]
-        return h
-
-    monkeypatch.setattr(spectral, "_hadamard", corrupted)
-    spectral._level_blocks.cache_clear()
-    with pytest.raises(ArithmeticError, match="outside its sector"):
-        spectral._level_blocks(GraphSpec(6, 3))
+def test_cold_kernel_point_holds_at_most_four_subsystem_arrays():
+    spec = GraphSpec(13, 6)
+    sub = SubsystemSpec(frozenset(range(3)), default_base_vertex(spec))
+    filling = FillingSpec(frozenset(level_labels_x2(spec)[:3]))
+    spectral._level_kernel.cache_clear()
+    spectral._correlation_kernel.cache_clear()
+    assert _traced_bytes(lambda: chopped_correlation_oracle(spec, filling, sub))[1] <= 4 * 358**2 * 8
 
 
 def test_warm_oracle_still_checks_capacity():
@@ -427,53 +329,18 @@ def test_warm_oracle_still_checks_capacity():
         chopped_correlation_oracle(spec, filling, sub, cap=10)
     with pytest.raises(CapacityError):
         eigenprojectors_oracle(spec, cap=10)
+    with pytest.raises(CapacityError):
+        next(heun.spectra(spec, [(filling, SubsystemSpec(frozenset(range(4)), sub.x0))], "oracle", cap=10))
 
 
-def test_cached_eigenvector_blocks_are_read_only():
-    eigenprojectors_oracle(GraphSpec(6, 3))
-    blocks = spectral._level_blocks(GraphSpec(6, 3))
-    assert sorted(blocks) == level_labels_x2(GraphSpec(6, 3))
-    for block in blocks.values():
-        assert not block.flags.writeable
-        with pytest.raises(ValueError):
-            block[0, 0] = 1.0
-    with pytest.raises(TypeError):
-        blocks[0] = blocks[2]
+def test_cached_kernel_is_read_only():
+    spec = GraphSpec(6, 3)
+    f = spectral._correlation_kernel(spec, frozenset(level_labels_x2(spec)[:2]))
+    assert f.shape == (4,)
+    assert not f.flags.writeable
+    with pytest.raises(ValueError):
+        f[0] = 1.0
 
-
-def test_symmetric_eigen_rejects_bad_reconstruction(monkeypatch):
-    real = np.linalg.eigh
-
-    def perturbed(m):
-        w, q = real(m)
-        q = q.copy()
-        q[0, 0] += 1e-6
-        return w, q
-
-    monkeypatch.setattr(np.linalg, "eigh", perturbed)
-    with pytest.raises(ArithmeticError, match="reconstruction"):
-        symmetric_eigen(adjacency_matrix(1, GraphSpec(6, 3)))
-
-
-@pytest.mark.parametrize("where", ["first", "middle", "last"])
-def test_symmetric_eigen_checks_every_row_slab(monkeypatch, where):
-    # a diagonal corruption shows in exactly one row, so only its slab can see it
-    slab = spectral._SLAB_ROWS
-    dim = 2 * slab + slab // 3  # the last slab is partial
-    row = {"first": 0, "middle": slab + 5, "last": dim - 1}[where]
-    x = np.random.default_rng(7).uniform(-1.0, 1.0, (dim, dim))
-    m = x + x.T
-    real = np.linalg.eigh
-    symmetric_eigen(m)
-
-    def corrupted(a):
-        a = a.copy()
-        a[row, row] += 1e-6
-        return real(a)
-
-    monkeypatch.setattr(np.linalg, "eigh", corrupted)
-    with pytest.raises(ArithmeticError, match="reconstruction"):
-        symmetric_eigen(m)
 
 
 def _oracle_run():
@@ -507,11 +374,11 @@ def test_warm_oracle_holds_no_full_product():
     assert _traced_bytes(_oracle_run)[1] < 0.5 * full
 
 
-def test_cold_oracle_keeps_only_the_eigenvector_blocks():
-    spectral._level_blocks.cache_clear()
-    scheme._vertex_indicators.cache_clear()
+def test_cold_oracle_keeps_only_the_kernel():
+    spectral._level_kernel.cache_clear()
+    spectral._correlation_kernel.cache_clear()
     full = GraphSpec(12, 6).vertex_count ** 2 * 8
-    assert _traced_bytes(_oracle_run)[0] <= 1.1 * full
+    assert _traced_bytes(_oracle_run)[0] <= 0.01 * full
 
 
 def test_level_degeneracy_check_builds_no_projector():
@@ -621,7 +488,7 @@ def test_hahn_polynomial_matrix_identity():
     # graph with several row slabs
     for n, k in graph_sizes(3, 10) + [(11, 5)]:
         spec = GraphSpec(n, k)
-        slabs = list(adjacency_polynomial_slabs(spec))
+        slabs = list(verify._adjacency_polynomial_slabs(spec, None))
         assert np.array_equal(np.vstack([d for d, _ in slabs]), pairwise_distances(spec))
         for i in range(k + 1):
             rebuilt = np.vstack([polys[i] for _, polys in slabs])
@@ -705,7 +572,7 @@ def test_x0_relabelling_leaves_oracle_spectrum_unchanged(data):
     filling = FillingSpec(frozenset(level_labels_x2(spec)[: data.draw(st.integers(0, k + 1))]))
     sub = SubsystemSpec(ball, x0)
     ball_rows = [v.index for v in enumerate_vertices(spec) if distance(x0, v, spec) in ball]
-    assert spectral.subsystem_indices(spec, sub).tolist() == ball_rows
+    assert subsystem_indices(spec, sub).tolist() == ball_rows
     got = spectrum_oracle(chopped_correlation_oracle(spec, filling, sub))
     default = SubsystemSpec(ball, default_base_vertex(spec))
     want = spectrum_oracle(chopped_correlation_oracle(spec, filling, default))
