@@ -38,12 +38,21 @@ from johnson_entanglement.spectral import (
 )
 from johnson_entanglement.specfn import _dual_hahn_run
 from johnson_entanglement.terwilliger import assemble_spectrum
-from johnson_entanglement.verify import check_level_degeneracies, check_purity_duality, graph_sizes, spectra_max_diff
+from johnson_entanglement.verify import (
+    check_hahn_polynomial,
+    check_level_degeneracies,
+    check_purity_duality,
+    check_route_agreement,
+    graph_sizes,
+    run_battery,
+    spectra_max_diff,
+)
 
 from cg_oracle import _dual_hahn_rational
 from dense_oracle import (
     adjacency_via_polynomial,
     chopped_correlation_reference,
+    level_blocks_reference,
     pairwise_distances,
     subsystem_indices,
 )
@@ -245,6 +254,89 @@ def test_kernel_matches_the_dense_chop_entrywise():
                 assert np.all(np.abs(got - ref) <= bound), (n, k, x0.subset, sorted(filling.occupied), sorted(distances))
 
 
+def _recurrence_kernel(spec, j_x2) -> list[Fraction]:
+    """E_j's exact entry per distance from the three-term recurrence alone.
+
+    A E_j = theta_j E_j read at distance d gives f(d + 1) from f(d - 1) and
+    f(d), with b_d = (k-d)(n-k-d), c_d = d^2 and f(0) = m_j / C(n, k); it
+    shares no formula with the oracle's Eberlein sums.
+    """
+    n, k = spec.n, spec.k
+    i = (n - j_x2) // 2
+    theta = Fraction(j_x2 * (j_x2 + 2) - (n - 2 * k) ** 2, 4) - Fraction(n, 2)
+    f = [Fraction(math.comb(n, i) - (math.comb(n, i - 1) if i else 0), spec.vertex_count), Fraction(0)]
+    for d in range(k):
+        b, c = (k - d) * (n - k - d), d * d
+        f[d + 1] = ((theta - (k * (n - k) - b - c)) * f[d] - c * f[d - 1]) / b
+        f.append(Fraction(0))
+    return f[: k + 1]
+
+
+def test_chopped_oracle_matches_projector_sum_bitwise():
+    # the occupied projectors summed exactly at each pair's distance and
+    # rounded once: every entry of the chop is that one correctly rounded sum
+    for n, k in graph_sizes(2, 10):
+        spec = GraphSpec(n, k)
+        x0 = default_base_vertex(spec)
+        dist = pairwise_distances(spec)
+        kernels = {j_x2: _recurrence_kernel(spec, j_x2) for j_x2 in level_labels_x2(spec)}
+        for filling, distances in itertools.product(_fillings(spec), _distance_sets(k)):
+            sub = SubsystemSpec(distances, x0)
+            idx = subsystem_indices(spec, sub)
+            f = np.array([float(sum((kernels[j_x2][d] for j_x2 in filling.occupied), Fraction(0))) for d in range(k + 1)])
+            got = chopped_correlation_oracle(spec, filling, sub)
+            assert np.array_equal(got, f[dist[np.ix_(idx, idx)]]), (n, k, sorted(filling.occupied), sorted(distances))
+
+
+@pytest.mark.parametrize("n,k", graph_sizes(2, 10))
+def test_pair_swap_sectors_split_the_adjacency_exactly(n, k):
+    # each swap of elements 2p - 1 and 2p commutes with A, so its even and odd
+    # sectors split A exactly, together carry every level with its
+    # multiplicity, and leave every level projector E_j unchanged
+    spec = GraphSpec(n, k)
+    a = adjacency_matrix(1, spec)
+    verts = enumerate_vertices(spec)
+    projectors = eigenprojectors_oracle(spec)
+    levels = np.sort(np.concatenate([np.full(spectral.level_degeneracy(j_x2, spec), theta_eigenvalue(j_x2, spec)) for j_x2 in projectors]))
+    for p in range(1, n // 2 + 1):
+        swap = {2 * p - 1: 2 * p, 2 * p: 2 * p - 1}
+        image = np.array([vertex_from_subset([swap.get(e, e) for e in v.subset], spec).index for v in verts])
+        assert np.array_equal(a[np.ix_(image, image)], a)
+        for e in projectors.values():
+            assert np.array_equal(e[np.ix_(image, image)], e)
+        rows = np.arange(spec.vertex_count)
+        orbits = rows[rows <= image]
+        even = np.zeros((spec.vertex_count, len(orbits)))
+        even[orbits, np.arange(len(orbits))] += 1.0
+        even[image[orbits], np.arange(len(orbits))] += 1.0
+        moved = rows[rows < image]
+        odd = np.zeros((spec.vertex_count, len(moved)))
+        odd[moved, np.arange(len(moved))] = 1.0
+        odd[image[moved], np.arange(len(moved))] = -1.0
+        assert np.all(odd.T @ a @ even == 0.0)
+        spectrum = []
+        for h in (even, odd):
+            norm = np.sqrt(np.sum(h * h, axis=0))
+            spectrum.append(np.linalg.eigvalsh(h.T @ a @ h / np.outer(norm, norm)))
+        assert np.max(np.abs(np.sort(np.concatenate(spectrum)) - levels)) <= 1e-12, (n, k, p)
+
+
+@pytest.mark.parametrize("n,k", graph_sizes(2, 10) + [(12, 6)])
+def test_layout_order_level_blocks_match_the_vertex_order_reference(n, k):
+    # the oracle lists rows in colex rank order from x0; over the whole graph
+    # that is the vertex order, and each level block E_j read off it matches
+    # the plain-eigh products Q_j Q_j^T to within 2 N 2^-53 per entry
+    spec = GraphSpec(n, k)
+    whole = SubsystemSpec(frozenset(range(k + 1)), default_base_vertex(spec))
+    assert np.array_equal(spectral._subsystem_distances(spec, whole), pairwise_distances(spec))
+    got = eigenprojectors_oracle(spec)
+    ref = level_blocks_reference(spec)
+    assert list(got) == list(ref) == level_labels_x2(spec)
+    bound = 2 * spec.vertex_count * 2.0**-53
+    for j_x2, block in ref.items():
+        assert np.all(np.abs(got[j_x2] - block @ block.T) <= bound), (n, k, j_x2)
+
+
 def test_level_kernels_satisfy_the_three_term_recurrence():
     # A E_j = theta_j E_j read at distance d: c_d f(d-1) + a_d f(d) + b_d f(d+1)
     # = theta_j f(d), with the intersection numbers b_d = (k-d)(n-k-d) and
@@ -292,6 +384,43 @@ def test_oracle_solves_each_cut_on_its_smaller_side(monkeypatch):
     assert sizes == [size for size in smaller if size]
 
 
+def _solve_spy(monkeypatch) -> list[tuple[int, ...]]:
+    """Record the shape of every matrix handed to eigh or eigvalsh."""
+    shapes = []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda m, *args, _real=real, **kwargs: shapes.append(np.shape(m)) or _real(m, *args, **kwargs))
+    return shapes
+
+
+def test_oracle_diagonalizes_each_graph_once(monkeypatch):
+    # only the level-degeneracy count solves the whole adjacency matrix; the
+    # kernel oracle reads its projectors off the distances and solves nothing
+    shapes = _solve_spy(monkeypatch)
+    assert check_level_degeneracies(((8, 4),), None).passed
+    assert shapes == [(70, 70)]
+    shapes.clear()
+    assert check_route_agreement(((8, 4),), None).passed
+    assert shapes and all(len(s) != 2 or s[0] <= 35 for s in shapes)
+    shapes.clear()
+    spec = GraphSpec(8, 4)
+    sub = SubsystemSpec(frozenset({0, 1}), default_base_vertex(spec))
+    chopped_correlation_oracle(spec, FillingSpec(frozenset(level_labels_x2(spec)[:2])), sub)
+    eigenprojectors_oracle(spec)
+    assert shapes == []
+
+
+def test_cold_battery_diagonalizes_each_graph_once(monkeypatch):
+    spectral._level_kernel.cache_clear()
+    spectral._correlation_kernel.cache_clear()
+    shapes = _solve_spy(monkeypatch)
+    full = {(math.comb(n, k),) * 2 for n, k in ((4, 2), (6, 3), (8, 4))}
+    for _ in range(2):
+        assert all(r.passed for r in run_battery())
+        assert [s for s in shapes if s in full] == [(6, 6), (20, 20), (70, 70)]
+        shapes.clear()
+
+
 def test_purity_duality_check_solves_each_side_directly(monkeypatch):
     # the oracle route maps a cut's complement by the very duality under check
     seen = set()
@@ -320,6 +449,34 @@ def test_cold_kernel_point_holds_at_most_four_subsystem_arrays():
     assert _traced_bytes(lambda: chopped_correlation_oracle(spec, filling, sub))[1] <= 4 * 358**2 * 8
 
 
+def test_cold_level_blocks_hold_at_most_two_full_arrays():
+    # one level block E_j over the whole J(12, 6): the distances and the block
+    spec = GraphSpec(12, 6)
+    whole = SubsystemSpec(frozenset(range(7)), default_base_vertex(spec))
+    top = FillingSpec(frozenset({12}))
+    spectral._level_kernel.cache_clear()
+    spectral._correlation_kernel.cache_clear()
+    full = spec.vertex_count**2 * 8
+    assert _traced_bytes(lambda: chopped_correlation_oracle(spec, top, whole))[1] < 2.5 * full
+
+
+def test_reconstruction_check_reads_the_last_row_of_the_last_slab(monkeypatch):
+    # the diagonal entry of the last row of A_k sits in the last slab only
+    spec = GraphSpec(12, 6)
+    assert spec.vertex_count % verify._SLAB_ROWS  # the last slab is partial
+    real = verify._adjacency_polynomial_slabs
+
+    def corrupted(spec, cap):
+        slabs = list(real(spec, cap))
+        slabs[-1][1][-1][-1, -1] += 1e-6
+        return slabs
+
+    monkeypatch.setattr(verify, "_adjacency_polynomial_slabs", corrupted)
+    result = check_hahn_polynomial(((12, 6),), None)
+    assert not result.passed
+    assert result.worst == pytest.approx(1e-6)
+
+
 def test_warm_oracle_still_checks_capacity():
     spec = GraphSpec(6, 3)
     sub = SubsystemSpec(frozenset({0}), default_base_vertex(spec))
@@ -333,8 +490,15 @@ def test_warm_oracle_still_checks_capacity():
         next(heun.spectra(spec, [(filling, SubsystemSpec(frozenset(range(4)), sub.x0))], "oracle", cap=10))
 
 
-def test_cached_kernel_is_read_only():
+def test_cached_eigenvector_blocks_are_read_only():
+    # a level's eigenvector block Q_j is cached as its kernel f_j, with
+    # E_j = Q_j Q_j^T = f_j read off the distances: exact and immutable
     spec = GraphSpec(6, 3)
+    eigenprojectors_oracle(spec)
+    for j_x2 in level_labels_x2(spec):
+        f_j = spectral._level_kernel(spec, j_x2)
+        assert isinstance(f_j, tuple) and len(f_j) == 4
+        assert all(isinstance(x, Fraction) for x in f_j)
     f = spectral._correlation_kernel(spec, frozenset(level_labels_x2(spec)[:2]))
     assert f.shape == (4,)
     assert not f.flags.writeable
@@ -374,11 +538,15 @@ def test_warm_oracle_holds_no_full_product():
     assert _traced_bytes(_oracle_run)[1] < 0.5 * full
 
 
-def test_cold_oracle_keeps_only_the_kernel():
+def test_cold_oracle_keeps_only_the_eigenvector_blocks():
+    # what a cold point keeps is the occupied levels' kernels f_j (the
+    # eigenvector blocks in their exact form) and their rounded sum
     spectral._level_kernel.cache_clear()
     spectral._correlation_kernel.cache_clear()
     full = GraphSpec(12, 6).vertex_count ** 2 * 8
     assert _traced_bytes(_oracle_run)[0] <= 0.01 * full
+    assert spectral._level_kernel.cache_info().currsize == 3
+    assert spectral._correlation_kernel.cache_info().currsize == 1
 
 
 def test_level_degeneracy_check_builds_no_projector():
