@@ -9,13 +9,13 @@ clusters against 0 and 1, so diagonalizing T and reading the correlation
 eigenvalues from Rayleigh quotients is the numerically comfortable path at
 large n.
 
-The A ladder a, its diagonal b and theta* are cached once per graph as
-read-only (module, distance) arrays, and T is affine in (mu, nu) on them, so
-every block's T comes out of one vector expression.  Many grid points of a
-graph are solved together: their subsystem blocks of T are stacked by size
-across the points, each stack is diagonalized by one ``eigh`` call, and the
-Rayleigh quotients of a stack are read in one batched product.  Only blocks
-whose T spectrum clusters take the per-block fallback.
+The A ladder a and its diagonal b are cached once per graph as read-only
+arrays over the chain rows, theta* over the distances, and T is affine in
+(mu, nu) on them, so every block's T comes out of one vector expression.
+Many grid points of a graph are solved together: their subsystem blocks of
+T are stacked by size across the points, each stack is diagonalized by one
+``eigh`` call, and the Rayleigh quotients of a stack are read in one batched
+product.  Only blocks whose T spectrum clusters take the per-block fallback.
 
 :func:`plan` says whether a point needs T and refuses those where T does not
 exist.  :func:`spectra` is the one route dispatch for the command line, the
@@ -118,47 +118,46 @@ def dual_eigenvalue_at_distance(i: int, spec: GraphSpec) -> float:
 
 
 @lru_cache(maxsize=32)
-def _chain_arrays(spec: GraphSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-graph A ladder a[m, i], diagonal b[m, i] and theta*[i], read-only.
+def _chain_arrays(spec: GraphSpec) -> tuple[np.ndarray, ...]:
+    """Per-graph A ladder a, diagonal b, theta*[i] and chain starts, read-only.
 
-    Rows follow :func:`enumerate_modules`; a and b are zero off the chain.
-    a[m, i] = sqrt((j1+m1)(j1-m1+1)(j2-m2)(j2+m2+1)) couples the row at
-    distance i to the row at i + 1 and vanishes at the chain ends;
-    b = j1(j1+1) + j2(j2+1) - m1^2 - m2^2 - n/2.  Every (module, distance)
-    pair of a chain is evaluated at once: the integer products are exact in
-    int64 and rounded once, so each entry is the float of the scalar formula.
+    a and b hold one entry per chain row, module by module in the order of
+    :func:`enumerate_modules` and by ascending distance along each chain:
+    module m's row at distance i sits at ``start[m] + i``.
+    a = sqrt((j1+m1)(j1-m1+1)(j2-m2)(j2+m2+1)) couples the row at distance i
+    to the row at i + 1 and vanishes at the chain ends;
+    b = j1(j1+1) + j2(j2+1) - m1^2 - m2^2 - n/2.  Every row is evaluated at
+    once: the integer products are exact in int64 and rounded once, so each
+    entry is the float of the scalar formula.
     """
     n, k = spec.n, spec.k
     labels = enumerate_modules(spec)
     j1, j2, i_min, dims = np.array([(m.j1_x2, m.j2_x2, m.i_min, m.dim) for m in labels], dtype=np.int64).T
-    # one entry per (module, distance) pair, row by row along each chain
-    m = np.repeat(np.arange(len(labels)), dims)
-    i = np.arange(len(m)) - np.repeat(np.cumsum(dims) - dims - i_min, dims)
-    j1, j2 = j1[m], j2[m]
-    m1_x2 = (n - k) - 2 * i
+    start = np.cumsum(dims) - dims - i_min
+    j1, j2 = np.repeat(j1, dims), np.repeat(j2, dims)
+    m1_x2 = (n - k) - 2 * (np.arange(len(j1)) - np.repeat(start, dims))
     m2_x2 = (n - 2 * k) - m1_x2
     prod = ((j1 + m1_x2) // 2) * ((j1 - m1_x2) // 2 + 1) * ((j2 - m2_x2) // 2) * ((j2 + m2_x2) // 2 + 1)
-    a = np.zeros((len(labels), k + 1))
-    b = np.zeros((len(labels), k + 1))
-    a[m, i] = np.sqrt(prod.astype(np.float64))
-    b[m, i] = (j1 * (j1 + 2) + j2 * (j2 + 2) - m1_x2**2 - m2_x2**2) / 4.0 - n / 2.0
+    a = np.sqrt(prod.astype(np.float64))
+    b = (j1 * (j1 + 2) + j2 * (j2 + 2) - m1_x2**2 - m2_x2**2) / 4.0 - n / 2.0
     theta = np.array([dual_eigenvalue_at_distance(i, spec) for i in range(k + 1)])
-    for arr in (a, b, theta):
+    for arr in (a, b, theta, start):
         arr.flags.writeable = False
-    return a, b, theta
+    return a, b, theta, start
 
 
 def _T_entries(spec: GraphSpec, mu, nu, ms: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """T of module ``ms[s]`` under weights (mu[s], nu[s]): its diagonal at the distances ``rows[s]``.
 
     Also each row's coupling to the next; ``rows[s]`` must be a run of
-    consecutive distances.
+    consecutive distances on the chain.
     """
-    a, b, theta = _chain_arrays(spec)
+    a, b, theta, start = _chain_arrays(spec)
     mu, nu = np.asarray(mu)[:, None], np.asarray(nu)[:, None]
-    b_rows, theta_rows = b[ms[:, None], rows], theta[rows]
+    at = start[ms, None] + rows
+    b_rows, theta_rows = b[at], theta[rows]
     diag = nu * b_rows + mu * theta_rows + 2.0 * b_rows * theta_rows
-    off = a[ms[:, None], rows[:, :-1]] * ((theta_rows[:, 1:] + theta_rows[:, :-1]) + nu)
+    off = a[at[:, :-1]] * ((theta_rows[:, 1:] + theta_rows[:, :-1]) + nu)
     return diag, off
 
 

@@ -27,7 +27,6 @@ from .scheme import (
     GraphSpec,
     Vertex,
     _require_capacity,
-    adjacency_matrix,
     default_base_vertex,
 )
 from .specfn import _dual_hahn_run, _hyp2f1_rational
@@ -48,7 +47,6 @@ __all__ = [
     "energy_exponential",
     "fill_ground_state",
     "eigenprojectors_oracle",
-    "eigenprojector_traces",
     "chopped_correlation_oracle",
     "spectrum_oracle",
     "clamp_unit_interval",
@@ -286,23 +284,6 @@ def eigenprojectors_oracle(spec: GraphSpec, cap: int | None = None) -> dict[int,
     return {j_x2: _correlation_kernel(spec, frozenset({j_x2}))[dist] for j_x2 in level_labels_x2(spec)}
 
 
-def eigenprojector_traces(spec: GraphSpec, cap: int | None = None) -> dict[int, int]:
-    """trace(E_j) of each adjacency level: the eigenvalues of one plain ``eigvalsh(A)`` near theta_j.
-
-    It reads no kernel, so it checks the level degeneracies on its own.
-    Eigenvalues are grouped to the nearest theta_j within 1e-6 of the
-    spectral spread; anything further from every theta is an error.
-    """
-    w = np.linalg.eigvalsh(adjacency_matrix(1, spec, cap))
-    labels = level_labels_x2(spec)
-    thetas = [theta_eigenvalue(j_x2, spec) for j_x2 in labels]
-    tol = 1e-6 * (max(thetas) - min(thetas))
-    counts = {j_x2: int(np.sum(np.abs(w - t) <= tol)) for j_x2, t in zip(labels, thetas)}
-    if sum(counts.values()) != len(w):
-        raise ArithmeticError("adjacency eigenvalue did not land near a unique theta_j")
-    return counts
-
-
 def chopped_correlation_oracle(
     spec: GraphSpec, filling: FillingSpec, sub: SubsystemSpec, cap: int | None = None
 ) -> np.ndarray:
@@ -325,22 +306,22 @@ def clamp_unit_interval(values: np.ndarray) -> np.ndarray:
     return np.clip(values, 0.0, 1.0)
 
 
-def group_spectra(values, mults, owners, count: int, tol: float = GROUP_TOL) -> Iterator[tuple]:
-    """Merge each point's (value, multiplicity) pairs whose values agree within ``tol``.
+def group_spectra(values, mults, owners, count: int) -> Iterator[tuple]:
+    """Merge each point's (value, multiplicity) pairs whose values agree within :data:`GROUP_TOL`.
 
     Pair p belongs to point ``owners[p]`` of ``count``; multiplicities may be
     Python ints of any size.  Per point, pairs are sorted by value, then
     multiplicity; a group is anchored at its first member and the
     representative is the multiplicity-weighted mean, summed in that order
-    and snapped to an exact 0 or 1 when it lands within ``tol`` of either
+    and snapped to an exact 0 or 1 when it lands within GROUP_TOL of either
     endpoint.  The sort and the group bounds are found for every point at
     once, on the first request; the Python-number phase runs one point at a
     time, and each point's entries are yielded as soon as they are merged.
     """
-    yield from _merge_points(*_group_bounds(values, mults, owners, count, tol), tol)
+    yield from _merge_points(*_group_bounds(values, mults, owners, count))
 
 
-def _group_bounds(values, mults, owners, count: int, tol: float):
+def _group_bounds(values, mults, owners, count: int):
     """The pairs of :func:`group_spectra` in merge order, and where their groups start.
 
     Returns the sorted value * multiplicity products, the sorted exact
@@ -353,17 +334,17 @@ def _group_bounds(values, mults, owners, count: int, tol: float):
     owners = np.asarray(owners, dtype=np.intp)
     order = np.lexsort((weights, values, owners))
     values, weights, exact, owners = values[order], weights[order], exact[order], owners[order]
-    # a gap over tol always starts a group: the anchor sits at or below the previous value
+    # a gap over GROUP_TOL always starts a group: the anchor sits at or below the previous value
     first = np.ones(len(values), dtype=bool)
-    first[1:] = (owners[1:] != owners[:-1]) | (values[1:] - values[:-1] > tol)
+    first[1:] = (owners[1:] != owners[:-1]) | (values[1:] - values[:-1] > GROUP_TOL)
     starts = np.flatnonzero(first)
     ends = np.append(starts, len(values))[1:]
     bounds = starts.tolist() + [len(values)]
-    # a run wider than tol splits wherever a value passes its group's anchor by more than tol
-    wide = values[ends - 1] - values[starts] > tol
+    # a wider run splits wherever a value passes its group's anchor by more than GROUP_TOL
+    wide = values[ends - 1] - values[starts] > GROUP_TOL
     for a, b in zip(starts[wide].tolist(), ends[wide].tolist()):
-        while values[b - 1] - values[a] > tol:
-            a += int(np.argmax(values[a:b] - values[a] > tol))
+        while values[b - 1] - values[a] > GROUP_TOL:
+            a += int(np.argmax(values[a:b] - values[a] > GROUP_TOL))
             bounds.append(a)
     bounds = np.sort(bounds)
     # each point's first pair starts a group and its last pair ends one
@@ -372,7 +353,7 @@ def _group_bounds(values, mults, owners, count: int, tol: float):
     return values * weights, exact, bounds, zip(cuts, cuts[1:], edges, edges[1:])
 
 
-def _merge_points(products, exact, bounds, runs, tol: float) -> Iterator[tuple]:
+def _merge_points(products, exact, bounds, runs) -> Iterator[tuple]:
     """Each point's merged entries from :func:`_group_bounds`, one point at a time."""
     for lo, hi, first, last in runs:
         point_bounds = (bounds[first : last + 1] - lo).tolist()
@@ -381,17 +362,17 @@ def _merge_points(products, exact, bounds, runs, tol: float) -> Iterator[tuple]:
         for a, b in zip(point_bounds, point_bounds[1:]):
             mult = sum(point_exact[a:b])
             mean = reduce(add, point_products[a:b]) / mult
-            if abs(mean) <= tol:
+            if abs(mean) <= GROUP_TOL:
                 mean = 0.0
-            elif abs(mean - 1.0) <= tol:
+            elif abs(mean - 1.0) <= GROUP_TOL:
                 mean = 1.0
             entries.append((mean, mult))
         yield tuple(entries)
 
 
-def group_spectrum(values, mults, tol: float = GROUP_TOL) -> tuple[tuple[float, int], ...]:
+def group_spectrum(values, mults) -> tuple[tuple[float, int], ...]:
     """One point's :func:`group_spectra`."""
-    return next(group_spectra(values, mults, np.zeros(len(values), dtype=np.intp), 1, tol))
+    return next(group_spectra(values, mults, np.zeros(len(values), dtype=np.intp), 1))
 
 
 def spectrum_oracle(c: np.ndarray) -> CorrelationSpectrum:

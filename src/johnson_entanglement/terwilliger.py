@@ -8,15 +8,15 @@ Clebsch-Gordan coefficients, which is what makes n = 30 runs cheap: no block
 ever grows past (k + 1) x (k + 1).
 
 Each graph gets one :class:`ModuleTable`, built on first use and kept: the
-module list, exact multiplicities and a Clebsch-Gordan table indexed by
-(module, distance, level) whose level columns are filled only when a filling
-first occupies them.  Both structured routes hand :meth:`ModuleTable.spectra`
-many (filling, subsystem) points of a graph at once.  A (point, module)
-block that none or all of the module's levels fill, or whose chain lies
-wholly in the subsystem, holds only exact 0s and 1s and is counted, so the
-whole-graph, empty and full fillings need no solve; every other block is cut
-out of that table, blocks of equal size are stacked across the points and
-each stack is diagonalized with one LAPACK call.
+module list, exact multiplicities and the Clebsch-Gordan column of each
+(module, level) pair a filling has occupied, computed once and stored flat.
+Both structured routes hand :meth:`ModuleTable.spectra` many (filling,
+subsystem) points of a graph at once.  A (point, module) block that none or
+all of the module's levels fill, or whose chain lies wholly in the
+subsystem, holds only exact 0s and 1s and is counted, so the whole-graph,
+empty and full fillings need no solve; every other block is cut out of the
+stored columns, blocks of equal size are stacked across the points and each
+stack is diagonalized with one LAPACK call.
 
 Doubled integers label all spins.  A module's chain rows are indexed by the
 distance i, with m1 = (n - k)/2 - i and m2 = i - k/2.
@@ -133,14 +133,13 @@ def module_admissible_levels(label: ModuleLabel, spec: GraphSpec) -> list[int]:
 class ModuleTable:
     """Per-graph module data shared by every block and spectrum evaluation.
 
-    Row m belongs to ``labels[m]``.  ``g[m, i, l]`` is the coupling
-    coefficient of the chain row at distance i with the level of index l
-    (doubled label n - 2k + 2l); it is zero off the chain and outside the
-    module's admissible levels.  Level columns come from :func:`cg_column`
-    the first time a caller asks for them, so the table only ever holds the
-    columns some filling has occupied; ``filled[m, l]`` is set for those and
-    for every inadmissible level.  Use :func:`module_table`, which keeps one
-    table per graph.
+    Row m belongs to ``labels[m]``.  Column (m, l) holds the coupling
+    coefficients of the chain rows with the level of index l (doubled label
+    n - 2k + 2l), from :func:`cg_column` the first time a caller asks for it.
+    It is stored once, in chain order, at ``flat[offset[m, l]:]``; ``offset``
+    is -1 until then, and ``flat`` at least doubles when full.  An
+    inadmissible level's column is all zero by the triangle rule.  Use
+    :func:`module_table`, which keeps one table per graph.
     """
 
     def __init__(self, spec: GraphSpec):
@@ -156,34 +155,34 @@ class ModuleTable:
         self.dim = self.i_max - self.i_min + 1
         if not np.array_equal(self.level_hi - self.level_lo + 1, self.dim):
             raise ArithmeticError("a module chain's length differs from its admissible-level count")
-        levels = np.arange(spec.k + 1)
-        self.filled = (levels < self.level_lo[:, None]) | (levels > self.level_hi[:, None])
-        self.g = np.zeros((len(self.labels), spec.k + 1, 0))
+        self.offset = np.full((len(self.labels), spec.k + 1), -1, dtype=np.intp)
+        self.flat = np.empty(0)
+        self.size = 0
 
     def level_index(self, levels_x2) -> np.ndarray:
         """Level indices l = (j_x2 - (n - 2k)) / 2 of doubled labels, in the given order."""
         return (np.asarray(levels_x2, dtype=np.intp) - (self.spec.n - 2 * self.spec.k)) // 2
 
     def entries(self, ms: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Stacked G[b, r, c] = <row rows[b, r] | level cols[b, c]> of module ms[b]."""
-        self._fill(ms, cols)
-        return self.g[ms[:, None, None], rows[:, :, None], cols[:, None, :]]
+        """Stacked G[b, r, c] = <row rows[b, r] | level cols[b, c]> of module ms[b].
 
-    def _fill(self, ms: np.ndarray, cols: np.ndarray) -> None:
-        if cols.size and cols.max() >= self.g.shape[2]:
-            grown = np.zeros(self.g.shape[:2] + (cols.max() + 1,))
-            grown[:, :, : self.g.shape[2]] = self.g
-            self.g = grown
-        spec = self.spec
-        for b, c in zip(*np.nonzero(~self.filled[ms[:, None], cols])):
-            m, lev = int(ms[b]), int(cols[b, c])
-            if self.filled[m, lev]:  # an earlier entry of this stack holds the same module
-                continue
-            label = self.labels[m]
-            # cg_column orders by descending m1 = ascending i, starting at i_min.
-            col = cg_column(spec.n - 2 * spec.k + 2 * lev, label.j1_x2, label.j2_x2, spec.n - 2 * spec.k)
-            self.g[m, label.i_min : label.i_max + 1, lev] = col
-            self.filled[m, lev] = True
+        Every row must lie on its module's chain; a level outside the
+        module's admissible range reads an exact 0.
+        """
+        offsets = self.offset[ms[:, None], cols]
+        if (offsets < 0).any():
+            blocks, places = np.nonzero(offsets < 0)
+            base = self.spec.n - 2 * self.spec.k
+            for m, lev in dict.fromkeys(zip(ms[blocks].tolist(), cols[blocks, places].tolist())):
+                label = self.labels[m]
+                end = self.size + label.dim
+                if end > len(self.flat):
+                    self.flat = np.concatenate((self.flat, np.empty(end)))
+                # cg_column orders by descending m1 = ascending i, starting at i_min.
+                self.flat[self.size : end] = cg_column(base + 2 * lev, label.j1_x2, label.j2_x2, base)
+                self.offset[m, lev], self.size = self.size, end
+            offsets = self.offset[ms[:, None], cols]
+        return self.flat[offsets[:, None, :] + (rows - self.i_min[ms, None])[:, :, None]]
 
     def blocks(self, ms: np.ndarray, rows: np.ndarray, levels: np.ndarray) -> np.ndarray:
         """Stacked correlation blocks G G^T over the given rows and occupied levels.

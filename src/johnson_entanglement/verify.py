@@ -189,12 +189,29 @@ def check_module_completeness(sizes) -> CheckResult:
     return CheckResult("module_completeness", bad == 0, float(bad), detail)
 
 
+def _eigenprojector_traces(spec: GraphSpec, cap) -> dict[int, int]:
+    """trace(E_j) of each adjacency level: the eigenvalues of one plain ``eigvalsh(A)`` near theta_j.
+
+    It reads no kernel, so it checks the level degeneracies on its own.
+    Eigenvalues are grouped to the nearest theta_j within 1e-6 of the
+    spectral spread; anything further from every theta is an error.
+    """
+    w = np.linalg.eigvalsh(scheme.adjacency_matrix(1, spec, cap))
+    labels = spectral.level_labels_x2(spec)
+    thetas = [spectral.theta_eigenvalue(j_x2, spec) for j_x2 in labels]
+    tol = 1e-6 * (max(thetas) - min(thetas))
+    counts = {j_x2: int(np.sum(np.abs(w - t) <= tol)) for j_x2, t in zip(labels, thetas)}
+    if sum(counts.values()) != len(w):
+        raise ArithmeticError("adjacency eigenvalue did not land near a unique theta_j")
+    return counts
+
+
 def check_level_degeneracies(sizes, cap) -> CheckResult:
     """The count of adjacency eigenvalues at theta_j against the modules coupling to j, which must equal the closed form."""
     worst = 0.0
     for n, k in sizes:
         spec = GraphSpec(n, k)
-        for j_x2, trace in spectral.eigenprojector_traces(spec, cap).items():
+        for j_x2, trace in _eigenprojector_traces(spec, cap).items():
             count = sum(
                 m.degeneracy
                 for m in terwilliger.enumerate_modules(spec)
@@ -206,9 +223,9 @@ def check_level_degeneracies(sizes, cap) -> CheckResult:
 
 def _A_action(label, spec: GraphSpec) -> np.ndarray:
     """A on the module chain by ascending distance: the ladder and diagonal the T route is built from."""
-    a, b, _ = heun_mod._chain_arrays(spec)
-    m = terwilliger.module_table(spec).row[label]
-    return heun_mod._tridiagonal(b[None, m, label.i_min : label.i_max + 1], a[None, m, label.i_min : label.i_max])[0]
+    a, b, _, start = heun_mod._chain_arrays(spec)
+    top = start[terwilliger.module_table(spec).row[label]] + label.i_min
+    return heun_mod._tridiagonal(b[None, top : top + label.dim], a[None, top : top + label.dim - 1])[0]
 
 
 def _Astar_coefficients(j_x2: int, label, spec: GraphSpec) -> tuple[float, float]:

@@ -105,23 +105,27 @@ def test_A_coefficients_vanish_at_chain_ends():
 
 
 def _scalar_chain_arrays(spec):
-    labels = enumerate_modules(spec)
-    a = np.zeros((len(labels), spec.k + 1))
-    b = np.zeros_like(a)
-    for m, label in enumerate(labels):
+    """a and b at every chain row, module by module along each chain, and each chain's first position."""
+    a, b, first = [], [], []
+    for label in enumerate_modules(spec):
+        first.append(len(a))
         for i in label.distances:
-            a[m, i], b[m, i] = _A_coefficients(label, _m1_x2(i, spec), spec)
-    return a, b
+            a_i, b_i = _A_coefficients(label, _m1_x2(i, spec), spec)
+            a.append(a_i)
+            b.append(b_i)
+    return np.array(a), np.array(b), np.array(first)
 
 
 @pytest.mark.parametrize("n", [*range(2, 31), 400])
 def test_chain_arrays_equal_the_scalar_coefficients(n):
     for k in range(1, n // 2 + 1) if n <= 30 else [n // 2]:
         spec = GraphSpec(n, k)
-        a, b, theta = _chain_arrays.__wrapped__(spec)  # uncached: keeps no J(400,200) arrays alive
-        want_a, want_b = _scalar_chain_arrays(spec)
+        a, b, theta, start = _chain_arrays.__wrapped__(spec)  # uncached: keeps no J(400,200) arrays alive
+        want_a, want_b, first = _scalar_chain_arrays(spec)
+        i_min = np.array([label.i_min for label in enumerate_modules(spec)])
         assert np.array_equal(a, want_a) and np.array_equal(b, want_b), (n, k)
-        assert not (a.flags.writeable or b.flags.writeable or theta.flags.writeable)
+        assert np.array_equal(start + i_min, first), (n, k)
+        assert not any(arr.flags.writeable for arr in (a, b, theta, start))
 
 
 def test_A_action_trace_identity():

@@ -202,12 +202,12 @@ def test_eigenprojectors_orthogonal_idempotent_complete():
 
 
 def test_eigenprojector_traces_are_degeneracies():
-    from johnson_entanglement.terwilliger import level_degeneracy
-
     for n, k in [(6, 3), (9, 3), (10, 5)]:
         spec = GraphSpec(n, k)
         for j_x2, e in eigenprojectors_oracle(spec).items():
-            assert np.trace(e) == pytest.approx(level_degeneracy(j_x2, spec), abs=1e-6)
+            assert np.trace(e) == pytest.approx(spectral.level_degeneracy(j_x2, spec), abs=1e-6)
+        counts = verify._eigenprojector_traces(spec, None)
+        assert counts == {j_x2: spectral.level_degeneracy(j_x2, spec) for j_x2 in level_labels_x2(spec)}
 
 
 def test_chopped_correlation_trivial_fillings():

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from johnson_entanglement.scheme import GraphSpec, default_base_vertex
+from johnson_entanglement.specfn import cg_column
 from johnson_entanglement.spectral import (
     FillingSpec,
     SubsystemSpec,
@@ -277,6 +278,52 @@ def test_module_table_fetches_each_new_column_once(monkeypatch):
     again = table.entries(ms[:1], rows[:1], levels[None, :2])
     assert len(calls) == 3
     assert np.array_equal(again[0], first[0])
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+def test_coupling_store_reads_as_the_dense_table(n):
+    """Each module's whole chain against every level 0..k: its column on admissible levels, an exact 0.0 elsewhere."""
+    for k in range(1, n // 2 + 1):
+        table = ModuleTable(GraphSpec(n, k))
+        base = n - 2 * k
+        for m, label in enumerate(table.labels):
+            got = table.entries(np.array([m]), np.array([list(label.distances)]), np.arange(k + 1)[None, :])[0]
+            want = np.zeros((label.dim, k + 1))
+            for lev in range(table.level_lo[m], table.level_hi[m] + 1):
+                want[:, lev] = cg_column(base + 2 * lev, label.j1_x2, label.j2_x2, base)
+            assert got.tobytes() == want.tobytes(), (n, k, label)
+
+
+def test_coupling_store_holds_each_fetched_column_once(monkeypatch):
+    calls = []
+    real = terwilliger.cg_column
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(terwilliger, "cg_column", spy)
+    spec = GraphSpec(60, 30)
+    table = ModuleTable(spec)
+    point = [(FillingSpec(frozenset(level_labels_x2(spec)[:10])), SubsystemSpec(frozenset(range(16)), default_base_vertex(spec)))]
+    readout = lambda pts, ms, rows, c: np.linalg.eigvalsh(c)
+    first = list(table.spectra(point, readout))
+    fetched = np.argwhere(table.offset >= 0)
+    assert len(calls) == len(set(calls)) == len(fetched) > 0
+    offsets = table.offset[fetched[:, 0], fetched[:, 1]]
+    dims = table.dim[fetched[:, 0]]
+    order = np.argsort(offsets)
+    # the stored columns tile flat[:size] end to end: each is held once, and nowhere else
+    assert np.array_equal(offsets[order], np.cumsum(dims[order]) - dims[order])
+    assert table.size == dims.sum()
+    base = spec.n - 2 * spec.k
+    for (m, lev), at in zip(fetched.tolist(), offsets.tolist()):
+        label = table.labels[m]
+        assert table.flat[at : at + label.dim].tolist() == list(real(base + 2 * lev, label.j1_x2, label.j2_x2, base))
+    before = table.offset.copy()
+    assert list(table.spectra(point, readout)) == first
+    assert len(calls) == len(fetched) and table.size == dims.sum()
+    assert np.array_equal(table.offset, before)
 
 
 def test_hahn_relations_balanced_graphs():
