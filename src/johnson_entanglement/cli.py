@@ -1,7 +1,9 @@
 """Command-line front end: energy tables, entropy runs, figure sweeps and the
-verification battery.  Every spectrum comes through the one route dispatch,
-:func:`.heun.spectra`; the fig2a-fig3b sweeps are (graph, route, points)
-batches that one ``_grid_sweep`` solves and reads off the entropy reports.
+verification battery.  Every spectrum but fig4's comes through the one route
+dispatch, :func:`.heun.spectra`; fig4's ``_chain_entropy`` diagonalizes single
+chains itself, without module weights, by design.  The fig2a-fig3b sweeps are
+(graph, route, points) batches that one ``_grid_sweep`` solves and reads off
+the entropy reports.
 
 Exit codes: 0 success, 1 verification or cross-route agreement failure,
 2 invalid configuration, 3 dense-capacity overflow.  Output is deterministic:
@@ -402,7 +404,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    sizes = _parse_sizes(args.sizes) if args.sizes else None
+    sizes = _parse_sizes(args.sizes) if args.sizes is not None else None
     results = verify.run_battery(sizes=sizes, quick=args.quick, cap=args.dense_cap)
     payload = {
         "passed": all(r.passed for r in results),
@@ -419,10 +421,11 @@ def cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
-def _add_common(p):
+def _add_common(p, dense_cap: bool = False):
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output", default=None, help="output path; default stdout")
-    p.add_argument("--dense-cap", type=int, default=None, help="override the dense-matrix cap")
+    if dense_cap:  # only the commands that build a dense object take the cap
+        p.add_argument("--dense-cap", type=int, default=None, help="override the dense-matrix cap")
 
 
 def _add_model(p):
@@ -461,7 +464,7 @@ def _build_parser():
     p.add_argument("--bits", action="store_true", help="display in bits instead of nats")
     p.add_argument("--spectrum-output", default=None, help="also write (lambda, multiplicity) rows here")
     p.add_argument("--diagnostics", action="store_true", help="print the T-operator weights to stderr")
-    _add_common(p)
+    _add_common(p, dense_cap=True)
     p.set_defaults(handler=cmd_entropy)
 
     p = sub.add_parser("sweep", help="figure-reproduction grids as CSV/JSON")
@@ -475,7 +478,7 @@ def _build_parser():
     p = sub.add_parser("verify", help="run the cross-checking battery")
     p.add_argument("--quick", action="store_true", help="fast subset only")
     p.add_argument("--sizes", default=None, help='graphs to test, e.g. "4:2,6:3,8:4"')
-    _add_common(p)
+    _add_common(p, dense_cap=True)
     p.set_defaults(handler=cmd_verify)
 
     return parser

@@ -9,9 +9,9 @@ clusters against 0 and 1, so diagonalizing T and reading the correlation
 eigenvalues from Rayleigh quotients is the numerically comfortable path at
 large n.
 
-The A ladder a and its diagonal b are cached once per graph as read-only
-arrays over the chain rows, theta* over the distances, and T is affine in
-(mu, nu) on them, so every block's T comes out of one vector expression.
+The A ladder a and its diagonal b over the chain rows come from the graph's
+:class:`.terwilliger.ModuleTable`, theta* at the rows read, and T is affine
+in (mu, nu) on them, so every block's T comes out of one vector expression.
 Many grid points of a graph are solved together: their subsystem blocks of
 T are stacked by size across the points, each stack is diagonalized by one
 ``eigh`` call, and the Rayleigh quotients of a stack are read in one batched
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -43,7 +42,7 @@ from .spectral import (
     spectrum_oracle,
     theta_eigenvalue,
 )
-from .terwilliger import ModuleLabel, assemble_spectra, enumerate_modules, module_table
+from .terwilliger import ModuleLabel, ModuleTable, assemble_spectra, module_table
 
 __all__ = [
     "ROUTES",
@@ -108,8 +107,8 @@ def plan(spec: GraphSpec, filling: FillingSpec, sub: SubsystemSpec) -> HeunSpec 
     return heun_spec(spec, max(distances), labels[len(occupied) - 1])
 
 
-def dual_eigenvalue_at_distance(i: int, spec: GraphSpec) -> float:
-    """theta* on the i-th neighborhood; n - 1 at i = 0, strictly decreasing.
+def dual_eigenvalue_at_distance(i: int | np.ndarray, spec: GraphSpec) -> float | np.ndarray:
+    """theta* on the i-th neighborhood, or at each of an integer array's; n - 1 at i = 0, strictly decreasing.
 
     Affine in m1 - m2 = n - 4i, with m1 = (n - k)/2 - i and m2 = i - k/2.
     """
@@ -117,45 +116,17 @@ def dual_eigenvalue_at_distance(i: int, spec: GraphSpec) -> float:
     return -(n - 1) * (n - 2 * k) ** 2 / (4.0 * k * (n - k)) + n * (n - 1) * (n - 4 * i) / (4.0 * k * (n - k))
 
 
-@lru_cache(maxsize=32)
-def _chain_arrays(spec: GraphSpec) -> tuple[np.ndarray, ...]:
-    """Per-graph A ladder a, diagonal b, theta*[i] and chain starts, read-only.
-
-    a and b hold one entry per chain row, module by module in the order of
-    :func:`enumerate_modules` and by ascending distance along each chain:
-    module m's row at distance i sits at ``start[m] + i``.
-    a = sqrt((j1+m1)(j1-m1+1)(j2-m2)(j2+m2+1)) couples the row at distance i
-    to the row at i + 1 and vanishes at the chain ends;
-    b = j1(j1+1) + j2(j2+1) - m1^2 - m2^2 - n/2.  Every row is evaluated at
-    once: the integer products are exact in int64 and rounded once, so each
-    entry is the float of the scalar formula.
-    """
-    n, k = spec.n, spec.k
-    labels = enumerate_modules(spec)
-    j1, j2, i_min, dims = np.array([(m.j1_x2, m.j2_x2, m.i_min, m.dim) for m in labels], dtype=np.int64).T
-    start = np.cumsum(dims) - dims - i_min
-    j1, j2 = np.repeat(j1, dims), np.repeat(j2, dims)
-    m1_x2 = (n - k) - 2 * (np.arange(len(j1)) - np.repeat(start, dims))
-    m2_x2 = (n - 2 * k) - m1_x2
-    prod = ((j1 + m1_x2) // 2) * ((j1 - m1_x2) // 2 + 1) * ((j2 - m2_x2) // 2) * ((j2 + m2_x2) // 2 + 1)
-    a = np.sqrt(prod.astype(np.float64))
-    b = (j1 * (j1 + 2) + j2 * (j2 + 2) - m1_x2**2 - m2_x2**2) / 4.0 - n / 2.0
-    theta = np.array([dual_eigenvalue_at_distance(i, spec) for i in range(k + 1)])
-    for arr in (a, b, theta, start):
-        arr.flags.writeable = False
-    return a, b, theta, start
-
-
-def _T_entries(spec: GraphSpec, mu, nu, ms: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _T_entries(table: ModuleTable, mu, nu, ms: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """T of module ``ms[s]`` under weights (mu[s], nu[s]): its diagonal at the distances ``rows[s]``.
 
     Also each row's coupling to the next; ``rows[s]`` must be a run of
-    consecutive distances on the chain.
+    consecutive distances on the chain.  theta* there is bit for bit the
+    scalar value, so the cut coupling cancels to an exact 0 against nu.
     """
-    a, b, theta, start = _chain_arrays(spec)
+    a, b, start = table.ladder
     mu, nu = np.asarray(mu)[:, None], np.asarray(nu)[:, None]
     at = start[ms, None] + rows
-    b_rows, theta_rows = b[at], theta[rows]
+    b_rows, theta_rows = b[at], dual_eigenvalue_at_distance(rows, table.spec)
     diag = nu * b_rows + mu * theta_rows + 2.0 * b_rows * theta_rows
     off = a[at[:, :-1]] * ((theta_rows[:, 1:] + theta_rows[:, :-1]) + nu)
     return diag, off
@@ -179,8 +150,9 @@ def build_T(label: ModuleLabel, hs: HeunSpec, spec: GraphSpec) -> np.ndarray:
     an exact floating-point zero, which is what decouples the subsystem block:
     the rows at distances <= n_cut are the leading square of T.
     """
-    ms = np.array([module_table(spec).row[label]])
-    return _tridiagonal(*_T_entries(spec, [hs.mu], [hs.nu], ms, np.arange(label.i_min, label.i_max + 1)[None, :]))[0]
+    table = module_table(spec)
+    rows = np.arange(label.i_min, label.i_max + 1)[None, :]
+    return _tridiagonal(*_T_entries(table, [hs.mu], [hs.nu], np.array([table.row[label]]), rows))[0]
 
 
 def _cluster_readout(w: np.ndarray, q: np.ndarray, c_block: np.ndarray) -> np.ndarray:
@@ -223,9 +195,10 @@ def spectra_via_heun(spec: GraphSpec, configs) -> Iterator[CorrelationSpectrum]:
             raise ConfigError(reason)
     mu = np.array([np.nan if hs is None else hs.mu for hs in planned])
     nu = np.array([np.nan if hs is None else hs.nu for hs in planned])
+    table = module_table(spec)
 
     def readout(pts, ms, rows, c):
-        w, q = np.linalg.eigh(_tridiagonal(*_T_entries(spec, mu[pts], nu[pts], ms, rows)))
+        w, q = np.linalg.eigh(_tridiagonal(*_T_entries(table, mu[pts], nu[pts], ms, rows)))
         # Rayleigh quotients v^T C v for every eigenvector v of every block, as
         # stacked (1 x size) products: the same vector-matrix-vector sums a
         # lone block takes, so the values do not depend on the stacking
@@ -237,7 +210,7 @@ def spectra_via_heun(spec: GraphSpec, configs) -> Iterator[CorrelationSpectrum]:
             lams[blk] = _cluster_readout(w[blk], q[blk], c[blk])
         return lams
 
-    return module_table(spec).spectra(configs, readout)
+    return table.spectra(configs, readout)
 
 
 def spectrum_via_heun(spec: GraphSpec, hs: HeunSpec) -> CorrelationSpectrum:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 __all__ = [
     "clebsch_gordan",
@@ -80,7 +79,6 @@ def clebsch_gordan(j_x2: int, m_x2: int, j1_x2: int, m1_x2: int, j2_x2: int, m2_
     return cg_column(j_x2, j1_x2, j2_x2, m_x2)[(hi - m1_x2) // 2]
 
 
-@lru_cache(maxsize=None)
 def cg_column(j_x2: int, j1_x2: int, j2_x2: int, m_x2: int) -> tuple[float, ...]:
     """All <j1 m1, j2 (m-m1) | j m> over admissible m1, ordered by descending m1.
 

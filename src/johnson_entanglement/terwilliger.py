@@ -7,9 +7,11 @@ a module the correlation projector has entries built purely from
 Clebsch-Gordan coefficients, which is what makes n = 30 runs cheap: no block
 ever grows past (k + 1) x (k + 1).
 
-Each graph gets one :class:`ModuleTable`, built on first use and kept: the
-module list, exact multiplicities and the Clebsch-Gordan column of each
-(module, level) pair a filling has occupied, computed once and stored flat.
+Each graph gets one :class:`ModuleTable`, built on first use and kept, the
+only per-graph store of both structured routes: the module list, exact
+multiplicities, the Clebsch-Gordan column of each (module, level) pair a
+filling has occupied, computed once and stored flat, and the chain layout
+with the A ladder of T, built only when T first asks.
 Both structured routes hand :meth:`ModuleTable.spectra` many (filling,
 subsystem) points of a graph at once.  A (point, module) block that none or
 all of the module's levels fill, or whose chain lies wholly in the
@@ -27,7 +29,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -158,6 +160,28 @@ class ModuleTable:
         self.offset = np.full((len(self.labels), spec.k + 1), -1, dtype=np.intp)
         self.flat = np.empty(0)
         self.size = 0
+
+    @cached_property
+    def ladder(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The A ladder a, its diagonal b and each chain's start, read-only, built on first use.
+
+        Module m's chain row at distance i sits at ``start[m] + i``; a there is
+        sqrt((j1+m1)(j1-m1+1)(j2-m2)(j2+m2+1)), its coupling to the row at i + 1,
+        0 at the chain ends, and b is j1(j1+1) + j2(j2+1) - m1^2 - m2^2 - n/2.
+        The integer products are exact in int64 and rounded once, so each entry
+        is the float of the scalar formula.
+        """
+        n, k = self.spec.n, self.spec.k
+        start = np.cumsum(self.dim) - self.dim - self.i_min
+        j1, j2 = np.repeat(np.array([(m.j1_x2, m.j2_x2) for m in self.labels], dtype=np.int64), self.dim, axis=0).T
+        m1_x2 = (n - k) - 2 * (np.arange(len(j1)) - np.repeat(start, self.dim))
+        m2_x2 = (n - 2 * k) - m1_x2
+        prod = ((j1 + m1_x2) // 2) * ((j1 - m1_x2) // 2 + 1) * ((j2 - m2_x2) // 2) * ((j2 + m2_x2) // 2 + 1)
+        a = np.sqrt(prod.astype(np.float64))
+        b = (j1 * (j1 + 2) + j2 * (j2 + 2) - m1_x2**2 - m2_x2**2) / 4.0 - n / 2.0
+        for arr in (a, b, start):
+            arr.flags.writeable = False
+        return a, b, start
 
     def level_index(self, levels_x2) -> np.ndarray:
         """Level indices l = (j_x2 - (n - 2k)) / 2 of doubled labels, in the given order."""

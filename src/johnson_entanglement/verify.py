@@ -223,8 +223,9 @@ def check_level_degeneracies(sizes, cap) -> CheckResult:
 
 def _A_action(label, spec: GraphSpec) -> np.ndarray:
     """A on the module chain by ascending distance: the ladder and diagonal the T route is built from."""
-    a, b, _, start = heun_mod._chain_arrays(spec)
-    top = start[terwilliger.module_table(spec).row[label]] + label.i_min
+    table = terwilliger.module_table(spec)
+    a, b, start = table.ladder
+    top = start[table.row[label]] + label.i_min
     return heun_mod._tridiagonal(b[None, top : top + label.dim], a[None, top : top + label.dim - 1])[0]
 
 

@@ -158,6 +158,7 @@ def test_exit_code_bad_config():
         ["entropy", "--n", "8", "--k", "4", "--cutoff", "1", "--alpha", "1,,x"],
         ["verify", "--sizes", "4"],
         ["verify", "--sizes", "4:9"],
+        ["verify", "--quick", "--sizes="],
         ["sweep", "--figure", "fig3b", "--n", "8", "--k", "5"],
         ["JE_DENSE_CAP=abc", "entropy", "--n", "6", "--k", "3", "--cutoff", "1", "--route", "oracle"],
         ["entropy", "--n", "6", "--k", "3", "--cutoff", "1", "--output", "/nonexistent/x.csv"],
@@ -210,6 +211,9 @@ def test_exit_code_capacity():
 def test_exit_code_usage_error():
     assert run(["entropy", "--n", "4"]) == 2
     assert run(["no-such-command"]) == 2
+    # only entropy and verify build a dense object, so only they take the cap
+    assert run(["energies", "--n", "8", "--k", "4", "--dense-cap", "1"]) == 2
+    assert run(["sweep", "--figure", "fig4", "--n", "8", "--k", "4", "--dense-cap", "1"]) == 2
 
 
 def test_heun_route_large_scale(tmp_path):

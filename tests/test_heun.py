@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from johnson_entanglement.heun import _chain_arrays, build_T, dual_eigenvalue_at_distance, heun_spec, spectrum_via_heun
+from johnson_entanglement.heun import build_T, dual_eigenvalue_at_distance, heun_spec, spectrum_via_heun
 from johnson_entanglement.scheme import GraphSpec, default_base_vertex, dual_adjacency_matrix, neighborhood_size
 from johnson_entanglement.spectral import (
     FillingSpec,
@@ -14,6 +14,7 @@ from johnson_entanglement.spectral import (
     theta_eigenvalue,
 )
 from johnson_entanglement.terwilliger import (
+    ModuleTable,
     assemble_spectrum,
     enumerate_modules,
     module_admissible_levels,
@@ -120,12 +121,14 @@ def _scalar_chain_arrays(spec):
 def test_chain_arrays_equal_the_scalar_coefficients(n):
     for k in range(1, n // 2 + 1) if n <= 30 else [n // 2]:
         spec = GraphSpec(n, k)
-        a, b, theta, start = _chain_arrays.__wrapped__(spec)  # uncached: keeps no J(400,200) arrays alive
+        a, b, start = ModuleTable(spec).ladder  # a fresh table: keeps no J(400,200) arrays alive
         want_a, want_b, first = _scalar_chain_arrays(spec)
         i_min = np.array([label.i_min for label in enumerate_modules(spec)])
         assert np.array_equal(a, want_a) and np.array_equal(b, want_b), (n, k)
         assert np.array_equal(start + i_min, first), (n, k)
-        assert not any(arr.flags.writeable for arr in (a, b, theta, start))
+        assert not any(arr.flags.writeable for arr in (a, b, start))
+        theta = [dual_eigenvalue_at_distance(i, spec) for i in range(k + 1)]
+        assert dual_eigenvalue_at_distance(np.arange(k + 1), spec).tobytes() == np.array(theta).tobytes()
 
 
 def test_A_action_trace_identity():

@@ -1,4 +1,7 @@
+import functools
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -324,6 +327,32 @@ def test_coupling_store_holds_each_fetched_column_once(monkeypatch):
     assert list(table.spectra(point, readout)) == first
     assert len(calls) == len(fetched) and table.size == dims.sum()
     assert np.array_equal(table.offset, before)
+
+
+def test_module_table_holds_the_only_copy_of_its_columns(monkeypatch):
+    """A cold J(100,50) run keeps no more than the table's own arrays, and a modules run builds no A ladder."""
+    def point(spec, cut, fill):
+        sub = SubsystemSpec(frozenset(range(cut + 1)), default_base_vertex(spec))
+        return FillingSpec(frozenset(level_labels_x2(spec)[:fill])), sub
+
+    assemble_spectrum(GraphSpec(12, 6), *point(GraphSpec(12, 6), 3, 2))  # numpy's first-use allocations
+    tables = functools.lru_cache(maxsize=1)(ModuleTable)  # J(100,50) has no table yet
+    monkeypatch.setattr(terwilliger, "module_table", tables)
+    spec = GraphSpec(100, 50)
+    filling, sub = point(spec, 25, 10)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assemble_spectrum(spec, filling, sub)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    table = tables(spec)
+    arrays = sum(v.nbytes for v in vars(table).values() if isinstance(v, np.ndarray))
+    assert table.size > 0 and "ladder" not in vars(table)
+    assert grown <= arrays + 2**18, (grown, arrays)
 
 
 def test_hahn_relations_balanced_graphs():
