@@ -35,11 +35,10 @@ from .spectral import (
     CorrelationSpectrum,
     FillingSpec,
     SubsystemSpec,
-    chopped_correlation_oracle,
-    group_spectrum,
+    group_spectra,
     level_degeneracy,
     level_labels_x2,
-    spectrum_oracle,
+    oracle_spectra,
     theta_eigenvalue,
 )
 from .terwilliger import ModuleLabel, ModuleTable, assemble_spectra, module_table
@@ -220,41 +219,56 @@ def spectrum_via_heun(spec: GraphSpec, hs: HeunSpec) -> CorrelationSpectrum:
     return next(spectra_via_heun(spec, [(filling, sub)]))
 
 
-def _oracle_spectrum(spec: GraphSpec, filling: FillingSpec, sub: SubsystemSpec, cap: int | None) -> CorrelationSpectrum:
-    """The oracle spectrum of the subsystem A, solved on the smaller of A and B, the other distances from x0.
+def _oracle_spectra(spec: GraphSpec, configs, cap: int | None) -> Iterator[CorrelationSpectrum]:
+    """Oracle spectra of subsystems A, each solved on the smaller of A and B, the other distances from x0.
 
     The correlation matrix is a projector of rank N_f, the occupied
     degeneracies summed, so each value lam of C_B in (0, 1) is a value 1 - lam
     of C_A, as often.  With q such values, A has N_f - q - (B's exact 1s)
     exact 1s and exact 0s in its other rows.  An empty B is the whole graph.
+    Every side goes to :func:`.spectral.oracle_spectra` as one batch; the
+    complement-solved points are then merged together.
     """
     _require_capacity(spec, cap)
-    size = sum(neighborhood_size(spec, d) for d in sub.distances)
-    if 2 * size <= spec.vertex_count:
-        return spectrum_oracle(chopped_correlation_oracle(spec, filling, sub, cap))
-    other = frozenset(range(spec.k + 1)) - sub.distances
-    entries = ()
-    if other:
-        entries = spectrum_oracle(chopped_correlation_oracle(spec, filling, replace(sub, distances=other), cap)).entries
-    mixed = [(1.0 - lam, mult) for lam, mult in entries if 0.0 < lam < 1.0]
-    q = sum(mult for _, mult in mixed)
-    rank = sum(level_degeneracy(j_x2, spec) for j_x2 in filling.occupied)
-    ones = rank - q - sum(mult for lam, mult in entries if lam == 1.0)
-    zeros = size - ones - q
-    if min(ones, zeros) < 0:
-        raise ArithmeticError(f"complement spectrum leaves {ones} exact 1s and {zeros} exact 0s")
-    values, mults = zip(*[(lam, mult) for lam, mult in [(0.0, zeros), (1.0, ones), *mixed] if mult])
-    return CorrelationSpectrum(group_spectrum(values, mults))
+    everything = frozenset(range(spec.k + 1))
+    points, sides = [], []
+    for filling, sub in configs:
+        size = sum(neighborhood_size(spec, d) for d in sub.distances)
+        flipped = 2 * size > spec.vertex_count
+        side, at = everything - sub.distances if flipped else sub.distances, None
+        if side:
+            at = len(sides)
+            sides.append((filling, replace(sub, distances=side)))
+        points.append((filling, size, flipped, at))
+    solved = list(oracle_spectra(spec, sides, cap))
+    pairs = []
+    for p, (filling, size, flipped, at) in enumerate(points):
+        if not flipped:
+            continue
+        entries = () if at is None else solved[at].entries
+        mixed = [(1.0 - lam, mult) for lam, mult in entries if 0.0 < lam < 1.0]
+        q = sum(mult for _, mult in mixed)
+        rank = sum(level_degeneracy(j_x2, spec) for j_x2 in filling.occupied)
+        ones = rank - q - sum(mult for lam, mult in entries if lam == 1.0)
+        zeros = size - ones - q
+        if min(ones, zeros) < 0:
+            raise ArithmeticError(f"complement spectrum leaves {ones} exact 1s and {zeros} exact 0s")
+        pairs += [(lam, mult, p) for lam, mult in [(0.0, zeros), (1.0, ones), *mixed] if mult]
+    merged = group_spectra(*np.array(pairs, dtype=object).reshape(-1, 3).T, len(points))
+    return (
+        CorrelationSpectrum(entries) if flipped else solved[at]
+        for (_, _, flipped, at), entries in zip(points, merged)
+    )
 
 
 def spectra(spec: GraphSpec, configs, route: str, cap: int | None = None) -> Iterator[CorrelationSpectrum]:
     """Spectra of (filling, subsystem) points of one graph along one of :data:`ROUTES`, in order.
 
-    ``oracle`` solves one point at a time on its smaller side, under the
-    dense cap ``cap``; the structured routes take all the points as one batch.
+    Every route takes all the points as one batch; ``oracle`` solves each
+    point on its smaller side, under the dense cap ``cap``.
     """
     if route == "oracle":
-        return (_oracle_spectrum(spec, filling, sub, cap) for filling, sub in configs)
+        return _oracle_spectra(spec, configs, cap)
     if route == "modules":
         return assemble_spectra(spec, configs)
     if route == "heun":

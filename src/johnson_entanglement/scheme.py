@@ -31,6 +31,7 @@ __all__ = [
     "default_base_vertex",
     "distance",
     "distances_from",
+    "distance_rows",
     "adjacency_matrix",
     "dual_adjacency_matrix",
     "neighborhood_projector",
@@ -150,6 +151,12 @@ def distances_from(x0: Vertex, spec: GraphSpec, cap: int | None = None) -> np.nd
     """Integer vector of d(x0, x) over all vertices in canonical order."""
     ind = _indicators(spec, cap)
     return (spec.k - ind @ ind[x0.index]).astype(np.int64)
+
+
+def distance_rows(rows: slice, spec: GraphSpec, cap: int | None = None) -> np.ndarray:
+    """Integer distances d(x, y) from each vertex x of ``rows``, a slice of the canonical order, to every vertex y."""
+    ind = _indicators(spec, cap)
+    return (spec.k - ind[rows] @ ind.T).astype(np.int64)
 
 
 def adjacency_matrix(i: int, spec: GraphSpec, cap: int | None = None) -> np.ndarray:

@@ -9,6 +9,11 @@ rational per distance (Delsarte 1973; Brouwer, Cohen and Neumaier,
 into the correlation kernel f, rounds it once per distance and reads the
 chopped correlation matrix off the subsystem's distances, at dense scale
 only, as the reference for the two structured routes.
+:func:`oracle_spectra` solves many points of a graph at once: each
+subsystem's distance matrix is built once, its fillings' matrices are read
+off it into stacks of bounded size, and each stack is solved by one
+``eigvalsh`` call; :func:`chopped_correlation_oracle` and
+:func:`spectrum_oracle` are the one-matrix steps.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from .scheme import (
     Vertex,
     _require_capacity,
     default_base_vertex,
+    neighborhood_size,
 )
 from .specfn import _dual_hahn_run, _hyp2f1_rational
 
@@ -49,6 +55,7 @@ __all__ = [
     "eigenprojectors_oracle",
     "chopped_correlation_oracle",
     "spectrum_oracle",
+    "oracle_spectra",
     "clamp_unit_interval",
     "group_spectra",
     "group_spectrum",
@@ -59,6 +66,8 @@ __all__ = [
 CLAMP_SLACK = 1e-6
 # Absolute tolerance when grouping eigenvalues into (value, multiplicity) runs.
 GROUP_TOL = 1e-8
+# Bytes one stack of chopped correlation matrices may hold; a larger matrix is solved alone.
+STACK_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -382,3 +391,46 @@ def spectrum_oracle(c: np.ndarray) -> CorrelationSpectrum:
         raise ValueError("chopped correlation matrix must be exactly symmetric")
     w = clamp_unit_interval(np.linalg.eigvalsh(c))
     return CorrelationSpectrum(group_spectrum(w, np.ones(len(w), dtype=np.int64)))
+
+
+def oracle_spectra(spec: GraphSpec, configs, cap: int | None = None) -> Iterator[CorrelationSpectrum]:
+    """Spectra of many (filling, subsystem) points of one graph, in order, each solved on its own chopped matrix.
+
+    Each distinct subsystem's distances are built once and each of its
+    distinct fillings' matrices is read off them into a stack of at most
+    :data:`STACK_BYTES` (one matrix when a matrix is larger).  Each stack is
+    checked for exact symmetry and solved by one ``eigvalsh`` call, and every
+    point is merged by one :func:`group_spectra`, so a point's entries equal
+    :func:`spectrum_oracle` of its :func:`chopped_correlation_oracle`.  The
+    solve runs at once; the spectra are yielded one point at a time.
+    """
+    _require_capacity(spec, cap)
+    slots: dict[tuple, int] = {}
+    sides: dict[SubsystemSpec, list[frozenset[int]]] = {}
+    for filling, sub in configs:
+        if (sub, filling.occupied) not in slots:
+            slots[sub, filling.occupied] = len(slots)
+            sides.setdefault(sub, []).append(filling.occupied)
+    sizes = {sub: sum(neighborhood_size(spec, d) for d in sub.distances) for sub in sides}
+    total = sum(size * len(sides[sub]) for sub, size in sizes.items())
+    values, owners = np.empty(total), np.empty(total, dtype=np.intp)
+    pos = 0
+    for sub, fillings in sides.items():
+        dist, size = _subsystem_distances(spec, sub), sizes[sub]
+        per_stack = max(1, STACK_BYTES // (8 * size * size))
+        for lo in range(0, len(fillings), per_stack):
+            part = fillings[lo : lo + per_stack]
+            stack = np.empty((len(part), size, size))
+            for i, occupied in enumerate(part):
+                np.take(_correlation_kernel(spec, occupied), dist, out=stack[i], mode="clip")
+            if lo + per_stack >= len(fillings):
+                del dist  # the side's last stack: its distances are not held through the solve
+            if not np.array_equal(stack, stack.swapaxes(1, 2)):
+                raise ValueError("chopped correlation matrix must be exactly symmetric")
+            run = slice(pos, pos + len(part) * size)
+            values[run] = np.linalg.eigvalsh(stack).ravel()
+            owners[run] = np.repeat([slots[sub, occupied] for occupied in part], size)
+            pos = run.stop
+            del stack  # before the next stack or distance matrix is made
+    merged = list(group_spectra(clamp_unit_interval(values), np.ones(total, dtype=np.int64), owners, len(slots)))
+    return (CorrelationSpectrum(merged[slots[sub, filling.occupied]]) for filling, sub in configs)

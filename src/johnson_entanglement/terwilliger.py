@@ -58,6 +58,9 @@ __all__ = [
     "assemble_spectrum",
 ]
 
+# Chain rows per step of the ladder build; every graph with n <= 30 takes one step.
+_LADDER_ROWS = 4096
+
 
 @dataclass(frozen=True)
 class ModuleLabel:
@@ -172,13 +175,21 @@ class ModuleTable:
         is the float of the scalar formula.
         """
         n, k = self.spec.n, self.spec.k
-        start = np.cumsum(self.dim) - self.dim - self.i_min
-        j1, j2 = np.repeat(np.array([(m.j1_x2, m.j2_x2) for m in self.labels], dtype=np.int64), self.dim, axis=0).T
-        m1_x2 = (n - k) - 2 * (np.arange(len(j1)) - np.repeat(start, self.dim))
-        m2_x2 = (n - 2 * k) - m1_x2
-        prod = ((j1 + m1_x2) // 2) * ((j1 - m1_x2) // 2 + 1) * ((j2 - m2_x2) // 2) * ((j2 + m2_x2) // 2 + 1)
-        a = np.sqrt(prod.astype(np.float64))
-        b = (j1 * (j1 + 2) + j2 * (j2 + 2) - m1_x2**2 - m2_x2**2) / 4.0 - n / 2.0
+        ends = np.cumsum(self.dim)
+        start = ends - self.dim - self.i_min
+        spins = np.array([(m.j1_x2, m.j2_x2) for m in self.labels], dtype=np.int64)
+        a, b = np.empty(ends[-1]), np.empty(ends[-1])
+        # a fixed number of rows at a time, so the integer temporaries stay small beside a and b
+        for lo in range(0, len(a), _LADDER_ROWS):
+            hi = min(lo + _LADDER_ROWS, len(a))
+            rows = np.arange(lo, hi)
+            m = np.searchsorted(ends, rows, side="right")
+            j1, j2 = spins[m].T
+            m1_x2 = (n - k) - 2 * (rows - start[m])
+            m2_x2 = (n - 2 * k) - m1_x2
+            prod = ((j1 + m1_x2) // 2) * ((j1 - m1_x2) // 2 + 1) * ((j2 - m2_x2) // 2) * ((j2 + m2_x2) // 2 + 1)
+            a[lo:hi] = np.sqrt(prod.astype(np.float64))
+            b[lo:hi] = (j1 * (j1 + 2) + j2 * (j2 + 2) - m1_x2**2 - m2_x2**2) / 4.0 - n / 2.0
         for arr in (a, b, start):
             arr.flags.writeable = False
         return a, b, start

@@ -33,7 +33,7 @@ __all__ = [
 
 DEFAULT_SIZES = ((4, 2), (6, 3), (8, 4))
 QUICK_SIZES = ((4, 2), (6, 3))
-# Row height of the slabs over which the distance matrices are rebuilt from A.
+# Row height of the slabs over which the distance matrices are rebuilt from A and the embedding is checked.
 _SLAB_ROWS = 128
 
 
@@ -111,16 +111,16 @@ def _diagonal(m: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _check_embedding(sizes, cap) -> CheckResult:
-    """Hamming distances |x| + |y| - 2 x.y of the 0/1 embeddings, a row at a time, in integers."""
+    """Hamming distances |x| + |y| - 2 x.y of the 0/1 embeddings against twice the graph distances, a slab of rows at a time, in integers."""
     worst = 0
     for n, k in sizes:
         spec = GraphSpec(n, k)
-        verts = scheme.enumerate_vertices(spec, cap)
-        vecs = np.array([scheme.embed_in_hypercube(v, spec) for v in verts], dtype=np.int64)
+        vecs = np.array([scheme.embed_in_hypercube(v, spec) for v in scheme.enumerate_vertices(spec, cap)], dtype=np.int64)
         weights = vecs.sum(axis=1)
-        for v in verts:
-            ham = weights + weights[v.index] - 2 * (vecs @ vecs[v.index])
-            worst = max(worst, int(np.max(np.abs(ham - 2 * scheme.distances_from(v, spec, cap)))))
+        for top in range(0, spec.vertex_count, _SLAB_ROWS):
+            slab = slice(top, top + _SLAB_ROWS)
+            ham = weights[slab, None] + weights[None, :] - 2 * (vecs[slab] @ vecs.T)
+            worst = max(worst, int(np.max(np.abs(ham - 2 * scheme.distance_rows(slab, spec, cap)))))
     return CheckResult("hypercube_embedding", worst == 0.0, worst, "hamming distance doubles graph distance")
 
 
@@ -135,10 +135,9 @@ def _adjacency_polynomial_slabs(spec: GraphSpec, cap):
     so each A_i is bit for bit the one a separate product per i would give.
     """
     n, k = spec.n, spec.k
-    ind = scheme._indicators(spec, cap)
     a = scheme.adjacency_matrix(1, spec, cap)
     for top in range(0, spec.vertex_count, _SLAB_ROWS):
-        dist = k - ind[top : top + _SLAB_ROWS] @ ind.T
+        dist = scheme.distance_rows(slice(top, top + _SLAB_ROWS), spec, cap)
         chain = [(dist == 0).astype(np.float64)]
         for r in range(k):
             chain.append((r * (n - 2 * k + 1) + r * r - k) * chain[-1] - chain[-1] @ a)
@@ -168,13 +167,14 @@ def _check_cg_orthonormality(sizes) -> CheckResult:
     probe = [GraphSpec(n, k) for n, k in sizes] + [GraphSpec(30, 15), GraphSpec(29, 13)]
     for spec in probe:
         table = terwilliger.module_table(spec)
-        for m, label in enumerate(table.labels):
-            # the module's whole square coupling matrix: every chain row against every admissible level
-            rows, levels = label.distances, range(table.level_lo[m], table.level_hi[m] + 1)
-            g = table.entries(np.array([m]), np.array([rows]), np.array([levels]))[0]
-            eye = np.eye(label.dim)
-            worst = max(worst, float(np.max(np.abs(g.T @ g - eye))))
-            worst = max(worst, float(np.max(np.abs(g @ g.T - eye))))
+        for dim, ms in terwilliger.size_groups(table.dim):
+            # each module's whole square coupling matrix, stacked by chain length:
+            # every chain row against every admissible level
+            steps = np.arange(dim)
+            g = table.entries(ms, table.i_min[ms, None] + steps, table.level_lo[ms, None] + steps)
+            eye = np.eye(dim)
+            worst = max(worst, float(np.max(np.abs(g.swapaxes(1, 2) @ g - eye))))
+            worst = max(worst, float(np.max(np.abs(g @ g.swapaxes(1, 2) - eye))))
     return CheckResult("cg_orthonormality", worst <= 1e-12, worst, "coupling columns orthonormal and complete")
 
 
@@ -290,17 +290,27 @@ def check_action_convention(sizes) -> CheckResult:
     return CheckResult("action_convention", worst <= 1e-8, worst, "module A action reproduces theta_j")
 
 
+def _chain_T(table, hs, ms: np.ndarray, dim: int) -> np.ndarray:
+    """Stacked :func:`.heun.build_T` of the modules ``ms``, whose chains all have ``dim`` rows."""
+    mu, nu = np.full(len(ms), hs.mu), np.full(len(ms), hs.nu)
+    return heun_mod._tridiagonal(*heun_mod._T_entries(table, mu, nu, ms, table.i_min[ms, None] + np.arange(dim)))
+
+
 def check_t_basis_similarity(grid) -> CheckResult:
-    """Distance- and level-basis T per module, at each (n, k, n_cut, j0_pos) of ``grid``."""
+    """Distance- and level-basis T per module, at each (n, k, n_cut, j0_pos) of ``grid``.
+
+    Both bases of every module with one chain length are solved by one ``eigvalsh`` call.
+    """
     worst = 0.0
     for n, k, n_cut, j0_pos in grid:
         spec = GraphSpec(n, k)
         hs = heun_mod.heun_spec(spec, n_cut, spectral.level_labels_x2(spec)[j0_pos])
-        for label in terwilliger.enumerate_modules(spec):
-            w1 = np.linalg.eigvalsh(heun_mod.build_T(label, hs, spec))
-            w2 = np.linalg.eigvalsh(_T_level_basis(label, hs, spec))
-            scale = max(1.0, float(np.max(np.abs(w1))))
-            worst = max(worst, float(np.max(np.abs(w1 - w2))) / scale)
+        table = terwilliger.module_table(spec)
+        for dim, ms in terwilliger.size_groups(table.dim):
+            level_basis = [_T_level_basis(table.labels[m], hs, spec) for m in ms]
+            w1, w2 = np.split(np.linalg.eigvalsh(np.concatenate([_chain_T(table, hs, ms, dim), level_basis])), 2)
+            scale = np.maximum(1.0, np.max(np.abs(w1), axis=1))
+            worst = max(worst, float(np.max(np.max(np.abs(w1 - w2), axis=1) / scale)))
     return CheckResult("t_basis_similarity", worst <= 1e-8, worst, "distance- and level-basis T agree spectrally")
 
 
@@ -396,17 +406,20 @@ def check_heun_commutant(grid) -> CheckResult:
             if hs.j0_x2 in levels[:-1]:
                 pos = levels.index(hs.j0_x2)
                 cuts_zero = cuts_zero and _T_level_basis(label, hs, spec)[pos, pos + 1] == 0.0
-            # the subsystem rows of the chain are the leading ones
-            size = min(label.i_max, n_cut) - label.i_min + 1
-            if size <= 0:
-                continue
-            t = heun_mod.build_T(label, hs, spec)
-            if size < label.dim:
-                cuts_zero = cuts_zero and t[size - 1, size] == 0.0
-            c_block = terwilliger.module_correlation_block(label, filling, sub, spec)
-            worst = max(worst, _commutator(c_block, t[:size, :size]))
-            if size > 1:
-                controls.append(_commutator(c_block, heun_mod.build_T(label, perturbed, spec)[:size, :size]))
+        table = terwilliger.module_table(spec)
+        occupied = table.level_index(sorted(filling.occupied))[None, :]
+        # the subsystem rows of each chain are the leading ones
+        sizes = np.minimum(table.i_max, n_cut) - table.i_min + 1
+        for dim, ms in terwilliger.size_groups(table.dim):
+            t, t_perturbed = _chain_T(table, hs, ms, dim), _chain_T(table, perturbed, ms, dim)
+            for size, sel in terwilliger.size_groups(sizes[ms]):
+                if size < dim:
+                    cuts_zero = cuts_zero and bool(np.all(t[sel, size - 1, size] == 0.0))
+                rows = table.i_min[ms[sel], None] + np.arange(size)
+                c_blocks = table.blocks(ms[sel], rows, np.repeat(occupied, len(sel), axis=0))
+                worst = max(worst, _commutator(c_blocks, t[sel][:, :size, :size]))
+                if size > 1:
+                    controls.append(_commutator(c_blocks, t_perturbed[sel][:, :size, :size]))
         if controls:
             control_ok = control_ok and max(controls) > 1e-3
         else:
@@ -421,7 +434,8 @@ def check_purity_duality(sizes, cap) -> CheckResult:
     """S(A) = S(B) for complementary subsystems, each solved directly on its own kernel matrix.
 
     The oracle route solves a cut on its smaller side by this very duality,
-    so the check never goes through it.
+    so the check never goes through it: both sides of every configuration of
+    a graph go to :func:`.spectral.oracle_spectra` as one batch.
     """
     worst = 0.0
     count = 0
@@ -430,15 +444,15 @@ def check_purity_duality(sizes, cap) -> CheckResult:
         labels = spectral.level_labels_x2(spec)
         x0 = default_base_vertex(spec)
         distance_sets = [frozenset({0}), frozenset({1}), frozenset(range(2)), frozenset({0, 2}), frozenset(range(k))]
-        for sd in distance_sets:
-            for se in (frozenset(labels[:1]), frozenset(labels[:2]), frozenset(labels[::2])):
-                count += 1
-                filling = FillingSpec(se)
-                s_a, s_b = (
-                    entropy_mod.von_neumann(spectral.spectrum_oracle(spectral.chopped_correlation_oracle(spec, filling, side, cap)))
-                    for side in (SubsystemSpec(sd, x0), SubsystemSpec(frozenset(range(k + 1)) - sd, x0))
-                )
-                worst = max(worst, abs(s_a - s_b))
+        configs = [
+            (FillingSpec(se), SubsystemSpec(side, x0))
+            for sd in distance_sets
+            for se in (frozenset(labels[:1]), frozenset(labels[:2]), frozenset(labels[::2]))
+            for side in (sd, frozenset(range(k + 1)) - sd)
+        ]
+        entropies = [entropy_mod.von_neumann(s) for s in spectral.oracle_spectra(spec, configs, cap)]
+        count += len(configs) // 2
+        worst = max([worst, *(abs(s_a - s_b) for s_a, s_b in zip(entropies[::2], entropies[1::2]))])
     return CheckResult(
         "purity_duality", worst <= 1e-7 and count >= 20, worst, f"S(SV) = S(complement) on {count} configurations"
     )

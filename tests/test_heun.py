@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -129,6 +131,23 @@ def test_chain_arrays_equal_the_scalar_coefficients(n):
         assert not any(arr.flags.writeable for arr in (a, b, start))
         theta = [dual_eigenvalue_at_distance(i, spec) for i in range(k + 1)]
         assert dual_eigenvalue_at_distance(np.arange(k + 1), spec).tobytes() == np.array(theta).tobytes()
+
+
+@pytest.mark.parametrize("n,k", [(200, 100), (400, 200)])
+def test_ladder_build_peaks_near_its_kept_arrays(n, k):
+    # a and b are filled a fixed number of rows at a time, so the integer
+    # temporaries stay small beside them; one pass over every row peaked at
+    # about four times the kept bytes
+    table = ModuleTable(GraphSpec(n, k))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        kept = sum(arr.nbytes for arr in table.ladder)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * kept, (peak, kept)
 
 
 def test_A_action_trace_identity():

@@ -198,15 +198,15 @@ def test_embedding_doubles_distance(n, k):
 def test_embedding_check_catches_one_wrong_distance(monkeypatch):
     sizes = ((6, 3), (7, 2))
     assert verify._check_embedding(sizes, None).passed
-    real = scheme.distances_from
+    real = scheme.distance_rows
 
-    def corrupted(x0, spec, cap=None):
-        d = real(x0, spec, cap)
-        if (spec.n, spec.k, x0.index) == (7, 2, 11):
-            d[4] += 1
+    def corrupted(rows, spec, cap=None):
+        d = real(rows, spec, cap)
+        if (spec.n, spec.k) == (7, 2) and rows.start <= 11 < rows.stop:
+            d[11 - rows.start, 4] += 1
         return d
 
-    monkeypatch.setattr(scheme, "distances_from", corrupted)
+    monkeypatch.setattr(scheme, "distance_rows", corrupted)
     result = verify._check_embedding(sizes, None)
     assert not result.passed
     assert result.worst == 2.0

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from johnson_entanglement.scheme import (
     default_base_vertex,
     distance,
     enumerate_vertices,
+    neighborhood_size,
     vertex_from_subset,
 )
 from johnson_entanglement.spectral import (
@@ -361,13 +363,14 @@ def test_smaller_side_spectrum_matches_the_direct_large_side(n):
         spec = GraphSpec(n, k)
         x0 = default_base_vertex(spec)
         bound = 2 * spec.vertex_count * 2.0**-53
-        for filling in _fillings(spec):
-            for n_cut in range(k + 1):
-                sub = SubsystemSpec(frozenset(range(n_cut + 1)), x0)
-                mapped = next(heun.spectra(spec, [(filling, sub)], "oracle"))
-                direct = spectrum_oracle(chopped_correlation_oracle(spec, filling, sub))
-                assert spectra_max_diff(mapped, direct) <= bound, (n, k, sorted(filling.occupied), n_cut)
-                seen.add(spec.vertex_count - mapped.total_multiplicity)
+        # each graph's whole grid goes to the oracle as one batch
+        configs = [(filling, SubsystemSpec(frozenset(range(n_cut + 1)), x0)) for filling in _fillings(spec) for n_cut in range(k + 1)]
+        batch = list(heun.spectra(spec, configs, "oracle"))
+        assert len(batch) == len(configs)
+        for (filling, sub), mapped in zip(configs, batch):
+            direct = spectrum_oracle(chopped_correlation_oracle(spec, filling, sub))
+            assert spectra_max_diff(mapped, direct) <= bound, (n, k, sorted(filling.occupied), max(sub.distances))
+            seen.add(spec.vertex_count - mapped.total_multiplicity)
     assert 0 in seen  # the whole ball: no complement to solve
     assert n % 2 or 1 in seen  # J(2k, k): the ball 0..k-1 leaves one vertex
 
@@ -375,13 +378,21 @@ def test_smaller_side_spectrum_matches_the_direct_large_side(n):
 def test_oracle_solves_each_cut_on_its_smaller_side(monkeypatch):
     spec = GraphSpec(8, 4)
     configs = [(filling, SubsystemSpec(d, default_base_vertex(spec))) for filling in _fillings(spec) for d in _distance_sets(4)]
-    sizes = []
+    shapes = []
     real = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: sizes.append(len(m)) or real(m))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: shapes.append(m.shape) or real(m))
     monkeypatch.setattr(np.linalg, "eigh", None)
     spectra = list(heun.spectra(spec, configs, "oracle"))
-    smaller = [min(s.total_multiplicity, spec.vertex_count - s.total_multiplicity) for s in spectra]
-    assert sizes == [size for size in smaller if size]
+    # one matrix per distinct (filling, smaller side); a cut and its complement cut share one
+    smaller = {}
+    for (filling, sub), spectrum in zip(configs, spectra):
+        size = spectrum.total_multiplicity
+        side = sub.distances if 2 * size <= spec.vertex_count else frozenset(range(5)) - sub.distances
+        if side:
+            smaller[filling.occupied, side] = min(size, spec.vertex_count - size)
+    assert len(smaller) < len(configs)
+    assert all(len(shape) == 3 and shape[1] == shape[2] for shape in shapes)
+    assert sorted(size for count, size, _ in shapes for _ in range(count)) == sorted(smaller.values())
 
 
 def _solve_spy(monkeypatch) -> list[tuple[int, ...]]:
@@ -424,20 +435,114 @@ def test_cold_battery_diagonalizes_each_graph_once(monkeypatch):
 def test_purity_duality_check_solves_each_side_directly(monkeypatch):
     # the oracle route maps a cut's complement by the very duality under check
     seen = set()
-    real = spectral.chopped_correlation_oracle
+    batches = []
+    real = spectral.oracle_spectra
 
-    def spy(spec, filling, sub, cap=None):
-        seen.add((spec.n, filling.occupied, sub.distances))
-        return real(spec, filling, sub, cap)
+    def spy(spec, configs, cap=None):
+        batches.append(spec)
+        seen.update((spec.n, filling.occupied, sub.distances) for filling, sub in configs)
+        return real(spec, configs, cap)
 
-    monkeypatch.setattr(spectral, "chopped_correlation_oracle", spy)
+    monkeypatch.setattr(spectral, "oracle_spectra", spy)
     monkeypatch.setattr(heun, "spectra", None)
     assert check_purity_duality(((6, 3), (8, 4)), None).passed
+    assert batches == [GraphSpec(6, 3), GraphSpec(8, 4)]  # both sides of a graph's configurations in one batch
     for n, k in ((6, 3), (8, 4)):
         labels = level_labels_x2(GraphSpec(n, k))
         for sd in (frozenset({0}), frozenset({1}), frozenset({0, 1}), frozenset({0, 2}), frozenset(range(k))):
             for se in (frozenset(labels[:1]), frozenset(labels[:2]), frozenset(labels[::2])):
                 assert {(n, se, sd), (n, se, frozenset(range(k + 1)) - sd)} <= seen
+
+
+def _one_point_oracle(spec, filling, sub):
+    """One point solved alone on its smaller side, the complement's spectrum mapped back by lam -> 1 - lam."""
+    size = sum(neighborhood_size(spec, d) for d in sub.distances)
+    if 2 * size <= spec.vertex_count:
+        return spectrum_oracle(chopped_correlation_oracle(spec, filling, sub))
+    other = frozenset(range(spec.k + 1)) - sub.distances
+    entries = spectrum_oracle(chopped_correlation_oracle(spec, filling, SubsystemSpec(other, sub.x0))).entries if other else ()
+    mixed = [(1.0 - lam, mult) for lam, mult in entries if 0.0 < lam < 1.0]
+    q = sum(mult for _, mult in mixed)
+    rank = sum(spectral.level_degeneracy(j_x2, spec) for j_x2 in filling.occupied)
+    ones = rank - q - sum(mult for lam, mult in entries if lam == 1.0)
+    values, mults = zip(*[(lam, mult) for lam, mult in [(0.0, size - ones - q), (1.0, ones), *mixed] if mult])
+    return CorrelationSpectrum(group_spectrum(values, mults))
+
+
+def _mixed_batch(spec, rng):
+    """A shuffled batch of balls, shells and scattered distance sets under bottom-run and scattered fillings, from two base vertices, with repeats."""
+    k = spec.k
+    labels = level_labels_x2(spec)
+    subsets = [frozenset(range(r + 1)) for r in range(k + 1)] + [frozenset({i}) for i in range(k + 1)]
+    subsets += [frozenset(range(0, k + 1, 2)), frozenset(range(1, k + 1, 2))]
+    subsets += [frozenset(rng.sample(range(k + 1), rng.randint(1, k + 1))) for _ in range(3)]
+    fillings = [FillingSpec(frozenset(labels[:fill])) for fill in range(k + 2)]
+    fillings += [FillingSpec(frozenset(labels[::2])), FillingSpec(frozenset(labels[1::2]))]
+    bases = [default_base_vertex(spec), vertex_from_subset(range(2, 2 * k + 1, 2), spec)]
+    configs = [(filling, SubsystemSpec(d, x0)) for d in subsets for filling in fillings for x0 in bases]
+    configs += rng.sample(configs, 5)
+    rng.shuffle(configs)
+    return configs
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_oracle_batch_equals_one_point_solves(n):
+    rng = random.Random(n)
+    for k in range(1, n // 2 + 1):
+        spec = GraphSpec(n, k)
+        configs = _mixed_batch(spec, rng)
+        sizes = [sum(neighborhood_size(spec, d) for d in sub.distances) for _, sub in configs]
+        assert spec.vertex_count in sizes and any(2 * size > spec.vertex_count for size in sizes)
+        routed = list(heun.spectra(spec, configs, "oracle"))
+        direct = list(spectral.oracle_spectra(spec, configs))
+        assert len(routed) == len(direct) == len(configs)
+        for (filling, sub), got_routed, got_direct in zip(configs, routed, direct):
+            want_routed = _one_point_oracle(spec, filling, sub)
+            want_direct = spectrum_oracle(chopped_correlation_oracle(spec, filling, sub))
+            assert got_routed.entries == want_routed.entries and repr(got_routed) == repr(want_routed), (n, k)
+            assert got_direct.entries == want_direct.entries and repr(got_direct) == repr(want_direct), (n, k)
+
+
+def test_oracle_batch_builds_each_side_once_and_solves_each_stack_once(monkeypatch):
+    spec = GraphSpec(10, 5)
+    configs = _mixed_batch(spec, random.Random(1))
+    built = []
+    real_distances = spectral._subsystem_distances
+    monkeypatch.setattr(spectral, "_subsystem_distances", lambda spec, sub: built.append(sub) or real_distances(spec, sub))
+    shapes = []
+    real_eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: shapes.append(m.shape) or real_eigvalsh(m))
+    monkeypatch.setattr(np.linalg, "eigh", None)
+    list(spectral.oracle_spectra(spec, configs))
+    sides = {sub for _, sub in configs}
+    assert len(built) == len(set(built)) and set(built) == sides
+    fillings = {sub: {filling.occupied for filling, other in configs if other == sub} for sub in sides}
+    assert [count for count, _, _ in shapes] == [len(fillings[sub]) for sub in built]
+    # a byte budget of three matrices: each side's fillings in stacks of at most three
+    built.clear()
+    shapes.clear()
+    monkeypatch.setattr(spectral, "STACK_BYTES", 3 * 8 * 126**2)
+    list(spectral.oracle_spectra(spec, configs))
+    assert set(built) == sides
+    want = []
+    for sub in built:
+        size = sum(neighborhood_size(spec, d) for d in sub.distances)
+        per_stack = max(1, 3 * 126**2 // size**2)
+        count = len(fillings[sub])
+        want += [(min(per_stack, count - lo), size, size) for lo in range(0, count, per_stack)]
+    assert shapes == want and any(count > 1 for count, _, _ in shapes) and len(shapes) > len(sides)
+
+
+def test_oracle_batch_over_a_large_side_holds_its_budget_and_two_matrices():
+    # six fillings of the ball 0..3 of J(13, 6), each solved on the 658-row complement 4..6
+    spec = GraphSpec(13, 6)
+    labels = level_labels_x2(spec)
+    ball = SubsystemSpec(frozenset(range(4)), default_base_vertex(spec))
+    configs = [(FillingSpec(frozenset(labels[:fill])), ball) for fill in range(1, 7)]
+    full = 658**2 * 8
+    assert 6 * full > spectral.STACK_BYTES
+    list(heun.spectra(spec, configs, "oracle"))  # the kernels are cached; only the batch is measured
+    assert _traced_bytes(lambda: list(heun.spectra(spec, configs, "oracle")))[1] <= spectral.STACK_BYTES + 2 * full
 
 
 def test_cold_kernel_point_holds_at_most_four_subsystem_arrays():
