@@ -1,9 +1,9 @@
 """Command-line front end: energy tables, entropy runs, figure sweeps and the
 verification battery.  Every spectrum but fig4's comes through the one route
-dispatch, :func:`.heun.spectra`; fig4's ``_chain_entropy`` diagonalizes single
-chains itself, without module weights, by design.  The fig2a-fig3b sweeps are
-(graph, route, points) batches that one ``_grid_sweep`` solves and reads off
-the entropy reports.
+dispatch, :func:`.heun.spectra`; fig4's ``_chain_entropies`` diagonalizes
+single chains itself, without module weights, by design.  Each fig2a-fig3b
+sweep is a list of (graph, points) batches on one route that ``_grid_sweep``
+solves in one call and reads off the entropy reports.
 
 Exit codes: 0 success, 1 verification or cross-route agreement failure,
 2 invalid configuration, 3 dense-capacity overflow.  Output is deterministic:
@@ -17,6 +17,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import sys
 from dataclasses import asdict
 
@@ -25,7 +26,7 @@ import numpy as np
 from . import entropy as entropy_mod
 from . import heun as heun_mod
 from . import spectral, terwilliger, verify
-from .scheme import CapacityError, ConfigError, GraphSpec, default_base_vertex, neighborhood_size, vertex_from_subset
+from .scheme import CapacityError, ConfigError, GraphSpec, default_base_vertex, vertex_from_subset
 from .spectral import FillingSpec, HoppingProfile, SubsystemSpec
 
 __all__ = ["ConfigError", "main"]
@@ -222,7 +223,7 @@ def cmd_entropy(args) -> int:
     filling = _filling(args, spec, table)
     sub = _subsystem(args, spec)
     routes = list(heun_mod.ROUTES) if args.route == "all" else [args.route]
-    spectra = {r: next(heun_mod.spectra(spec, [(filling, sub)], r, args.dense_cap)) for r in routes}
+    spectra = {r: next(heun_mod.spectra([(spec, [(filling, sub)])], r, args.dense_cap)) for r in routes}
 
     pairs = itertools.combinations(routes, 2)
     discrepancy = max((verify.spectra_max_diff(spectra[a], spectra[b]) for a, b in pairs), default=0.0)
@@ -263,30 +264,40 @@ def _report_row(spec: GraphSpec, sub: SubsystemSpec, spectrum, scale: float = 1.
     ``entropy_per_site`` is another name for ``ratio_subsystem``.
     """
     rep = entropy_mod.report(spec, sub, spectrum)
-    row = {f: v * scale if isinstance(v, float) else v for f, v in asdict(rep).items()}
-    row["entropy"] = row.pop("entropy_nats")
-    return {"n": spec.n, "k": spec.k, **row, "entropy_per_site": row["ratio_subsystem"]}
+    per_site = rep.ratio_subsystem * scale
+    return {
+        "n": spec.n,
+        "k": spec.k,
+        "entropy": rep.entropy_nats * scale,
+        "subsystem_size": rep.subsystem_size,
+        "boundary_size": rep.boundary_size,
+        "cut_size": rep.cut_size,
+        "ratio_subsystem": per_site,
+        "ratio_boundary": rep.ratio_boundary * scale,
+        "ratio_cut": rep.ratio_cut * scale,
+        "entropy_per_site": per_site,
+    }
 
 
 # ---------------------------------------------------------------- sweeps
 
-def _grid_sweep(fields, grid, args) -> tuple[list[str], list[dict]]:
-    """Rows of the (graph, route, points) batches of ``grid(args)``; each batch is solved in one call.
+def _grid_sweep(fields, route, grid, args) -> tuple[list[str], list[dict]]:
+    """Rows of the (graph, points) batches of ``grid(args)``, all solved along ``route`` in one call.
 
     A point (fill, distances, echo) is the lowest ``fill`` levels and the
-    distances from the default base vertex; its row echoes ``echo`` and the
-    fill.  A point echoing a ``cut_size`` also gets the entropy's ratio to it.
+    distances from the default base vertex; its row echoes ``echo`` and the fill.
     """
-    rows = []
-    for spec, route, points in grid(args):
+    batches = []
+    for spec, points in grid(args):
         x0 = default_base_vertex(spec)
         fillings = {fill: _lowest_levels(spec, fill) for fill, _, _ in points}
         subs = {d: SubsystemSpec(frozenset(d), x0) for _, d, _ in points}
-        spectra = heun_mod.spectra(spec, [(fillings[fill], subs[d]) for fill, d, _ in points], route)
-        for (fill, d, echo), spectrum in zip(points, spectra):
-            row = {**_report_row(spec, subs[d], spectrum), **echo, "fill_levels": fill}
-            if "cut_size" in echo:
-                row["ratio_cut"] = row["entropy"] / echo["cut_size"]
+        batches.append((spec, [(fillings[fill], subs[d]) for fill, d, _ in points], points))
+    spectra = heun_mod.spectra([(spec, configs) for spec, configs, _ in batches], route)
+    rows = []
+    for spec, configs, points in batches:
+        for (_, sub), (fill, _, echo), spectrum in zip(configs, points, spectra):
+            row = {**_report_row(spec, sub, spectrum), **echo, "fill_levels": fill}
             rows.append({f: row[f] for f in fields})
     return fields, rows
 
@@ -297,7 +308,7 @@ def _fig2a(args):
         spec = GraphSpec(n, n // 2)
         fill = _default_fill(args, spec)
         shells = {f"k/{d}": spec.k // d for d in (2, 4, 8)}
-        yield spec, "modules", [(fill, range(i, i + 1), {"shell": name, "i": i}) for name, i in shells.items()]
+        yield spec, [(fill, range(i, i + 1), {"shell": name, "i": i}) for name, i in shells.items()]
 
 
 def _every_fill(args, spec: GraphSpec) -> range:
@@ -311,29 +322,29 @@ def _fig2b(args):
     """Entropy per site of every single shell, for every bottom-run filling."""
     spec = _graph_spec(args)
     fills = _every_fill(args, spec)
-    yield spec, "modules", [(fill, range(i, i + 1), {"i": i}) for i in range(spec.k + 1) for fill in fills]
+    yield spec, [(fill, range(i, i + 1), {"i": i}) for i in range(spec.k + 1) for fill in fills]
 
 
-def _ball(spec: GraphSpec, fill: int, n_cut: int) -> tuple:
-    """The ball 0..N under ``fill`` levels, echoing its cut: its outermost shell and the complement's first.
+def _ball(fill: int, n_cut: int) -> tuple:
+    """The ball 0..N under ``fill`` levels, echoing N.
 
-    The entropy's ratio to the whole cut peaks when subsystem and complement are both large.
+    Its cut is its outermost shell and the complement's first; the entropy's
+    ratio to the whole cut peaks when subsystem and complement are both large.
     """
-    cut = neighborhood_size(spec, n_cut) + neighborhood_size(spec, n_cut + 1)
-    return fill, range(n_cut + 1), {"cutoff": n_cut, "cut_size": cut}
+    return fill, range(n_cut + 1), {"cutoff": n_cut}
 
 
 def _fig3a(args):
     """Cut-boundary ratio over graph diameter k and ball radius N."""
     for k in range(1, args.n // 2 + 1):
         spec = GraphSpec(args.n, k)
-        yield spec, "heun", [_ball(spec, _default_fill(args, spec), n_cut) for n_cut in range(k)]
+        yield spec, [_ball(_default_fill(args, spec), n_cut) for n_cut in range(k)]
 
 
 def _fig3b(args):
     """Cut-boundary ratio over filling depth and ball radius at fixed (n, k)."""
     spec = _graph_spec(args)
-    yield spec, "heun", [_ball(spec, fill, n_cut) for fill in _every_fill(args, spec) for n_cut in range(spec.k)]
+    yield spec, [_ball(fill, n_cut) for fill in _every_fill(args, spec) for n_cut in range(spec.k)]
 
 
 def sweep_fig4(args):
@@ -347,36 +358,49 @@ def sweep_fig4(args):
     fill = _default_fill(args, spec)
     filling = _lowest_levels(spec, fill)
     wanted = {(spec.k - 2, spec.k), (spec.k, spec.k)}
-    rows = []
-    for label in terwilliger.enumerate_modules(spec):
-        if (label.j1_x2, label.j2_x2) not in wanted:
-            continue
-        for prefix in range(1, label.dim):
-            last = label.i_min + prefix - 1
-            rows.append(
-                {
-                    "n": spec.n,
-                    "k": spec.k,
-                    "j1_x2": label.j1_x2,
-                    "j2_x2": label.j2_x2,
-                    "chain_length": label.dim,
-                    "prefix_length": prefix,
-                    "fill_levels": fill,
-                    "entropy_prefix": _chain_entropy(spec, label, filling, range(label.i_min, last + 1)),
-                    "entropy_boundary_site": _chain_entropy(spec, label, filling, {last}),
-                }
-            )
+    chains = [label for label in terwilliger.enumerate_modules(spec) if (label.j1_x2, label.j2_x2) in wanted]
+    # each chain's prefixes i_min..last, then each prefix's last site alone
+    runs = [(label, label.i_min, prefix) for label in chains for prefix in range(1, label.dim)]
+    runs += [(label, label.i_min + prefix - 1, 1) for label, _, prefix in runs]
+    entropies = _chain_entropies(spec, filling, runs)
+    half = len(runs) // 2
+    rows = [
+        {
+            "n": spec.n,
+            "k": spec.k,
+            "j1_x2": label.j1_x2,
+            "j2_x2": label.j2_x2,
+            "chain_length": label.dim,
+            "prefix_length": prefix,
+            "fill_levels": fill,
+            "entropy_prefix": prefix_entropy,
+            "entropy_boundary_site": site_entropy,
+        }
+        for (label, _, prefix), prefix_entropy, site_entropy in zip(runs, entropies[:half], entropies[half:])
+    ]
     return [
         "n", "k", "j1_x2", "j2_x2", "chain_length", "prefix_length",
         "fill_levels", "entropy_prefix", "entropy_boundary_site",
     ], rows
 
 
-def _chain_entropy(spec, label, filling, distances) -> float:
-    sub = SubsystemSpec(frozenset(distances), default_base_vertex(spec))
-    block = terwilliger.module_correlation_block(label, filling, sub, spec)
-    lams = spectral.clamp_unit_interval(np.linalg.eigvalsh(block))
-    return float(sum(entropy_mod.binary_entropy(float(lam)) for lam in lams))
+def _chain_entropies(spec: GraphSpec, filling: FillingSpec, runs) -> list[float]:
+    """Entropy of each chain run (label, first distance, length), without module weights.
+
+    Runs of equal length are stacked and solved by one ``eigvalsh``; each
+    run's terms are added strictly left to right, by ascending eigenvalue.
+    """
+    table = terwilliger.module_table(spec)
+    occupied = table.level_index(sorted(filling.occupied))
+    entropies = [0.0] * len(runs)
+    for length in sorted({length for _, _, length in runs}):
+        at = [r for r, (_, _, size) in enumerate(runs) if size == length]
+        ms = np.array([table.row[runs[r][0]] for r in at])
+        rows = np.array([runs[r][1] for r in at])[:, None] + np.arange(length)
+        c = table.blocks(ms, rows, np.broadcast_to(occupied, (len(at), len(occupied))))
+        for r, lams in zip(at, spectral.clamp_unit_interval(np.linalg.eigvalsh(c)).tolist()):
+            entropies[r] = functools.reduce(operator.add, map(entropy_mod.binary_entropy, lams), 0.0)
+    return entropies
 
 
 FIG3_FIELDS = [
@@ -386,13 +410,13 @@ FIG3_FIELDS = [
 # figure -> function of the parsed arguments giving (field names, rows)
 SWEEPS = {
     "fig2a": functools.partial(
-        _grid_sweep, ["n", "k", "shell", "i", "fill_levels", "subsystem_size", "entropy"], _fig2a
+        _grid_sweep, ["n", "k", "shell", "i", "fill_levels", "subsystem_size", "entropy"], "modules", _fig2a
     ),
     "fig2b": functools.partial(
-        _grid_sweep, ["n", "k", "i", "fill_levels", "subsystem_size", "entropy", "entropy_per_site"], _fig2b
+        _grid_sweep, ["n", "k", "i", "fill_levels", "subsystem_size", "entropy", "entropy_per_site"], "modules", _fig2b
     ),
-    "fig3a": functools.partial(_grid_sweep, FIG3_FIELDS, _fig3a),
-    "fig3b": functools.partial(_grid_sweep, FIG3_FIELDS, _fig3b),
+    "fig3a": functools.partial(_grid_sweep, FIG3_FIELDS, "heun", _fig3a),
+    "fig3b": functools.partial(_grid_sweep, FIG3_FIELDS, "heun", _fig3b),
     "fig4": sweep_fig4,
 }
 

@@ -12,15 +12,17 @@ large n.
 The A ladder a and its diagonal b over the chain rows come from the graph's
 :class:`.terwilliger.ModuleTable`, theta* at the rows read, and T is affine
 in (mu, nu) on them, so every block's T comes out of one vector expression.
-Many grid points of a graph are solved together: their subsystem blocks of
-T are stacked by size across the points, each stack is diagonalized by one
-``eigh`` call, and the Rayleigh quotients of a stack are read in one batched
-product.  Only blocks whose T spectrum clusters take the per-block fallback.
+Many grid points of one or many graphs are solved together: their
+subsystem blocks of T are stacked by size across the points and graphs,
+each stack is diagonalized by one ``eigh`` call, and the Rayleigh quotients
+of a stack are read in one batched product.  Only blocks whose T spectrum
+clusters take the per-block fallback.
 
 :func:`plan` says whether a point needs T and refuses those where T does not
 exist.  :func:`spectra` is the one route dispatch for the command line, the
-figure sweeps and ``verify``: it sends a graph's (filling, subsystem) points
-to the dense oracle, :func:`.terwilliger.assemble_spectra` or here.
+figure sweeps and ``verify``: it sends (graph, points) groups of
+(filling, subsystem) points to the dense oracle,
+:func:`.terwilliger.assemble_spectra` or here.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .spectral import (
     oracle_spectra,
     theta_eigenvalue,
 )
-from .terwilliger import ModuleLabel, ModuleTable, assemble_spectra, module_table
+from .terwilliger import ModuleLabel, ModuleTable, assemble_spectra, module_table, stacked_spectra
 
 __all__ = [
     "ROUTES",
@@ -175,29 +177,32 @@ def _cluster_readout(w: np.ndarray, q: np.ndarray, c_block: np.ndarray) -> np.nd
     return np.array(lams)
 
 
-def spectra_via_heun(spec: GraphSpec, configs) -> Iterator[CorrelationSpectrum]:
-    """Correlation spectra of many (filling, subsystem) points of one graph, in order, with eigenvectors supplied by T.
+def spectra_via_heun(groups) -> Iterator[CorrelationSpectrum]:
+    """Correlation spectra of (graph, points) groups, point by point in order, with eigenvectors supplied by T.
 
     A point :func:`plan` refuses raises :class:`.scheme.ConfigError` with its
-    reason.  :meth:`.terwilliger.ModuleTable.spectra` stacks the blocks, and
-    each stack's T blocks are diagonalized together; each correlation
-    eigenvalue is the Rayleigh quotient of the correlation block on a T
-    eigenvector.  Blocks whose T eigenvalues cluster (relative gap under
-    ``CLUSTER_REL_TOL``) fall back to rediagonalizing the correlation matrix
-    inside the cluster span.  A point planned to None has only exact 0/1
-    blocks, so its NaN weights never reach the readout; if they did, the
-    spectrum's range check would fail.
+    reason.  :func:`.terwilliger.stacked_spectra` stacks the blocks, and each
+    graph builds its own T blocks of a stack, which are then diagonalized
+    together; each correlation eigenvalue is the Rayleigh quotient of the
+    correlation block on a T eigenvector.  Blocks whose T eigenvalues
+    cluster (relative gap under ``CLUSTER_REL_TOL``) fall back to
+    rediagonalizing the correlation matrix inside the cluster span.  A point
+    planned to None has only exact 0/1 blocks, so its NaN weights never
+    reach the readout; if they did, the spectrum's range check would fail.
     """
-    planned = [plan(spec, filling, sub) for filling, sub in configs]
-    for reason in planned:
-        if isinstance(reason, str):
-            raise ConfigError(reason)
-    mu = np.array([np.nan if hs is None else hs.mu for hs in planned])
-    nu = np.array([np.nan if hs is None else hs.nu for hs in planned])
-    table = module_table(spec)
+    tables, weights = [], []
+    for spec, configs in groups:
+        for filling, sub in configs:
+            hs = plan(spec, filling, sub)
+            if isinstance(hs, str):
+                raise ConfigError(hs)
+            weights.append((np.nan, np.nan) if hs is None else (hs.mu, hs.nu))
+        tables.append((module_table(spec), configs))
+    mu, nu = np.array(weights).reshape(-1, 2).T
 
-    def readout(pts, ms, rows, c):
-        w, q = np.linalg.eigh(_tridiagonal(*_T_entries(table, mu[pts], nu[pts], ms, rows)))
+    def readout(parts, c):
+        entries = [_T_entries(table, mu[pts], nu[pts], ms, rows) for table, pts, ms, rows in parts]
+        w, q = np.linalg.eigh(_tridiagonal(*(np.concatenate(x) for x in zip(*entries))))
         # Rayleigh quotients v^T C v for every eigenvector v of every block, as
         # stacked (1 x size) products: the same vector-matrix-vector sums a
         # lone block takes, so the values do not depend on the stacking
@@ -209,14 +214,14 @@ def spectra_via_heun(spec: GraphSpec, configs) -> Iterator[CorrelationSpectrum]:
             lams[blk] = _cluster_readout(w[blk], q[blk], c[blk])
         return lams
 
-    return table.spectra(configs, readout)
+    return stacked_spectra(tables, readout)
 
 
 def spectrum_via_heun(spec: GraphSpec, hs: HeunSpec) -> CorrelationSpectrum:
     """:func:`spectra_via_heun` of the ball 0..n_cut under levels up to j0, weighted as by :func:`heun_spec`."""
     filling = FillingSpec(frozenset(range(spec.n - 2 * spec.k, hs.j0_x2 + 1, 2)))
     sub = SubsystemSpec(frozenset(range(hs.n_cut + 1)), default_base_vertex(spec))
-    return next(spectra_via_heun(spec, [(filling, sub)]))
+    return next(spectra_via_heun([(spec, [(filling, sub)])]))
 
 
 def _oracle_spectra(spec: GraphSpec, configs, cap: int | None) -> Iterator[CorrelationSpectrum]:
@@ -261,16 +266,17 @@ def _oracle_spectra(spec: GraphSpec, configs, cap: int | None) -> Iterator[Corre
     )
 
 
-def spectra(spec: GraphSpec, configs, route: str, cap: int | None = None) -> Iterator[CorrelationSpectrum]:
-    """Spectra of (filling, subsystem) points of one graph along one of :data:`ROUTES`, in order.
+def spectra(groups, route: str, cap: int | None = None) -> Iterator[CorrelationSpectrum]:
+    """Spectra of the (filling, subsystem) points of (graph, points) groups along one of :data:`ROUTES`, in order.
 
-    Every route takes all the points as one batch; ``oracle`` solves each
-    point on its smaller side, under the dense cap ``cap``.
+    The structured routes solve every group in one stacked pass; ``oracle``
+    solves each graph's points as one batch, each on its smaller side, under
+    the dense cap ``cap``.  A single graph is the one-group case.
     """
     if route == "oracle":
-        return _oracle_spectra(spec, configs, cap)
+        return iter([s for spec, configs in groups for s in _oracle_spectra(spec, configs, cap)])
     if route == "modules":
-        return assemble_spectra(spec, configs)
+        return assemble_spectra(groups)
     if route == "heun":
-        return spectra_via_heun(spec, configs)
+        return spectra_via_heun(groups)
     raise ConfigError(f"unknown route {route!r}")

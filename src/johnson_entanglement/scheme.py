@@ -37,6 +37,7 @@ __all__ = [
     "neighborhood_projector",
     "embed_in_hypercube",
     "neighborhood_size",
+    "shell_sizes",
 ]
 
 DEFAULT_DENSE_CAP = 20_000
@@ -197,3 +198,9 @@ def neighborhood_size(spec: GraphSpec, i: int) -> int:
     if not 0 <= i <= spec.k:
         raise ValueError(f"distance index {i} outside 0..{spec.k}")
     return math.comb(spec.k, i) * math.comb(spec.n - spec.k, i)
+
+
+@lru_cache(maxsize=256)
+def shell_sizes(spec: GraphSpec) -> tuple[int, ...]:
+    """Every :func:`neighborhood_size` of the graph, i = 0..k, computed once per graph."""
+    return tuple(neighborhood_size(spec, i) for i in range(spec.k + 1))

@@ -22,9 +22,8 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import combinations
-from operator import add
 
 import numpy as np
 
@@ -66,6 +65,8 @@ __all__ = [
 CLAMP_SLACK = 1e-6
 # Absolute tolerance when grouping eigenvalues into (value, multiplicity) runs.
 GROUP_TOL = 1e-8
+# Groups a merge step must cover to be taken as one vector step; fewer are summed one by one.
+_VECTOR_GROUPS = 64
 # Bytes one stack of chopped correlation matrices may hold; a larger matrix is solved alone.
 STACK_BYTES = 8 << 20
 
@@ -262,20 +263,28 @@ def _subsystem_distances(spec: GraphSpec, sub: SubsystemSpec) -> np.ndarray:
 
     A vertex at distance d from x0 is x0 with a d-set R of its elements
     removed and a d-set S of the others added, and two such vertices lie at
-    distance |R| + |R'| - |R & R'| - |S & S'|.  The rows are listed from
-    (R, S), so neither a list of all C(n, k) vertices nor an N x N array is
-    made; the overlaps are one float64 product of 0/1 rows, exact.
+    distance |R| + |R'| - |R & R'| - |S & S'|.  The 0/1 rows of R + S are
+    set from the (R, S) index pairs, so neither a list of all C(n, k)
+    vertices nor an N x N array is made; the overlaps are one float64
+    product of 0/1 rows, exact.
     """
     n = spec.n
     x0 = np.zeros(n)
     x0[[e - 1 for e in sub.x0.subset]] = 1.0
-
-    def subsets(elements, d):
-        combos = list(combinations(elements, d))
-        return np.eye(n)[np.array(combos, dtype=np.intp).reshape(len(combos), d)].sum(axis=1)
-
     inside, outside = np.flatnonzero(x0), np.flatnonzero(x0 == 0.0)
-    moved = np.vstack([(subsets(inside, d)[:, None] + subsets(outside, d)).reshape(-1, n) for d in sorted(sub.distances)])
+    blocks = []
+    for d in sorted(sub.distances):
+        removed, added = (
+            np.array(combos, dtype=np.intp).reshape(len(combos), d)
+            for combos in (list(combinations(inside, d)), list(combinations(outside, d)))
+        )
+        # row r * len(added) + s moves removed[r] out and added[s] in
+        block = np.zeros((len(removed) * len(added), n))
+        at = np.arange(len(block))[:, None]
+        block[at, np.repeat(removed, len(added), axis=0)] = 1.0
+        block[at, np.tile(added, (len(removed), 1))] = 1.0
+        blocks.append(block)
+    moved = np.vstack(blocks)
     # colex order compares the largest elements first: sort the vertex rows by element n, then n - 1, ...
     moved = moved[np.lexsort((x0 + moved * (1.0 - 2.0 * x0)).T)]
     d = moved.sum(axis=1) / 2.0
@@ -318,14 +327,13 @@ def clamp_unit_interval(values: np.ndarray) -> np.ndarray:
 def group_spectra(values, mults, owners, count: int) -> Iterator[tuple]:
     """Merge each point's (value, multiplicity) pairs whose values agree within :data:`GROUP_TOL`.
 
-    Pair p belongs to point ``owners[p]`` of ``count``; multiplicities may be
-    Python ints of any size.  Per point, pairs are sorted by value, then
-    multiplicity; a group is anchored at its first member and the
+    Pair p belongs to point ``owners[p]`` of ``count``; multiplicities are
+    int64 or Python ints of any size.  Per point, pairs are sorted by value,
+    then multiplicity; a group is anchored at its first member and the
     representative is the multiplicity-weighted mean, summed in that order
     and snapped to an exact 0 or 1 when it lands within GROUP_TOL of either
-    endpoint.  The sort and the group bounds are found for every point at
-    once, on the first request; the Python-number phase runs one point at a
-    time, and each point's entries are yielded as soon as they are merged.
+    endpoint.  Every point is merged at once, on the first request; each
+    point's entries, Python floats and ints, are built as it is yielded.
     """
     yield from _merge_points(*_group_bounds(values, mults, owners, count))
 
@@ -334,13 +342,17 @@ def _group_bounds(values, mults, owners, count: int):
     """The pairs of :func:`group_spectra` in merge order, and where their groups start.
 
     Returns the sorted value * multiplicity products, the sorted exact
-    multiplicities, the group starts with the end appended, and per point
-    the range of its pairs with the range of its bounds.
+    multiplicities, the group starts with the end appended, and each
+    point's first group with the end appended.
     """
     values = np.asarray(values, dtype=np.float64)
-    exact = np.asarray(mults, dtype=object)
-    weights = exact.astype(np.float64)
     owners = np.asarray(owners, dtype=np.intp)
+    exact = np.asarray(mults)
+    weights = exact.astype(np.float64)
+    # int64 only while no point's total, which bounds its group sums, can reach 2^63
+    if exact.dtype != np.int64 or np.bincount(owners, weights, minlength=count).max(initial=0) >= 2.0**62:
+        exact = np.asarray(mults, dtype=object)
+        weights = exact.astype(np.float64)
     order = np.lexsort((weights, values, owners))
     values, weights, exact, owners = values[order], weights[order], exact[order], owners[order]
     # a gap over GROUP_TOL always starts a group: the anchor sits at or below the previous value
@@ -352,31 +364,50 @@ def _group_bounds(values, mults, owners, count: int):
     # a wider run splits wherever a value passes its group's anchor by more than GROUP_TOL
     wide = values[ends - 1] - values[starts] > GROUP_TOL
     for a, b in zip(starts[wide].tolist(), ends[wide].tolist()):
-        while values[b - 1] - values[a] > GROUP_TOL:
-            a += int(np.argmax(values[a:b] - values[a] > GROUP_TOL))
-            bounds.append(a)
+        run = values[a:b].tolist()
+        anchor = run[0]
+        for at, value in enumerate(run):
+            if value - anchor > GROUP_TOL:
+                bounds.append(a + at)
+                anchor = value
     bounds = np.sort(bounds)
     # each point's first pair starts a group and its last pair ends one
-    cuts = np.searchsorted(owners, np.arange(count + 1)).tolist()
-    edges = np.searchsorted(bounds, cuts).tolist()
-    return values * weights, exact, bounds, zip(cuts, cuts[1:], edges, edges[1:])
+    edges = np.searchsorted(bounds, np.searchsorted(owners, np.arange(count + 1)))
+    return values * weights, exact, bounds, edges
 
 
-def _merge_points(products, exact, bounds, runs) -> Iterator[tuple]:
-    """Each point's merged entries from :func:`_group_bounds`, one point at a time."""
-    for lo, hi, first, last in runs:
-        point_bounds = (bounds[first : last + 1] - lo).tolist()
-        point_products, point_exact = products[lo:hi].tolist(), exact[lo:hi].tolist()
-        entries = []
-        for a, b in zip(point_bounds, point_bounds[1:]):
-            mult = sum(point_exact[a:b])
-            mean = reduce(add, point_products[a:b]) / mult
-            if abs(mean) <= GROUP_TOL:
-                mean = 0.0
-            elif abs(mean - 1.0) <= GROUP_TOL:
-                mean = 1.0
-            entries.append((mean, mult))
-        yield tuple(entries)
+def _merge_points(products, exact, bounds, edges) -> Iterator[tuple]:
+    """Each point's merged entries from :func:`_group_bounds`, one point at a time.
+
+    Every group's products are summed strictly left to right, bit for bit
+    ``reduce(add, ...)``, by one vector step per member position over the
+    groups that long, longest groups first.
+    """
+    starts = bounds[:-1]
+    lengths = np.diff(bounds)
+    order = np.argsort(-lengths, kind="stable")
+    heads, lengths = starts[order], lengths[order]
+    sums = products[heads]
+    # step j adds member j of every group longer than j, which lead the order,
+    # while a vector step has enough of them to pay; the rest finish one by one
+    longer = np.searchsorted(-lengths, -np.arange(1, lengths.max(initial=1))).tolist() + [0]
+    j = 1
+    while longer[j - 1] >= _VECTOR_GROUPS:
+        sums[: longer[j - 1]] += products[heads[: longer[j - 1]] + j]
+        j += 1
+    for g, total in enumerate(sums[: longer[j - 1]].tolist()):
+        for term in products[heads[g] + j : heads[g] + lengths[g]].tolist():
+            total += term
+        sums[g] = total
+    means = np.empty_like(sums)
+    means[order] = sums
+    mults = np.add.reduceat(exact, starts) if len(starts) else exact
+    means /= mults.astype(np.float64)
+    means[np.abs(means) <= GROUP_TOL] = 0.0
+    means[np.abs(means - 1.0) <= GROUP_TOL] = 1.0
+    edges = edges.tolist()
+    for first, last in zip(edges, edges[1:]):
+        yield tuple(zip(means[first:last].tolist(), mults[first:last].tolist()))
 
 
 def group_spectrum(values, mults) -> tuple[tuple[float, int], ...]:

@@ -12,13 +12,14 @@ only per-graph store of both structured routes: the module list, exact
 multiplicities, the Clebsch-Gordan column of each (module, level) pair a
 filling has occupied, computed once and stored flat, and the chain layout
 with the A ladder of T, built only when T first asks.
-Both structured routes hand :meth:`ModuleTable.spectra` many (filling,
-subsystem) points of a graph at once.  A (point, module) block that none or
-all of the module's levels fill, or whose chain lies wholly in the
-subsystem, holds only exact 0s and 1s and is counted, so the whole-graph,
-empty and full fillings need no solve; every other block is cut out of the
-stored columns, blocks of equal size are stacked across the points and each
-stack is diagonalized with one LAPACK call.
+Both structured routes hand :func:`stacked_spectra` many (filling,
+subsystem) points of one or many graphs at once.  A (point, module) block
+that none or all of the module's levels fill, or whose chain lies wholly in
+the subsystem, holds only exact 0s and 1s and is counted, so the
+whole-graph, empty and full fillings need no solve; every other block is
+cut out of its graph's stored columns, blocks of equal size are stacked
+across the points and graphs and each stack is diagonalized with one LAPACK
+call.
 
 Doubled integers label all spins.  A module's chain rows are indexed by the
 distance i, with m1 = (n - k)/2 - i and m2 = i - k/2.
@@ -33,7 +34,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .scheme import GraphSpec, neighborhood_size
+from .scheme import GraphSpec, shell_sizes
 from .specfn import cg_column
 from .spectral import (
     CorrelationSpectrum,
@@ -54,6 +55,7 @@ __all__ = [
     "level_degeneracy",
     "module_admissible_levels",
     "module_correlation_block",
+    "stacked_spectra",
     "assemble_spectra",
     "assemble_spectrum",
 ]
@@ -151,7 +153,10 @@ class ModuleTable:
         self.spec = spec
         self.labels = enumerate_modules(spec)
         self.row = {m: r for r, m in enumerate(self.labels)}
-        self.degeneracies = np.array([m.degeneracy for m in self.labels], dtype=object)  # exact ints
+        # exact counts, each at most C(n, k): int64 below 2^62, Python ints beyond
+        counts = np.int64 if spec.vertex_count < 2**62 else object
+        self.degeneracies = np.array([m.degeneracy for m in self.labels], dtype=counts)
+        self.shells = np.array(shell_sizes(spec), dtype=counts)
         self.i_min = np.array([m.i_min for m in self.labels])
         self.i_max = np.array([m.i_max for m in self.labels])
         base = spec.n - 2 * spec.k
@@ -198,11 +203,10 @@ class ModuleTable:
         """Level indices l = (j_x2 - (n - 2k)) / 2 of doubled labels, in the given order."""
         return (np.asarray(levels_x2, dtype=np.intp) - (self.spec.n - 2 * self.spec.k)) // 2
 
-    def entries(self, ms: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Stacked G[b, r, c] = <row rows[b, r] | level cols[b, c]> of module ms[b].
+    def columns(self, ms: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Offsets in ``flat`` of the coupling column of level ``cols[b, c]`` in module ``ms[b]``.
 
-        Every row must lie on its module's chain; a level outside the
-        module's admissible range reads an exact 0.
+        A column not yet stored is fetched first, once.
         """
         offsets = self.offset[ms[:, None], cols]
         if (offsets < 0).any():
@@ -217,6 +221,15 @@ class ModuleTable:
                 self.flat[self.size : end] = cg_column(base + 2 * lev, label.j1_x2, label.j2_x2, base)
                 self.offset[m, lev], self.size = self.size, end
             offsets = self.offset[ms[:, None], cols]
+        return offsets
+
+    def entries(self, ms: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Stacked G[b, r, c] = <row rows[b, r] | level cols[b, c]> of module ms[b].
+
+        Every row must lie on its module's chain; a level outside the
+        module's admissible range reads an exact 0.
+        """
+        offsets = self.columns(ms, cols)  # before flat is read: a fetch may replace it
         return self.flat[offsets[:, None, :] + (rows - self.i_min[ms, None])[:, :, None]]
 
     def blocks(self, ms: np.ndarray, rows: np.ndarray, levels: np.ndarray) -> np.ndarray:
@@ -224,82 +237,73 @@ class ModuleTable:
 
         ``levels[b]`` holds block b's sorted occupied level indices, padded
         with k + 1.  Each module's G holds exactly its admissible occupied
-        levels, in order; blocks are multiplied in groups of equal level
-        count, so each product sums the same terms in the same order as a
-        lone module would.
+        levels, in order, and is multiplied by :meth:`products`; each block
+        is then symmetrized.
         """
-        start = (levels < self.level_lo[ms, None]).sum(axis=1)
-        count = (levels <= self.level_hi[ms, None]).sum(axis=1) - start
+        first = (levels < self.level_lo[ms, None]).sum(axis=1)
+        count = (levels <= self.level_hi[ms, None]).sum(axis=1) - first
         c = np.zeros((len(ms),) + (rows.shape[1],) * 2)
-        for width, sel in size_groups(count):
-            cols = levels[sel[:, None], start[sel, None] + np.arange(width)]
-            g = self.entries(ms[sel], rows[sel], cols)
-            c[sel] = g @ g.swapaxes(1, 2)
+        live = np.flatnonzero(count)
+        if len(live):
+            live = live[np.argsort(count[live], kind="stable")]
+            c_live = np.empty((len(live),) + c.shape[1:])
+            self.products(ms[live], rows[live], levels[live], first[live], count[live], c_live)
+            c[live] = c_live
         return 0.5 * (c + c.swapaxes(1, 2))
 
-    def spectra(self, configs, readout) -> Iterator[CorrelationSpectrum]:
-        """Correlation spectra of many (filling, subsystem) points of this graph from one stacked pass.
+    def products(self, ms, rows, levels, first, count, out) -> None:
+        """Write G G^T of module ``ms[b]`` over distances ``rows[b]`` into ``out[b]``.
 
-        A module's coupling matrix is square and orthogonal, so its block
-        holds only exact 0s and 1s when none or all of its admissible levels
-        are occupied, or when the subsystem holds its whole chain; each
-        point's such modes are counted into one exact 0 and one exact 1
-        entry.  The other blocks of every (point, module) pair are stacked by
-        size across the points, and ``readout(pts, ms, rows, c)`` turns a
-        stack c of correlation blocks of modules ``ms`` at points ``pts`` over
-        distances ``rows`` into its (stack, size) eigenvalues.  Each point's
-        eigenvalues are merged with their module multiplicities.  The solve
-        runs at once; the spectra are yielded one point at a time.
+        Block b's G has the ``count[b] >= 1`` columns of its levels
+        ``levels[b, first[b]:]``.  ``count`` ascends, so blocks of equal
+        column count form one run, read and multiplied together; each product
+        sums the same terms in the same order as a lone module would.
         """
-        dist, levels, start, sizes = self.layout(configs)
-        points = len(configs)
-        sizes, counted = self._exact_blocks(sizes, levels)
-        keep = np.flatnonzero(counted)
-        # every eigenvalue of the grid in one preallocated run: the counted 0s and 1s first, then each stack's
-        total = len(keep) + int(sizes.sum())
-        values, owners, mults = np.empty(total), np.empty(total, dtype=np.intp), np.empty(total, dtype=object)
-        values[: len(keep)], owners[: len(keep)], mults[: len(keep)] = keep // points, keep % points, counted[keep]
-        pos = len(keep)
-        for size, flat in size_groups(sizes.ravel()):
-            pts, ms = np.divmod(flat, len(self.labels))
-            rows = dist[pts[:, None], start[pts, ms][:, None] + np.arange(size)]
-            run = slice(pos, pos + len(flat) * size)
-            values[run] = readout(pts, ms, rows, self.blocks(ms, rows, levels[pts])).ravel()
-            owners[run] = np.repeat(pts, size)
-            mults[run] = np.repeat(self.degeneracies[ms], size)
-            pos = run.stop
-        merged = group_spectra(clamp_unit_interval(values), mults, owners, points)
-        return (CorrelationSpectrum(entries) for entries in merged)
+        at = (rows - self.i_min[ms, None])[:, :, None]
+        for lo, hi, width in _runs(count):
+            cols = levels[np.arange(lo, hi)[:, None], first[lo:hi, None] + np.arange(width)]
+            offsets = self.columns(ms[lo:hi], cols)
+            g = self.flat[offsets[:, None, :] + at[lo:hi]]
+            np.matmul(g, g.swapaxes(1, 2), out=out[lo:hi])
 
     def layout(self, configs) -> tuple[np.ndarray, ...]:
         """Each point's sorted distances and occupied level indices padded with k + 1, and each chain's run in them.
 
-        Each point's covered modes must equal its subsystem size exactly.
+        Each distinct subsystem and filling is read once, as a 0/1 row over
+        distances or levels; a chain's run starts at the count of the
+        subsystem's distances below the chain and spans those up to its end.
+        Each subsystem's covered modes must equal its size exactly.
         """
         width = self.spec.k + 1
-        dist = np.zeros((len(configs), width), dtype=np.intp)
-        levels = np.full((len(configs), width), width, dtype=np.intp)
-        start = np.zeros((len(configs), len(self.labels)), dtype=np.intp)
-        sizes = np.zeros_like(start)
-        for p, (filling, sub) in enumerate(configs):
-            distances = sorted(sub.distances)
-            occupied = self.level_index(sorted(filling.occupied))
-            dist[p, : len(distances)] = distances
-            levels[p, : len(occupied)] = occupied
-            start[p], sizes[p] = _window(distances, self.i_min, self.i_max)
-        for covered, (_, sub) in zip(sizes.astype(object) @ self.degeneracies, configs):
-            want = sum(neighborhood_size(self.spec, i) for i in sub.distances)
-            if covered != want:
-                raise ArithmeticError(f"module rows cover {covered} modes, subsystem has {want}")
-        return dist, levels, start, sizes
+        subs: dict[frozenset[int], int] = {}
+        fills: dict[frozenset[int], int] = {}
+        sub_of = [subs.setdefault(sub.distances, len(subs)) for _, sub in configs]
+        fill_of = [fills.setdefault(filling.occupied, len(fills)) for filling, _ in configs]
+        inside = _indicator_rows([list(distances) for distances in subs], width, "distances")
+        occupied = _indicator_rows([self.level_index(list(occ)).tolist() for occ in fills], width, "occupied levels")
+        below = np.zeros((len(subs), width + 1), dtype=np.intp)
+        np.cumsum(inside, axis=1, out=below[:, 1:])
+        start = below[:, self.i_min]
+        sizes = below[:, self.i_max + 1] - start
+        covered = self._as_counts(sizes) @ self.degeneracies
+        for have, want in zip(covered.tolist(), (self._as_counts(inside) @ self.shells).tolist()):
+            if have != want:
+                raise ArithmeticError(f"module rows cover {have} modes, subsystem has {want}")
+        return _packed(inside, 0)[sub_of], _packed(occupied, width)[fill_of], start[sub_of], sizes[sub_of]
 
-    def _exact_blocks(self, sizes: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _as_counts(self, values: np.ndarray) -> np.ndarray:
+        """Integer ``values`` in the table's exact count type, int64 or Python ints."""
+        return values.astype(self.degeneracies.dtype, copy=False)
+
+    def _exact_blocks(self, sizes: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, ...]:
         """Split the (point, module) blocks of ``sizes`` rows into exact 0/1 projections and the rest.
 
         A block is exact when none or all of the module's admissible levels
         are occupied, or when the subsystem holds the whole chain.  Returns
         the sizes with the exact blocks zeroed, and the exact modes weighted
         by module multiplicity: entry p counts point p's 0s, entry P + p its 1s.
+        Also returns each block's window in its point's occupied levels: the
+        count of those below the module's admissible range, and of those in it.
         """
         width = self.spec.k + 1
         # occupied admissible levels of each (point, module), from each point's running level count
@@ -311,14 +315,107 @@ class ModuleTable:
         full = count == self.dim
         ones = np.where(full, sizes, np.where(whole, count, 0))
         exact = full | whole | (count == 0)
-        counted = np.concatenate([np.where(exact, sizes, 0) - ones, ones]).astype(object) @ self.degeneracies
-        return np.where(exact, 0, sizes), counted
+        counted = self._as_counts(np.concatenate([np.where(exact, sizes, 0) - ones, ones])) @ self.degeneracies
+        return np.where(exact, 0, sizes), counted, below[:, self.level_lo], count
 
 
-def _window(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Start and length of the run of sorted ``values`` inside each [lo, hi]."""
-    start = np.searchsorted(values, lo)
-    return start, np.searchsorted(values, hi, side="right") - start
+def _indicator_rows(members: list[list[int]], width: int, what: str) -> np.ndarray:
+    """One 0/1 row of ``width`` per list, 1 at each of its members."""
+    rows = np.zeros((len(members), width), dtype=np.intp)
+    for r, cols in enumerate(members):
+        if cols and not 0 <= min(cols) <= max(cols) < width:
+            raise ValueError(f"{what} {sorted(cols)} outside 0..{width - 1}")
+        rows[r, cols] = 1
+    return rows
+
+
+def _packed(rows: np.ndarray, pad: int) -> np.ndarray:
+    """Each 0/1 row's positions of its 1s, ascending, padded with ``pad``."""
+    out = np.full(rows.shape, pad, dtype=np.intp)
+    r, c = np.nonzero(rows)
+    out[r, np.cumsum(rows, axis=1)[r, c] - 1] = c
+    return out
+
+
+def _runs(values: np.ndarray) -> list[tuple[int, int, int]]:
+    """(start, end, value) of each run of equal entries in a sorted integer array."""
+    starts = np.flatnonzero(np.diff(values, prepend=-1)).tolist()
+    return list(zip(starts, starts[1:] + [len(values)], values[starts].tolist()))
+
+
+def _split_blocks(table: ModuleTable, configs, base: int) -> tuple:
+    """The counted 0s and 1s of a graph's points, numbered from ``base``, and the (point, module) blocks to solve.
+
+    Returns the counted modes' points, values and multiplicities; each
+    point's distances and levels from :meth:`ModuleTable.layout`; the blocks'
+    points, modules, chain starts in the distances and level windows, sorted
+    by size and then by occupied-level count; and each size's run of them.
+    """
+    dist, levels, start, sizes = table.layout(configs)
+    sizes, counted, first, count = table._exact_blocks(sizes, levels)
+    keep = np.flatnonzero(counted)
+    live = np.flatnonzero(sizes)
+    live = live[np.lexsort((count.ravel()[live], sizes.ravel()[live]))]
+    runs = {size: slice(lo, hi) for lo, hi, size in _runs(sizes.ravel()[live])}
+    blocks = (*np.divmod(live, len(table.labels)), *(a.ravel()[live] for a in (start, first, count)))
+    return (base + keep % len(configs), keep // len(configs), counted[keep]), dist, levels, blocks, runs
+
+
+def stacked_spectra(groups, readout) -> Iterator[CorrelationSpectrum]:
+    """Correlation spectra of (table, points) groups, point by point in order, from one stacked pass.
+
+    A module's coupling matrix is square and orthogonal, so its block holds
+    only exact 0s and 1s when none or all of its admissible levels are
+    occupied, or when the subsystem holds its whole chain; each point's such
+    modes are counted into one exact 0 and one exact 1 entry.  Each table
+    cuts its other (point, module) blocks out of its own stored columns;
+    blocks of equal size are stacked across every point of every group, and
+    ``readout(parts, c)`` turns a stack c into its (stack, size)
+    eigenvalues, where ``parts`` lists (table, points, modules, distances)
+    of c's runs in order, the points numbered across all groups.  Every
+    point's eigenvalues are merged with their module multiplicities.  The
+    solve runs at once; the spectra are yielded one point at a time.
+    """
+    solved = []  # per table with blocks to solve: (table, its first point, dist, levels, blocks, runs)
+    exact = []  # per table: the owners, values and multiplicities of its counted 0s and 1s
+    points = 0
+    for table, configs in groups:
+        if configs:
+            counted, *blocks = _split_blocks(table, configs, points)
+            exact.append(counted)
+            if blocks[-1]:
+                solved.append((table, points, *blocks))
+            points += len(configs)
+    if not points:
+        return iter(())
+    # every eigenvalue of the batch in one preallocated run: the counted 0s and 1s first, then each stack's
+    pos = sum(len(owners) for owners, _, _ in exact)
+    total = pos + sum(size * (at.stop - at.start) for *_, runs in solved for size, at in runs.items())
+    owners, values = np.empty(total, dtype=np.intp), np.empty(total)
+    # Python ints unless every table counts in int64
+    mults = np.empty(total, dtype=np.result_type(*(counted.dtype for *_, counted in exact)))
+    for run, counted in zip((owners, values, mults), zip(*exact)):
+        np.concatenate(counted, out=run[:pos])
+    for size in sorted({size for *_, runs in solved for size in runs}):
+        parts = []
+        for table, base, dist, levels, (pts, ms, start, first, count), runs in solved:
+            if size in runs:
+                at = runs[size]
+                rows = dist[pts[at, None], start[at, None] + np.arange(size)]
+                parts.append((table, base + pts[at], ms[at], rows, levels[pts[at]], first[at], count[at]))
+        c = np.empty((sum(len(part[2]) for part in parts), size, size))
+        lo = 0
+        for table, _, ms, *blocks in parts:
+            table.products(ms, *blocks, c[lo : lo + len(ms)])
+            lo += len(ms)
+        c = 0.5 * (c + c.swapaxes(1, 2))
+        run = slice(pos, pos + len(c) * size)
+        values[run] = readout([part[:4] for part in parts], c).ravel()
+        owners[run] = np.repeat(np.concatenate([part[1] for part in parts]), size)
+        mults[run] = np.repeat(np.concatenate([table.degeneracies[ms] for table, _, ms, *_ in parts]), size)
+        pos = run.stop
+    merged = group_spectra(clamp_unit_interval(values), mults, owners, points)
+    return (CorrelationSpectrum(entries) for entries in merged)
 
 
 @lru_cache(maxsize=32)
@@ -347,14 +444,15 @@ def module_correlation_block(
     return table.blocks(np.array([table.row[label]]), rows, table.level_index(sorted(filling.occupied))[None, :])[0]
 
 
-def assemble_spectra(spec: GraphSpec, configs) -> Iterator[CorrelationSpectrum]:
-    """Correlation spectra of many (filling, subsystem) points of one graph, in order.
+def assemble_spectra(groups) -> Iterator[CorrelationSpectrum]:
+    """Correlation spectra of the (filling, subsystem) points of (graph, points) groups, in order.
 
-    :meth:`ModuleTable.spectra`, with each stack of blocks diagonalized by one ``eigvalsh`` call.
+    :func:`stacked_spectra`, with each stack of blocks diagonalized by one ``eigvalsh`` call.
     """
-    return module_table(spec).spectra(configs, lambda pts, ms, rows, c: np.linalg.eigvalsh(c))
+    tables = [(module_table(spec), configs) for spec, configs in groups]
+    return stacked_spectra(tables, lambda parts, c: np.linalg.eigvalsh(c))
 
 
 def assemble_spectrum(spec: GraphSpec, filling: FillingSpec, sub: SubsystemSpec) -> CorrelationSpectrum:
     """One point's :func:`assemble_spectra`."""
-    return next(assemble_spectra(spec, [(filling, sub)]))
+    return next(assemble_spectra([(spec, [(filling, sub)])]))

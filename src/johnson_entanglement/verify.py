@@ -317,10 +317,10 @@ def check_t_basis_similarity(grid) -> CheckResult:
 def check_route_agreement(sizes, cap) -> CheckResult:
     """Oracle against both structured routes at every ball cut and bottom-run filling.
 
-    Each graph's grid goes to each route through :func:`.heun.spectra`; the
-    structured routes take it as one batch.
+    Every graph's grid goes to each route in one :func:`.heun.spectra` call;
+    the structured routes take it as one batch.
     """
-    worst = 0.0
+    groups = []
     for n, k in sizes:
         spec = GraphSpec(n, k)
         labels = spectral.level_labels_x2(spec)
@@ -330,8 +330,10 @@ def check_route_agreement(sizes, cap) -> CheckResult:
             for j0_pos in range(k)
             for n_cut in range(k)
         ]
-        for s_o, s_mod, s_t in zip(*(heun_mod.spectra(spec, configs, r, cap) for r in heun_mod.ROUTES)):
-            worst = max(worst, spectra_max_diff(s_o, s_mod), spectra_max_diff(s_o, s_t))
+        groups.append((spec, configs))
+    worst = 0.0
+    for s_o, s_mod, s_t in zip(*(heun_mod.spectra(groups, r, cap) for r in heun_mod.ROUTES)):
+        worst = max(worst, spectra_max_diff(s_o, s_mod), spectra_max_diff(s_o, s_t))
     return CheckResult("route_agreement", worst <= 1e-8, worst, "oracle, module and T-readout spectra agree")
 
 
@@ -459,17 +461,19 @@ def check_purity_duality(sizes, cap) -> CheckResult:
 
 
 def _check_mirror_symmetry(sizes) -> CheckResult:
-    worst = 0.0
+    groups = []
     for n, k in sizes:
         if n != 2 * k:
             continue
         spec = GraphSpec(n, k)
         x0 = default_base_vertex(spec)
         filling = FillingSpec(frozenset(spectral.level_labels_x2(spec)[: max(1, (k + 1) // 3)]))
-        shells = [(filling, SubsystemSpec(frozenset({i}), x0)) for i in range(k + 1)]
-        values = [entropy_mod.von_neumann(s) for s in terwilliger.assemble_spectra(spec, shells)]
-        for i in range(k + 1):
-            worst = max(worst, abs(values[i] - values[k - i]))
+        groups.append((spec, [(filling, SubsystemSpec(frozenset({i}), x0)) for i in range(k + 1)]))
+    entropies = iter([entropy_mod.von_neumann(s) for s in terwilliger.assemble_spectra(groups)])
+    worst = 0.0
+    for spec, shells in groups:
+        values = [next(entropies) for _ in shells]
+        worst = max([worst, *(abs(s_i - s_mirror) for s_i, s_mirror in zip(values, values[::-1]))])
     return CheckResult("mirror_symmetry", worst <= 1e-8, worst, "S(i) = S(k-i) on balanced graphs")
 
 

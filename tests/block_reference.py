@@ -1,10 +1,10 @@
 """The stacked pass that solves every module block, kept as the reference for
-:meth:`johnson_entanglement.terwilliger.ModuleTable.spectra`, which counts the
+:func:`johnson_entanglement.terwilliger.stacked_spectra`, which counts the
 exact 0/1 blocks instead.
 
 Every (point, module) block with at least one subsystem row is stacked by
-size and handed to the route's readout, and all eigenvalues are merged with
-their module multiplicities.
+size, one graph at a time, and handed to the route's readout, and all
+eigenvalues are merged with their module multiplicities.
 """
 
 import numpy as np
@@ -13,22 +13,23 @@ from johnson_entanglement.spectral import CorrelationSpectrum, clamp_unit_interv
 from johnson_entanglement.terwilliger import size_groups
 
 
-def solve_every_block(table, configs, readout) -> list[CorrelationSpectrum]:
-    """:meth:`ModuleTable.spectra` with every nonempty block solved."""
-    if not configs:
-        return []
-    dist, levels, start, sizes = table.layout(configs)
-    values, owners, modules = [], [], []
-    for size, flat in size_groups(sizes.ravel()):
-        pts, ms = np.divmod(flat, len(table.labels))
-        rows = dist[pts[:, None], start[pts, ms][:, None] + np.arange(size)]
-        values.append(readout(pts, ms, rows, table.blocks(ms, rows, levels[pts])).ravel())
-        owners.append(np.repeat(pts, size))
-        modules.append(np.repeat(ms, size))
+def solve_every_block(groups, readout):
+    """:func:`stacked_spectra` of (table, points) groups with every nonempty block solved."""
+    values, owners, mults = [], [], []
+    base = 0
+    for table, configs in groups:
+        dist, levels, start, sizes = table.layout(configs)
+        for size, flat in size_groups(sizes.ravel()):
+            pts, ms = np.divmod(flat, len(table.labels))
+            rows = dist[pts[:, None], start[pts, ms][:, None] + np.arange(size)]
+            c = table.blocks(ms, rows, levels[pts])
+            values.append(readout([(table, base + pts, ms, rows)], c).ravel())
+            owners.append(np.repeat(base + pts, size))
+            mults.append(np.repeat(table.degeneracies[ms], size))
+        base += len(configs)
+    if not values:
+        return iter(())
     merged = group_spectra(
-        clamp_unit_interval(np.concatenate(values)),
-        table.degeneracies[np.concatenate(modules)],
-        np.concatenate(owners),
-        len(configs),
+        clamp_unit_interval(np.concatenate(values)), np.concatenate(mults), np.concatenate(owners), base
     )
-    return [CorrelationSpectrum(entries) for entries in merged]
+    return (CorrelationSpectrum(entries) for entries in merged)

@@ -16,6 +16,11 @@ vertex order, from :func:`johnson_entanglement.scheme.distances_from`.
 :func:`johnson_entanglement.scheme.distances_from` and
 :func:`johnson_entanglement.scheme.adjacency_matrix` must reproduce exactly.
 
+:func:`indicator_sum_distances` is the subsystem distance matrix built the
+earlier way, each moved-element row summed from rows of ``np.eye(n)``;
+:func:`johnson_entanglement.spectral._subsystem_distances` sets the rows
+from the combination indices and must match it exactly.
+
 :func:`adjacency_via_polynomial` rebuilds one A_i as its own product of i
 full-size factors; the battery's ``verify._adjacency_polynomial_slabs``
 reads every A_i off one product chain and must match it bit for bit.
@@ -23,6 +28,7 @@ reads every A_i off one product chain and must match it bit for bit.
 
 import math
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -62,6 +68,25 @@ def pairwise_distances(spec) -> np.ndarray:
     for v in verts:
         ind[v.index, [e - 1 for e in v.subset]] = 1
     return spec.k - ind @ ind.T
+
+
+def indicator_sum_distances(spec, sub) -> np.ndarray:
+    """The subsystem's integer distance matrix, rows in colex rank order, from (C x d x n) indicator sums."""
+    n = spec.n
+    x0 = np.zeros(n)
+    x0[[e - 1 for e in sub.x0.subset]] = 1.0
+
+    def subsets(elements, d):
+        combos = list(combinations(elements, d))
+        return np.eye(n)[np.array(combos, dtype=np.intp).reshape(len(combos), d)].sum(axis=1)
+
+    inside, outside = np.flatnonzero(x0), np.flatnonzero(x0 == 0.0)
+    moved = np.vstack(
+        [(subsets(inside, d)[:, None] + subsets(outside, d)).reshape(-1, n) for d in sorted(sub.distances)]
+    )
+    moved = moved[np.lexsort((x0 + moved * (1.0 - 2.0 * x0)).T)]
+    d = moved.sum(axis=1) / 2.0
+    return (d[:, None] + d[None, :] - moved @ moved.T).astype(np.intp)
 
 
 def adjacency_via_polynomial(i: int, spec, cap=None) -> np.ndarray:

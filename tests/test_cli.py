@@ -482,3 +482,48 @@ def test_warm_fig3b_sweep_solves_its_whole_grid_in_two_mib():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20, peak
+
+
+@pytest.mark.parametrize("n, k, counts", [(64, 32, "int64"), (66, 33, "object")])
+def test_json_spectrum_output_keeps_exact_multiplicities_both_sides_of_2_62(n, k, counts, tmp_path):
+    # C(64,32) < 2^62 <= C(66,33): the table counts in int64, then in Python
+    # ints, and either way every multiplicity reaches the JSON as an exact int
+    from johnson_entanglement.scheme import neighborhood_size
+    from johnson_entanglement.terwilliger import module_table
+
+    spec = GraphSpec(n, k)
+    assert module_table(spec).degeneracies.dtype == counts
+    out, spectrum = tmp_path / "e.json", tmp_path / "s.json"
+    argv = ["entropy", "--n", str(n), "--k", str(k), "--cutoff", "1", "--fill-levels", "3", "--format", "json"]
+    assert run(argv + ["--output", str(out), "--spectrum-output", str(spectrum)]) == 0
+    rows = json.loads(spectrum.read_text())
+    assert rows and all(type(r["multiplicity"]) is int and r["multiplicity"] > 0 for r in rows)
+    size = neighborhood_size(spec, 0) + neighborhood_size(spec, 1)
+    assert sum(r["multiplicity"] for r in rows) == size == json.loads(out.read_text())[0]["subsystem_size"]
+
+
+@pytest.mark.parametrize("n, k, fill", [(12, 6, 2), (20, 10, 3), (30, 15, 2)])
+def test_fig4_stacked_chain_entropies_equal_one_solve_per_prefix(n, k, fill):
+    # every prefix and last site of every chain: one eigvalsh per run length
+    # against one module_correlation_block and eigvalsh per run, the terms
+    # added strictly left to right
+    from functools import reduce
+    from operator import add
+
+    import numpy as np
+
+    from johnson_entanglement.cli import _chain_entropies
+    from johnson_entanglement.entropy import binary_entropy
+    from johnson_entanglement.spectral import clamp_unit_interval
+    from johnson_entanglement.terwilliger import enumerate_modules, module_correlation_block
+
+    spec = GraphSpec(n, k)
+    filling = FillingSpec(frozenset(level_labels_x2(spec)[:fill]))
+    runs = [(label, label.i_min + first, length) for label in enumerate_modules(spec)
+            for first in range(label.dim) for length in range(1, label.dim - first + 1)]
+    want = []
+    for label, first, length in runs:
+        sub = SubsystemSpec(frozenset(range(first, first + length)), default_base_vertex(spec))
+        lams = clamp_unit_interval(np.linalg.eigvalsh(module_correlation_block(label, filling, sub, spec)))
+        want.append(reduce(add, map(binary_entropy, lams.tolist()), 0.0))
+    assert _chain_entropies(spec, filling, runs) == want

@@ -1,4 +1,6 @@
 import math
+from functools import reduce
+from operator import add
 
 import pytest
 from hypothesis import given
@@ -101,3 +103,29 @@ def test_mirror_symmetry_balanced():
         ]
         for i in range(spec.k + 1):
             assert values[i] == pytest.approx(values[spec.k - i], abs=1e-8)
+
+
+@given(st.lists(st.tuples(st.floats(0, 1), st.integers(1, 2**70)), min_size=1, max_size=40))
+def test_entropy_terms_add_strictly_left_to_right(pairs):
+    spectrum = CorrelationSpectrum(tuple(pairs))
+    assert von_neumann(spectrum) == reduce(add, (m * binary_entropy(lam) for lam, m in pairs), 0.0)
+
+
+def test_report_cut_is_every_shell_next_to_the_other_side():
+    spec = GraphSpec(10, 5)
+    x0 = default_base_vertex(spec)
+    shells = [neighborhood_size(spec, i) for i in range(6)]
+    cuts = {
+        frozenset(range(3)): shells[2] + shells[3],  # a ball: its outer shell and the next
+        frozenset({0}): shells[0] + shells[1],
+        frozenset({3}): shells[2] + shells[3] + shells[4],
+        frozenset({5}): shells[4] + shells[5],
+        frozenset({0, 2}): sum(shells[:4]),
+        frozenset(range(6)): 0,  # the whole graph has no cut
+    }
+    filling = FillingSpec(frozenset(level_labels_x2(spec)[:2]))
+    for distances, cut in cuts.items():
+        sub = SubsystemSpec(distances, x0)
+        rep = report(spec, sub, assemble_spectrum(spec, filling, sub))
+        assert rep.cut_size == cut, sorted(distances)
+        assert rep.ratio_cut == (rep.entropy_nats / cut if cut else 0.0)

@@ -26,6 +26,7 @@ from johnson_entanglement.terwilliger import (
     level_degeneracy,
     module_admissible_levels,
     module_correlation_block,
+    stacked_spectra,
 )
 from johnson_entanglement.verify import DEFAULT_SIZES, graph_sizes, spectra_max_diff
 
@@ -57,11 +58,11 @@ def test_kernel_agrees_with_both_structured_routes_at_paper_scale(n):
     # the dense cap is lifted to C(n, k): the kernel solves each cut on at most
     # 2,501 rows; the T readout takes the balls, the module route every cut
     spec, points = _paper_scale_points(n)
-    oracle = list(spectra(spec, points, "oracle", spec.vertex_count))
+    oracle = list(spectra([(spec, points)], "oracle", spec.vertex_count))
     for route in ("modules", "heun"):
         keep = [p for p, point in enumerate(points) if route == "modules" or not isinstance(plan(spec, *point), str)]
         assert len(keep) >= (8 if n == 30 else 1)
-        got = spectra(spec, [points[p] for p in keep], route)
+        got = spectra([(spec, [points[p] for p in keep])], route)
         for p, spectrum in zip(keep, got):
             assert spectra_max_diff(oracle[p], spectrum) <= 1e-8, (route, sorted(points[p][1].distances))
 
@@ -97,12 +98,12 @@ def test_batches_equal_one_point_calls_on_the_figure_grids(n):
         x0 = default_base_vertex(spec)
         fills = range(1, k + 2)
         grid = [(_bottom(spec, fill), _ball(spec, n_cut)) for fill in fills for n_cut in range(k)]
-        batch = spectra_via_heun(spec, grid)
-        assert [s.entries for s in batch] == [next(spectra_via_heun(spec, [pt])).entries for pt in grid]
-        batch = assemble_spectra(spec, grid)
+        batch = spectra_via_heun([(spec, grid)])
+        assert [s.entries for s in batch] == [next(spectra_via_heun([(spec, [pt])])).entries for pt in grid]
+        batch = assemble_spectra([(spec, grid)])
         assert [s.entries for s in batch] == [assemble_spectrum(spec, *pt).entries for pt in grid]
         grid = [(_bottom(spec, fill), SubsystemSpec(frozenset({i}), x0)) for i in range(k + 1) for fill in fills]
-        batch = assemble_spectra(spec, grid)
+        batch = assemble_spectra([(spec, grid)])
         assert [s.entries for s in batch] == [assemble_spectrum(spec, *pt).entries for pt in grid]
 
 
@@ -116,6 +117,9 @@ def test_counted_exact_blocks_match_solving_every_block(n, monkeypatch):
     # both routes, bit for bit, against the pass that solves every block:
     # every lowest-M filling and two scattered ones, every ball and every
     # single shell (the T readout takes the balls under a lowest filling)
+    import johnson_entanglement.heun as heun_module
+    import johnson_entanglement.terwilliger as terwilliger_module
+
     for _, k in graph_sizes(n, n):
         spec = GraphSpec(n, k)
         x0 = default_base_vertex(spec)
@@ -124,12 +128,13 @@ def test_counted_exact_blocks_match_solving_every_block(n, monkeypatch):
         subs += [SubsystemSpec(frozenset({i}), x0) for i in range(1, k + 1)]
         configs = [(filling, sub) for filling in fillings for sub in subs]
         balls = [(_bottom(spec, fill), _ball(spec, n_cut)) for fill in range(1, k + 1) for n_cut in range(k)]
-        counted = [s.entries for s in assemble_spectra(spec, configs)]
-        counted_heun = [s.entries for s in spectra_via_heun(spec, balls)]
+        counted = [s.entries for s in assemble_spectra([(spec, configs)])]
+        counted_heun = [s.entries for s in spectra_via_heun([(spec, balls)])]
         with monkeypatch.context() as patch:
-            patch.setattr(ModuleTable, "spectra", solve_every_block)
-            solved = [s.entries for s in assemble_spectra(spec, configs)]
-            solved_heun = [s.entries for s in spectra_via_heun(spec, balls)]
+            patch.setattr(terwilliger_module, "stacked_spectra", solve_every_block)
+            patch.setattr(heun_module, "stacked_spectra", solve_every_block)
+            solved = [s.entries for s in assemble_spectra([(spec, configs)])]
+            solved_heun = [s.entries for s in spectra_via_heun([(spec, balls)])]
         assert counted == solved and repr(counted) == repr(solved), (n, k)
         assert counted_heun == solved_heun and repr(counted_heun) == repr(solved_heun), (n, k)
 
@@ -146,7 +151,7 @@ def test_heun_counts_the_points_that_need_no_T(n, monkeypatch):
         labels = level_labels_x2(spec)
         points = [(_bottom(spec, fill), _ball(spec, k)) for fill in range(k + 2)]
         points += [(_bottom(spec, fill), _ball(spec, n_cut)) for fill in (0, k + 1) for n_cut in range(k + 1)]
-        for (filling, sub), got in zip(points, spectra(spec, points, "heun"), strict=True):
+        for (filling, sub), got in zip(points, spectra([(spec, points)], "heun"), strict=True):
             size = sum(neighborhood_size(spec, i) for i in sub.distances)
             occ = size if filling.occupied == set(labels) else 0
             if len(sub.distances) == k + 1:
@@ -231,7 +236,7 @@ def _forced_cluster_readouts(monkeypatch, spec, hss):
     monkeypatch.setattr(heun_module, "CLUSTER_REL_TOL", float("inf"))
     labels = level_labels_x2(spec)
     configs = [(_bottom(spec, labels.index(hs.j0_x2) + 1), _ball(spec, hs.n_cut)) for hs in hss]
-    return list(spectra_via_heun(spec, configs)), seen
+    return list(spectra_via_heun([(spec, configs)])), seen
 
 
 def test_forced_clusters_reach_the_projection_fallback(monkeypatch):
@@ -264,3 +269,56 @@ def test_forced_clusters_reach_the_projection_fallback_in_a_batch(monkeypatch):
     assert min(gap for _, gap in seen) > 1e-6
     for want, got in zip(expected, forced, strict=True):
         assert spectra_max_diff(want, got) <= 1e-8
+
+
+def _default_fill(spec):
+    return max(1, math.ceil((spec.k + 1) / 10))
+
+
+def _fig2a_grid(n):
+    spec = GraphSpec(n, n // 2)
+    x0 = default_base_vertex(spec)
+    return spec, [(_bottom(spec, _default_fill(spec)), SubsystemSpec(frozenset({spec.k // d}), x0)) for d in (2, 4, 8)]
+
+
+def _fig3a_grid(n, k):
+    spec = GraphSpec(n, k)
+    return spec, [(_bottom(spec, _default_fill(spec)), _ball(spec, n_cut)) for n_cut in range(k)]
+
+
+@pytest.mark.parametrize("n", [*range(9, 15), 30])
+def test_cross_graph_batches_equal_per_graph_calls_on_the_figure_grids(n):
+    # the fig3a grid of every k at this n, and the fig2a grids up to n, each
+    # whole sweep in one call as the sweeps hand it over, bit for bit against
+    # one call per graph
+    sweeps = [
+        ("heun", [_fig3a_grid(n, k) for k in range(1, n // 2 + 1)]),
+        ("modules", [_fig2a_grid(m) for m in range(8, n + 1, 2)]),
+    ]
+    for route, groups in sweeps:
+        together = [s.entries for s in spectra(groups, route)]
+        apart = [s.entries for group in groups for s in spectra([group], route)]
+        assert together == apart and repr(together) == repr(apart), (n, route)
+        assert len(together) == sum(len(configs) for _, configs in groups)
+
+
+def test_cross_graph_batches_mix_int64_and_exact_multiplicities():
+    # J(64,32) counts in int64 and J(66,33) in Python ints; one batch of both
+    # merges each point as its own graph's call does
+    groups = [_fig3a_grid(64, 32), _fig3a_grid(66, 33)]
+    groups = [(spec, configs[:2]) for spec, configs in groups]
+    together = [s.entries for s in spectra(groups, "modules")]
+    assert together == [s.entries for group in groups for s in spectra([group], "modules")]
+    assert all(type(mult) is int for entries in together for _, mult in entries)
+
+
+def test_corrupted_module_table_trips_the_covered_modes_check():
+    spec = GraphSpec(12, 6)
+    configs = [(_bottom(spec, 2), _ball(spec, n_cut)) for n_cut in range(6)]
+    for corrupt in ("degeneracies", "i_min"):
+        table = ModuleTable(spec)
+        assert list(stacked_spectra([(table, configs)], lambda parts, c: np.linalg.eigvalsh(c)))
+        m = int(np.argmax(table.dim))
+        getattr(table, corrupt)[m] += 1
+        with pytest.raises(ArithmeticError, match="module rows cover"):
+            stacked_spectra([(table, configs)], lambda parts, c: np.linalg.eigvalsh(c))

@@ -54,6 +54,7 @@ from cg_oracle import _dual_hahn_rational
 from dense_oracle import (
     adjacency_via_polynomial,
     chopped_correlation_reference,
+    indicator_sum_distances,
     level_blocks_reference,
     pairwise_distances,
     subsystem_indices,
@@ -323,6 +324,21 @@ def test_pair_swap_sectors_split_the_adjacency_exactly(n, k):
         assert np.max(np.abs(np.sort(np.concatenate(spectrum)) - levels)) <= 1e-12, (n, k, p)
 
 
+@pytest.mark.parametrize("n", range(2, 12))
+def test_subsystem_distances_equal_the_indicator_sum_construction(n):
+    # every distance set of every J(n, k), from the default and a scattered base vertex
+    for _, k in graph_sizes(n, n):
+        spec = GraphSpec(n, k)
+        bases = [default_base_vertex(spec), vertex_from_subset(range(n - k + 1, n + 1), spec)]
+        bases.append(vertex_from_subset(range(1, 2 * k, 2), spec))
+        for x0 in bases:
+            for r in range(1, k + 2):
+                for distances in itertools.combinations(range(k + 1), r):
+                    sub = SubsystemSpec(frozenset(distances), x0)
+                    got, want = spectral._subsystem_distances(spec, sub), indicator_sum_distances(spec, sub)
+                    assert got.dtype == want.dtype and np.array_equal(got, want), (n, k, x0, distances)
+
+
 @pytest.mark.parametrize("n,k", graph_sizes(2, 10) + [(12, 6)])
 def test_layout_order_level_blocks_match_the_vertex_order_reference(n, k):
     # the oracle lists rows in colex rank order from x0; over the whole graph
@@ -365,7 +381,7 @@ def test_smaller_side_spectrum_matches_the_direct_large_side(n):
         bound = 2 * spec.vertex_count * 2.0**-53
         # each graph's whole grid goes to the oracle as one batch
         configs = [(filling, SubsystemSpec(frozenset(range(n_cut + 1)), x0)) for filling in _fillings(spec) for n_cut in range(k + 1)]
-        batch = list(heun.spectra(spec, configs, "oracle"))
+        batch = list(heun.spectra([(spec, configs)], "oracle"))
         assert len(batch) == len(configs)
         for (filling, sub), mapped in zip(configs, batch):
             direct = spectrum_oracle(chopped_correlation_oracle(spec, filling, sub))
@@ -382,7 +398,7 @@ def test_oracle_solves_each_cut_on_its_smaller_side(monkeypatch):
     real = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: shapes.append(m.shape) or real(m))
     monkeypatch.setattr(np.linalg, "eigh", None)
-    spectra = list(heun.spectra(spec, configs, "oracle"))
+    spectra = list(heun.spectra([(spec, configs)], "oracle"))
     # one matrix per distinct (filling, smaller side); a cut and its complement cut share one
     smaller = {}
     for (filling, sub), spectrum in zip(configs, spectra):
@@ -493,7 +509,7 @@ def test_oracle_batch_equals_one_point_solves(n):
         configs = _mixed_batch(spec, rng)
         sizes = [sum(neighborhood_size(spec, d) for d in sub.distances) for _, sub in configs]
         assert spec.vertex_count in sizes and any(2 * size > spec.vertex_count for size in sizes)
-        routed = list(heun.spectra(spec, configs, "oracle"))
+        routed = list(heun.spectra([(spec, configs)], "oracle"))
         direct = list(spectral.oracle_spectra(spec, configs))
         assert len(routed) == len(direct) == len(configs)
         for (filling, sub), got_routed, got_direct in zip(configs, routed, direct):
@@ -541,8 +557,8 @@ def test_oracle_batch_over_a_large_side_holds_its_budget_and_two_matrices():
     configs = [(FillingSpec(frozenset(labels[:fill])), ball) for fill in range(1, 7)]
     full = 658**2 * 8
     assert 6 * full > spectral.STACK_BYTES
-    list(heun.spectra(spec, configs, "oracle"))  # the kernels are cached; only the batch is measured
-    assert _traced_bytes(lambda: list(heun.spectra(spec, configs, "oracle")))[1] <= spectral.STACK_BYTES + 2 * full
+    list(heun.spectra([(spec, configs)], "oracle"))  # the kernels are cached; only the batch is measured
+    assert _traced_bytes(lambda: list(heun.spectra([(spec, configs)], "oracle")))[1] <= spectral.STACK_BYTES + 2 * full
 
 
 def test_cold_kernel_point_holds_at_most_four_subsystem_arrays():
@@ -592,7 +608,7 @@ def test_warm_oracle_still_checks_capacity():
     with pytest.raises(CapacityError):
         eigenprojectors_oracle(spec, cap=10)
     with pytest.raises(CapacityError):
-        next(heun.spectra(spec, [(filling, SubsystemSpec(frozenset(range(4)), sub.x0))], "oracle", cap=10))
+        next(heun.spectra([(spec, [(filling, SubsystemSpec(frozenset(range(4)), sub.x0))])], "oracle", cap=10))
 
 
 def test_cached_eigenvector_blocks_are_read_only():
@@ -729,6 +745,30 @@ def test_batched_merge_keeps_each_point_apart(points):
     owners = [p for p, pairs in enumerate(points) for _ in pairs]
     got = list(group_spectra(values, mults, owners, len(points) + 1))
     assert got == [group_spectrum_reference(pairs) for pairs in points] + [()]
+
+
+def test_merge_sums_groups_of_every_length_left_to_right():
+    # 120 groups of 1..60 members over three points, multiplicities in int64
+    # and beyond it: vector steps while enough groups are long, then one by
+    # one; each group's mean is reduce(add) of its products
+    rng = random.Random(5)
+    tol = spectral.GROUP_TOL
+    for big in (False, True):
+        points = []
+        for _ in range(3):
+            pairs = []
+            for length in rng.sample(range(1, 61), 40):
+                start = rng.random()
+                pairs += [(start + j * 0.01 * tol, rng.randint(1, 9) * (2**64 if big else 1)) for j in range(length)]
+            rng.shuffle(pairs)
+            points.append(pairs)
+        values = [v for pairs in points for v, _ in pairs]
+        mults = [m for pairs in points for _, m in pairs]
+        owners = [p for p, pairs in enumerate(points) for _ in pairs]
+        got = list(group_spectra(values, mults, owners, len(points)))
+        want = [group_spectrum_reference(pairs) for pairs in points]
+        assert got == want and repr(got) == repr(want)
+        assert all(type(m) is int for entries in got for _, m in entries)
 
 
 def test_merge_anchors_each_group_at_its_first_value():

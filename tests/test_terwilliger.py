@@ -27,6 +27,7 @@ from johnson_entanglement.terwilliger import (
     module_admissible_levels,
     module_correlation_block,
     module_degeneracy,
+    stacked_spectra,
 )
 from johnson_entanglement import verify
 from johnson_entanglement.verify import _hahn_residuals, spectra_max_diff
@@ -309,8 +310,8 @@ def test_coupling_store_holds_each_fetched_column_once(monkeypatch):
     spec = GraphSpec(60, 30)
     table = ModuleTable(spec)
     point = [(FillingSpec(frozenset(level_labels_x2(spec)[:10])), SubsystemSpec(frozenset(range(16)), default_base_vertex(spec)))]
-    readout = lambda pts, ms, rows, c: np.linalg.eigvalsh(c)
-    first = list(table.spectra(point, readout))
+    readout = lambda parts, c: np.linalg.eigvalsh(c)
+    first = list(stacked_spectra([(table, point)], readout))
     fetched = np.argwhere(table.offset >= 0)
     assert len(calls) == len(set(calls)) == len(fetched) > 0
     offsets = table.offset[fetched[:, 0], fetched[:, 1]]
@@ -324,7 +325,7 @@ def test_coupling_store_holds_each_fetched_column_once(monkeypatch):
         label = table.labels[m]
         assert table.flat[at : at + label.dim].tolist() == list(real(base + 2 * lev, label.j1_x2, label.j2_x2, base))
     before = table.offset.copy()
-    assert list(table.spectra(point, readout)) == first
+    assert list(stacked_spectra([(table, point)], readout)) == first
     assert len(calls) == len(fetched) and table.size == dims.sum()
     assert np.array_equal(table.offset, before)
 
