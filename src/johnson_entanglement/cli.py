@@ -393,12 +393,12 @@ def _chain_entropies(spec: GraphSpec, filling: FillingSpec, runs) -> list[float]
     table = terwilliger.module_table(spec)
     occupied = table.level_index(sorted(filling.occupied))
     entropies = [0.0] * len(runs)
-    for length in sorted({length for _, _, length in runs}):
-        at = [r for r, (_, _, size) in enumerate(runs) if size == length]
-        ms = np.array([table.row[runs[r][0]] for r in at])
-        rows = np.array([runs[r][1] for r in at])[:, None] + np.arange(length)
-        c = table.blocks(ms, rows, np.broadcast_to(occupied, (len(at), len(occupied))))
-        for r, lams in zip(at, spectral.clamp_unit_interval(np.linalg.eigvalsh(c)).tolist()):
+    ms = np.array([table.row[label] for label, _, _ in runs])
+    firsts = np.array([first for _, first, _ in runs])
+    for length, at in terwilliger.size_groups(np.array([length for _, _, length in runs])):
+        rows = firsts[at, None] + np.arange(length)
+        c = table.blocks(ms[at], rows, np.broadcast_to(occupied, (len(at), len(occupied))))
+        for r, lams in zip(at.tolist(), spectral.clamp_unit_interval(np.linalg.eigvalsh(c)).tolist()):
             entropies[r] = functools.reduce(operator.add, map(entropy_mod.binary_entropy, lams), 0.0)
     return entropies
 

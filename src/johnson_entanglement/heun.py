@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .scheme import ConfigError, GraphSpec, _require_capacity, default_base_vertex, neighborhood_size
+from .scheme import ConfigError, GraphSpec, default_base_vertex, neighborhood_size
 from .spectral import (
     CorrelationSpectrum,
     FillingSpec,
@@ -234,7 +234,6 @@ def _oracle_spectra(spec: GraphSpec, configs, cap: int | None) -> Iterator[Corre
     Every side goes to :func:`.spectral.oracle_spectra` as one batch; the
     complement-solved points are then merged together.
     """
-    _require_capacity(spec, cap)
     everything = frozenset(range(spec.k + 1))
     points, sides = [], []
     for filling, sub in configs:

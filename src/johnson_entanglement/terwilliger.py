@@ -4,22 +4,13 @@ The adjacency/dual-adjacency pair embeds into two commuting su(2) copies of
 sizes n - k and k; the vertex space splits into modules V_(j1, j2), each a
 chain visiting at most one site per neighborhood of the base vertex.  Inside
 a module the correlation projector has entries built purely from
-Clebsch-Gordan coefficients, which is what makes n = 30 runs cheap: no block
-ever grows past (k + 1) x (k + 1).
+Clebsch-Gordan coefficients, so no block ever grows past (k + 1) x (k + 1).
 
-Each graph gets one :class:`ModuleTable`, built on first use and kept, the
-only per-graph store of both structured routes: the module list, exact
-multiplicities, the Clebsch-Gordan column of each (module, level) pair a
-filling has occupied, computed once and stored flat, and the chain layout
-with the A ladder of T, built only when T first asks.
-Both structured routes hand :func:`stacked_spectra` many (filling,
-subsystem) points of one or many graphs at once.  A (point, module) block
-that none or all of the module's levels fill, or whose chain lies wholly in
-the subsystem, holds only exact 0s and 1s and is counted, so the
-whole-graph, empty and full fillings need no solve; every other block is
-cut out of its graph's stored columns, blocks of equal size are stacked
-across the points and graphs and each stack is diagonalized with one LAPACK
-call.
+Each graph's :class:`ModuleTable` is the one per-graph store of both
+structured routes, and :meth:`ModuleTable.blocks` the one place where their
+correlation blocks G G^T are formed.  :func:`stacked_spectra` counts the
+exact 0/1 blocks and solves the others in stacks of equal size; the README's
+"Figure sweeps" section describes the pass.
 
 Doubled integers label all spins.  A module's chain rows are indexed by the
 distance i, with m1 = (n - k)/2 - i and m2 = i - k/2.
@@ -203,11 +194,14 @@ class ModuleTable:
         """Level indices l = (j_x2 - (n - 2k)) / 2 of doubled labels, in the given order."""
         return (np.asarray(levels_x2, dtype=np.intp) - (self.spec.n - 2 * self.spec.k)) // 2
 
-    def columns(self, ms: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Offsets in ``flat`` of the coupling column of level ``cols[b, c]`` in module ``ms[b]``.
+    def entries(self, ms: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Stacked G[b, r, c] = <row rows[b, r] | level cols[b, c]> of module ms[b].
 
-        A column not yet stored is fetched first, once.
+        Every row must lie on its module's chain; a level outside the
+        module's admissible range reads an exact 0.  A column not yet stored
+        is fetched first, once.
         """
+        # fetch every missing column before flat is read: a fetch may replace it
         offsets = self.offset[ms[:, None], cols]
         if (offsets < 0).any():
             blocks, places = np.nonzero(offsets < 0)
@@ -221,50 +215,23 @@ class ModuleTable:
                 self.flat[self.size : end] = cg_column(base + 2 * lev, label.j1_x2, label.j2_x2, base)
                 self.offset[m, lev], self.size = self.size, end
             offsets = self.offset[ms[:, None], cols]
-        return offsets
-
-    def entries(self, ms: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Stacked G[b, r, c] = <row rows[b, r] | level cols[b, c]> of module ms[b].
-
-        Every row must lie on its module's chain; a level outside the
-        module's admissible range reads an exact 0.
-        """
-        offsets = self.columns(ms, cols)  # before flat is read: a fetch may replace it
         return self.flat[offsets[:, None, :] + (rows - self.i_min[ms, None])[:, :, None]]
 
     def blocks(self, ms: np.ndarray, rows: np.ndarray, levels: np.ndarray) -> np.ndarray:
-        """Stacked correlation blocks G G^T over the given rows and occupied levels.
+        """Stacked symmetrized correlation blocks G G^T over the given rows and occupied levels.
 
         ``levels[b]`` holds block b's sorted occupied level indices, padded
-        with k + 1.  Each module's G holds exactly its admissible occupied
-        levels, in order, and is multiplied by :meth:`products`; each block
-        is then symmetrized.
+        with k + 1; module ``ms[b]``'s G holds exactly its admissible ones.
+        Blocks are multiplied in groups of equal level count, so each product
+        sums the same terms in the same order as a lone module would.
         """
         first = (levels < self.level_lo[ms, None]).sum(axis=1)
         count = (levels <= self.level_hi[ms, None]).sum(axis=1) - first
         c = np.zeros((len(ms),) + (rows.shape[1],) * 2)
-        live = np.flatnonzero(count)
-        if len(live):
-            live = live[np.argsort(count[live], kind="stable")]
-            c_live = np.empty((len(live),) + c.shape[1:])
-            self.products(ms[live], rows[live], levels[live], first[live], count[live], c_live)
-            c[live] = c_live
+        for width, sel in size_groups(count):
+            g = self.entries(ms[sel], rows[sel], levels[sel[:, None], first[sel, None] + np.arange(width)])
+            c[sel] = g @ g.swapaxes(1, 2)
         return 0.5 * (c + c.swapaxes(1, 2))
-
-    def products(self, ms, rows, levels, first, count, out) -> None:
-        """Write G G^T of module ``ms[b]`` over distances ``rows[b]`` into ``out[b]``.
-
-        Block b's G has the ``count[b] >= 1`` columns of its levels
-        ``levels[b, first[b]:]``.  ``count`` ascends, so blocks of equal
-        column count form one run, read and multiplied together; each product
-        sums the same terms in the same order as a lone module would.
-        """
-        at = (rows - self.i_min[ms, None])[:, :, None]
-        for lo, hi, width in _runs(count):
-            cols = levels[np.arange(lo, hi)[:, None], first[lo:hi, None] + np.arange(width)]
-            offsets = self.columns(ms[lo:hi], cols)
-            g = self.flat[offsets[:, None, :] + at[lo:hi]]
-            np.matmul(g, g.swapaxes(1, 2), out=out[lo:hi])
 
     def layout(self, configs) -> tuple[np.ndarray, ...]:
         """Each point's sorted distances and occupied level indices padded with k + 1, and each chain's run in them.
@@ -295,15 +262,13 @@ class ModuleTable:
         """Integer ``values`` in the table's exact count type, int64 or Python ints."""
         return values.astype(self.degeneracies.dtype, copy=False)
 
-    def _exact_blocks(self, sizes: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, ...]:
+    def _exact_blocks(self, sizes: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Split the (point, module) blocks of ``sizes`` rows into exact 0/1 projections and the rest.
 
         A block is exact when none or all of the module's admissible levels
         are occupied, or when the subsystem holds the whole chain.  Returns
         the sizes with the exact blocks zeroed, and the exact modes weighted
         by module multiplicity: entry p counts point p's 0s, entry P + p its 1s.
-        Also returns each block's window in its point's occupied levels: the
-        count of those below the module's admissible range, and of those in it.
         """
         width = self.spec.k + 1
         # occupied admissible levels of each (point, module), from each point's running level count
@@ -316,7 +281,7 @@ class ModuleTable:
         ones = np.where(full, sizes, np.where(whole, count, 0))
         exact = full | whole | (count == 0)
         counted = self._as_counts(np.concatenate([np.where(exact, sizes, 0) - ones, ones])) @ self.degeneracies
-        return np.where(exact, 0, sizes), counted, below[:, self.level_lo], count
+        return np.where(exact, 0, sizes), counted
 
 
 def _indicator_rows(members: list[list[int]], width: int, what: str) -> np.ndarray:
@@ -337,84 +302,47 @@ def _packed(rows: np.ndarray, pad: int) -> np.ndarray:
     return out
 
 
-def _runs(values: np.ndarray) -> list[tuple[int, int, int]]:
-    """(start, end, value) of each run of equal entries in a sorted integer array."""
-    starts = np.flatnonzero(np.diff(values, prepend=-1)).tolist()
-    return list(zip(starts, starts[1:] + [len(values)], values[starts].tolist()))
-
-
-def _split_blocks(table: ModuleTable, configs, base: int) -> tuple:
-    """The counted 0s and 1s of a graph's points, numbered from ``base``, and the (point, module) blocks to solve.
-
-    Returns the counted modes' points, values and multiplicities; each
-    point's distances and levels from :meth:`ModuleTable.layout`; the blocks'
-    points, modules, chain starts in the distances and level windows, sorted
-    by size and then by occupied-level count; and each size's run of them.
-    """
-    dist, levels, start, sizes = table.layout(configs)
-    sizes, counted, first, count = table._exact_blocks(sizes, levels)
-    keep = np.flatnonzero(counted)
-    live = np.flatnonzero(sizes)
-    live = live[np.lexsort((count.ravel()[live], sizes.ravel()[live]))]
-    runs = {size: slice(lo, hi) for lo, hi, size in _runs(sizes.ravel()[live])}
-    blocks = (*np.divmod(live, len(table.labels)), *(a.ravel()[live] for a in (start, first, count)))
-    return (base + keep % len(configs), keep // len(configs), counted[keep]), dist, levels, blocks, runs
-
-
 def stacked_spectra(groups, readout) -> Iterator[CorrelationSpectrum]:
     """Correlation spectra of (table, points) groups, point by point in order, from one stacked pass.
 
-    A module's coupling matrix is square and orthogonal, so its block holds
-    only exact 0s and 1s when none or all of its admissible levels are
-    occupied, or when the subsystem holds its whole chain; each point's such
-    modes are counted into one exact 0 and one exact 1 entry.  Each table
-    cuts its other (point, module) blocks out of its own stored columns;
+    Each point's exact 0/1 blocks are counted into one exact 0 and one exact
+    1 entry.  Every other block is built by its table's :meth:`ModuleTable.blocks`,
     blocks of equal size are stacked across every point of every group, and
     ``readout(parts, c)`` turns a stack c into its (stack, size)
     eigenvalues, where ``parts`` lists (table, points, modules, distances)
-    of c's runs in order, the points numbered across all groups.  Every
-    point's eigenvalues are merged with their module multiplicities.  The
-    solve runs at once; the spectra are yielded one point at a time.
+    of c's graphs in order, the points numbered across all groups.
     """
-    solved = []  # per table with blocks to solve: (table, its first point, dist, levels, blocks, runs)
-    exact = []  # per table: the owners, values and multiplicities of its counted 0s and 1s
+    values, owners, mults = [], [], []
+    by_size: dict[int, list] = {}  # size -> (table, first point, dist, levels, points, modules, chain starts)
     points = 0
     for table, configs in groups:
-        if configs:
-            counted, *blocks = _split_blocks(table, configs, points)
-            exact.append(counted)
-            if blocks[-1]:
-                solved.append((table, points, *blocks))
-            points += len(configs)
+        if not configs:
+            continue
+        dist, levels, start, sizes = table.layout(configs)
+        sizes, counted = table._exact_blocks(sizes, levels)
+        keep = np.flatnonzero(counted)
+        values.append(keep // len(configs))
+        owners.append(points + keep % len(configs))
+        mults.append(counted[keep])
+        for size, flat in size_groups(sizes.ravel()):
+            pts, ms = np.divmod(flat, len(table.labels))
+            by_size.setdefault(size, []).append((table, points, dist, levels, pts, ms, start[pts, ms]))
+        points += len(configs)
     if not points:
         return iter(())
-    # every eigenvalue of the batch in one preallocated run: the counted 0s and 1s first, then each stack's
-    pos = sum(len(owners) for owners, _, _ in exact)
-    total = pos + sum(size * (at.stop - at.start) for *_, runs in solved for size, at in runs.items())
-    owners, values = np.empty(total, dtype=np.intp), np.empty(total)
-    # Python ints unless every table counts in int64
-    mults = np.empty(total, dtype=np.result_type(*(counted.dtype for *_, counted in exact)))
-    for run, counted in zip((owners, values, mults), zip(*exact)):
-        np.concatenate(counted, out=run[:pos])
-    for size in sorted({size for *_, runs in solved for size in runs}):
-        parts = []
-        for table, base, dist, levels, (pts, ms, start, first, count), runs in solved:
-            if size in runs:
-                at = runs[size]
-                rows = dist[pts[at, None], start[at, None] + np.arange(size)]
-                parts.append((table, base + pts[at], ms[at], rows, levels[pts[at]], first[at], count[at]))
-        c = np.empty((sum(len(part[2]) for part in parts), size, size))
-        lo = 0
-        for table, _, ms, *blocks in parts:
-            table.products(ms, *blocks, c[lo : lo + len(ms)])
-            lo += len(ms)
-        c = 0.5 * (c + c.swapaxes(1, 2))
-        run = slice(pos, pos + len(c) * size)
-        values[run] = readout([part[:4] for part in parts], c).ravel()
-        owners[run] = np.repeat(np.concatenate([part[1] for part in parts]), size)
-        mults[run] = np.repeat(np.concatenate([table.degeneracies[ms] for table, _, ms, *_ in parts]), size)
-        pos = run.stop
-    merged = group_spectra(clamp_unit_interval(values), mults, owners, points)
+    for size, blocks in sorted(by_size.items()):
+        parts, stack = [], []
+        for table, base, dist, levels, pts, ms, start in blocks:
+            rows = dist[pts[:, None], start[:, None] + np.arange(size)]
+            stack.append(table.blocks(ms, rows, levels[pts]))
+            parts.append((table, base + pts, ms, rows))
+        values.append(readout(parts, np.concatenate(stack)).ravel())
+        owners.append(np.repeat(np.concatenate([pts for _, pts, _, _ in parts]), size))
+        mults.append(np.repeat(np.concatenate([table.degeneracies[ms] for table, _, ms, _ in parts]), size))
+    # counts stay Python ints unless every table counts in int64
+    merged = group_spectra(
+        clamp_unit_interval(np.concatenate(values, dtype=float)), np.concatenate(mults), np.concatenate(owners), points
+    )
     return (CorrelationSpectrum(entries) for entries in merged)
 
 

@@ -254,6 +254,29 @@ def test_verify_quick(tmp_path):
     assert all(chk["passed"] for chk in payload["checks"])
 
 
+def test_verify_reports_a_broken_module_enumeration_as_a_failure(tmp_path, monkeypatch, capsys):
+    """A multiplicity off by one at J(7,3) fails module_completeness with worst 1 and exit 1, not a traceback."""
+    from johnson_entanglement import terwilliger
+    from johnson_entanglement.verify import check_module_completeness, graph_sizes
+
+    real = terwilliger.module_degeneracy
+
+    def off_by_one(spec, j1_x2, j2_x2):
+        return real(spec, j1_x2, j2_x2) + (spec == GraphSpec(7, 3))
+
+    terwilliger.enumerate_modules.cache_clear()
+    monkeypatch.setattr(terwilliger, "module_degeneracy", off_by_one)
+    try:
+        result = check_module_completeness(graph_sizes(2, 30))
+        assert (result.passed, result.worst) == (False, 1.0)
+        capsys.readouterr()
+        assert run(["verify", "--quick", "--output", str(tmp_path / "verify.json")]) == 1
+        assert "FAIL module_completeness (worst 1)" in capsys.readouterr().err.splitlines()
+    finally:
+        monkeypatch.undo()
+        terwilliger.enumerate_modules.cache_clear()
+
+
 def test_dense_cap_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("JE_DENSE_CAP", "10")
     assert run(["entropy", "--n", "8", "--k", "4", "--cutoff", "1", "--route", "oracle"]) == 3

@@ -284,6 +284,47 @@ def test_module_table_fetches_each_new_column_once(monkeypatch):
     assert np.array_equal(again[0], first[0])
 
 
+@pytest.mark.parametrize("n, k", [(10, 5), (11, 4)])
+def test_blocks_stack_equals_each_block_alone_and_the_cg_product(n, k):
+    """One stack per size mixes level counts 0..k+1 and whole chains; J(11,4)'s one-row stack holds whole chains too.
+
+    Each block equals the same block built alone, bit for bit, and G G^T
+    built from :func:`cg_column` to 1e-15.
+    """
+    spec = GraphSpec(n, k)
+    table = ModuleTable(spec)
+    base = n - 2 * k
+    rng = np.random.default_rng(n)
+    fillings = [list(range(c)) for c in range(k + 2)]
+    fillings += [sorted(rng.choice(k + 1, c, replace=False).tolist()) for c in range(1, k + 1)]
+    whole = set()  # the sizes whose stack holds whole chains
+    for size in range(1, k + 2):
+        ms, rows, levels = [], [], []
+        for m, label in enumerate(table.labels):
+            if label.dim >= size:
+                for occupied in fillings:
+                    ms.append(m)
+                    rows.append(sorted(rng.choice(label.distances, size, replace=False).tolist()))
+                    levels.append(occupied + [k + 1] * (k + 1 - len(occupied)))
+        ms, rows, levels = np.array(ms), np.array(rows), np.array(levels)
+        counts = ((levels >= table.level_lo[ms, None]) & (levels <= table.level_hi[ms, None])).sum(axis=1)
+        assert set(counts.tolist()) == set(range(k + 2))
+        if size in table.dim[ms]:
+            whole.add(size)
+        stack = table.blocks(ms, rows, levels)
+        for b, (m, row, occ) in enumerate(zip(ms, rows, levels)):
+            alone = table.blocks(ms[b : b + 1], rows[b : b + 1], levels[b : b + 1])[0]
+            assert stack[b].tobytes() == alone.tobytes(), (size, b)
+            label = table.labels[m]
+            g = np.zeros((size, 0))
+            for lev in occ[(occ >= table.level_lo[m]) & (occ <= table.level_hi[m])].tolist():
+                column = np.array(cg_column(base + 2 * lev, label.j1_x2, label.j2_x2, base))
+                g = np.column_stack([g, column[row - label.i_min]])
+            assert np.max(np.abs(stack[b] - g @ g.T), initial=0.0) <= 1e-15, (size, b)
+    assert whole == set(table.dim.tolist())
+    assert (1 in whole) == (n == 11)
+
+
 @pytest.mark.parametrize("n", range(2, 15))
 def test_coupling_store_reads_as_the_dense_table(n):
     """Each module's whole chain against every level 0..k: its column on admissible levels, an exact 0.0 elsewhere."""
