@@ -1,22 +1,11 @@
 """Commuting tridiagonal operator route for multi-neighborhood subsystems.
 
-T = {A, A*} + mu A* + nu A is tridiagonal on every module chain.  Choosing
-mu = -(theta_{j0+1} + theta_j0) and nu = -(theta*_{N+1} + theta*_N) makes the
-couplings across the filling cut j0 and the subsystem cut N vanish exactly,
-so T commutes with both projectors and hence with the chopped correlation
-matrix.  T has a well-spread simple spectrum where the correlation matrix
-clusters against 0 and 1, so diagonalizing T and reading the correlation
-eigenvalues from Rayleigh quotients is the numerically comfortable path at
-large n.
-
-The A ladder a and its diagonal b over the chain rows come from the graph's
-:class:`.terwilliger.ModuleTable`, theta* at the rows read, and T is affine
-in (mu, nu) on them, so every block's T comes out of one vector expression.
-Many grid points of one or many graphs are solved together: their
-subsystem blocks of T are stacked by size across the points and graphs,
-each stack is diagonalized by one ``eigh`` call, and the Rayleigh quotients
-of a stack are read in one batched product.  Only blocks whose T spectrum
-clusters take the per-block fallback.
+T = {A, A*} + mu A* + nu A is tridiagonal on every module chain, and its
+weights make the couplings across the filling cut j0 and the subsystem cut N
+vanish exactly (the README's route 3).  T's A ladder comes from the graph's
+:class:`.terwilliger.ModuleTable` and theta* at the rows read, so every
+block's T comes out of one vector expression, and the stacked blocks of
+many points and graphs are diagonalized by one ``eigh`` call per size.
 
 :func:`plan` says whether a point needs T and refuses those where T does not
 exist.  :func:`spectra` is the one route dispatch for the command line, the
@@ -97,15 +86,32 @@ def plan(spec: GraphSpec, filling: FillingSpec, sub: SubsystemSpec) -> HeunSpec 
     without T.  Else the :class:`HeunSpec` of a ball 0..N with the lowest
     levels filled up to j0, or the reason T does not exist.
     """
+    return _planner(spec)(filling, sub)
+
+
+def _planner(spec: GraphSpec):
+    """:func:`plan` for the points of one graph, with its labels, filled prefixes and weights built once."""
     labels = level_labels_x2(spec)
-    distances, occupied = set(sub.distances), set(filling.occupied)
-    if distances == set(range(spec.k + 1)) or not occupied or occupied == set(labels):
-        return None
-    if distances != set(range(max(distances) + 1)):
-        return "the T-readout route needs contiguous distances 0..N"
-    if occupied != set(labels[: len(occupied)]):
-        return "the T-readout route needs the lowest levels filled contiguously"
-    return heun_spec(spec, max(distances), labels[len(occupied) - 1])
+    whole, full = frozenset(range(spec.k + 1)), frozenset(labels)
+    # each filled prefix of the levels, neither empty nor full, and its top level j0
+    tops = {frozenset(labels[:count]): labels[count - 1] for count in range(1, len(labels))}
+    weights: dict[tuple[int, int], HeunSpec] = {}
+
+    def planned(filling: FillingSpec, sub: SubsystemSpec) -> HeunSpec | str | None:
+        distances, occupied = sub.distances, filling.occupied
+        if distances == whole or not occupied or occupied == full:
+            return None
+        n_cut = max(distances)
+        if distances != set(range(n_cut + 1)):
+            return "the T-readout route needs contiguous distances 0..N"
+        if occupied not in tops:
+            return "the T-readout route needs the lowest levels filled contiguously"
+        cuts = n_cut, tops[occupied]
+        if cuts not in weights:
+            weights[cuts] = heun_spec(spec, *cuts)
+        return weights[cuts]
+
+    return planned
 
 
 def dual_eigenvalue_at_distance(i: int | np.ndarray, spec: GraphSpec) -> float | np.ndarray:
@@ -192,8 +198,9 @@ def spectra_via_heun(groups) -> Iterator[CorrelationSpectrum]:
     """
     tables, weights = [], []
     for spec, configs in groups:
+        planned = _planner(spec)
         for filling, sub in configs:
-            hs = plan(spec, filling, sub)
+            hs = planned(filling, sub)
             if isinstance(hs, str):
                 raise ConfigError(hs)
             weights.append((np.nan, np.nan) if hs is None else (hs.mu, hs.nu))

@@ -2,18 +2,11 @@
 
 The hopping Hamiltonian sum_i alpha_i A_i is simultaneously diagonalized by
 the adjacency eigenspaces; theta_j = j(j+1) - (n-2k)^2/4 - n/2 labels them by
-a (half-)integer j running from n/2 - k to n/2.  J(n, k) is distance-regular,
-so each eigenprojector is a function of graph distance alone, an exact
-rational per distance (Delsarte 1973; Brouwer, Cohen and Neumaier,
-*Distance-Regular Graphs*, 1989, 9.1).  The oracle sums the occupied ones
-into the correlation kernel f, rounds it once per distance and reads the
-chopped correlation matrix off the subsystem's distances, at dense scale
-only, as the reference for the two structured routes.
-:func:`oracle_spectra` solves many points of a graph at once: each
-subsystem's distance matrix is built once, its fillings' matrices are read
-off it into stacks of bounded size, and each stack is solved by one
-``eigvalsh`` call; :func:`chopped_correlation_oracle` and
-:func:`spectrum_oracle` are the one-matrix steps.
+a (half-)integer j running from n/2 - k to n/2.  The oracle, the reference
+for the two structured routes at dense scale, is the README's route 1:
+:func:`oracle_spectra` solves a graph's points in stacks, and
+:func:`chopped_correlation_oracle` and :func:`spectrum_oracle` are its
+one-matrix steps.
 """
 
 from __future__ import annotations
@@ -231,29 +224,35 @@ def fill_ground_state(table: EnergyTable, include_zero_modes: bool = False) -> F
 
 
 @lru_cache(maxsize=64)
-def _level_kernel(spec: GraphSpec, j_x2: int) -> tuple[Fraction, ...]:
-    """Exact entry of the eigenprojector E_j at each distance d = 0..k.
+def _level_kernel(spec: GraphSpec, j_x2: int) -> tuple[int, ...]:
+    """Integer numerator m_j P_d(i) of the eigenprojector E_j's entry at each distance d = 0..k.
 
-    J(n, k) is distance-regular, so E_j[x, y] = m_i P_d(i) / (C(n, k) v_d)
+    J(n, k) is distance-regular, so E_j[x, y] = m_j P_d(i) / (C(n, k) v_d)
     with i = n/2 - j, d = d(x, y), v_d = C(k, d) C(n-k, d) and the Eberlein
-    sum P_d(i) = sum_t (-1)^t C(i, t) C(k-i, d-t) C(n-k-i, d-t).
+    sum P_d(i) = sum_t (-1)^t C(i, t) C(k-i, d-t) C(n-k-i, d-t).  The
+    denominator C(n, k) v_d is the same for every level.
     """
     n, k, comb = spec.n, spec.k, math.comb
     i = (n - j_x2) // 2
     m = level_degeneracy(j_x2, spec)
     return tuple(
-        Fraction(
-            m * sum((-1) ** t * comb(i, t) * comb(k - i, d - t) * comb(n - k - i, d - t) for t in range(d + 1)),
-            spec.vertex_count * comb(k, d) * comb(n - k, d),
-        )
+        m * sum((-1) ** t * comb(i, t) * comb(k - i, d - t) * comb(n - k - i, d - t) for t in range(d + 1))
         for d in range(k + 1)
     )
 
 
 @lru_cache(maxsize=32)
 def _correlation_kernel(spec: GraphSpec, occupied: frozenset[int]) -> np.ndarray:
-    """Read-only f with f[d] the ground-state correlation at distance d: the occupied E_j summed exactly, rounded once."""
-    f = np.array([float(sum(_level_kernel(spec, j_x2)[d] for j_x2 in occupied)) for d in range(spec.k + 1)])
+    """Read-only f with f[d] the ground-state correlation at distance d.
+
+    The occupied levels' integer numerators are summed exactly and divided
+    once by the shared denominator C(n, k) v_d: one correctly rounded quotient.
+    """
+    n, k, comb = spec.n, spec.k, math.comb
+    f = np.array([
+        sum(_level_kernel(spec, j_x2)[d] for j_x2 in occupied) / (spec.vertex_count * comb(k, d) * comb(n - k, d))
+        for d in range(k + 1)
+    ])
     f.flags.writeable = False
     return f
 
@@ -353,7 +352,7 @@ def _group_bounds(values, mults, owners, count: int):
     if exact.dtype != np.int64 or np.bincount(owners, weights, minlength=count).max(initial=0) >= 2.0**62:
         exact = np.asarray(mults, dtype=object)
         weights = exact.astype(np.float64)
-    order = np.lexsort((weights, values, owners))
+    order = _merge_order(values, weights, owners, count)
     values, weights, exact, owners = values[order], weights[order], exact[order], owners[order]
     # a gap over GROUP_TOL always starts a group: the anchor sits at or below the previous value
     first = np.ones(len(values), dtype=bool)
@@ -374,6 +373,19 @@ def _group_bounds(values, mults, owners, count: int):
     # each point's first pair starts a group and its last pair ends one
     edges = np.searchsorted(bounds, np.searchsorted(owners, np.arange(count + 1)))
     return values * weights, exact, bounds, edges
+
+
+def _merge_order(values: np.ndarray, weights: np.ndarray, owners: np.ndarray, count: int) -> np.ndarray:
+    """The stable order by owner, then value, then weight: ``np.lexsort((weights, values, owners))``.
+
+    A stable sort of the complex key value + i weight, which compares real
+    parts first, then a stable sort by owner, in the narrowest unsigned type
+    that holds ``count``, so that at most 2^16 points take a radix sort.
+    """
+    key = np.empty(len(values), dtype=np.complex128)
+    key.real, key.imag = values, weights
+    order = np.argsort(key, kind="stable")
+    return order[np.argsort(owners[order].astype(np.min_scalar_type(count)), kind="stable")]
 
 
 def _merge_points(products, exact, bounds, edges) -> Iterator[tuple]:

@@ -37,12 +37,13 @@ from .spectral import (
 )
 
 __all__ = [
+    "ModuleGrid",
     "ModuleLabel",
     "ModuleTable",
     "enumerate_modules",
+    "module_grid",
     "module_table",
     "size_groups",
-    "module_degeneracy",
     "level_degeneracy",
     "module_admissible_levels",
     "module_correlation_block",
@@ -78,48 +79,90 @@ class ModuleLabel:
         return range(self.i_min, self.i_max + 1)
 
 
-def module_degeneracy(spec: GraphSpec, j1_x2: int, j2_x2: int) -> int:
-    """Multiplicity D_(j1, j2) = (2j1+1)(2j2+1) C(n-k+1, s) C(k+1, t) / ((n-k+1)(k+1)).
+class ModuleGrid:
+    """The modules of a run of graphs, graph g's at rows ``bounds[g]:bounds[g + 1]``, each in ascending (j1_x2, j2_x2).
 
-    s and t are the depths (n-k)/2 - j1 and k/2 - j2.  The value is always a
-    positive integer; exact integer division asserts that.
+    ``failed`` lists the graphs whose multiplicities are not all integers or
+    do not add up to C(n, k).  A plain class: a dataclass would cost about
+    1 ms of every import.
     """
-    n, k = spec.n, spec.k
-    s = ((n - k) - j1_x2) // 2
-    t = (k - j2_x2) // 2
-    num = (j1_x2 + 1) * (j2_x2 + 1) * math.comb(n - k + 1, s) * math.comb(k + 1, t)
-    den = (n - k + 1) * (k + 1)
-    d, rem = divmod(num, den)
-    if rem:
-        raise ArithmeticError(f"non-integer multiplicity for (j1_x2={j1_x2}, j2_x2={j2_x2})")
-    return d
+
+    def __init__(self, bounds, j1_x2, j2_x2, degeneracy, i_min, i_max, failed: tuple[int, ...]):
+        self.bounds, self.j1_x2, self.j2_x2, self.degeneracy = bounds, j1_x2, j2_x2, degeneracy
+        self.i_min, self.i_max, self.failed = i_min, i_max, failed
+
+
+def module_grid(specs) -> ModuleGrid:
+    """Every module with a nonempty chain of each graph, from one array pass over the closed-form (s, t) grid.
+
+    Module (s, t) has j1 = (n-k)/2 - s and j2 = k/2 - t; its chain runs over
+    i_min = max(s, t) .. i_max = min(n-k-s, k-t), so s <= k.  Multiplicities
+    come from :func:`_multiplicities`; both checks, each an integer
+    multiplicity and the sum of dim * degeneracy equal to C(n, k), are
+    exact.
+    """
+    n = np.array([spec.n for spec in specs], dtype=np.int64)
+    k = np.array([spec.k for spec in specs], dtype=np.int64)
+    depths = np.minimum(k, (n - k) // 2) + 1
+    widths = k // 2 + 1
+    cells = depths * widths
+    g = np.repeat(np.arange(len(n)), cells)
+    c = np.arange(cells.sum()) - np.repeat(np.cumsum(cells) - cells, cells)
+    # cell c of a graph's grid, by descending s then t: ascending (j1, j2)
+    s, t = depths[g] - 1 - c // widths[g], widths[g] - 1 - c % widths[g]
+    i_min, i_max = np.maximum(s, t), np.minimum(n[g] - k[g] - s, k[g] - t)
+    keep = np.flatnonzero(i_min <= i_max)
+    g, s, t, i_min, i_max = g[keep], s[keep], t[keep], i_min[keep], i_max[keep]
+    degeneracy, remainder = _multiplicities(n, k, g, s, t)
+    bounds = np.searchsorted(g, np.arange(len(n) + 1))
+    totals = np.add.reduceat((i_max - i_min + 1) * degeneracy, bounds[:-1])
+    inexact = set(g[remainder != 0].tolist())
+    failed = tuple(
+        at for at, (spec, total) in enumerate(zip(specs, totals)) if at in inexact or total != spec.vertex_count
+    )
+    return ModuleGrid(bounds, n[g] - k[g] - 2 * s, k[g] - 2 * t, degeneracy, i_min, i_max, failed)
+
+
+def _multiplicities(n: np.ndarray, k: np.ndarray, g: np.ndarray, s: np.ndarray, t: np.ndarray):
+    """Each module's multiplicity D = (2j1+1)(2j2+1) C(n-k+1, s) C(k+1, t) / ((n-k+1)(k+1)): quotients and remainders.
+
+    Module r belongs to graph ``g[r]`` of the per-graph ``n`` and ``k``.  The
+    binomials come from one table of the rows n - k + 1 and k + 1 that
+    occur.  They are int64 while the largest numerator times k + 1 fits,
+    which also bounds every graph's sum of dim * degeneracy, and Python ints
+    beyond.
+    """
+    wide, tall = (n - k + 1).tolist(), (k + 1).tolist()
+    rows = sorted(set(wide) | set(tall))
+    table = [[math.comb(m, i) for i in range(rows[-1] + 1)] for m in rows]
+    middle = dict(zip(rows, (row[m // 2] for m, row in zip(rows, table))))
+    top = max(a * b * b * middle[a] * middle[b] for a, b in zip(wide, tall))
+    table = np.array(table, dtype=np.int64 if top < 2**63 else object)
+    slot = np.zeros(rows[-1] + 1, dtype=np.intp)
+    slot[rows] = np.arange(len(rows))
+    a, b = (n - k + 1)[g], (k + 1)[g]
+    num = (a - 2 * s) * (b - 2 * t) * table[slot[a], s] * table[slot[b], t]
+    return num // (a * b), num % (a * b)
+
+
+def _graph_modules(spec: GraphSpec) -> ModuleGrid:
+    """The :func:`module_grid` of one graph; ArithmeticError when it fails a check."""
+    grid = module_grid([spec])
+    if grid.failed:
+        raise ArithmeticError(f"module multiplicities of J({spec.n},{spec.k}) are not integers adding up to C(n, k)")
+    return grid
 
 
 @lru_cache(maxsize=256)
 def enumerate_modules(spec: GraphSpec) -> tuple[ModuleLabel, ...]:
-    """All modules with positive multiplicity and a nonempty chain.
+    """All modules with positive multiplicity and a nonempty chain, as :func:`module_grid` lays them out.
 
     Ordered by ascending (j1_x2, j2_x2).  Completeness holds exactly:
     sum over modules of dim * degeneracy = C(n, k).  Memoized per graph.
     """
-    n, k = spec.n, spec.k
-    labels = []
-    # a chain needs i_min <= i_max, so its depth s = (n-k)/2 - j1 is at most k
-    for s in range(min(k, (n - k) // 2) + 1):
-        j1_x2 = n - k - 2 * s
-        for j2_x2 in range(k % 2, k + 1, 2):
-            t = (k - j2_x2) // 2
-            i_min = max(s, t)
-            i_max = min(n - k - s, k - t)
-            if i_min > i_max:
-                continue
-            labels.append(
-                ModuleLabel(j1_x2, j2_x2, module_degeneracy(spec, j1_x2, j2_x2), i_min, i_max)
-            )
-    labels.sort(key=lambda m: (m.j1_x2, m.j2_x2))
-    if sum(m.dim * m.degeneracy for m in labels) != spec.vertex_count:
-        raise ArithmeticError(f"module dimensions do not add up to C({n},{k})")
-    return tuple(labels)
+    grid = _graph_modules(spec)
+    columns = (grid.j1_x2, grid.j2_x2, grid.degeneracy, grid.i_min, grid.i_max)
+    return tuple(map(ModuleLabel, *(column.tolist() for column in columns)))
 
 
 def module_admissible_levels(label: ModuleLabel, spec: GraphSpec) -> list[int]:
@@ -131,34 +174,55 @@ def module_admissible_levels(label: ModuleLabel, spec: GraphSpec) -> list[int]:
 class ModuleTable:
     """Per-graph module data shared by every block and spectrum evaluation.
 
-    Row m belongs to ``labels[m]``.  Column (m, l) holds the coupling
-    coefficients of the chain rows with the level of index l (doubled label
-    n - 2k + 2l), from :func:`cg_column` the first time a caller asks for it.
-    It is stored once, in chain order, at ``flat[offset[m, l]:]``; ``offset``
-    is -1 until then, and ``flat`` at least doubles when full.  An
-    inadmissible level's column is all zero by the triangle rule.  Use
-    :func:`module_table`, which keeps one table per graph.
+    Row m is module ``labels[m]``.  At n = 2k the two su(2) copies have the
+    same spin, so modules (j1, j2) and (j2, j1) share one chain, one set of
+    levels, one coupling matrix and one ladder; row m reads the data of row
+    ``owner[m]``, the (j2, j1) row when j1 > j2 there and m itself
+    otherwise.  Column (m, l) holds the coupling coefficients of owner m's
+    chain rows with the level of index l (doubled label n - 2k + 2l), from
+    :func:`cg_column` the first time a caller asks for it.  It is stored
+    once, in chain order, at ``flat[offset[m, l]:]``; ``offset`` is -1 until
+    then, and ``flat`` at least doubles when full.  An inadmissible level's
+    column is all zero by the triangle rule.  Use :func:`module_table`,
+    which keeps one table per graph.
     """
 
     def __init__(self, spec: GraphSpec):
         self.spec = spec
-        self.labels = enumerate_modules(spec)
-        self.row = {m: r for r, m in enumerate(self.labels)}
+        n, k = spec.n, spec.k
+        grid = _graph_modules(spec)
+        self.j1_x2, self.j2_x2, self.i_min, self.i_max = grid.j1_x2, grid.j2_x2, grid.i_min, grid.i_max
         # exact counts, each at most C(n, k): int64 below 2^62, Python ints beyond
         counts = np.int64 if spec.vertex_count < 2**62 else object
-        self.degeneracies = np.array([m.degeneracy for m in self.labels], dtype=counts)
+        self.degeneracies = grid.degeneracy.astype(counts)
         self.shells = np.array(shell_sizes(spec), dtype=counts)
-        self.i_min = np.array([m.i_min for m in self.labels])
-        self.i_max = np.array([m.i_max for m in self.labels])
-        base = spec.n - 2 * spec.k
-        self.level_lo = np.array([max(abs(m.j1_x2 - m.j2_x2), base) - base for m in self.labels]) // 2
-        self.level_hi = np.array([m.j1_x2 + m.j2_x2 - base for m in self.labels]) // 2
+        base = n - 2 * k
+        self.level_lo = (np.maximum(np.abs(self.j1_x2 - self.j2_x2), base) - base) // 2
+        self.level_hi = (self.j1_x2 + self.j2_x2 - base) // 2
         self.dim = self.i_max - self.i_min + 1
         if not np.array_equal(self.level_hi - self.level_lo + 1, self.dim):
             raise ArithmeticError("a module chain's length differs from its admissible-level count")
-        self.offset = np.full((len(self.labels), spec.k + 1), -1, dtype=np.intp)
+        self.owner = np.arange(len(self.dim))
+        if n == 2 * k:
+            # rows ascend in (j1, j2), so the key j1 (k + 1) + j2 is sorted
+            twins = np.flatnonzero(self.j1_x2 > self.j2_x2)
+            key = self.j1_x2 * (k + 1) + self.j2_x2
+            self.owner[twins] = np.searchsorted(key, self.j2_x2[twins] * (k + 1) + self.j1_x2[twins])
+        # the blocks each row's solve stands for: 0 for a twin, 1 + its twins' count for an owner
+        self.copies = np.bincount(self.owner, minlength=len(self.dim))
+        self.offset = np.full((len(self.dim), k + 1), -1, dtype=np.intp)
         self.flat = np.empty(0)
         self.size = 0
+
+    @cached_property
+    def labels(self) -> tuple[ModuleLabel, ...]:
+        """:func:`enumerate_modules` of the graph, row by row."""
+        return enumerate_modules(self.spec)
+
+    @cached_property
+    def row(self) -> dict[ModuleLabel, int]:
+        """Each label's row."""
+        return {m: r for r, m in enumerate(self.labels)}
 
     @cached_property
     def ladder(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -173,14 +237,13 @@ class ModuleTable:
         n, k = self.spec.n, self.spec.k
         ends = np.cumsum(self.dim)
         start = ends - self.dim - self.i_min
-        spins = np.array([(m.j1_x2, m.j2_x2) for m in self.labels], dtype=np.int64)
         a, b = np.empty(ends[-1]), np.empty(ends[-1])
         # a fixed number of rows at a time, so the integer temporaries stay small beside a and b
         for lo in range(0, len(a), _LADDER_ROWS):
             hi = min(lo + _LADDER_ROWS, len(a))
             rows = np.arange(lo, hi)
             m = np.searchsorted(ends, rows, side="right")
-            j1, j2 = spins[m].T
+            j1, j2 = self.j1_x2[m], self.j2_x2[m]
             m1_x2 = (n - k) - 2 * (rows - start[m])
             m2_x2 = (n - 2 * k) - m1_x2
             prod = ((j1 + m1_x2) // 2) * ((j1 - m1_x2) // 2 + 1) * ((j2 - m2_x2) // 2) * ((j2 + m2_x2) // 2 + 1)
@@ -195,25 +258,29 @@ class ModuleTable:
         return (np.asarray(levels_x2, dtype=np.intp) - (self.spec.n - 2 * self.spec.k)) // 2
 
     def entries(self, ms: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Stacked G[b, r, c] = <row rows[b, r] | level cols[b, c]> of module ms[b].
+        """Stacked G[b, r, c] = <row rows[b, r] | level cols[b, c]> of module ms[b], read off its owner's columns.
 
         Every row must lie on its module's chain; a level outside the
-        module's admissible range reads an exact 0.  A column not yet stored
-        is fetched first, once.
+        module's admissible range reads an exact 0.  The columns not yet
+        stored are fetched first, once each, as one batch.
         """
-        # fetch every missing column before flat is read: a fetch may replace it
+        ms = self.owner[ms]
         offsets = self.offset[ms[:, None], cols]
         if (offsets < 0).any():
+            # fetch every missing column before flat is read: a fetch may replace it
             blocks, places = np.nonzero(offsets < 0)
+            wanted = np.array(list(dict.fromkeys(zip(ms[blocks].tolist(), cols[blocks, places].tolist()))))
+            lengths = self.dim[wanted[:, 0]]
+            ends = self.size + np.cumsum(lengths)
+            if ends[-1] > len(self.flat):
+                self.flat = np.concatenate((self.flat, np.empty(ends[-1])))
             base = self.spec.n - 2 * self.spec.k
-            for m, lev in dict.fromkeys(zip(ms[blocks].tolist(), cols[blocks, places].tolist())):
-                label = self.labels[m]
-                end = self.size + label.dim
-                if end > len(self.flat):
-                    self.flat = np.concatenate((self.flat, np.empty(end)))
+            for (m, lev), end, length in zip(wanted.tolist(), ends.tolist(), lengths.tolist()):
                 # cg_column orders by descending m1 = ascending i, starting at i_min.
-                self.flat[self.size : end] = cg_column(base + 2 * lev, label.j1_x2, label.j2_x2, base)
-                self.offset[m, lev], self.size = self.size, end
+                j1_x2, j2_x2 = int(self.j1_x2[m]), int(self.j2_x2[m])
+                self.flat[end - length : end] = cg_column(base + 2 * lev, j1_x2, j2_x2, base)
+            self.offset[wanted[:, 0], wanted[:, 1]] = ends - lengths
+            self.size = int(ends[-1])
             offsets = self.offset[ms[:, None], cols]
         return self.flat[offsets[:, None, :] + (rows - self.i_min[ms, None])[:, :, None]]
 
@@ -306,11 +373,13 @@ def stacked_spectra(groups, readout) -> Iterator[CorrelationSpectrum]:
     """Correlation spectra of (table, points) groups, point by point in order, from one stacked pass.
 
     Each point's exact 0/1 blocks are counted into one exact 0 and one exact
-    1 entry.  Every other block is built by its table's :meth:`ModuleTable.blocks`,
-    blocks of equal size are stacked across every point of every group, and
-    ``readout(parts, c)`` turns a stack c into its (stack, size)
-    eigenvalues, where ``parts`` lists (table, points, modules, distances)
-    of c's graphs in order, the points numbered across all groups.
+    1 entry.  Every other owner block is built by its table's
+    :meth:`ModuleTable.blocks`, blocks of equal size are stacked across
+    every point of every group, and ``readout(parts, c)`` turns a stack c
+    into its (stack, size) eigenvalues, where ``parts`` lists (table, points,
+    modules, distances) of c's graphs in order, the points numbered across
+    all groups.  A twin's block and multiplicity equal its owner's at the
+    same point, so each owner block's values are merged once more per twin.
     """
     values, owners, mults = [], [], []
     by_size: dict[int, list] = {}  # size -> (table, first point, dist, levels, points, modules, chain starts)
@@ -324,8 +393,8 @@ def stacked_spectra(groups, readout) -> Iterator[CorrelationSpectrum]:
         values.append(keep // len(configs))
         owners.append(points + keep % len(configs))
         mults.append(counted[keep])
-        for size, flat in size_groups(sizes.ravel()):
-            pts, ms = np.divmod(flat, len(table.labels))
+        for size, flat in size_groups(np.where(table.copies > 0, sizes, 0).ravel()):
+            pts, ms = np.divmod(flat, len(table.dim))
             by_size.setdefault(size, []).append((table, points, dist, levels, pts, ms, start[pts, ms]))
         points += len(configs)
     if not points:
@@ -336,9 +405,10 @@ def stacked_spectra(groups, readout) -> Iterator[CorrelationSpectrum]:
             rows = dist[pts[:, None], start[:, None] + np.arange(size)]
             stack.append(table.blocks(ms, rows, levels[pts]))
             parts.append((table, base + pts, ms, rows))
-        values.append(readout(parts, np.concatenate(stack)).ravel())
-        owners.append(np.repeat(np.concatenate([pts for _, pts, _, _ in parts]), size))
-        mults.append(np.repeat(np.concatenate([table.degeneracies[ms] for table, _, ms, _ in parts]), size))
+        copies = np.concatenate([table.copies[ms] for table, _, ms, _ in parts])
+        values.append(np.repeat(readout(parts, np.concatenate(stack)), copies, axis=0).ravel())
+        owners.append(np.repeat(np.concatenate([pts for _, pts, _, _ in parts]), copies * size))
+        mults.append(np.repeat(np.concatenate([table.degeneracies[ms] for table, _, ms, _ in parts]), copies * size))
     # counts stay Python ints unless every table counts in int64
     merged = group_spectra(
         clamp_unit_interval(np.concatenate(values, dtype=float)), np.concatenate(mults), np.concatenate(owners), points

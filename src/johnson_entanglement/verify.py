@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -179,15 +180,16 @@ def _check_cg_orthonormality(sizes) -> CheckResult:
 
 
 def check_module_completeness(sizes) -> CheckResult:
-    """The graphs whose module enumeration fails its exact multiplicity or completeness assertion."""
-    bad = 0
-    for n, k in sizes:
-        try:
-            terwilliger.enumerate_modules(GraphSpec(n, k))
-        except ArithmeticError:
-            bad += 1
+    """The graphs whose :func:`.terwilliger.module_grid` fails its exact multiplicity or completeness check."""
+    bad = _failed_graphs(tuple(sizes))
     detail = f"sum dim*degeneracy = C(n,k) for n <= {max(n for n, _ in sizes)}"
     return CheckResult("module_completeness", bad == 0, float(bad), detail)
+
+
+@lru_cache(maxsize=8)
+def _failed_graphs(sizes: tuple) -> int:
+    """How many of the (n, k) in ``sizes`` fail the grid's checks, all laid out in one :func:`.terwilliger.module_grid`."""
+    return len(terwilliger.module_grid([GraphSpec(n, k) for n, k in sizes]).failed)
 
 
 def _eigenprojector_traces(spec: GraphSpec, cap) -> dict[int, int]:
@@ -479,23 +481,37 @@ def _check_mirror_symmetry(sizes) -> CheckResult:
 
 
 def run_battery(sizes=None, quick: bool = False, cap: int | None = None) -> list[CheckResult]:
-    """Run the battery; ``quick`` restricts to the fast subset of sizes/checks."""
+    """Run the battery; ``quick`` restricts to the fast subset of sizes/checks.
+
+    A check that raises ArithmeticError, as a broken module enumeration
+    does, fails with worst inf.
+    """
     if sizes is None:
         sizes = QUICK_SIZES if quick else DEFAULT_SIZES
-    results = [
-        _check_scheme_identities(sizes, cap),
-        _check_embedding(sizes, cap),
-        check_hahn_polynomial(sizes, cap),
-        _check_cg_orthonormality(sizes),
-        check_module_completeness(graph_sizes(2, 30)),
-        check_level_degeneracies(sizes, cap),
-        check_action_convention(sizes),
-        check_t_basis_similarity([(n, k, c, j) for n, k in sizes for c in (0, k - 1) for j in (0, k - 1)]),
-        check_route_agreement(sizes, cap),
-        check_hahn_algebra(sizes),
-        check_heun_commutant([(n, k, min(1, k - 1), min(1, k - 1)) for n, k in sizes]),
-        _check_mirror_symmetry(sizes),
+    checks = [
+        ("scheme_identities", _check_scheme_identities, sizes, cap),
+        ("hypercube_embedding", _check_embedding, sizes, cap),
+        ("hahn_polynomial_identity", check_hahn_polynomial, sizes, cap),
+        ("cg_orthonormality", _check_cg_orthonormality, sizes),
+        ("module_completeness", check_module_completeness, graph_sizes(2, 30)),
+        ("level_degeneracies", check_level_degeneracies, sizes, cap),
+        ("action_convention", check_action_convention, sizes),
+        (
+            "t_basis_similarity",
+            check_t_basis_similarity,
+            [(n, k, c, j) for n, k in sizes for c in (0, k - 1) for j in (0, k - 1)],
+        ),
+        ("route_agreement", check_route_agreement, sizes, cap),
+        ("hahn_algebra_residuals", check_hahn_algebra, sizes),
+        ("heun_commutant", check_heun_commutant, [(n, k, min(1, k - 1), min(1, k - 1)) for n, k in sizes]),
+        ("mirror_symmetry", _check_mirror_symmetry, sizes),
     ]
     if not quick:
-        results.append(check_purity_duality(((6, 3), (8, 4)), cap))
+        checks.append(("purity_duality", check_purity_duality, ((6, 3), (8, 4)), cap))
+    results = []
+    for name, check, *args in checks:
+        try:
+            results.append(check(*args))
+        except ArithmeticError as err:
+            results.append(CheckResult(name, False, math.inf, f"raised ArithmeticError: {err}"))
     return results

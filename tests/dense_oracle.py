@@ -24,16 +24,23 @@ from the combination indices and must match it exactly.
 :func:`adjacency_via_polynomial` rebuilds one A_i as its own product of i
 full-size factors; the battery's ``verify._adjacency_polynomial_slabs``
 reads every A_i off one product chain and must match it bit for bit.
+
+:func:`level_kernel_reference` is the eigenprojector E_j at each distance as
+an exact ``Fraction`` per level, and :func:`correlation_kernel_reference`
+sums the occupied ones in ``Fraction`` and rounds each distance once; the
+oracle's kernel sums integer numerators over their shared denominator and
+must give the same floats.
 """
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
 from johnson_entanglement.scheme import adjacency_matrix, distances_from, enumerate_vertices
-from johnson_entanglement.spectral import level_labels_x2, theta_eigenvalue
+from johnson_entanglement.spectral import level_degeneracy, level_labels_x2, theta_eigenvalue
 
 
 @lru_cache(maxsize=4)
@@ -111,3 +118,23 @@ def adjacency_via_polynomial(i: int, spec, cap=None) -> np.ndarray:
         total = total + coef * prod
     sgn = -1.0 if i % 2 else 1.0
     return sgn * math.comb(k, i) * total
+
+
+def level_kernel_reference(spec, j_x2: int) -> tuple[Fraction, ...]:
+    """E_j's entry m_j P_d(i) / (C(n, k) C(k, d) C(n-k, d)) at each distance d = 0..k, as exact Fractions."""
+    n, k, comb = spec.n, spec.k, math.comb
+    i = (n - j_x2) // 2
+    m = level_degeneracy(j_x2, spec)
+    return tuple(
+        Fraction(
+            m * sum((-1) ** t * comb(i, t) * comb(k - i, d - t) * comb(n - k - i, d - t) for t in range(d + 1)),
+            spec.vertex_count * comb(k, d) * comb(n - k, d),
+        )
+        for d in range(k + 1)
+    )
+
+
+def correlation_kernel_reference(spec, occupied) -> list[float]:
+    """The occupied levels' :func:`level_kernel_reference` summed in Fraction, rounded once per distance."""
+    kernels = [level_kernel_reference(spec, j_x2) for j_x2 in occupied]
+    return [float(sum((f[d] for f in kernels), Fraction(0))) for d in range(spec.k + 1)]

@@ -255,26 +255,40 @@ def test_verify_quick(tmp_path):
 
 
 def test_verify_reports_a_broken_module_enumeration_as_a_failure(tmp_path, monkeypatch, capsys):
-    """A multiplicity off by one at J(7,3) fails module_completeness with worst 1 and exit 1, not a traceback."""
-    from johnson_entanglement import terwilliger
+    """A multiplicity off by one at J(7,3) fails module_completeness with worst 1 and exit 1, not a traceback.
+
+    The grid's multiplicity step is broken, so every table built for J(7,3)
+    raises too: each check that builds one reports FAIL with worst inf.
+    """
+    from johnson_entanglement import terwilliger, verify
     from johnson_entanglement.verify import check_module_completeness, graph_sizes
 
-    real = terwilliger.module_degeneracy
+    real = terwilliger._multiplicities
 
-    def off_by_one(spec, j1_x2, j2_x2):
-        return real(spec, j1_x2, j2_x2) + (spec == GraphSpec(7, 3))
+    def off_by_one(n, k, g, s, t):
+        degeneracy, remainder = real(n, k, g, s, t)
+        return degeneracy + ((n[g] == 7) & (k[g] == 3)), remainder
 
-    terwilliger.enumerate_modules.cache_clear()
-    monkeypatch.setattr(terwilliger, "module_degeneracy", off_by_one)
+    def clear_caches():
+        for cached in (terwilliger.enumerate_modules, terwilliger.module_table, verify._failed_graphs):
+            cached.cache_clear()
+
+    clear_caches()
+    monkeypatch.setattr(terwilliger, "_multiplicities", off_by_one)
     try:
         result = check_module_completeness(graph_sizes(2, 30))
         assert (result.passed, result.worst) == (False, 1.0)
         capsys.readouterr()
         assert run(["verify", "--quick", "--output", str(tmp_path / "verify.json")]) == 1
         assert "FAIL module_completeness (worst 1)" in capsys.readouterr().err.splitlines()
+        assert run(["verify", "--quick", "--sizes", "7:3", "--output", str(tmp_path / "verify73.json")]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert "FAIL module_completeness (worst 1)" in lines
+        assert "FAIL cg_orthonormality (worst inf)" in lines
+        assert "pass scheme_identities (worst 0)" in lines
     finally:
         monkeypatch.undo()
-        terwilliger.enumerate_modules.cache_clear()
+        clear_caches()
 
 
 def test_dense_cap_env_var(tmp_path, monkeypatch):

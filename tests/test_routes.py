@@ -139,6 +139,50 @@ def test_counted_exact_blocks_match_solving_every_block(n, monkeypatch):
         assert counted_heun == solved_heun and repr(counted_heun) == repr(solved_heun), (n, k)
 
 
+def _figure_groups(figure, graphs):
+    """The (graph, points) groups of a figure sweep's grid, for the graphs among ``graphs``."""
+    from types import SimpleNamespace
+
+    from johnson_entanglement import cli
+
+    groups = []
+    for n, k in graphs:
+        args = SimpleNamespace(figure=figure, n=n, k=k, fill_levels=None)
+        for spec, points in {"fig2a": cli._fig2a, "fig2b": cli._fig2b, "fig3b": cli._fig3b}[figure](args):
+            if (spec.n, spec.k) in graphs and all(g[0] != spec for g in groups):
+                x0 = default_base_vertex(spec)
+                groups.append((spec, [(_bottom(spec, fill), SubsystemSpec(frozenset(d), x0)) for fill, d, _ in points]))
+    return groups
+
+
+@pytest.mark.parametrize(
+    "figure, graphs",
+    [
+        ("fig2a", graph_sizes(8, 14)),
+        ("fig2b", graph_sizes(2, 14)),
+        ("fig3b", graph_sizes(2, 14)),
+        ("fig3b", [(30, 15)]),
+    ],
+)
+def test_stacked_spectra_equal_solving_every_block_on_the_figure_grids(figure, graphs, monkeypatch):
+    # each twin block takes its owner's values: the spectra are those of
+    # solving every block, repr for repr, on both routes (heun on the balls)
+    import johnson_entanglement.heun as heun_module
+    import johnson_entanglement.terwilliger as terwilliger_module
+
+    groups = _figure_groups(figure, graphs)
+    assert groups
+    runs = [("modules", groups)]
+    if figure == "fig3b":
+        # the whole filling has no T weights; the reference would hand its exact blocks to the T readout
+        runs.append(("heun", [(spec, [p for p in configs if plan(spec, *p) is not None]) for spec, configs in groups]))
+    got = [[s.entries for s in spectra(points, route)] for route, points in runs]
+    monkeypatch.setattr(terwilliger_module, "stacked_spectra", solve_every_block)
+    monkeypatch.setattr(heun_module, "stacked_spectra", solve_every_block)
+    want = [[s.entries for s in spectra(points, route)] for route, points in runs]
+    assert repr(got) == repr(want)
+
+
 @pytest.mark.parametrize("n", range(2, 11))
 def test_heun_counts_the_points_that_need_no_T(n, monkeypatch):
     # the whole graph under every lowest filling, and every ball under the
@@ -197,10 +241,13 @@ def test_spectra_max_diff_walks_interleaved_runs():
 
 
 def _block_sizes(spec, hss, keep):
-    """Sizes over one row of the ball blocks of every point, for the modules ``keep(label, hs)`` selects."""
-    sizes = [
-        min(m.i_max, hs.n_cut) - m.i_min + 1 for hs in hss for m in enumerate_modules(spec) if keep(m, hs)
-    ]
+    """Sizes over one row of the solved ball blocks of every point, for the modules ``keep(label, hs)`` selects.
+
+    At n = 2k a (j1, j2) block with j1 > j2 is its (j2, j1) owner's block
+    and is not solved again.
+    """
+    owners = [m for m in enumerate_modules(spec) if spec.n != 2 * spec.k or m.j1_x2 <= m.j2_x2]
+    sizes = [min(m.i_max, hs.n_cut) - m.i_min + 1 for hs in hss for m in owners if keep(m, hs)]
     return sorted(s for s in sizes if s > 1)
 
 

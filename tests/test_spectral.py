@@ -54,8 +54,10 @@ from cg_oracle import _dual_hahn_rational
 from dense_oracle import (
     adjacency_via_polynomial,
     chopped_correlation_reference,
+    correlation_kernel_reference,
     indicator_sum_distances,
     level_blocks_reference,
+    level_kernel_reference,
     pairwise_distances,
     subsystem_indices,
 )
@@ -364,7 +366,7 @@ def test_level_kernels_satisfy_the_three_term_recurrence():
         b = [(k - d) * (n - k - d) for d in range(k + 1)]
         c = [d * d for d in range(k + 1)]
         for j_x2 in level_labels_x2(spec):
-            f = spectral._level_kernel(spec, j_x2) + (Fraction(0),)
+            f = level_kernel_reference(spec, j_x2) + (Fraction(0),)
             theta = Fraction(j_x2 * (j_x2 + 2) - (n - 2 * k) ** 2, 4) - Fraction(n, 2)
             assert f[0] == Fraction(spectral.level_degeneracy(j_x2, spec), spec.vertex_count)
             for d in range(k + 1):
@@ -611,6 +613,33 @@ def test_warm_oracle_still_checks_capacity():
         next(heun.spectra([(spec, [(filling, SubsystemSpec(frozenset(range(4)), sub.x0))])], "oracle", cap=10))
 
 
+@given(st.data())
+def test_merge_order_is_the_lexsort_order(data):
+    # drawn from few values and weights, so exact ties and signed zeros are common
+    size = data.draw(st.integers(0, 60))
+    pick = lambda pool: np.array(data.draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size)))
+    values = pick([0.0, -0.0, 1.0, 0.25, 0.5000000001, 0.5, 1e-300, -1e-9])
+    weights = pick([1.0, 2.0, 3.0, 0.0, -0.0, 1e18, 2.0**63])
+    owners = pick([0, 1, 2, 255, 256, 65_535, 65_536, 70_000]).astype(np.intp)
+    for count in [70_001] + ([256] if owners.max(initial=0) < 256 else []):
+        got = spectral._merge_order(values, weights, owners, count)
+        assert np.array_equal(got, np.lexsort((weights, values, owners)))
+
+
+def test_integer_kernel_equals_the_fraction_sum():
+    # one division of the summed integer numerators gives the correctly
+    # rounded Fraction sum, entry for entry, on every balanced graph up to
+    # J(60,30) under every lowest filling
+    for k in range(2, 31):
+        spec = GraphSpec(2 * k, k)
+        labels = level_labels_x2(spec)
+        for fill in range(k + 2):
+            got = spectral._correlation_kernel(spec, frozenset(labels[:fill]))
+            want = correlation_kernel_reference(spec, labels[:fill])
+            assert [x.hex() for x in got.tolist()] == [x.hex() for x in want], (k, fill)
+        spectral._correlation_kernel.cache_clear()
+
+
 def test_cached_eigenvector_blocks_are_read_only():
     # a level's eigenvector block Q_j is cached as its kernel f_j, with
     # E_j = Q_j Q_j^T = f_j read off the distances: exact and immutable
@@ -619,7 +648,7 @@ def test_cached_eigenvector_blocks_are_read_only():
     for j_x2 in level_labels_x2(spec):
         f_j = spectral._level_kernel(spec, j_x2)
         assert isinstance(f_j, tuple) and len(f_j) == 4
-        assert all(isinstance(x, Fraction) for x in f_j)
+        assert all(isinstance(x, int) for x in f_j)
     f = spectral._correlation_kernel(spec, frozenset(level_labels_x2(spec)[:2]))
     assert f.shape == (4,)
     assert not f.flags.writeable

@@ -26,15 +26,29 @@ from johnson_entanglement.terwilliger import (
     level_degeneracy,
     module_admissible_levels,
     module_correlation_block,
-    module_degeneracy,
+    module_grid,
     stacked_spectra,
 )
-from johnson_entanglement import verify
+from johnson_entanglement import heun, verify
 from johnson_entanglement.verify import _hahn_residuals, spectra_max_diff
 
 
 def _by_spins(spec):
     return {(m.j1_x2, m.j2_x2): m for m in enumerate_modules(spec)}
+
+
+def module_degeneracy(spec, j1_x2, j2_x2):
+    """Reference multiplicity D_(j1, j2) = (2j1+1)(2j2+1) C(n-k+1, s) C(k+1, t) / ((n-k+1)(k+1)), one module at a time.
+
+    s and t are the depths (n-k)/2 - j1 and k/2 - j2; the exact division
+    must leave no remainder.
+    """
+    n, k = spec.n, spec.k
+    s = ((n - k) - j1_x2) // 2
+    t = (k - j2_x2) // 2
+    d, rem = divmod((j1_x2 + 1) * (j2_x2 + 1) * math.comb(n - k + 1, s) * math.comb(k + 1, t), (n - k + 1) * (k + 1))
+    assert rem == 0, (spec, j1_x2, j2_x2)
+    return d
 
 
 def _enumerate_modules_scan(spec):
@@ -60,6 +74,43 @@ def test_enumerate_modules_matches_full_scan():
     for n, k in verify.graph_sizes(2, 40):
         spec = GraphSpec(n, k)
         assert enumerate_modules(spec) == _enumerate_modules_scan(spec), (n, k)
+
+
+def _grid_labels(grid, g):
+    """Graph g's modules of ``grid`` as labels."""
+    rows = slice(grid.bounds[g], grid.bounds[g + 1])
+    columns = (grid.j1_x2, grid.j2_x2, grid.degeneracy, grid.i_min, grid.i_max)
+    return tuple(map(ModuleLabel, *(column[rows].tolist() for column in columns)))
+
+
+def test_module_grid_matches_full_scan():
+    # every graph with n <= 40 in one int64 pass, then three Python-int passes
+    specs = [GraphSpec(n, k) for n, k in verify.graph_sizes(2, 40)]
+    grid = module_grid(specs)
+    assert grid.failed == () and grid.degeneracy.dtype == np.int64
+    assert len(grid.bounds) == len(specs) + 1
+    for g, spec in enumerate(specs):
+        assert _grid_labels(grid, g) == _enumerate_modules_scan(spec), spec
+    for spec in (GraphSpec(64, 32), GraphSpec(66, 33), GraphSpec(1000, 500)):
+        grid = module_grid([spec])
+        assert grid.failed == () and grid.degeneracy.dtype == object
+        assert _grid_labels(grid, 0) == _enumerate_modules_scan(spec), spec
+
+
+def test_module_grid_reports_the_graphs_that_fail_a_check(monkeypatch):
+    # a remainder fails the divisibility check, a changed quotient the completeness sum
+    specs = [GraphSpec(7, 3), GraphSpec(8, 4), GraphSpec(9, 4)]
+    real = terwilliger._multiplicities
+    for broken in (lambda d, r, hit: (d, r + hit), lambda d, r, hit: (d + hit, r)):
+        def step(n, k, g, s, t):
+            return broken(*real(n, k, g, s, t), (n[g] == 8) & (s == 0) & (t == 0))
+
+        monkeypatch.setattr(terwilliger, "_multiplicities", step)
+        assert module_grid(specs).failed == (1,)
+        with pytest.raises(ArithmeticError):
+            ModuleTable(GraphSpec(8, 4))
+    monkeypatch.undo()
+    assert module_grid(specs).failed == ()
 
 
 def test_modules_octahedron():
@@ -325,18 +376,26 @@ def test_blocks_stack_equals_each_block_alone_and_the_cg_product(n, k):
     assert (1 in whole) == (n == 11)
 
 
+def _dense_columns(table, label):
+    """``label``'s whole chain against every level 0..k: its column on admissible levels, an exact 0.0 elsewhere."""
+    base = table.spec.n - 2 * table.spec.k
+    m = table.row[label]
+    want = np.zeros((label.dim, table.spec.k + 1))
+    for lev in range(table.level_lo[m], table.level_hi[m] + 1):
+        want[:, lev] = cg_column(base + 2 * lev, label.j1_x2, label.j2_x2, base)
+    return want
+
+
 @pytest.mark.parametrize("n", range(2, 15))
 def test_coupling_store_reads_as_the_dense_table(n):
-    """Each module's whole chain against every level 0..k: its column on admissible levels, an exact 0.0 elsewhere."""
+    """Each module reads its owner's columns byte for byte, and its own columns by ``==``."""
     for k in range(1, n // 2 + 1):
         table = ModuleTable(GraphSpec(n, k))
-        base = n - 2 * k
         for m, label in enumerate(table.labels):
             got = table.entries(np.array([m]), np.array([list(label.distances)]), np.arange(k + 1)[None, :])[0]
-            want = np.zeros((label.dim, k + 1))
-            for lev in range(table.level_lo[m], table.level_hi[m] + 1):
-                want[:, lev] = cg_column(base + 2 * lev, label.j1_x2, label.j2_x2, base)
-            assert got.tobytes() == want.tobytes(), (n, k, label)
+            owner = table.labels[table.owner[m]]
+            assert got.tobytes() == _dense_columns(table, owner).tobytes(), (n, k, label)
+            assert np.array_equal(got, _dense_columns(table, label)), (n, k, label)
 
 
 def test_coupling_store_holds_each_fetched_column_once(monkeypatch):
@@ -424,3 +483,94 @@ def test_hahn_second_relation_holds_off_balance():
 def test_hahn_relations_hold_off_balance():
     # both relations, on every graph with n <= 12, balanced or not
     assert verify.check_hahn_algebra(verify.graph_sizes(2, 12)).passed
+
+
+def _twins(table):
+    """The rows of ``table`` that read another row's data."""
+    return np.flatnonzero(table.owner != np.arange(len(table.dim)))
+
+
+def test_owner_rows_pair_each_mirror_module():
+    for n, k in verify.graph_sizes(2, 30):
+        table = ModuleTable(GraphSpec(n, k))
+        twins = _twins(table)
+        if n != 2 * k:
+            assert len(twins) == 0
+            continue
+        owners = table.owner[twins]
+        assert np.array_equal(table.j1_x2[twins], table.j2_x2[owners])
+        assert np.array_equal(table.j2_x2[twins], table.j1_x2[owners])
+        assert np.all(table.j1_x2[twins] > table.j2_x2[twins])
+        assert np.all(table.owner[owners] == owners)
+        for name in ("i_min", "i_max", "degeneracies", "level_lo", "level_hi"):
+            assert np.array_equal(getattr(table, name)[twins], getattr(table, name)[owners]), (n, name)
+        assert len(twins) == np.count_nonzero(table.j1_x2 > table.j2_x2)
+
+
+def test_twin_columns_equal_their_own_coupling_columns():
+    # what a twin reads from its owner is its own cg_column by ==, so the
+    # aliasing cannot hide a wrong column; only the sign of an exact 0 may differ
+    for k in range(1, 31):
+        spec = GraphSpec(2 * k, k)
+        table = ModuleTable(spec)
+        for m in _twins(table).tolist():
+            label = table.labels[m]
+            steps = np.arange(label.dim)
+            got = table.entries(np.array([m]), (label.i_min + steps)[None, :], (table.level_lo[m] + steps)[None, :])[0]
+            for lev, column in zip((table.level_lo[m] + steps).tolist(), got.T):
+                want = cg_column(2 * lev, label.j1_x2, label.j2_x2, 0)
+                assert column.tolist() == list(want), (k, label, lev)
+
+
+def _unshared(spec):
+    """A table in which every row reads its own columns."""
+    table = ModuleTable(spec)
+    table.owner = np.arange(len(table.dim))
+    return table
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_twin_blocks_equal_their_owner_blocks_bit_for_bit(k):
+    # every contiguous row window of every twin chain under every lowest
+    # filling: C built from the twin's own columns, and T from its own ladder
+    # rows, are byte for byte the owner's
+    spec = GraphSpec(2 * k, k)
+    table, plain = ModuleTable(spec), _unshared(spec)
+    fills = [list(range(fill)) + [k + 1] * (k + 1 - fill) for fill in range(k + 2)]
+    for m in _twins(table).tolist():
+        owner = int(table.owner[m])
+        lo, hi = int(table.i_min[m]), int(table.i_max[m])
+        for size in range(1, hi - lo + 2):
+            rows = np.array([[first + r for r in range(size)] for first in range(lo, hi - size + 2) for _ in fills])
+            levels = np.array(fills * (len(rows) // len(fills)))
+            ms = np.full(len(rows), m)
+            assert plain.blocks(ms, rows, levels).tobytes() == plain.blocks(ms * 0 + owner, rows, levels).tobytes()
+            for n_cut, j0 in ((min(hi - 1, lo + size - 1), k - 1), (lo, 0)):
+                if not 0 <= n_cut < k:
+                    continue
+                hs = heun.heun_spec(spec, n_cut, 2 * j0)
+                mu, nu = np.full(len(rows), hs.mu), np.full(len(rows), hs.nu)
+                t_twin = heun._T_entries(table, mu, nu, ms, rows)
+                t_owner = heun._T_entries(table, mu, nu, ms * 0 + owner, rows)
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(t_twin, t_owner)), (k, m, size)
+
+
+def test_a_whole_balanced_table_fetches_each_owner_column_once(monkeypatch):
+    calls = []
+    real = terwilliger.cg_column
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(terwilliger, "cg_column", spy)
+    table = ModuleTable(GraphSpec(30, 15))
+    for dim, ms in terwilliger.size_groups(table.dim):
+        steps = np.arange(dim)
+        table.entries(ms, table.i_min[ms, None] + steps, table.level_lo[ms, None] + steps)
+    owners = table.owner == np.arange(len(table.dim))
+    assert len(calls) == len(set(calls)) == table.dim[owners].sum() == 240
+    assert table.dim.sum() == 408
+    assert {(j1_x2, j2_x2) for _, j1_x2, j2_x2, _ in calls} == {
+        (m.j1_x2, m.j2_x2) for m in table.labels if m.j1_x2 <= m.j2_x2
+    }
