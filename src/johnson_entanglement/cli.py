@@ -175,7 +175,10 @@ def _fmt(value) -> str:
 
 
 def _json_ready(value):
+    """A float rounded to 12 digits, or None for a non-finite one, which strict JSON cannot hold."""
     if isinstance(value, float):
+        if not math.isfinite(value):
+            return None
         return float(f"{value:.12g}") if value else 0.0
     return value
 

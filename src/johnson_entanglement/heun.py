@@ -90,12 +90,11 @@ def plan(spec: GraphSpec, filling: FillingSpec, sub: SubsystemSpec) -> HeunSpec 
 
 
 def _planner(spec: GraphSpec):
-    """:func:`plan` for the points of one graph, with its labels, filled prefixes and weights built once."""
+    """:func:`plan` for the points of one graph, with its labels and filled prefixes built once."""
     labels = level_labels_x2(spec)
     whole, full = frozenset(range(spec.k + 1)), frozenset(labels)
     # each filled prefix of the levels, neither empty nor full, and its top level j0
     tops = {frozenset(labels[:count]): labels[count - 1] for count in range(1, len(labels))}
-    weights: dict[tuple[int, int], HeunSpec] = {}
 
     def planned(filling: FillingSpec, sub: SubsystemSpec) -> HeunSpec | str | None:
         distances, occupied = sub.distances, filling.occupied
@@ -106,10 +105,7 @@ def _planner(spec: GraphSpec):
             return "the T-readout route needs contiguous distances 0..N"
         if occupied not in tops:
             return "the T-readout route needs the lowest levels filled contiguously"
-        cuts = n_cut, tops[occupied]
-        if cuts not in weights:
-            weights[cuts] = heun_spec(spec, *cuts)
-        return weights[cuts]
+        return heun_spec(spec, n_cut, tops[occupied])
 
     return planned
 

@@ -352,7 +352,7 @@ def _group_bounds(values, mults, owners, count: int):
     if exact.dtype != np.int64 or np.bincount(owners, weights, minlength=count).max(initial=0) >= 2.0**62:
         exact = np.asarray(mults, dtype=object)
         weights = exact.astype(np.float64)
-    order = _merge_order(values, weights, owners, count)
+    order = np.lexsort((weights, values, owners))
     values, weights, exact, owners = values[order], weights[order], exact[order], owners[order]
     # a gap over GROUP_TOL always starts a group: the anchor sits at or below the previous value
     first = np.ones(len(values), dtype=bool)
@@ -373,19 +373,6 @@ def _group_bounds(values, mults, owners, count: int):
     # each point's first pair starts a group and its last pair ends one
     edges = np.searchsorted(bounds, np.searchsorted(owners, np.arange(count + 1)))
     return values * weights, exact, bounds, edges
-
-
-def _merge_order(values: np.ndarray, weights: np.ndarray, owners: np.ndarray, count: int) -> np.ndarray:
-    """The stable order by owner, then value, then weight: ``np.lexsort((weights, values, owners))``.
-
-    A stable sort of the complex key value + i weight, which compares real
-    parts first, then a stable sort by owner, in the narrowest unsigned type
-    that holds ``count``, so that at most 2^16 points take a radix sort.
-    """
-    key = np.empty(len(values), dtype=np.complex128)
-    key.real, key.imag = values, weights
-    order = np.argsort(key, kind="stable")
-    return order[np.argsort(owners[order].astype(np.min_scalar_type(count)), kind="stable")]
 
 
 def _merge_points(products, exact, bounds, edges) -> Iterator[tuple]:

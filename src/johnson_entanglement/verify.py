@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import accumulate
 
 import numpy as np
@@ -50,6 +50,26 @@ class CheckResult:
         object.__setattr__(self, "worst", float(self.worst))
 
 
+def _check(name: str):
+    """Turn a body that returns (passed, worst, detail) into the check ``name``, which returns a CheckResult.
+
+    A body that raises ArithmeticError, as every table build does on a broken
+    module enumeration, fails the check with worst inf instead.
+    """
+
+    def wrap(body):
+        @wraps(body)
+        def check(*args) -> CheckResult:
+            try:
+                return CheckResult(name, *body(*args))
+            except ArithmeticError as err:
+                return CheckResult(name, False, math.inf, f"raised ArithmeticError: {err}")
+
+        return check
+
+    return wrap
+
+
 def spectra_max_diff(a: CorrelationSpectrum, b: CorrelationSpectrum) -> float:
     """Worst per-eigenvalue gap between two spectra; inf on a size mismatch.
 
@@ -75,7 +95,8 @@ def graph_sizes(lo: int, hi: int) -> list[tuple[int, int]]:
     return [(n, k) for n in range(lo, hi + 1) for k in range(1, n // 2 + 1)]
 
 
-def _check_scheme_identities(sizes, cap) -> CheckResult:
+@_check("scheme_identities")
+def _check_scheme_identities(sizes, cap) -> tuple[bool, float, str]:
     """Distance partition, regularity and projector resolution, one N x N matrix at a time beside the A_i sum.
 
     0/1 matrices that sum to the all-ones matrix are disjoint.  The
@@ -102,7 +123,7 @@ def _check_scheme_identities(sizes, cap) -> CheckResult:
             proj_sum = proj_sum + e_i
             rebuilt = rebuilt + heun_mod.dual_eigenvalue_at_distance(i, spec) * e_i
         worst = max(worst, off, float(np.max(np.abs(proj_sum - 1.0))), float(np.max(np.abs(rebuilt - astar))))
-    return CheckResult("scheme_identities", worst <= 1e-10, worst, "distance partition, regularity, projector resolution")
+    return worst <= 1e-10, worst, "distance partition, regularity, projector resolution"
 
 
 def _diagonal(m: np.ndarray) -> tuple[np.ndarray, int]:
@@ -111,7 +132,8 @@ def _diagonal(m: np.ndarray) -> tuple[np.ndarray, int]:
     return diag, np.count_nonzero(m) - np.count_nonzero(diag)
 
 
-def _check_embedding(sizes, cap) -> CheckResult:
+@_check("hypercube_embedding")
+def _check_embedding(sizes, cap) -> tuple[bool, float, str]:
     """Hamming distances |x| + |y| - 2 x.y of the 0/1 embeddings against twice the graph distances, a slab of rows at a time, in integers."""
     worst = 0
     for n, k in sizes:
@@ -122,7 +144,7 @@ def _check_embedding(sizes, cap) -> CheckResult:
             slab = slice(top, top + _SLAB_ROWS)
             ham = weights[slab, None] + weights[None, :] - 2 * (vecs[slab] @ vecs.T)
             worst = max(worst, int(np.max(np.abs(ham - 2 * scheme.distance_rows(slab, spec, cap)))))
-    return CheckResult("hypercube_embedding", worst == 0.0, worst, "hamming distance doubles graph distance")
+    return worst == 0.0, worst, "hamming distance doubles graph distance"
 
 
 def _adjacency_polynomial_slabs(spec: GraphSpec, cap):
@@ -154,16 +176,18 @@ def _adjacency_polynomial_slabs(spec: GraphSpec, cap):
         yield dist, polys
 
 
-def check_hahn_polynomial(sizes, cap) -> CheckResult:
+@_check("hahn_polynomial_identity")
+def check_hahn_polynomial(sizes, cap) -> tuple[bool, float, str]:
     worst = 0.0
     for n, k in sizes:
         for dist, polys in _adjacency_polynomial_slabs(GraphSpec(n, k), cap):
             for i, poly in enumerate(polys):
                 worst = max(worst, float(np.max(np.abs((dist == i) - poly))))
-    return CheckResult("hahn_polynomial_identity", worst <= 1e-8, worst, "A_i as a degree-i polynomial of A")
+    return worst <= 1e-8, worst, "A_i as a degree-i polynomial of A"
 
 
-def _check_cg_orthonormality(sizes) -> CheckResult:
+@_check("cg_orthonormality")
+def _check_cg_orthonormality(sizes) -> tuple[bool, float, str]:
     worst = 0.0
     probe = [GraphSpec(n, k) for n, k in sizes] + [GraphSpec(30, 15), GraphSpec(29, 13)]
     for spec in probe:
@@ -176,14 +200,15 @@ def _check_cg_orthonormality(sizes) -> CheckResult:
             eye = np.eye(dim)
             worst = max(worst, float(np.max(np.abs(g.swapaxes(1, 2) @ g - eye))))
             worst = max(worst, float(np.max(np.abs(g @ g.swapaxes(1, 2) - eye))))
-    return CheckResult("cg_orthonormality", worst <= 1e-12, worst, "coupling columns orthonormal and complete")
+    return worst <= 1e-12, worst, "coupling columns orthonormal and complete"
 
 
-def check_module_completeness(sizes) -> CheckResult:
+@_check("module_completeness")
+def check_module_completeness(sizes) -> tuple[bool, float, str]:
     """The graphs whose :func:`.terwilliger.module_grid` fails its exact multiplicity or completeness check."""
     bad = _failed_graphs(tuple(sizes))
     detail = f"sum dim*degeneracy = C(n,k) for n <= {max(n for n, _ in sizes)}"
-    return CheckResult("module_completeness", bad == 0, float(bad), detail)
+    return bad == 0, float(bad), detail
 
 
 @lru_cache(maxsize=8)
@@ -209,7 +234,8 @@ def _eigenprojector_traces(spec: GraphSpec, cap) -> dict[int, int]:
     return counts
 
 
-def check_level_degeneracies(sizes, cap) -> CheckResult:
+@_check("level_degeneracies")
+def check_level_degeneracies(sizes, cap) -> tuple[bool, float, str]:
     """The count of adjacency eigenvalues at theta_j against the modules coupling to j, which must equal the closed form."""
     worst = 0.0
     for n, k in sizes:
@@ -221,7 +247,7 @@ def check_level_degeneracies(sizes, cap) -> CheckResult:
                 if abs(m.j1_x2 - m.j2_x2) <= j_x2 <= m.j1_x2 + m.j2_x2
             )
             worst = max(worst, abs(trace - count), abs(count - terwilliger.level_degeneracy(j_x2, spec)))
-    return CheckResult("level_degeneracies", worst < 1e-6, worst, "trace(E_j) equals the module count")
+    return worst < 1e-6, worst, "trace(E_j) equals the module count"
 
 
 def _A_action(label, spec: GraphSpec) -> np.ndarray:
@@ -276,7 +302,8 @@ def _T_level_basis(label, hs, spec: GraphSpec) -> np.ndarray:
     return heun_mod._tridiagonal(diag[None], off[None])[0]
 
 
-def check_action_convention(sizes) -> CheckResult:
+@_check("action_convention")
+def check_action_convention(sizes) -> tuple[bool, float, str]:
     """Each module's A action against theta_j over its admissible levels.
 
     The ladder indexing admits a transcription mirror; matching the spectra
@@ -290,7 +317,7 @@ def check_action_convention(sizes) -> CheckResult:
             levels = terwilliger.module_admissible_levels(label, spec)
             want = np.sort([spectral.theta_eigenvalue(j, spec) for j in levels])
             worst = max(worst, float(np.max(np.abs(got - want))) / max(1.0, float(np.max(np.abs(want)))))
-    return CheckResult("action_convention", worst <= 1e-8, worst, "module A action reproduces theta_j")
+    return worst <= 1e-8, worst, "module A action reproduces theta_j"
 
 
 def _chain_T(table, hs, ms: np.ndarray, dim: int) -> np.ndarray:
@@ -299,7 +326,8 @@ def _chain_T(table, hs, ms: np.ndarray, dim: int) -> np.ndarray:
     return heun_mod._tridiagonal(*heun_mod._T_entries(table, mu, nu, ms, table.i_min[ms, None] + np.arange(dim)))
 
 
-def check_t_basis_similarity(grid) -> CheckResult:
+@_check("t_basis_similarity")
+def check_t_basis_similarity(grid) -> tuple[bool, float, str]:
     """Distance- and level-basis T per module, at each (n, k, n_cut, j0_pos) of ``grid``.
 
     Both bases of every module with one chain length are solved by one ``eigvalsh`` call.
@@ -314,10 +342,11 @@ def check_t_basis_similarity(grid) -> CheckResult:
             w1, w2 = np.split(np.linalg.eigvalsh(np.concatenate([_chain_T(table, hs, ms, dim), level_basis])), 2)
             scale = np.maximum(1.0, np.max(np.abs(w1), axis=1))
             worst = max(worst, float(np.max(np.max(np.abs(w1 - w2), axis=1) / scale)))
-    return CheckResult("t_basis_similarity", worst <= 1e-8, worst, "distance- and level-basis T agree spectrally")
+    return worst <= 1e-8, worst, "distance- and level-basis T agree spectrally"
 
 
-def check_route_agreement(sizes, cap) -> CheckResult:
+@_check("route_agreement")
+def check_route_agreement(sizes, cap) -> tuple[bool, float, str]:
     """Oracle against both structured routes at every ball cut and bottom-run filling.
 
     Every graph's grid goes to each route in one :func:`.heun.spectra` call;
@@ -337,7 +366,7 @@ def check_route_agreement(sizes, cap) -> CheckResult:
     worst = 0.0
     for s_o, s_mod, s_t in zip(*(heun_mod.spectra(groups, r, cap) for r in heun_mod.ROUTES)):
         worst = max(worst, spectra_max_diff(s_o, s_mod), spectra_max_diff(s_o, s_t))
-    return CheckResult("route_agreement", worst <= 1e-8, worst, "oracle, module and T-readout spectra agree")
+    return worst <= 1e-8, worst, "oracle, module and T-readout spectra agree"
 
 
 def _hahn_residuals(spec: GraphSpec):
@@ -373,12 +402,13 @@ def _hahn_residuals(spec: GraphSpec):
         yield label, float(np.max(np.abs(h2))), float(np.max(np.abs(h3)))
 
 
-def check_hahn_algebra(sizes) -> CheckResult:
+@_check("hahn_algebra_residuals")
+def check_hahn_algebra(sizes) -> tuple[bool, float, str]:
     worst = 0.0
     for n, k in sizes:
         for _, h2, h3 in _hahn_residuals(GraphSpec(n, k)):
             worst = max(worst, h2, h3)
-    return CheckResult("hahn_algebra_residuals", worst <= 1e-8, worst, "quadratic commutator relations per module")
+    return worst <= 1e-8, worst, "quadratic commutator relations per module"
 
 
 def _commutator(c: np.ndarray, t: np.ndarray) -> float:
@@ -386,7 +416,8 @@ def _commutator(c: np.ndarray, t: np.ndarray) -> float:
     return float(np.max(np.abs(c @ t - t @ c)))
 
 
-def check_heun_commutant(grid) -> CheckResult:
+@_check("heun_commutant")
+def check_heun_commutant(grid) -> tuple[bool, float, str]:
     """[C, T] on each module block at every (n, k, n_cut, j0_pos) of ``grid``.
 
     The cut couplings of T must be exact zeros in both bases.  Raising mu by 1
@@ -432,10 +463,11 @@ def check_heun_commutant(grid) -> CheckResult:
     detail = "[C, T] residual tiny; perturbed mu breaks it (negative control)"
     if skipped:
         detail += f"; control skipped on {skipped} of {count} configurations, no T block over 1x1"
-    return CheckResult("heun_commutant", worst <= 1e-9 and cuts_zero and control_ok, worst, detail)
+    return worst <= 1e-9 and cuts_zero and control_ok, worst, detail
 
 
-def check_purity_duality(sizes, cap) -> CheckResult:
+@_check("purity_duality")
+def check_purity_duality(sizes, cap) -> tuple[bool, float, str]:
     """S(A) = S(B) for complementary subsystems, each solved directly on its own kernel matrix.
 
     The oracle route solves a cut on its smaller side by this very duality,
@@ -458,12 +490,11 @@ def check_purity_duality(sizes, cap) -> CheckResult:
         entropies = [entropy_mod.von_neumann(s) for s in spectral.oracle_spectra(spec, configs, cap)]
         count += len(configs) // 2
         worst = max([worst, *(abs(s_a - s_b) for s_a, s_b in zip(entropies[::2], entropies[1::2]))])
-    return CheckResult(
-        "purity_duality", worst <= 1e-7 and count >= 20, worst, f"S(SV) = S(complement) on {count} configurations"
-    )
+    return worst <= 1e-7 and count >= 20, worst, f"S(SV) = S(complement) on {count} configurations"
 
 
-def _check_mirror_symmetry(sizes) -> CheckResult:
+@_check("mirror_symmetry")
+def _check_mirror_symmetry(sizes) -> tuple[bool, float, str]:
     groups = []
     for n, k in sizes:
         if n != 2 * k:
@@ -477,41 +508,27 @@ def _check_mirror_symmetry(sizes) -> CheckResult:
     for spec, shells in groups:
         values = [next(entropies) for _ in shells]
         worst = max([worst, *(abs(s_i - s_mirror) for s_i, s_mirror in zip(values, values[::-1]))])
-    return CheckResult("mirror_symmetry", worst <= 1e-8, worst, "S(i) = S(k-i) on balanced graphs")
+    return worst <= 1e-8, worst, "S(i) = S(k-i) on balanced graphs"
 
 
 def run_battery(sizes=None, quick: bool = False, cap: int | None = None) -> list[CheckResult]:
-    """Run the battery; ``quick`` restricts to the fast subset of sizes/checks.
-
-    A check that raises ArithmeticError, as a broken module enumeration
-    does, fails with worst inf.
-    """
+    """Run the battery; ``quick`` restricts to the fast subset of sizes/checks."""
     if sizes is None:
         sizes = QUICK_SIZES if quick else DEFAULT_SIZES
-    checks = [
-        ("scheme_identities", _check_scheme_identities, sizes, cap),
-        ("hypercube_embedding", _check_embedding, sizes, cap),
-        ("hahn_polynomial_identity", check_hahn_polynomial, sizes, cap),
-        ("cg_orthonormality", _check_cg_orthonormality, sizes),
-        ("module_completeness", check_module_completeness, graph_sizes(2, 30)),
-        ("level_degeneracies", check_level_degeneracies, sizes, cap),
-        ("action_convention", check_action_convention, sizes),
-        (
-            "t_basis_similarity",
-            check_t_basis_similarity,
-            [(n, k, c, j) for n, k in sizes for c in (0, k - 1) for j in (0, k - 1)],
-        ),
-        ("route_agreement", check_route_agreement, sizes, cap),
-        ("hahn_algebra_residuals", check_hahn_algebra, sizes),
-        ("heun_commutant", check_heun_commutant, [(n, k, min(1, k - 1), min(1, k - 1)) for n, k in sizes]),
-        ("mirror_symmetry", _check_mirror_symmetry, sizes),
+    results = [
+        _check_scheme_identities(sizes, cap),
+        _check_embedding(sizes, cap),
+        check_hahn_polynomial(sizes, cap),
+        _check_cg_orthonormality(sizes),
+        check_module_completeness(graph_sizes(2, 30)),
+        check_level_degeneracies(sizes, cap),
+        check_action_convention(sizes),
+        check_t_basis_similarity([(n, k, c, j) for n, k in sizes for c in (0, k - 1) for j in (0, k - 1)]),
+        check_route_agreement(sizes, cap),
+        check_hahn_algebra(sizes),
+        check_heun_commutant([(n, k, min(1, k - 1), min(1, k - 1)) for n, k in sizes]),
+        _check_mirror_symmetry(sizes),
     ]
     if not quick:
-        checks.append(("purity_duality", check_purity_duality, ((6, 3), (8, 4)), cap))
-    results = []
-    for name, check, *args in checks:
-        try:
-            results.append(check(*args))
-        except ArithmeticError as err:
-            results.append(CheckResult(name, False, math.inf, f"raised ArithmeticError: {err}"))
+        results.append(check_purity_duality(((6, 3), (8, 4)), cap))
     return results

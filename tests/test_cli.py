@@ -258,7 +258,8 @@ def test_verify_reports_a_broken_module_enumeration_as_a_failure(tmp_path, monke
     """A multiplicity off by one at J(7,3) fails module_completeness with worst 1 and exit 1, not a traceback.
 
     The grid's multiplicity step is broken, so every table built for J(7,3)
-    raises too: each check that builds one reports FAIL with worst inf.
+    raises too: each check that builds one reports FAIL with worst inf, and
+    null in the report, which stays strict JSON.
     """
     from johnson_entanglement import terwilliger, verify
     from johnson_entanglement.verify import check_module_completeness, graph_sizes
@@ -286,6 +287,13 @@ def test_verify_reports_a_broken_module_enumeration_as_a_failure(tmp_path, monke
         assert "FAIL module_completeness (worst 1)" in lines
         assert "FAIL cg_orthonormality (worst inf)" in lines
         assert "pass scheme_identities (worst 0)" in lines
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        report = json.loads((tmp_path / "verify73.json").read_text(), parse_constant=reject)
+        worst = {check["name"]: check["worst"] for check in report["checks"]}
+        assert (report["passed"], worst["cg_orthonormality"], worst["module_completeness"]) == (False, None, 1.0)
     finally:
         monkeypatch.undo()
         clear_caches()

@@ -57,7 +57,6 @@ from dense_oracle import (
     correlation_kernel_reference,
     indicator_sum_distances,
     level_blocks_reference,
-    level_kernel_reference,
     pairwise_distances,
     subsystem_indices,
 )
@@ -360,13 +359,15 @@ def test_layout_order_level_blocks_match_the_vertex_order_reference(n, k):
 def test_level_kernels_satisfy_the_three_term_recurrence():
     # A E_j = theta_j E_j read at distance d: c_d f(d-1) + a_d f(d) + b_d f(d+1)
     # = theta_j f(d), with the intersection numbers b_d = (k-d)(n-k-d) and
-    # c_d = d^2 of J(n, k); and f(0) = m_j / C(n, k) fixes the scale
+    # c_d = d^2 of J(n, k); and f(0) = m_j / C(n, k) fixes the scale.  The
+    # kernel holds the integer numerators over C(n, k) C(k, d) C(n-k, d)
     for n, k in graph_sizes(2, 60):
         spec = GraphSpec(n, k)
         b = [(k - d) * (n - k - d) for d in range(k + 1)]
         c = [d * d for d in range(k + 1)]
+        v = [spec.vertex_count * math.comb(k, d) * math.comb(n - k, d) for d in range(k + 1)]
         for j_x2 in level_labels_x2(spec):
-            f = level_kernel_reference(spec, j_x2) + (Fraction(0),)
+            f = tuple(map(Fraction, spectral._level_kernel(spec, j_x2), v)) + (Fraction(0),)
             theta = Fraction(j_x2 * (j_x2 + 2) - (n - 2 * k) ** 2, 4) - Fraction(n, 2)
             assert f[0] == Fraction(spectral.level_degeneracy(j_x2, spec), spec.vertex_count)
             for d in range(k + 1):
@@ -613,30 +614,18 @@ def test_warm_oracle_still_checks_capacity():
         next(heun.spectra([(spec, [(filling, SubsystemSpec(frozenset(range(4)), sub.x0))])], "oracle", cap=10))
 
 
-@given(st.data())
-def test_merge_order_is_the_lexsort_order(data):
-    # drawn from few values and weights, so exact ties and signed zeros are common
-    size = data.draw(st.integers(0, 60))
-    pick = lambda pool: np.array(data.draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size)))
-    values = pick([0.0, -0.0, 1.0, 0.25, 0.5000000001, 0.5, 1e-300, -1e-9])
-    weights = pick([1.0, 2.0, 3.0, 0.0, -0.0, 1e18, 2.0**63])
-    owners = pick([0, 1, 2, 255, 256, 65_535, 65_536, 70_000]).astype(np.intp)
-    for count in [70_001] + ([256] if owners.max(initial=0) < 256 else []):
-        got = spectral._merge_order(values, weights, owners, count)
-        assert np.array_equal(got, np.lexsort((weights, values, owners)))
-
-
 def test_integer_kernel_equals_the_fraction_sum():
     # one division of the summed integer numerators gives the correctly
-    # rounded Fraction sum, entry for entry, on every balanced graph up to
-    # J(60,30) under every lowest filling
-    for k in range(2, 31):
-        spec = GraphSpec(2 * k, k)
+    # rounded Fraction sum, entry for entry, on every graph up to n = 40 and
+    # every balanced graph up to J(60,30), under every lowest filling
+    sizes = graph_sizes(2, 40) + [(2 * k, k) for k in range(21, 31)]
+    for n, k in sizes:
+        spec = GraphSpec(n, k)
         labels = level_labels_x2(spec)
-        for fill in range(k + 2):
+        for fill in range(len(labels) + 1):
             got = spectral._correlation_kernel(spec, frozenset(labels[:fill]))
             want = correlation_kernel_reference(spec, labels[:fill])
-            assert [x.hex() for x in got.tolist()] == [x.hex() for x in want], (k, fill)
+            assert [x.hex() for x in got.tolist()] == [x.hex() for x in want], (n, k, fill)
         spectral._correlation_kernel.cache_clear()
 
 
