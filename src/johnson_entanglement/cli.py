@@ -3,7 +3,7 @@ verification battery.  Every spectrum but fig4's comes through the one route
 dispatch, :func:`.heun.spectra`; fig4's ``_chain_entropies`` diagonalizes
 single chains itself, without module weights, by design.  Each fig2a-fig3b
 sweep is a list of (graph, points) batches on one route that ``_grid_sweep``
-solves in one call and reads off the entropy reports.
+solves in one call, reading every point's entropy off the merged arrays.
 
 Exit codes: 0 success, 1 verification or cross-route agreement failure,
 2 invalid configuration, 3 dense-capacity overflow.  Output is deterministic:
@@ -17,9 +17,8 @@ import functools
 import itertools
 import json
 import math
-import operator
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, astuple
 
 import numpy as np
 
@@ -234,7 +233,12 @@ def cmd_entropy(args) -> int:
     unit = "bits" if args.bits else "nats"
     scale = 1.0 / entropy_mod.LN2 if args.bits else 1.0
     rows = [
-        {**_report_row(spec, sub, spectra[r], scale), "route": r, "unit": unit, "route_discrepancy": discrepancy}
+        {
+            **_report_row(spec, astuple(entropy_mod.report(spec, sub, spectra[r])), scale),
+            "route": r,
+            "unit": unit,
+            "route_discrepancy": discrepancy,
+        }
         for r in routes
     ]
     fields = [
@@ -261,23 +265,23 @@ def _diagnostics_line(spec, filling, sub) -> str:
     return "heun weights undefined for this configuration" + reason
 
 
-def _report_row(spec: GraphSpec, sub: SubsystemSpec, spectrum, scale: float = 1.0) -> dict:
-    """The graph and every figure of :func:`.entropy.report` by column name, entropies times ``scale``.
+def _report_row(spec: GraphSpec, figures: tuple, scale: float = 1.0) -> dict:
+    """The graph and the :func:`.entropy.figures` of a point by column name, entropies times ``scale``.
 
     ``entropy_per_site`` is another name for ``ratio_subsystem``.
     """
-    rep = entropy_mod.report(spec, sub, spectrum)
-    per_site = rep.ratio_subsystem * scale
+    entropy, size, boundary, cut, per_site, ratio_boundary, ratio_cut = figures
+    per_site *= scale
     return {
         "n": spec.n,
         "k": spec.k,
-        "entropy": rep.entropy_nats * scale,
-        "subsystem_size": rep.subsystem_size,
-        "boundary_size": rep.boundary_size,
-        "cut_size": rep.cut_size,
+        "entropy": entropy * scale,
+        "subsystem_size": size,
+        "boundary_size": boundary,
+        "cut_size": cut,
         "ratio_subsystem": per_site,
-        "ratio_boundary": rep.ratio_boundary * scale,
-        "ratio_cut": rep.ratio_cut * scale,
+        "ratio_boundary": ratio_boundary * scale,
+        "ratio_cut": ratio_cut * scale,
         "entropy_per_site": per_site,
     }
 
@@ -289,18 +293,22 @@ def _grid_sweep(fields, route, grid, args) -> tuple[list[str], list[dict]]:
 
     A point (fill, distances, echo) is the lowest ``fill`` levels and the
     distances from the default base vertex; its row echoes ``echo`` and the fill.
+    Each distinct filling and subsystem is built once.  The entropies come
+    straight off the merged arrays, one :func:`.entropy.entropies` call, and
+    each row from :func:`.entropy.figures`, with its range checks.
     """
     batches = []
     for spec, points in grid(args):
         x0 = default_base_vertex(spec)
-        fillings = {fill: _lowest_levels(spec, fill) for fill, _, _ in points}
-        subs = {d: SubsystemSpec(frozenset(d), x0) for _, d, _ in points}
+        fillings = {fill: _lowest_levels(spec, fill) for fill in {fill for fill, _, _ in points}}
+        subs = {d: SubsystemSpec(frozenset(d), x0) for d in {d for _, d, _ in points}}
         batches.append((spec, [(fillings[fill], subs[d]) for fill, d, _ in points], points))
-    spectra = heun_mod.spectra([(spec, configs) for spec, configs, _ in batches], route)
+    merged = heun_mod.spectra([(spec, configs) for spec, configs, _ in batches], route)
+    entropies = iter(entropy_mod.entropies(merged.values, merged.mults, merged.edges).tolist())
     rows = []
     for spec, configs, points in batches:
-        for (_, sub), (fill, _, echo), spectrum in zip(configs, points, spectra):
-            row = {**_report_row(spec, sub, spectrum), **echo, "fill_levels": fill}
+        for (_, sub), (fill, _, echo), s in zip(configs, points, entropies):
+            row = {**_report_row(spec, entropy_mod.figures(spec, sub.distances, s)), **echo, "fill_levels": fill}
             rows.append({f: row[f] for f in fields})
     return fields, rows
 
@@ -391,19 +399,21 @@ def _chain_entropies(spec: GraphSpec, filling: FillingSpec, runs) -> list[float]
     """Entropy of each chain run (label, first distance, length), without module weights.
 
     Runs of equal length are stacked and solved by one ``eigvalsh``; each
-    run's terms are added strictly left to right, by ascending eigenvalue.
+    run's entropy is one run of :func:`.entropy.entropies` at unit
+    multiplicities, its terms added strictly left to right, by ascending
+    eigenvalue.
     """
     table = terwilliger.module_table(spec)
     occupied = table.level_index(sorted(filling.occupied))
-    entropies = [0.0] * len(runs)
+    entropies = np.zeros(len(runs))
     ms = np.array([table.row[label] for label, _, _ in runs])
     firsts = np.array([first for _, first, _ in runs])
     for length, at in terwilliger.size_groups(np.array([length for _, _, length in runs])):
         rows = firsts[at, None] + np.arange(length)
         c = table.blocks(ms[at], rows, np.broadcast_to(occupied, (len(at), len(occupied))))
-        for r, lams in zip(at.tolist(), spectral.clamp_unit_interval(np.linalg.eigvalsh(c)).tolist()):
-            entropies[r] = functools.reduce(operator.add, map(entropy_mod.binary_entropy, lams), 0.0)
-    return entropies
+        lams = spectral.clamp_unit_interval(np.linalg.eigvalsh(c)).ravel()
+        entropies[at] = entropy_mod.entropies(lams, np.ones(len(lams)), np.arange(0, len(lams) + 1, length))
+    return entropies.tolist()
 
 
 FIG3_FIELDS = [

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from operator import add
+from functools import lru_cache
+
+import numpy as np
 
 from .scheme import GraphSpec, shell_sizes
-from .spectral import CorrelationSpectrum, SubsystemSpec
+from .spectral import CorrelationSpectrum, SubsystemSpec, segment_sums
 
-__all__ = ["EntropyReport", "binary_entropy", "von_neumann", "report"]
+__all__ = ["EntropyReport", "binary_entropy", "entropies", "von_neumann", "figures", "report"]
 
 LN2 = math.log(2.0)
 
@@ -24,13 +25,31 @@ def binary_entropy(lam: float) -> float:
     return -(lam * math.log(lam) + (1.0 - lam) * math.log1p(-lam))
 
 
-def von_neumann(spectrum: CorrelationSpectrum) -> float:
-    """Entanglement entropy in nats; each mode contributes at most ln 2.
+def entropies(values, mults, bounds) -> np.ndarray:
+    """Entropy in nats of each run ``values[bounds[p]:bounds[p + 1]]``: the sum of mult * h(lam) over its values.
 
-    The terms are added strictly left to right, so the float does not depend
-    on how an interpreter's ``sum`` rounds.
+    Each term is bit for bit ``mult * binary_entropy(lam)``, from
+    ``math.log`` and ``math.log1p`` of each value with the multiplicity
+    (int64 or Python int) rounded to a float once; an exact 0 or 1, or a
+    value outside [0, 1], goes through :func:`binary_entropy` itself.  The
+    terms are added strictly left to right by :func:`.spectral.segment_sums`,
+    so an entropy does not depend on how an interpreter's ``sum`` rounds or
+    on which runs share the call.
     """
-    return reduce(add, (mult * binary_entropy(lam) for lam, mult in spectrum.entries), 0.0)
+    lams = values.tolist() if isinstance(values, np.ndarray) else values
+    counts = mults.tolist() if isinstance(mults, np.ndarray) else mults
+    log, log1p = math.log, math.log1p
+    terms = [
+        m * (-(lam * log(lam) + (1.0 - lam) * log1p(-lam)) if 0.0 < lam < 1.0 else binary_entropy(lam))
+        for lam, m in zip(lams, counts)
+    ]
+    return segment_sums(np.array(terms, dtype=np.float64), bounds)
+
+
+def von_neumann(spectrum: CorrelationSpectrum) -> float:
+    """Entanglement entropy in nats of one spectrum, its :func:`entropies`; each mode contributes at most ln 2."""
+    entries = spectrum.entries
+    return float(entropies([lam for lam, _ in entries], [mult for _, mult in entries], (0, len(entries)))[0])
 
 
 @dataclass(frozen=True)
@@ -62,21 +81,26 @@ def _sizes(spec: GraphSpec, distances: frozenset[int]) -> tuple[int, int, int]:
     return size, shells[ordered[-1]] if contiguous else size, sum(shells[i] for i in cut_shells)
 
 
-def report(spec: GraphSpec, sub: SubsystemSpec, spectrum: CorrelationSpectrum) -> EntropyReport:
-    """Entropy plus the area-law ratios S/|SV|, S/|boundary| and S/|cut|.
+def figures(spec: GraphSpec, distances: frozenset[int], s: float) -> tuple:
+    """The fields of :class:`EntropyReport`, in order, for entropy ``s`` of the subsystem at ``distances``.
 
     For a contiguous distance set the boundary is the outermost shell; for
     scattered shells every site is boundary.  Shell i's sites neighbor shells
     i - 1 and i + 1 only, and all of both, so the cut is the shells on either
     side next to a shell on the other: for a ball 0..N < k, shells N and
     N + 1.  Sizes come from the closed neighborhood-size formula, never from
-    enumeration, once per graph and distance set.
+    enumeration, once per graph and distance set.  An entropy below -1e-12
+    or above the size's ln 2 mode bound is an ArithmeticError.
     """
-    size, boundary, cut = _sizes(spec, sub.distances)
-    s = von_neumann(spectrum)
+    size, boundary, cut = _sizes(spec, distances)
     if s < -1e-12:
         raise ArithmeticError("negative entropy")
     s = max(s, 0.0)
     if s > size * LN2 * (1.0 + 1e-12):
         raise ArithmeticError(f"entropy {s:g} exceeds the {size} ln 2 mode bound")
-    return EntropyReport(s, size, boundary, cut, s / size, s / boundary, s / cut if cut else 0.0)
+    return s, size, boundary, cut, s / size, s / boundary, s / cut if cut else 0.0
+
+
+def report(spec: GraphSpec, sub: SubsystemSpec, spectrum: CorrelationSpectrum) -> EntropyReport:
+    """Entropy plus the area-law ratios S/|SV|, S/|boundary| and S/|cut|: the :func:`figures` of its :func:`von_neumann`."""
+    return EntropyReport(*figures(spec, sub.distances, von_neumann(spectrum)))

@@ -2,10 +2,11 @@
 
 T = {A, A*} + mu A* + nu A is tridiagonal on every module chain, and its
 weights make the couplings across the filling cut j0 and the subsystem cut N
-vanish exactly (the README's route 3).  T's A ladder comes from the graph's
-:class:`.terwilliger.ModuleTable` and theta* at the rows read, so every
-block's T comes out of one vector expression, and the stacked blocks of
-many points and graphs are diagonalized by one ``eigh`` call per size.
+vanish exactly (the README's route 3).  T's A ladder comes from each graph's
+:class:`.terwilliger.ModuleTable`, joined across the graphs of a call, and
+theta* at the rows read from each block's (n, k), so the T of every block of
+one size, of every point and graph, comes out of one vector expression and
+is diagonalized by one ``eigh`` call.
 
 :func:`plan` says whether a point needs T and refuses those where T does not
 exist.  :func:`spectra` is the one route dispatch for the command line, the
@@ -25,6 +26,7 @@ from .scheme import ConfigError, GraphSpec, default_base_vertex, neighborhood_si
 from .spectral import (
     CorrelationSpectrum,
     FillingSpec,
+    MergedSpectra,
     SubsystemSpec,
     group_spectra,
     level_degeneracy,
@@ -32,7 +34,7 @@ from .spectral import (
     oracle_spectra,
     theta_eigenvalue,
 )
-from .terwilliger import ModuleLabel, ModuleTable, assemble_spectra, module_table, stacked_spectra
+from .terwilliger import ModuleLabel, ModuleTable, _joined, assemble_spectra, module_table, stacked_spectra
 
 __all__ = [
     "ROUTES",
@@ -115,24 +117,47 @@ def dual_eigenvalue_at_distance(i: int | np.ndarray, spec: GraphSpec) -> float |
 
     Affine in m1 - m2 = n - 4i, with m1 = (n - k)/2 - i and m2 = i - k/2.
     """
-    n, k = spec.n, spec.k
+    return _theta_star(spec.n, spec.k, i)
+
+
+def _theta_star(n, k, i):
+    """theta* at distance i of J(n, k), for integers or integer arrays that broadcast.
+
+    Arrays take the same IEEE operations as Python ints, so each value is
+    bit for bit the scalar one.
+    """
     return -(n - 1) * (n - 2 * k) ** 2 / (4.0 * k * (n - k)) + n * (n - 1) * (n - 4 * i) / (4.0 * k * (n - k))
 
 
-def _T_entries(table: ModuleTable, mu, nu, ms: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """T of module ``ms[s]`` under weights (mu[s], nu[s]): its diagonal at the distances ``rows[s]``.
+def _T_from(a_rows, b_rows, theta_rows, mu, nu) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked T under weights (mu[s], nu[s]), from A's ladder a, its diagonal b and theta* at each block's rows.
 
-    Also each row's coupling to the next; ``rows[s]`` must be a run of
-    consecutive distances on the chain.  theta* there is bit for bit the
-    scalar value, so the cut coupling cancels to an exact 0 against nu.
+    Returns each block's diagonal and each row's coupling to the next; the
+    rows of a block must be consecutive distances on its chain.  theta* is
+    bit for bit the scalar value, so the cut coupling cancels to an exact 0
+    against nu.
     """
-    a, b, start = table.ladder
-    mu, nu = np.asarray(mu)[:, None], np.asarray(nu)[:, None]
-    at = start[ms, None] + rows
-    b_rows, theta_rows = b[at], dual_eigenvalue_at_distance(rows, table.spec)
     diag = nu * b_rows + mu * theta_rows + 2.0 * b_rows * theta_rows
-    off = a[at[:, :-1]] * ((theta_rows[:, 1:] + theta_rows[:, :-1]) + nu)
+    off = a_rows[:, :-1] * ((theta_rows[:, 1:] + theta_rows[:, :-1]) + nu)
     return diag, off
+
+
+def _T_entries(table: ModuleTable, mu, nu, ms: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_T_from` of module ``ms[s]`` of one table under weights (mu[s], nu[s]) at the distances ``rows[s]``."""
+    a, b, start = table.ladder
+    at = start[ms, None] + rows
+    theta_rows = dual_eigenvalue_at_distance(rows, table.spec)
+    return _T_from(a[at], b[at], theta_rows, np.asarray(mu)[:, None], np.asarray(nu)[:, None])
+
+
+def _joined_ladders(tables) -> tuple[np.ndarray, ...]:
+    """The A ladders of ``tables`` end to end: a, b, each module's chain start, each table's first module, n and k by table."""
+    ladders = [table.ladder for table in tables]
+    shifts = np.cumsum([0] + [len(a) for a, _, _ in ladders])
+    start = _joined([ladder[2] + shift for ladder, shift in zip(ladders, shifts.tolist())])
+    first = np.cumsum([0] + [len(table.dim) for table in tables])
+    n, k = np.array([(table.spec.n, table.spec.k) for table in tables]).T
+    return _joined([a for a, _, _ in ladders]), _joined([b for _, b, _ in ladders]), start, first, n, k
 
 
 def _tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
@@ -179,13 +204,14 @@ def _cluster_readout(w: np.ndarray, q: np.ndarray, c_block: np.ndarray) -> np.nd
     return np.array(lams)
 
 
-def spectra_via_heun(groups) -> Iterator[CorrelationSpectrum]:
+def spectra_via_heun(groups) -> MergedSpectra:
     """Correlation spectra of (graph, points) groups, point by point in order, with eigenvectors supplied by T.
 
     A point :func:`plan` refuses raises :class:`.scheme.ConfigError` with its
-    reason.  :func:`.terwilliger.stacked_spectra` stacks the blocks, and each
-    graph builds its own T blocks of a stack, which are then diagonalized
-    together; each correlation eigenvalue is the Rayleigh quotient of the
+    reason.  :func:`.terwilliger.stacked_spectra` stacks the blocks by size;
+    each stack's T, across every graph of the call, is built by one
+    :func:`_T_from` off the joined ladders and diagonalized by one ``eigh``
+    call; each correlation eigenvalue is the Rayleigh quotient of the
     correlation block on a T eigenvector.  Blocks whose T eigenvalues
     cluster (relative gap under ``CLUSTER_REL_TOL``) fall back to
     rediagonalizing the correlation matrix inside the cluster span.  A point
@@ -202,10 +228,17 @@ def spectra_via_heun(groups) -> Iterator[CorrelationSpectrum]:
             weights.append((np.nan, np.nan) if hs is None else (hs.mu, hs.nu))
         tables.append((module_table(spec), configs))
     mu, nu = np.array(weights).reshape(-1, 2).T
+    joined = {}  # the ladders of each call's tables, joined on first use
 
-    def readout(parts, c):
-        entries = [_T_entries(table, mu[pts], nu[pts], ms, rows) for table, pts, ms, rows in parts]
-        w, q = np.linalg.eigh(_tridiagonal(*(np.concatenate(x) for x in zip(*entries))))
+    def readout(stack, c):
+        if stack.tables not in joined:
+            joined[stack.tables] = _joined_ladders(stack.tables)
+        a, b, start, first, n, k = joined[stack.tables]
+        g, rows = stack.graph, stack.rows
+        at = start[first[g] + stack.ms, None] + rows
+        theta_rows = _theta_star(n[g, None], k[g, None], rows)
+        t_stack = _tridiagonal(*_T_from(a[at], b[at], theta_rows, mu[stack.pts, None], nu[stack.pts, None]))
+        w, q = np.linalg.eigh(t_stack)
         # Rayleigh quotients v^T C v for every eigenvector v of every block, as
         # stacked (1 x size) products: the same vector-matrix-vector sums a
         # lone block takes, so the values do not depend on the stacking
@@ -271,9 +304,11 @@ def _oracle_spectra(spec: GraphSpec, configs, cap: int | None) -> Iterator[Corre
 def spectra(groups, route: str, cap: int | None = None) -> Iterator[CorrelationSpectrum]:
     """Spectra of the (filling, subsystem) points of (graph, points) groups along one of :data:`ROUTES`, in order.
 
-    The structured routes solve every group in one stacked pass; ``oracle``
-    solves each graph's points as one batch, each on its smaller side, under
-    the dense cap ``cap``.  A single graph is the one-group case.
+    The structured routes solve every group in one stacked pass and return
+    its :class:`.spectral.MergedSpectra`, whose arrays the figure sweeps read
+    directly; ``oracle`` solves each graph's points as one batch, each on its
+    smaller side, under the dense cap ``cap``.  A single graph is the
+    one-group case.
     """
     if route == "oracle":
         return iter([s for spec, configs in groups for s in _oracle_spectra(spec, configs, cap)])

@@ -49,8 +49,11 @@ __all__ = [
     "spectrum_oracle",
     "oracle_spectra",
     "clamp_unit_interval",
+    "MergedSpectra",
+    "merged_spectra",
     "group_spectra",
     "group_spectrum",
+    "segment_sums",
 ]
 
 # Eigenvalues of a product of projectors may stray this far outside [0, 1]
@@ -58,7 +61,7 @@ __all__ = [
 CLAMP_SLACK = 1e-6
 # Absolute tolerance when grouping eigenvalues into (value, multiplicity) runs.
 GROUP_TOL = 1e-8
-# Groups a merge step must cover to be taken as one vector step; fewer are summed one by one.
+# Runs a summing step must cover to be taken as one vector step; fewer are summed one by one.
 _VECTOR_GROUPS = 64
 # Bytes one stack of chopped correlation matrices may hold; a larger matrix is solved alone.
 STACK_BYTES = 8 << 20
@@ -323,22 +326,59 @@ def clamp_unit_interval(values: np.ndarray) -> np.ndarray:
     return np.clip(values, 0.0, 1.0)
 
 
-def group_spectra(values, mults, owners, count: int) -> Iterator[tuple]:
+class MergedSpectra:
+    """Merged spectra of points 0..P-1 as arrays, and an iterator over each point's :class:`CorrelationSpectrum`.
+
+    Point p's entries are ``values[edges[p]:edges[p + 1]]``, ascending, each
+    with the exact multiplicity at the same place of ``mults`` (int64 or
+    Python ints).  A plain class: a dataclass would cost import time.
+    """
+
+    def __init__(self, values: np.ndarray, mults: np.ndarray, edges: np.ndarray):
+        self.values, self.mults, self.edges = values, mults, edges
+        self._spectra = None
+
+    def entries(self) -> Iterator[tuple]:
+        """Each point's entries in order, as a tuple of Python (float, int) pairs."""
+        pairs = list(zip(self.values.tolist(), self.mults.tolist()))
+        edges = self.edges.tolist()
+        return (tuple(pairs[first:last]) for first, last in zip(edges, edges[1:]))
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> CorrelationSpectrum:
+        if self._spectra is None:
+            self._spectra = map(CorrelationSpectrum, self.entries())
+        return next(self._spectra)
+
+
+def merged_spectra(values, mults, owners, count: int) -> MergedSpectra:
     """Merge each point's (value, multiplicity) pairs whose values agree within :data:`GROUP_TOL`.
 
     Pair p belongs to point ``owners[p]`` of ``count``; multiplicities are
     int64 or Python ints of any size.  Per point, pairs are sorted by value,
     then multiplicity; a group is anchored at its first member and the
     representative is the multiplicity-weighted mean, summed in that order
-    and snapped to an exact 0 or 1 when it lands within GROUP_TOL of either
-    endpoint.  Every point is merged at once, on the first request; each
-    point's entries, Python floats and ints, are built as it is yielded.
+    by :func:`segment_sums` and snapped to an exact 0 or 1 when it lands
+    within GROUP_TOL of either endpoint.  Every point is merged at once.
     """
-    yield from _merge_points(*_group_bounds(values, mults, owners, count))
+    products, exact, bounds, edges = _group_bounds(values, mults, owners, count)
+    starts = bounds[:-1]
+    mults = np.add.reduceat(exact, starts) if len(starts) else exact
+    means = segment_sums(products, bounds) / mults.astype(np.float64)
+    means[np.abs(means) <= GROUP_TOL] = 0.0
+    means[np.abs(means - 1.0) <= GROUP_TOL] = 1.0
+    return MergedSpectra(means, mults, edges)
+
+
+def group_spectra(values, mults, owners, count: int) -> Iterator[tuple]:
+    """Each point's entries of :func:`merged_spectra`, Python floats and ints, in order."""
+    return merged_spectra(values, mults, owners, count).entries()
 
 
 def _group_bounds(values, mults, owners, count: int):
-    """The pairs of :func:`group_spectra` in merge order, and where their groups start.
+    """The pairs of :func:`merged_spectra` in merge order, and where their groups start.
 
     Returns the sorted value * multiplicity products, the sorted exact
     multiplicities, the group starts with the end appended, and each
@@ -375,38 +415,32 @@ def _group_bounds(values, mults, owners, count: int):
     return values * weights, exact, bounds, edges
 
 
-def _merge_points(products, exact, bounds, edges) -> Iterator[tuple]:
-    """Each point's merged entries from :func:`_group_bounds`, one point at a time.
+def segment_sums(terms: np.ndarray, bounds) -> np.ndarray:
+    """Sum of each run ``terms[bounds[i]:bounds[i + 1]]``, added strictly left to right from 0.0.
 
-    Every group's products are summed strictly left to right, bit for bit
-    ``reduce(add, ...)``, by one vector step per member position over the
-    groups that long, longest groups first.
+    Bit for bit ``reduce(add, run, 0.0)``: one vector step per member
+    position over the runs that long, longest runs first, while a step
+    covers at least :data:`_VECTOR_GROUPS` runs; the rest finish one by one.
     """
-    starts = bounds[:-1]
-    lengths = np.diff(bounds)
-    order = np.argsort(-lengths, kind="stable")
-    heads, lengths = starts[order], lengths[order]
-    sums = products[heads]
-    # step j adds member j of every group longer than j, which lead the order,
-    # while a vector step has enough of them to pay; the rest finish one by one
-    longer = np.searchsorted(-lengths, -np.arange(1, lengths.max(initial=1))).tolist() + [0]
-    j = 1
-    while longer[j - 1] >= _VECTOR_GROUPS:
-        sums[: longer[j - 1]] += products[heads[: longer[j - 1]] + j]
-        j += 1
-    for g, total in enumerate(sums[: longer[j - 1]].tolist()):
-        for term in products[heads[g] + j : heads[g] + lengths[g]].tolist():
+    bounds = np.asarray(bounds, dtype=np.intp)
+    heads, lengths = bounds[:-1], bounds[1:] - bounds[:-1]
+    sums = np.zeros(len(heads))
+    j = 0
+    if len(heads) >= _VECTOR_GROUPS:
+        order = np.argsort(-lengths, kind="stable")
+        first, steps = heads[order], np.zeros(len(heads))
+        # longer[j]: the runs with a member j, which lead the order
+        longer = np.searchsorted(-lengths[order], -np.arange(lengths.max() + 1)).tolist() + [0]
+        while longer[j] >= _VECTOR_GROUPS:
+            steps[: longer[j]] += terms[first[: longer[j]] + j]
+            j += 1
+        sums[order] = steps
+    rest = np.flatnonzero(lengths > j)
+    for r, total, head, end in zip(rest.tolist(), sums[rest].tolist(), heads[rest].tolist(), bounds[1:][rest].tolist()):
+        for term in terms[head + j : end].tolist():
             total += term
-        sums[g] = total
-    means = np.empty_like(sums)
-    means[order] = sums
-    mults = np.add.reduceat(exact, starts) if len(starts) else exact
-    means /= mults.astype(np.float64)
-    means[np.abs(means) <= GROUP_TOL] = 0.0
-    means[np.abs(means - 1.0) <= GROUP_TOL] = 1.0
-    edges = edges.tolist()
-    for first, last in zip(edges, edges[1:]):
-        yield tuple(zip(means[first:last].tolist(), mults[first:last].tolist()))
+        sums[r] = total
+    return sums
 
 
 def group_spectrum(values, mults) -> tuple[tuple[float, int], ...]:

@@ -7,10 +7,13 @@ a module the correlation projector has entries built purely from
 Clebsch-Gordan coefficients, so no block ever grows past (k + 1) x (k + 1).
 
 Each graph's :class:`ModuleTable` is the one per-graph store of both
-structured routes, and :meth:`ModuleTable.blocks` the one place where their
-correlation blocks G G^T are formed.  :func:`stacked_spectra` counts the
-exact 0/1 blocks and solves the others in stacks of equal size; the README's
-"Figure sweeps" section describes the pass.
+structured routes, and :func:`_gram` the one place where their correlation
+blocks G G^T are formed.  :func:`stacked_spectra` counts the exact 0/1
+blocks and solves the others per block size across every graph of a call:
+one ragged gather of the couplings, one product per (rows, levels) shape
+and one readout per size.  :meth:`ModuleTable.blocks` serves callers with
+one table's blocks in hand.  The README's "Figure sweeps" section describes
+the pass.
 
 Doubled integers label all spins.  A module's chain rows are indexed by the
 distance i, with m1 = (n - k)/2 - i and m2 = i - k/2.
@@ -19,7 +22,6 @@ distance i, with m1 = (n - k)/2 - i and m2 = i - k/2.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -28,15 +30,18 @@ import numpy as np
 from .scheme import GraphSpec, shell_sizes
 from .specfn import cg_column
 from .spectral import (
+    STACK_BYTES,
     CorrelationSpectrum,
     FillingSpec,
+    MergedSpectra,
     SubsystemSpec,
     clamp_unit_interval,
-    group_spectra,
     level_degeneracy,
+    merged_spectra,
 )
 
 __all__ = [
+    "BlockStack",
     "ModuleGrid",
     "ModuleLabel",
     "ModuleTable",
@@ -261,15 +266,22 @@ class ModuleTable:
         """Stacked G[b, r, c] = <row rows[b, r] | level cols[b, c]> of module ms[b], read off its owner's columns.
 
         Every row must lie on its module's chain; a level outside the
-        module's admissible range reads an exact 0.  The columns not yet
-        stored are fetched first, once each, as one batch.
+        module's admissible range reads an exact 0.
         """
         ms = self.owner[ms]
-        offsets = self.offset[ms[:, None], cols]
-        if (offsets < 0).any():
-            # fetch every missing column before flat is read: a fetch may replace it
-            blocks, places = np.nonzero(offsets < 0)
-            wanted = np.array(list(dict.fromkeys(zip(ms[blocks].tolist(), cols[blocks, places].tolist()))))
+        offsets = self._offsets(np.broadcast_to(ms[:, None], cols.shape), cols)
+        return self.flat[offsets[:, None, :] + (rows - self.i_min[ms, None])[:, :, None]]
+
+    def _offsets(self, ms: np.ndarray, levels: np.ndarray) -> np.ndarray:
+        """Where owner row ms[i]'s column at level index levels[i] starts in ``flat``.
+
+        The columns not yet stored are fetched first, once each, as one
+        batch; read ``flat`` only after this call, since a fetch may replace it.
+        """
+        offsets = self.offset[ms, levels]
+        missing = offsets < 0
+        if missing.any():
+            wanted = np.array(list(dict.fromkeys(zip(ms[missing].tolist(), levels[missing].tolist()))))
             lengths = self.dim[wanted[:, 0]]
             ends = self.size + np.cumsum(lengths)
             if ends[-1] > len(self.flat):
@@ -281,24 +293,24 @@ class ModuleTable:
                 self.flat[end - length : end] = cg_column(base + 2 * lev, j1_x2, j2_x2, base)
             self.offset[wanted[:, 0], wanted[:, 1]] = ends - lengths
             self.size = int(ends[-1])
-            offsets = self.offset[ms[:, None], cols]
-        return self.flat[offsets[:, None, :] + (rows - self.i_min[ms, None])[:, :, None]]
+            offsets = self.offset[ms, levels]
+        return offsets
 
     def blocks(self, ms: np.ndarray, rows: np.ndarray, levels: np.ndarray) -> np.ndarray:
-        """Stacked symmetrized correlation blocks G G^T over the given rows and occupied levels.
+        """Stacked correlation blocks G G^T over the given rows and occupied levels, by :func:`_gram`.
 
         ``levels[b]`` holds block b's sorted occupied level indices, padded
         with k + 1; module ``ms[b]``'s G holds exactly its admissible ones.
-        Blocks are multiplied in groups of equal level count, so each product
-        sums the same terms in the same order as a lone module would.
         """
         first = (levels < self.level_lo[ms, None]).sum(axis=1)
         count = (levels <= self.level_hi[ms, None]).sum(axis=1) - first
-        c = np.zeros((len(ms),) + (rows.shape[1],) * 2)
-        for width, sel in size_groups(count):
-            g = self.entries(ms[sel], rows[sel], levels[sel[:, None], first[sel, None] + np.arange(width)])
-            c[sel] = g @ g.swapaxes(1, 2)
-        return 0.5 * (c + c.swapaxes(1, 2))
+        order = np.argsort(count, kind="stable")
+        ms, count = self.owner[ms[order]], count[order]
+        windows = levels[order].ravel()[_ragged(np.arange(len(ms)) * levels.shape[1] + first[order], count)]
+        offsets = self._offsets(np.repeat(ms, count), windows)
+        c = np.empty((len(ms),) + (rows.shape[1],) * 2)
+        c[order] = _gram(self.flat, offsets, rows[order] - self.i_min[ms, None], count)
+        return c
 
     def layout(self, configs) -> tuple[np.ndarray, ...]:
         """Each point's sorted distances and occupied level indices padded with k + 1, and each chain's run in them.
@@ -325,6 +337,29 @@ class ModuleTable:
                 raise ArithmeticError(f"module rows cover {have} modes, subsystem has {want}")
         return _packed(inside, 0)[sub_of], _packed(occupied, width)[fill_of], start[sub_of], sizes[sub_of]
 
+    def _owner_blocks(self, configs) -> tuple[np.ndarray, np.ndarray, tuple]:
+        """Count the exact blocks of a group's points and lay out the owner blocks left to solve.
+
+        Returns the nonzero entries of :meth:`_exact_blocks`'s counted modes,
+        their places and their counts, and the part :func:`_solve_by_size`
+        reads: the raveled subsystem distances, and per owner block its
+        point, module, size, occupied-window width, the place of its first
+        row in the distances and, end to end, the store offsets of its
+        window's columns, fetched here; None when every block is exact.
+        """
+        dist, levels, start, sizes = self.layout(configs)
+        sizes, counted, first, count = self._exact_blocks(sizes, levels)
+        keep = np.flatnonzero(counted)
+        cells = np.flatnonzero(np.where(self.copies > 0, sizes, 0))
+        if not len(cells):
+            return keep, counted[keep], None
+        pts, ms = np.divmod(cells, len(self.dim))
+        width = count.ravel()[cells]
+        windows = levels.ravel()[_ragged(pts * levels.shape[1] + first.ravel()[cells], width)]
+        offsets = self._offsets(np.repeat(ms, width), windows)
+        at = pts * dist.shape[1] + start.ravel()[cells]
+        return keep, counted[keep], (dist.ravel(), pts, ms, sizes.ravel()[cells], width, at, offsets)
+
     def _as_counts(self, values: np.ndarray) -> np.ndarray:
         """Integer ``values`` in the table's exact count type, int64 or Python ints."""
         return values.astype(self.degeneracies.dtype, copy=False)
@@ -348,7 +383,7 @@ class ModuleTable:
         ones = np.where(full, sizes, np.where(whole, count, 0))
         exact = full | whole | (count == 0)
         counted = self._as_counts(np.concatenate([np.where(exact, sizes, 0) - ones, ones])) @ self.degeneracies
-        return np.where(exact, 0, sizes), counted
+        return np.where(exact, 0, sizes), counted, below[:, self.level_lo], count
 
 
 def _indicator_rows(members: list[list[int]], width: int, what: str) -> np.ndarray:
@@ -369,51 +404,126 @@ def _packed(rows: np.ndarray, pad: int) -> np.ndarray:
     return out
 
 
-def stacked_spectra(groups, readout) -> Iterator[CorrelationSpectrum]:
+def _ragged(firsts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The runs firsts[b], firsts[b] + 1, ..., of lengths[b] each, end to end."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(firsts - ends + lengths, lengths)
+
+
+def _gram(store: np.ndarray, offsets: np.ndarray, rows: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """Stacked G G^T of blocks in ascending width, G[b][r, c] = store[offsets[w + c] + rows[b, r]].
+
+    Block b's ``widths[b]`` column offsets sit at its run w of ``offsets``.
+    One ragged gather reads every block's G; blocks of equal width are
+    multiplied by one matmul, so each product keeps its block's own shape
+    and sums the same terms in the same order as a lone block would.  numpy
+    forms G G^T by BLAS syrk and copies the triangle, so C is exactly
+    symmetric.  A width-0 block is all zero.
+    """
+    count, size = rows.shape
+    reps = np.repeat(widths, size)
+    starts = np.repeat(np.cumsum(widths) - widths, size)
+    g = store[np.repeat(rows.ravel(), reps) + offsets[_ragged(starts, reps)]]
+    c = np.zeros((count, size, size))
+    edges = np.flatnonzero(np.diff(widths, prepend=-1, append=-1)).tolist()
+    at = 0
+    for lo, hi in zip(edges, edges[1:]):
+        width = int(widths[lo])
+        if width:
+            gw = g[at : at + (hi - lo) * size * width].reshape(hi - lo, size, width)
+            c[lo:hi] = gw @ gw.swapaxes(1, 2)
+            at += (hi - lo) * size * width
+    return c
+
+
+def _joined(arrays: list[np.ndarray]) -> np.ndarray:
+    """The arrays end to end; a lone array as it is, not copied."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+class BlockStack:
+    """The owner blocks of one stack that :func:`stacked_spectra` hands a readout.
+
+    Block b is module ``ms[b]`` of ``tables[graph[b]]`` at point ``pts[b]``,
+    numbered across the call, over the chain distances ``rows[b]``.
+    ``tables`` is the same tuple for every stack of a call.
+    """
+
+    def __init__(self, tables: tuple, graph: np.ndarray, ms: np.ndarray, pts: np.ndarray, rows: np.ndarray):
+        self.tables, self.graph, self.ms, self.pts, self.rows = tables, graph, ms, pts, rows
+
+
+def stacked_spectra(groups, readout) -> MergedSpectra:
     """Correlation spectra of (table, points) groups, point by point in order, from one stacked pass.
 
     Each point's exact 0/1 blocks are counted into one exact 0 and one exact
-    1 entry.  Every other owner block is built by its table's
-    :meth:`ModuleTable.blocks`, blocks of equal size are stacked across
-    every point of every group, and ``readout(parts, c)`` turns a stack c
-    into its (stack, size) eigenvalues, where ``parts`` lists (table, points,
-    modules, distances) of c's graphs in order, the points numbered across
-    all groups.  A twin's block and multiplicity equal its owner's at the
-    same point, so each owner block's values are merged once more per twin.
+    1 entry.  Every other owner block, of every point of every group, is
+    solved by :func:`_solve_by_size`, with ``readout(stack, c)`` turning a
+    stack c of blocks into its (stack, size) eigenvalues, where ``stack`` is
+    the :class:`BlockStack` of its blocks.  A twin's block and multiplicity
+    equal its owner's at the same point, so each owner block's values are
+    merged once more per twin.
     """
-    values, owners, mults = [], [], []
-    by_size: dict[int, list] = {}  # size -> (table, first point, dist, levels, points, modules, chain starts)
+    values, owners, mults, parts = [], [], [], []
     points = 0
     for table, configs in groups:
         if not configs:
             continue
-        dist, levels, start, sizes = table.layout(configs)
-        sizes, counted = table._exact_blocks(sizes, levels)
-        keep = np.flatnonzero(counted)
+        keep, counted, part = table._owner_blocks(configs)
         values.append(keep // len(configs))
         owners.append(points + keep % len(configs))
-        mults.append(counted[keep])
-        for size, flat in size_groups(np.where(table.copies > 0, sizes, 0).ravel()):
-            pts, ms = np.divmod(flat, len(table.dim))
-            by_size.setdefault(size, []).append((table, points, dist, levels, pts, ms, start[pts, ms]))
+        mults.append(counted)
+        if part is not None:
+            parts.append((table, points, part))
         points += len(configs)
+    if parts:
+        _solve_by_size(parts, readout, values, owners, mults)
     if not points:
-        return iter(())
-    for size, blocks in sorted(by_size.items()):
-        parts, stack = [], []
-        for table, base, dist, levels, pts, ms, start in blocks:
-            rows = dist[pts[:, None], start[:, None] + np.arange(size)]
-            stack.append(table.blocks(ms, rows, levels[pts]))
-            parts.append((table, base + pts, ms, rows))
-        copies = np.concatenate([table.copies[ms] for table, _, ms, _ in parts])
-        values.append(np.repeat(readout(parts, np.concatenate(stack)), copies, axis=0).ravel())
-        owners.append(np.repeat(np.concatenate([pts for _, pts, _, _ in parts]), copies * size))
-        mults.append(np.repeat(np.concatenate([table.degeneracies[ms] for table, _, ms, _ in parts]), copies * size))
-    # counts stay Python ints unless every table counts in int64
-    merged = group_spectra(
-        clamp_unit_interval(np.concatenate(values, dtype=float)), np.concatenate(mults), np.concatenate(owners), points
+        return merged_spectra(np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.intp), 0)
+    # rebinding drops each list before the merge; counts stay Python ints unless every table counts in int64
+    values = clamp_unit_interval(np.concatenate(values, dtype=float))
+    mults, owners = np.concatenate(mults), np.concatenate(owners)
+    return merged_spectra(values, mults, owners, points)
+
+
+def _solve_by_size(parts, readout, values, owners, mults) -> None:
+    """Solve the owner blocks of (table, first point, :meth:`ModuleTable._owner_blocks` part) parts, size by size.
+
+    Each size's blocks, of every table, are taken in ascending window width:
+    one ragged gather reads their couplings from the tables' stores, joined
+    once every table has fetched its columns, :func:`_gram` forms their C
+    and one readout call solves them, in chunks of at most
+    :data:`.spectral.STACK_BYTES` of C.  Each block's values, multiplicity
+    and point are appended once per block it stands for.
+    """
+    tables = tuple(table for table, _, _ in parts)
+    columns, stored, placed = [], 0, 0
+    for t, (table, base, (dist, pts, ms, size, width, at, offsets)) in enumerate(parts):
+        own = (table.i_min[ms], table.degeneracies[ms], table.copies[ms])
+        columns.append((np.full(len(ms), t), base + pts, ms, size, width, placed + at, offsets + stored, *own))
+        stored += table.size
+        placed += len(dist)
+    graph, pts, ms, size, width, at, offsets, i_min, deg, copies = (np.concatenate(c) for c in zip(*columns))
+    order = np.lexsort((width, size))
+    offsets = offsets[_ragged((np.cumsum(width) - width)[order], width[order])]
+    graph, pts, ms, size, width, at, i_min, deg, copies = (
+        column[order] for column in (graph, pts, ms, size, width, at, i_min, deg, copies)
     )
-    return (CorrelationSpectrum(entries) for entries in merged)
+    store = _joined([table.flat[: table.size] for table in tables])
+    dist = _joined([part[0] for _, _, part in parts])
+    ends = np.cumsum(width).tolist()
+    edges = np.flatnonzero(np.diff(size, prepend=0, append=0)).tolist()
+    for lo, hi in zip(edges, edges[1:]):
+        n = int(size[lo])
+        step = max(1, STACK_BYTES // (8 * n * n))
+        for a in range(lo, hi, step):
+            b = min(a + step, hi)
+            rows = dist[at[a:b, None] + np.arange(n)]
+            c = _gram(store, offsets[ends[a] - width[a] : ends[b - 1]], rows - i_min[a:b, None], width[a:b])
+            lams = readout(BlockStack(tables, graph[a:b], ms[a:b], pts[a:b], rows), c)
+            values.append(np.repeat(lams, copies[a:b], axis=0).ravel())
+            owners.append(np.repeat(pts[a:b], copies[a:b] * n))
+            mults.append(np.repeat(deg[a:b], copies[a:b] * n))
 
 
 @lru_cache(maxsize=32)
@@ -442,13 +552,13 @@ def module_correlation_block(
     return table.blocks(np.array([table.row[label]]), rows, table.level_index(sorted(filling.occupied))[None, :])[0]
 
 
-def assemble_spectra(groups) -> Iterator[CorrelationSpectrum]:
+def assemble_spectra(groups) -> MergedSpectra:
     """Correlation spectra of the (filling, subsystem) points of (graph, points) groups, in order.
 
     :func:`stacked_spectra`, with each stack of blocks diagonalized by one ``eigvalsh`` call.
     """
     tables = [(module_table(spec), configs) for spec, configs in groups]
-    return stacked_spectra(tables, lambda parts, c: np.linalg.eigvalsh(c))
+    return stacked_spectra(tables, lambda stack, c: np.linalg.eigvalsh(c))
 
 
 def assemble_spectrum(spec: GraphSpec, filling: FillingSpec, sub: SubsystemSpec) -> CorrelationSpectrum:

@@ -9,12 +9,15 @@ eigenvalues are merged with their module multiplicities.
 
 import numpy as np
 
-from johnson_entanglement.spectral import CorrelationSpectrum, clamp_unit_interval, group_spectra
-from johnson_entanglement.terwilliger import size_groups
+from johnson_entanglement.spectral import clamp_unit_interval, merged_spectra
+from johnson_entanglement.terwilliger import BlockStack, size_groups
 
 
 def solve_every_block(groups, readout):
-    """:func:`stacked_spectra` of (table, points) groups with every nonempty block solved."""
+    """:func:`stacked_spectra` of (table, points) groups with every nonempty block solved.
+
+    Each graph's blocks of one size go to the readout as one stack of that graph alone.
+    """
     values, owners, mults = [], [], []
     base = 0
     for table, configs in groups:
@@ -23,13 +26,13 @@ def solve_every_block(groups, readout):
             pts, ms = np.divmod(flat, len(table.labels))
             rows = dist[pts[:, None], start[pts, ms][:, None] + np.arange(size)]
             c = table.blocks(ms, rows, levels[pts])
-            values.append(readout([(table, base + pts, ms, rows)], c).ravel())
+            stack = BlockStack((table,), np.zeros(len(ms), dtype=np.intp), ms, base + pts, rows)
+            values.append(readout(stack, c).ravel())
             owners.append(np.repeat(base + pts, size))
             mults.append(np.repeat(table.degeneracies[ms], size))
         base += len(configs)
     if not values:
-        return iter(())
-    merged = group_spectra(
+        return merged_spectra(np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.intp), base)
+    return merged_spectra(
         clamp_unit_interval(np.concatenate(values)), np.concatenate(mults), np.concatenate(owners), base
     )
-    return (CorrelationSpectrum(entries) for entries in merged)

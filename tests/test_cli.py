@@ -1,7 +1,9 @@
 import contextlib
+import functools
 import io
 import json
 import math
+import operator
 import tracemalloc
 from itertools import combinations
 
@@ -9,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from johnson_entanglement import cli, terwilliger
 from johnson_entanglement.cli import _build_parser, main
+from johnson_entanglement.entropy import binary_entropy, von_neumann
 from johnson_entanglement.heun import HeunSpec, plan
 from johnson_entanglement.scheme import GraphSpec, default_base_vertex
 from johnson_entanglement.spectral import FillingSpec, SubsystemSpec, level_labels_x2
@@ -404,8 +408,9 @@ def test_determinism_repeated_runs(tmp_path):
 
 
 def test_whole_grid_sweep_memory_stays_flat(tmp_path):
-    # fig3b at n = 30 solves its 240 points in one pass; the merge streams one
-    # point at a time, so a warm sweep stays far below holding every spectrum
+    # fig3b at n = 30 solves its 240 points in one pass and reads every
+    # entropy off the merged arrays, so a warm sweep stays far below holding
+    # every spectrum
     out = tmp_path / "fig3b.csv"
     assert run(["sweep", "--figure", "fig3b", "--output", str(out)]) == 0
     tracemalloc.start()
@@ -572,3 +577,77 @@ def test_fig4_stacked_chain_entropies_equal_one_solve_per_prefix(n, k, fill):
         lams = clamp_unit_interval(np.linalg.eigvalsh(module_correlation_block(label, filling, sub, spec)))
         want.append(reduce(add, map(binary_entropy, lams.tolist()), 0.0))
     assert _chain_entropies(spec, filling, runs) == want
+
+
+def _sweep_and_spectra(monkeypatch, argv):
+    """The entropies a sweep reads off the merged arrays, and the spectra of its points from a second call."""
+    calls, entropies = [], []
+    spectra, figures = cli.heun_mod.spectra, cli.entropy_mod.figures
+
+    def spy_spectra(groups, route):
+        calls.append((groups, route))
+        return spectra(groups, route)
+
+    def spy_figures(spec, distances, s):
+        entropies.append(s)
+        return figures(spec, distances, s)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli.heun_mod, "spectra", spy_spectra)
+        patch.setattr(cli.entropy_mod, "figures", spy_figures)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(argv) == 0
+    ((groups, route),) = calls
+    return entropies, list(spectra(groups, route))
+
+
+_ENTROPY_SWEEPS = [["sweep", "--figure", "fig2a"]]
+_ENTROPY_SWEEPS += [["sweep", "--figure", "fig3a", "--n", str(n)] for n in range(2, 15)]
+_ENTROPY_SWEEPS += [
+    ["sweep", "--figure", fig, "--n", str(n), "--k", str(k)]
+    for fig in ("fig2b", "fig3b")
+    for n, k in [(n, k) for n in range(2, 15) for k in range(1, n // 2 + 1)] + [(30, 15), (66, 33)]
+]
+
+
+@pytest.mark.parametrize("argv", _ENTROPY_SWEEPS, ids=" ".join)
+def test_sweep_entropies_equal_von_neumann_of_each_spectrum(argv, monkeypatch):
+    # the batched entropies, read off the merged arrays, are float.hex-equal
+    # to von_neumann of each point's spectrum and to the strict left-to-right
+    # sum; J(66,33) counts its multiplicities in Python ints above 2^62
+    entropies, spectra = _sweep_and_spectra(monkeypatch, argv)
+    assert len(entropies) == len(spectra) > 0
+    for s, spectrum in zip(entropies, spectra):
+        want = functools.reduce(operator.add, (m * binary_entropy(lam) for lam, m in spectrum.entries), 0.0)
+        assert s.hex() == von_neumann(spectrum).hex() == want.hex(), (argv, spectrum)
+    if argv[-1] == "33":
+        assert terwilliger.module_table(GraphSpec(66, 33)).degeneracies.dtype == object
+        if argv[2] == "fig3b":
+            assert max(spectrum.total_multiplicity for spectrum in spectra) > 2**62
+
+
+def test_multi_graph_sweep_run_cold_equals_the_same_sweep_run_warm(capsys):
+    # cold, every table of the call is new and fetches its columns during
+    # the call; the stores are joined only after the last fetch
+    for argv in (["sweep", "--figure", "fig3a", "--n", "20"], ["sweep", "--figure", "fig2a"]):
+        terwilliger.module_table.cache_clear()
+        assert run(argv) == 0
+        cold = capsys.readouterr().out
+        assert run(argv) == 0
+        assert capsys.readouterr().out == cold and cold.count("\n") > 10
+
+
+@pytest.mark.parametrize("shift, message", [(-1e-9, "negative entropy"), (1e6, "ln 2 mode bound")])
+def test_batched_sweep_keeps_the_entropy_range_checks(shift, message, monkeypatch):
+    entropies = cli.entropy_mod.entropies
+    monkeypatch.setattr(cli.entropy_mod, "entropies", lambda *args: entropies(*args) * 0.0 + shift)
+    with pytest.raises(ArithmeticError, match=message):
+        run(["sweep", "--figure", "fig2b", "--n", "8", "--k", "4"])
+
+
+def test_batched_sweep_clamps_roundoff_below_zero(monkeypatch, capsys):
+    entropies = cli.entropy_mod.entropies
+    monkeypatch.setattr(cli.entropy_mod, "entropies", lambda *args: entropies(*args) * 0.0 - 1e-13)
+    assert run(["sweep", "--figure", "fig2b", "--n", "8", "--k", "4"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert rows and all(row[5] == "0" and row[6] == "0" for row in rows)

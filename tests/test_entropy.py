@@ -2,11 +2,12 @@ import math
 from functools import reduce
 from operator import add
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from johnson_entanglement.entropy import EntropyReport, binary_entropy, report, von_neumann
+from johnson_entanglement.entropy import EntropyReport, binary_entropy, entropies, report, von_neumann
 from johnson_entanglement.scheme import GraphSpec, default_base_vertex, neighborhood_size
 from johnson_entanglement.spectral import (
     CorrelationSpectrum,
@@ -109,6 +110,44 @@ def test_mirror_symmetry_balanced():
 def test_entropy_terms_add_strictly_left_to_right(pairs):
     spectrum = CorrelationSpectrum(tuple(pairs))
     assert von_neumann(spectrum) == reduce(add, (m * binary_entropy(lam) for lam, m in pairs), 0.0)
+
+
+_RUNS = st.lists(
+    st.lists(st.tuples(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1)), st.integers(1, 2**70)), max_size=8),
+    max_size=150,
+)
+
+
+@given(_RUNS)
+def test_entropies_of_many_runs_equal_each_runs_left_to_right_sum(runs):
+    # exact 0/1 values, multiplicities beyond int64, and enough runs for the
+    # vector steps of the segment sum
+    values = [lam for run in runs for lam, _ in run]
+    mults = np.array([m for run in runs for _, m in run], dtype=object)
+    bounds = np.cumsum([0] + [len(run) for run in runs])
+    got = entropies(values, mults, bounds).tolist()
+    want = [reduce(add, (m * binary_entropy(lam) for lam, m in run), 0.0) for run in runs]
+    assert [s.hex() for s in got] == [s.hex() for s in want]
+
+
+def test_entropies_of_200_long_runs_take_the_vector_steps_bit_for_bit():
+    rng = np.random.default_rng(5)
+    lengths = rng.integers(0, 40, size=200)
+    values = rng.random(lengths.sum()) ** 3
+    values[::7] = 0.0
+    values[::11] = 1.0
+    mults = rng.integers(1, 2**40, size=len(values))
+    bounds = np.concatenate([[0], np.cumsum(lengths)])
+    got = entropies(values, mults, bounds).tolist()
+    for s, lo, hi in zip(got, bounds[:-1], bounds[1:]):
+        want = reduce(add, (int(m) * binary_entropy(lam) for lam, m in zip(values[lo:hi].tolist(), mults[lo:hi])), 0.0)
+        assert s.hex() == want.hex()
+
+
+def test_entropies_refuse_an_occupation_outside_the_unit_interval():
+    for bad in (1.2, -0.1, math.nan):
+        with pytest.raises(ValueError):
+            entropies([0.5, bad], [1, 1], [0, 2])
 
 
 def test_report_cut_is_every_shell_next_to_the_other_side():

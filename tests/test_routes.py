@@ -183,6 +183,32 @@ def test_stacked_spectra_equal_solving_every_block_on_the_figure_grids(figure, g
     assert repr(got) == repr(want)
 
 
+@pytest.mark.parametrize(
+    "figure, graphs",
+    [("fig2b", graph_sizes(2, 14)), ("fig3b", graph_sizes(2, 14)), ("fig2b", [(30, 15)]), ("fig3b", [(30, 15)])],
+)
+def test_every_correlation_block_of_the_figure_grids_is_exactly_symmetric(figure, graphs, monkeypatch):
+    # numpy forms G G^T by BLAS syrk and copies the triangle, so the blocks
+    # need no symmetrization; fig3b's grid goes through both routes
+    import johnson_entanglement.terwilliger as terwilliger_module
+
+    seen = []
+    gram = terwilliger_module._gram
+
+    def spy(*args):
+        seen.append(gram(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(terwilliger_module, "_gram", spy)
+    groups = _figure_groups(figure, graphs)
+    list(spectra(groups, "modules"))
+    if figure == "fig3b":
+        list(spectra([(spec, [p for p in configs if plan(spec, *p) is not None]) for spec, configs in groups], "heun"))
+    assert sum(len(c) for c in seen) > 100
+    for c in seen:
+        assert np.array_equal(c, c.swapaxes(1, 2))
+
+
 @pytest.mark.parametrize("n", range(2, 11))
 def test_heun_counts_the_points_that_need_no_T(n, monkeypatch):
     # the whole graph under every lowest filling, and every ball under the
@@ -364,8 +390,8 @@ def test_corrupted_module_table_trips_the_covered_modes_check():
     configs = [(_bottom(spec, 2), _ball(spec, n_cut)) for n_cut in range(6)]
     for corrupt in ("degeneracies", "i_min"):
         table = ModuleTable(spec)
-        assert list(stacked_spectra([(table, configs)], lambda parts, c: np.linalg.eigvalsh(c)))
+        assert list(stacked_spectra([(table, configs)], lambda stack, c: np.linalg.eigvalsh(c)))
         m = int(np.argmax(table.dim))
         getattr(table, corrupt)[m] += 1
         with pytest.raises(ArithmeticError, match="module rows cover"):
-            stacked_spectra([(table, configs)], lambda parts, c: np.linalg.eigvalsh(c))
+            stacked_spectra([(table, configs)], lambda stack, c: np.linalg.eigvalsh(c))

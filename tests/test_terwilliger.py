@@ -410,7 +410,7 @@ def test_coupling_store_holds_each_fetched_column_once(monkeypatch):
     spec = GraphSpec(60, 30)
     table = ModuleTable(spec)
     point = [(FillingSpec(frozenset(level_labels_x2(spec)[:10])), SubsystemSpec(frozenset(range(16)), default_base_vertex(spec)))]
-    readout = lambda parts, c: np.linalg.eigvalsh(c)
+    readout = lambda stack, c: np.linalg.eigvalsh(c)
     first = list(stacked_spectra([(table, point)], readout))
     fetched = np.argwhere(table.offset >= 0)
     assert len(calls) == len(set(calls)) == len(fetched) > 0
