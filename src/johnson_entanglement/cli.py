@@ -18,7 +18,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import asdict, astuple
+from dataclasses import asdict
 
 import numpy as np
 
@@ -234,7 +234,7 @@ def cmd_entropy(args) -> int:
     scale = 1.0 / entropy_mod.LN2 if args.bits else 1.0
     rows = [
         {
-            **_report_row(spec, astuple(entropy_mod.report(spec, sub, spectra[r])), scale),
+            **_report_row(spec, entropy_mod.figures(spec, sub.distances, entropy_mod.von_neumann(spectra[r])), scale),
             "route": r,
             "unit": unit,
             "route_discrepancy": discrepancy,

@@ -129,25 +129,28 @@ def _theta_star(n, k, i):
     return -(n - 1) * (n - 2 * k) ** 2 / (4.0 * k * (n - k)) + n * (n - 1) * (n - 4 * i) / (4.0 * k * (n - k))
 
 
-def _T_from(a_rows, b_rows, theta_rows, mu, nu) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked T under weights (mu[s], nu[s]), from A's ladder a, its diagonal b and theta* at each block's rows.
+def _T_stack(ladders, graph, ms, rows, mu, nu) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked T of module ``ms[s]`` of table ``graph[s]`` of :func:`_joined_ladders`, under weights (mu[s], nu[s]).
 
-    Returns each block's diagonal and each row's coupling to the next; the
-    rows of a block must be consecutive distances on its chain.  theta* is
+    Returns each block's diagonal and each row's coupling to the next at
+    the distances ``rows[s]``, which must be consecutive on the chain.
+    theta* at the rows comes from each block's (n, k) by :func:`_theta_star`,
     bit for bit the scalar value, so the cut coupling cancels to an exact 0
     against nu.
     """
+    a, b, start, first, n, k = ladders
+    at = start[first[graph] + ms, None] + rows
+    a_rows, b_rows = a[at], b[at]
+    theta_rows = _theta_star(n[graph, None], k[graph, None], rows)
+    mu, nu = np.asarray(mu)[:, None], np.asarray(nu)[:, None]
     diag = nu * b_rows + mu * theta_rows + 2.0 * b_rows * theta_rows
     off = a_rows[:, :-1] * ((theta_rows[:, 1:] + theta_rows[:, :-1]) + nu)
     return diag, off
 
 
 def _T_entries(table: ModuleTable, mu, nu, ms: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_T_from` of module ``ms[s]`` of one table under weights (mu[s], nu[s]) at the distances ``rows[s]``."""
-    a, b, start = table.ladder
-    at = start[ms, None] + rows
-    theta_rows = dual_eigenvalue_at_distance(rows, table.spec)
-    return _T_from(a[at], b[at], theta_rows, np.asarray(mu)[:, None], np.asarray(nu)[:, None])
+    """:func:`_T_stack` of module ``ms[s]`` of one table."""
+    return _T_stack(_joined_ladders((table,)), np.zeros(len(ms), dtype=np.intp), ms, rows, mu, nu)
 
 
 def _joined_ladders(tables) -> tuple[np.ndarray, ...]:
@@ -210,7 +213,7 @@ def spectra_via_heun(groups) -> MergedSpectra:
     A point :func:`plan` refuses raises :class:`.scheme.ConfigError` with its
     reason.  :func:`.terwilliger.stacked_spectra` stacks the blocks by size;
     each stack's T, across every graph of the call, is built by one
-    :func:`_T_from` off the joined ladders and diagonalized by one ``eigh``
+    :func:`_T_stack` off the joined ladders and diagonalized by one ``eigh``
     call; each correlation eigenvalue is the Rayleigh quotient of the
     correlation block on a T eigenvector.  Blocks whose T eigenvalues
     cluster (relative gap under ``CLUSTER_REL_TOL``) fall back to
@@ -228,16 +231,13 @@ def spectra_via_heun(groups) -> MergedSpectra:
             weights.append((np.nan, np.nan) if hs is None else (hs.mu, hs.nu))
         tables.append((module_table(spec), configs))
     mu, nu = np.array(weights).reshape(-1, 2).T
-    joined = {}  # the ladders of each call's tables, joined on first use
+    ladders = None  # the call's ladders, joined on first use: every stack has the same tables
 
     def readout(stack, c):
-        if stack.tables not in joined:
-            joined[stack.tables] = _joined_ladders(stack.tables)
-        a, b, start, first, n, k = joined[stack.tables]
-        g, rows = stack.graph, stack.rows
-        at = start[first[g] + stack.ms, None] + rows
-        theta_rows = _theta_star(n[g, None], k[g, None], rows)
-        t_stack = _tridiagonal(*_T_from(a[at], b[at], theta_rows, mu[stack.pts, None], nu[stack.pts, None]))
+        nonlocal ladders
+        if ladders is None:
+            ladders = _joined_ladders(stack.tables)
+        t_stack = _tridiagonal(*_T_stack(ladders, stack.graph, stack.ms, stack.rows, mu[stack.pts], nu[stack.pts]))
         w, q = np.linalg.eigh(t_stack)
         # Rayleigh quotients v^T C v for every eigenvector v of every block, as
         # stacked (1 x size) products: the same vector-matrix-vector sums a

@@ -296,6 +296,16 @@ class ModuleTable:
             offsets = self.offset[ms, levels]
         return offsets
 
+    def _window_offsets(self, ms, levels, at, first, count) -> np.ndarray:
+        """The store offsets of each block's occupied-level window, end to end, in the form :func:`_gram` reads.
+
+        Block b's window is owner row ``ms[b]`` at the ``count[b]`` level
+        indices from place ``first[b]`` of row ``at[b]`` of ``levels``; its
+        columns are fetched first, by :meth:`_offsets`.
+        """
+        windows = levels.ravel()[_ragged(at * levels.shape[1] + first, count)]
+        return self._offsets(np.repeat(ms, count), windows)
+
     def blocks(self, ms: np.ndarray, rows: np.ndarray, levels: np.ndarray) -> np.ndarray:
         """Stacked correlation blocks G G^T over the given rows and occupied levels, by :func:`_gram`.
 
@@ -306,8 +316,7 @@ class ModuleTable:
         count = (levels <= self.level_hi[ms, None]).sum(axis=1) - first
         order = np.argsort(count, kind="stable")
         ms, count = self.owner[ms[order]], count[order]
-        windows = levels[order].ravel()[_ragged(np.arange(len(ms)) * levels.shape[1] + first[order], count)]
-        offsets = self._offsets(np.repeat(ms, count), windows)
+        offsets = self._window_offsets(ms, levels, order, first[order], count)
         c = np.empty((len(ms),) + (rows.shape[1],) * 2)
         c[order] = _gram(self.flat, offsets, rows[order] - self.i_min[ms, None], count)
         return c
@@ -355,8 +364,7 @@ class ModuleTable:
             return keep, counted[keep], None
         pts, ms = np.divmod(cells, len(self.dim))
         width = count.ravel()[cells]
-        windows = levels.ravel()[_ragged(pts * levels.shape[1] + first.ravel()[cells], width)]
-        offsets = self._offsets(np.repeat(ms, width), windows)
+        offsets = self._window_offsets(ms, levels, pts, first.ravel()[cells], width)
         at = pts * dist.shape[1] + start.ravel()[cells]
         return keep, counted[keep], (dist.ravel(), pts, ms, sizes.ravel()[cells], width, at, offsets)
 
@@ -364,13 +372,16 @@ class ModuleTable:
         """Integer ``values`` in the table's exact count type, int64 or Python ints."""
         return values.astype(self.degeneracies.dtype, copy=False)
 
-    def _exact_blocks(self, sizes: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _exact_blocks(self, sizes: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, ...]:
         """Split the (point, module) blocks of ``sizes`` rows into exact 0/1 projections and the rest.
 
         A block is exact when none or all of the module's admissible levels
         are occupied, or when the subsystem holds the whole chain.  Returns
-        the sizes with the exact blocks zeroed, and the exact modes weighted
-        by module multiplicity: entry p counts point p's 0s, entry P + p its 1s.
+        the sizes with the exact blocks zeroed; the exact modes weighted by
+        module multiplicity, entry p counting point p's 0s and entry P + p
+        its 1s; and each (point, module)'s occupied-level window in the
+        point's ``levels`` row: the place of its first admissible occupied
+        level and their count.
         """
         width = self.spec.k + 1
         # occupied admissible levels of each (point, module), from each point's running level count

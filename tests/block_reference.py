@@ -16,17 +16,19 @@ from johnson_entanglement.terwilliger import BlockStack, size_groups
 def solve_every_block(groups, readout):
     """:func:`stacked_spectra` of (table, points) groups with every nonempty block solved.
 
-    Each graph's blocks of one size go to the readout as one stack of that graph alone.
+    Each graph's blocks of one size go to the readout as one stack of that
+    graph alone, whose :class:`BlockStack` names every table of the call.
     """
+    tables = tuple(table for table, _ in groups)
     values, owners, mults = [], [], []
     base = 0
-    for table, configs in groups:
+    for g, (table, configs) in enumerate(groups):
         dist, levels, start, sizes = table.layout(configs)
         for size, flat in size_groups(sizes.ravel()):
             pts, ms = np.divmod(flat, len(table.labels))
             rows = dist[pts[:, None], start[pts, ms][:, None] + np.arange(size)]
             c = table.blocks(ms, rows, levels[pts])
-            stack = BlockStack((table,), np.zeros(len(ms), dtype=np.intp), ms, base + pts, rows)
+            stack = BlockStack(tables, np.full(len(ms), g), ms, base + pts, rows)
             values.append(readout(stack, c).ravel())
             owners.append(np.repeat(base + pts, size))
             mults.append(np.repeat(table.degeneracies[ms], size))

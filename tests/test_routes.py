@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from johnson_entanglement.heun import heun_spec, plan, spectra, spectra_via_heun, spectrum_via_heun
+from johnson_entanglement.heun import HeunSpec, heun_spec, plan, spectra, spectra_via_heun, spectrum_via_heun
 from johnson_entanglement.scheme import GraphSpec, default_base_vertex, neighborhood_size
 from johnson_entanglement.spectral import (
     CorrelationSpectrum,
@@ -183,6 +183,39 @@ def test_stacked_spectra_equal_solving_every_block_on_the_figure_grids(figure, g
     assert repr(got) == repr(want)
 
 
+@pytest.mark.parametrize("figure", ["fig2b", "fig3b"])
+def test_stacks_split_into_many_chunks_equal_solving_every_block(figure, monkeypatch):
+    # a 256-byte stack budget splits each block size into chunks of 32
+    # blocks at one row down to one block from 6 rows, so chunk edges fall inside
+    # runs of one window width and between widths: every chunk's slice of
+    # the sorted blocks and of their column offsets must still be its own,
+    # repr for repr, on both routes (heun on the points it plans T for)
+    import johnson_entanglement.heun as heun_module
+    import johnson_entanglement.terwilliger as terwilliger_module
+
+    groups = _figure_groups(figure, graph_sizes(2, 14) + [(30, 15)])
+    heun_groups = [(spec, [p for p in configs if isinstance(plan(spec, *p), HeunSpec)]) for spec, configs in groups]
+    runs = [("modules", groups), ("heun", heun_groups)]
+    chunks = []
+    gram = terwilliger_module._gram
+
+    def spy(store, offsets, rows, widths):
+        chunks.append((rows.shape[1], len(set(widths.tolist()))))
+        return gram(store, offsets, rows, widths)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(terwilliger_module, "STACK_BYTES", 256)
+        patch.setattr(terwilliger_module, "_gram", spy)
+        got = [[s.entries for s in spectra(points, route)] for route, points in runs]
+    per_size = {size: sum(s == size for s, _ in chunks) for size, _ in chunks}
+    assert min(per_size.values()) >= 2 and max(per_size.values()) > 100
+    assert any(widths > 1 for _, widths in chunks)
+    monkeypatch.setattr(terwilliger_module, "stacked_spectra", solve_every_block)
+    monkeypatch.setattr(heun_module, "stacked_spectra", solve_every_block)
+    want = [[s.entries for s in spectra(points, route)] for route, points in runs]
+    assert repr(got) == repr(want)
+
+
 @pytest.mark.parametrize(
     "figure, graphs",
     [("fig2b", graph_sizes(2, 14)), ("fig3b", graph_sizes(2, 14)), ("fig2b", [(30, 15)]), ("fig3b", [(30, 15)])],
@@ -215,7 +248,7 @@ def test_heun_counts_the_points_that_need_no_T(n, monkeypatch):
     # empty and the full filling: only exact 0/1 blocks, so no T is built
     import johnson_entanglement.heun as heun_module
 
-    monkeypatch.setattr(heun_module, "_T_entries", None)
+    monkeypatch.setattr(heun_module, "_T_stack", None)
     for _, k in graph_sizes(n, n):
         spec = GraphSpec(n, k)
         labels = level_labels_x2(spec)
