@@ -3,10 +3,10 @@
 T = {A, A*} + mu A* + nu A is tridiagonal on every module chain, and its
 weights make the couplings across the filling cut j0 and the subsystem cut N
 vanish exactly (the README's route 3).  T's A ladder comes from each graph's
-:class:`.terwilliger.ModuleTable`, joined across the graphs of a call, and
-theta* at the rows read from each block's (n, k), so the T of every block of
-one size, of every point and graph, comes out of one vector expression and
-is diagonalized by one ``eigh`` call.
+:class:`.terwilliger.ModuleTable`, joined across the graphs of a call with
+each graph's theta* by distance, so the T of every block of one size, of
+every point and graph, comes out of one vector expression and is
+diagonalized by one ``eigh`` call.
 
 :func:`plan` says whether a point needs T and refuses those where T does not
 exist.  :func:`spectra` is the one route dispatch for the command line, the
@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
+from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -117,16 +119,16 @@ def dual_eigenvalue_at_distance(i: int | np.ndarray, spec: GraphSpec) -> float |
 
     Affine in m1 - m2 = n - 4i, with m1 = (n - k)/2 - i and m2 = i - k/2.
     """
-    return _theta_star(spec.n, spec.k, i)
-
-
-def _theta_star(n, k, i):
-    """theta* at distance i of J(n, k), for integers or integer arrays that broadcast.
-
-    Arrays take the same IEEE operations as Python ints, so each value is
-    bit for bit the scalar one.
-    """
+    n, k = spec.n, spec.k
     return -(n - 1) * (n - 2 * k) ** 2 / (4.0 * k * (n - k)) + n * (n - 1) * (n - 4 * i) / (4.0 * k * (n - k))
+
+
+@lru_cache(maxsize=256)
+def _dual_by_distance(spec: GraphSpec) -> np.ndarray:
+    """theta* at the distances 0..k, read-only; an array's values are bit for bit the scalar ones."""
+    theta = dual_eigenvalue_at_distance(np.arange(spec.k + 1), spec)
+    theta.flags.writeable = False
+    return theta
 
 
 def _T_stack(ladders, graph, ms, rows, mu, nu) -> tuple[np.ndarray, np.ndarray]:
@@ -134,14 +136,13 @@ def _T_stack(ladders, graph, ms, rows, mu, nu) -> tuple[np.ndarray, np.ndarray]:
 
     Returns each block's diagonal and each row's coupling to the next at
     the distances ``rows[s]``, which must be consecutive on the chain.
-    theta* at the rows comes from each block's (n, k) by :func:`_theta_star`,
-    bit for bit the scalar value, so the cut coupling cancels to an exact 0
-    against nu.
+    theta* at the rows is read off the table's :func:`_dual_by_distance`,
+    so the cut coupling cancels to an exact 0 against nu.
     """
-    a, b, start, first, n, k = ladders
+    a, b, start, first, theta, base = ladders
     at = start[first[graph] + ms, None] + rows
     a_rows, b_rows = a[at], b[at]
-    theta_rows = _theta_star(n[graph, None], k[graph, None], rows)
+    theta_rows = theta[base[graph, None] + rows]
     mu, nu = np.asarray(mu)[:, None], np.asarray(nu)[:, None]
     diag = nu * b_rows + mu * theta_rows + 2.0 * b_rows * theta_rows
     off = a_rows[:, :-1] * ((theta_rows[:, 1:] + theta_rows[:, :-1]) + nu)
@@ -154,13 +155,18 @@ def _T_entries(table: ModuleTable, mu, nu, ms: np.ndarray, rows: np.ndarray) -> 
 
 
 def _joined_ladders(tables) -> tuple[np.ndarray, ...]:
-    """The A ladders of ``tables`` end to end: a, b, each module's chain start, each table's first module, n and k by table."""
-    ladders = [table.ladder for table in tables]
-    shifts = np.cumsum([0] + [len(a) for a, _, _ in ladders])
-    start = _joined([ladder[2] + shift for ladder, shift in zip(ladders, shifts.tolist())])
-    first = np.cumsum([0] + [len(table.dim) for table in tables])
-    n, k = np.array([(table.spec.n, table.spec.k) for table in tables]).T
-    return _joined([a for a, _, _ in ladders]), _joined([b for _, b, _ in ladders]), start, first, n, k
+    """The A ladders and theta* of ``tables`` end to end, and where each table's part starts.
+
+    Returns a, b, each module's chain start, each table's first module,
+    theta* by distance and each table's distance 0; one table's a, b and
+    theta* are its own arrays, not copies.
+    """
+    a, b, start = zip(*(table.ladder for table in tables))
+    shifts = accumulate((len(ladder) for ladder in a[:-1]), initial=0)
+    start = _joined([chain + shift for chain, shift in zip(start, shifts)])
+    first = np.array(list(accumulate((len(table.dim) for table in tables[:-1]), initial=0)))
+    base = np.array(list(accumulate((table.spec.k + 1 for table in tables[:-1]), initial=0)))
+    return _joined(list(a)), _joined(list(b)), start, first, _joined([_dual_by_distance(t.spec) for t in tables]), base
 
 
 def _tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:

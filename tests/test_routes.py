@@ -186,10 +186,10 @@ def test_stacked_spectra_equal_solving_every_block_on_the_figure_grids(figure, g
 @pytest.mark.parametrize("figure", ["fig2b", "fig3b"])
 def test_stacks_split_into_many_chunks_equal_solving_every_block(figure, monkeypatch):
     # a 256-byte stack budget splits each block size into chunks of 32
-    # blocks at one row down to one block from 6 rows, so chunk edges fall inside
-    # runs of one window width and between widths: every chunk's slice of
-    # the sorted blocks and of their column offsets must still be its own,
-    # repr for repr, on both routes (heun on the points it plans T for)
+    # blocks at one row down to one block from 5 rows, so chunk edges fall
+    # inside runs of one window width and between widths: every chunk's
+    # slice of the sorted blocks and of their column offsets must still be
+    # its own, repr for repr, on both routes (heun on the points it plans T for)
     import johnson_entanglement.heun as heun_module
     import johnson_entanglement.terwilliger as terwilliger_module
 
