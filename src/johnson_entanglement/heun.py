@@ -2,11 +2,10 @@
 
 T = {A, A*} + mu A* + nu A is tridiagonal on every module chain, and its
 weights make the couplings across the filling cut j0 and the subsystem cut N
-vanish exactly (the README's route 3).  T's A ladder comes from each graph's
-:class:`.terwilliger.ModuleTable`, joined across the graphs of a call with
-each graph's theta* by distance, so the T of every block of one size, of
-every point and graph, comes out of one vector expression and is
-diagonalized by one ``eigh`` call.
+vanish exactly (the README's route 3).  A and theta* are closed-form in
+(n, k, j1, j2, i) on every chain, so the T of every block of one size, of
+every point and graph, is evaluated at the rows the block reads by one
+vector expression and diagonalized by one ``eigh`` call.
 
 :func:`plan` says whether a point needs T and refuses those where T does not
 exist.  :func:`spectra` is the one route dispatch for the command line, the
@@ -19,8 +18,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
-from functools import lru_cache
-from itertools import accumulate
 
 import numpy as np
 
@@ -36,7 +33,7 @@ from .spectral import (
     oracle_spectra,
     theta_eigenvalue,
 )
-from .terwilliger import ModuleLabel, ModuleTable, _joined, assemble_spectra, module_table, stacked_spectra
+from .terwilliger import ModuleLabel, assemble_spectra, chain_ladder, module_table, stacked_spectra
 
 __all__ = [
     "ROUTES",
@@ -119,54 +116,36 @@ def dual_eigenvalue_at_distance(i: int | np.ndarray, spec: GraphSpec) -> float |
 
     Affine in m1 - m2 = n - 4i, with m1 = (n - k)/2 - i and m2 = i - k/2.
     """
-    n, k = spec.n, spec.k
+    return _dual_eigenvalue(spec.n, spec.k, i)
+
+
+def _dual_eigenvalue(n, k, i):
+    """theta*(i) of J(n, k), the one formula of :func:`dual_eigenvalue_at_distance` and of T.
+
+    Python ints are exact up to the two divisions.  Arrays are taken in
+    float64, where no product wraps; each value equals the scalar one while
+    n (n - 1) and (n - 2k)^2 stay below 2^53.
+    """
+    if not isinstance(i, int):
+        n, k, i = (np.asarray(x, dtype=np.float64) for x in (n, k, i))
     return -(n - 1) * (n - 2 * k) ** 2 / (4.0 * k * (n - k)) + n * (n - 1) * (n - 4 * i) / (4.0 * k * (n - k))
 
 
-@lru_cache(maxsize=256)
-def _dual_by_distance(spec: GraphSpec) -> np.ndarray:
-    """theta* at the distances 0..k, read-only; an array's values are bit for bit the scalar ones."""
-    theta = dual_eigenvalue_at_distance(np.arange(spec.k + 1), spec)
-    theta.flags.writeable = False
-    return theta
-
-
-def _T_stack(ladders, graph, ms, rows, mu, nu) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked T of module ``ms[s]`` of table ``graph[s]`` of :func:`_joined_ladders`, under weights (mu[s], nu[s]).
+def _T_stack(n, k, j1_x2, j2_x2, rows, mu, nu) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked T of module (j1_x2[s], j2_x2[s]) of J(n[s], k[s]) under weights (mu[s], nu[s]), in closed form.
 
     Returns each block's diagonal and each row's coupling to the next at
-    the distances ``rows[s]``, which must be consecutive on the chain.
-    theta* at the rows is read off the table's :func:`_dual_by_distance`,
-    so the cut coupling cancels to an exact 0 against nu.
+    the distances ``rows[s]``, which must be consecutive on the chain.  A
+    comes from :func:`.terwilliger.chain_ladder` and theta* from
+    :func:`_dual_eigenvalue`, both at the rows read, so the cut coupling
+    cancels to an exact 0 against nu.
     """
-    a, b, start, first, theta, base = ladders
-    at = start[first[graph] + ms, None] + rows
-    a_rows, b_rows = a[at], b[at]
-    theta_rows = theta[base[graph, None] + rows]
-    mu, nu = np.asarray(mu)[:, None], np.asarray(nu)[:, None]
-    diag = nu * b_rows + mu * theta_rows + 2.0 * b_rows * theta_rows
-    off = a_rows[:, :-1] * ((theta_rows[:, 1:] + theta_rows[:, :-1]) + nu)
+    n, k, j1_x2, j2_x2, mu, nu = (np.reshape(x, (-1, 1)) for x in (n, k, j1_x2, j2_x2, mu, nu))
+    a, b = chain_ladder(n, k, j1_x2, j2_x2, rows)
+    theta = _dual_eigenvalue(n, k, rows)
+    diag = nu * b + mu * theta + 2.0 * b * theta
+    off = a[:, :-1] * ((theta[:, 1:] + theta[:, :-1]) + nu)
     return diag, off
-
-
-def _T_entries(table: ModuleTable, mu, nu, ms: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_T_stack` of module ``ms[s]`` of one table."""
-    return _T_stack(_joined_ladders((table,)), np.zeros(len(ms), dtype=np.intp), ms, rows, mu, nu)
-
-
-def _joined_ladders(tables) -> tuple[np.ndarray, ...]:
-    """The A ladders and theta* of ``tables`` end to end, and where each table's part starts.
-
-    Returns a, b, each module's chain start, each table's first module,
-    theta* by distance and each table's distance 0; one table's a, b and
-    theta* are its own arrays, not copies.
-    """
-    a, b, start = zip(*(table.ladder for table in tables))
-    shifts = accumulate((len(ladder) for ladder in a[:-1]), initial=0)
-    start = _joined([chain + shift for chain, shift in zip(start, shifts)])
-    first = np.array(list(accumulate((len(table.dim) for table in tables[:-1]), initial=0)))
-    base = np.array(list(accumulate((table.spec.k + 1 for table in tables[:-1]), initial=0)))
-    return _joined(list(a)), _joined(list(b)), start, first, _joined([_dual_by_distance(t.spec) for t in tables]), base
 
 
 def _tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
@@ -187,9 +166,8 @@ def build_T(label: ModuleLabel, hs: HeunSpec, spec: GraphSpec) -> np.ndarray:
     an exact floating-point zero, which is what decouples the subsystem block:
     the rows at distances <= n_cut are the leading square of T.
     """
-    table = module_table(spec)
     rows = np.arange(label.i_min, label.i_max + 1)[None, :]
-    return _tridiagonal(*_T_entries(table, [hs.mu], [hs.nu], np.array([table.row[label]]), rows))[0]
+    return _tridiagonal(*_T_stack(spec.n, spec.k, label.j1_x2, label.j2_x2, rows, hs.mu, hs.nu))[0]
 
 
 def _cluster_readout(w: np.ndarray, q: np.ndarray, c_block: np.ndarray) -> np.ndarray:
@@ -219,9 +197,9 @@ def spectra_via_heun(groups) -> MergedSpectra:
     A point :func:`plan` refuses raises :class:`.scheme.ConfigError` with its
     reason.  :func:`.terwilliger.stacked_spectra` stacks the blocks by size;
     each stack's T, across every graph of the call, is built by one
-    :func:`_T_stack` off the joined ladders and diagonalized by one ``eigh``
-    call; each correlation eigenvalue is the Rayleigh quotient of the
-    correlation block on a T eigenvector.  Blocks whose T eigenvalues
+    :func:`_T_stack` and diagonalized by one ``eigh`` call; each correlation
+    eigenvalue is the Rayleigh quotient of the correlation block on a T
+    eigenvector.  Blocks whose T eigenvalues
     cluster (relative gap under ``CLUSTER_REL_TOL``) fall back to
     rediagonalizing the correlation matrix inside the cluster span.  A point
     planned to None has only exact 0/1 blocks, so its NaN weights never
@@ -237,13 +215,10 @@ def spectra_via_heun(groups) -> MergedSpectra:
             weights.append((np.nan, np.nan) if hs is None else (hs.mu, hs.nu))
         tables.append((module_table(spec), configs))
     mu, nu = np.array(weights).reshape(-1, 2).T
-    ladders = None  # the call's ladders, joined on first use: every stack has the same tables
 
     def readout(stack, c):
-        nonlocal ladders
-        if ladders is None:
-            ladders = _joined_ladders(stack.tables)
-        t_stack = _tridiagonal(*_T_stack(ladders, stack.graph, stack.ms, stack.rows, mu[stack.pts], nu[stack.pts]))
+        labels = (stack.n, stack.k, stack.j1_x2, stack.j2_x2, stack.rows)
+        t_stack = _tridiagonal(*_T_stack(*labels, mu[stack.pts], nu[stack.pts]))
         w, q = np.linalg.eigh(t_stack)
         # Rayleigh quotients v^T C v for every eigenvector v of every block, as
         # stacked (1 x size) products: the same vector-matrix-vector sums a

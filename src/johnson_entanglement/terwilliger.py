@@ -16,7 +16,9 @@ one table's blocks in hand.  The README's "Figure sweeps" section describes
 the pass.
 
 Doubled integers label all spins.  A module's chain rows are indexed by the
-distance i, with m1 = (n - k)/2 - i and m2 = i - k/2.
+distance i, with m1 = (n - k)/2 - i and m2 = i - k/2.  A on a chain is
+closed-form in (n, k, j1, j2, i): :func:`chain_ladder` evaluates it at the
+rows a caller reads, so no table stores it.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ __all__ = [
     "enumerate_modules",
     "module_grid",
     "module_table",
+    "chain_ladder",
     "size_groups",
     "level_degeneracy",
     "module_admissible_levels",
@@ -56,9 +59,6 @@ __all__ = [
     "assemble_spectra",
     "assemble_spectrum",
 ]
-
-# Chain rows per step of the ladder build; every graph with n <= 30 takes one step.
-_LADDER_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -176,12 +176,27 @@ def module_admissible_levels(label: ModuleLabel, spec: GraphSpec) -> list[int]:
     return list(range(lo, label.j1_x2 + label.j2_x2 + 1, 2))
 
 
+def chain_ladder(n, k, j1_x2, j2_x2, i) -> tuple[np.ndarray, np.ndarray]:
+    """A on module (j1, j2)'s chain of J(n, k) at the rows i: its ladder a and diagonal b, over the broadcast integer arrays.
+
+    a = sqrt((j1+m1)(j1-m1+1)(j2-m2)(j2+m2+1)) couples the row at i to the row
+    at i + 1 and is 0 at the chain's last row; b = j1(j1+1) + j2(j2+1) - m1^2
+    - m2^2 - n/2.  The integer products are exact in int64 while n < 220,000
+    and rounded once, so each entry is the float of the scalar formula.
+    """
+    m1_x2 = (n - k) - 2 * i
+    m2_x2 = (n - 2 * k) - m1_x2
+    prod = ((j1_x2 + m1_x2) // 2) * ((j1_x2 - m1_x2) // 2 + 1) * ((j2_x2 - m2_x2) // 2) * ((j2_x2 + m2_x2) // 2 + 1)
+    a = np.sqrt(np.asarray(prod, dtype=np.float64))
+    return a, (j1_x2 * (j1_x2 + 2) + j2_x2 * (j2_x2 + 2) - m1_x2**2 - m2_x2**2) / 4.0 - n / 2.0
+
+
 class ModuleTable:
     """Per-graph module data shared by every block and spectrum evaluation.
 
     Row m is module ``labels[m]``.  At n = 2k the two su(2) copies have the
     same spin, so modules (j1, j2) and (j2, j1) share one chain, one set of
-    levels, one coupling matrix and one ladder; row m reads the data of row
+    levels and one coupling matrix; row m reads the data of row
     ``owner[m]``, the (j2, j1) row when j1 > j2 there and m itself
     otherwise.  Column (m, l) holds the coupling coefficients of owner m's
     chain rows with the level of index l (doubled label n - 2k + 2l), from
@@ -228,35 +243,6 @@ class ModuleTable:
     def row(self) -> dict[ModuleLabel, int]:
         """Each label's row."""
         return {m: r for r, m in enumerate(self.labels)}
-
-    @cached_property
-    def ladder(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The A ladder a, its diagonal b and each chain's start, read-only, built on first use.
-
-        Module m's chain row at distance i sits at ``start[m] + i``; a there is
-        sqrt((j1+m1)(j1-m1+1)(j2-m2)(j2+m2+1)), its coupling to the row at i + 1,
-        0 at the chain ends, and b is j1(j1+1) + j2(j2+1) - m1^2 - m2^2 - n/2.
-        The integer products are exact in int64 and rounded once, so each entry
-        is the float of the scalar formula.
-        """
-        n, k = self.spec.n, self.spec.k
-        ends = np.cumsum(self.dim)
-        start = ends - self.dim - self.i_min
-        a, b = np.empty(ends[-1]), np.empty(ends[-1])
-        # a fixed number of rows at a time, so the integer temporaries stay small beside a and b
-        for lo in range(0, len(a), _LADDER_ROWS):
-            hi = min(lo + _LADDER_ROWS, len(a))
-            rows = np.arange(lo, hi)
-            m = np.searchsorted(ends, rows, side="right")
-            j1, j2 = self.j1_x2[m], self.j2_x2[m]
-            m1_x2 = (n - k) - 2 * (rows - start[m])
-            m2_x2 = (n - 2 * k) - m1_x2
-            prod = ((j1 + m1_x2) // 2) * ((j1 - m1_x2) // 2 + 1) * ((j2 - m2_x2) // 2) * ((j2 + m2_x2) // 2 + 1)
-            a[lo:hi] = np.sqrt(prod.astype(np.float64))
-            b[lo:hi] = (j1 * (j1 + 2) + j2 * (j2 + 2) - m1_x2**2 - m2_x2**2) / 4.0 - n / 2.0
-        for arr in (a, b, start):
-            arr.flags.writeable = False
-        return a, b, start
 
     def level_index(self, levels_x2) -> np.ndarray:
         """Level indices l = (j_x2 - (n - 2k)) / 2 of doubled labels, in the given order."""
@@ -455,13 +441,13 @@ def _joined(arrays: list[np.ndarray]) -> np.ndarray:
 class BlockStack:
     """The owner blocks of one stack that :func:`stacked_spectra` hands a readout.
 
-    Block b is module ``ms[b]`` of ``tables[graph[b]]`` at point ``pts[b]``,
-    numbered across the call, over the chain distances ``rows[b]``.
-    ``tables`` is the same tuple for every stack of a call.
+    Block b is module (``j1_x2[b]``, ``j2_x2[b]``) of J(``n[b]``, ``k[b]``)
+    at point ``pts[b]``, numbered across the call, over the chain distances
+    ``rows[b]``.
     """
 
-    def __init__(self, tables: tuple, graph: np.ndarray, ms: np.ndarray, pts: np.ndarray, rows: np.ndarray):
-        self.tables, self.graph, self.ms, self.pts, self.rows = tables, graph, ms, pts, rows
+    def __init__(self, n, k, j1_x2, j2_x2, pts, rows):
+        self.n, self.k, self.j1_x2, self.j2_x2, self.pts, self.rows = n, k, j1_x2, j2_x2, pts, rows
 
 
 def stacked_spectra(groups, readout) -> MergedSpectra:
@@ -507,34 +493,32 @@ def _solve_by_size(parts, readout, values, owners, mults) -> None:
     :data:`.spectral.STACK_BYTES` of C.  Each block's values, multiplicity
     and point are appended once per block it stands for.
     """
-    tables = tuple(table for table, _, _ in parts)
     columns, stored, placed = [], 0, 0
-    for t, (table, base, (dist, pts, ms, size, width, at, offsets)) in enumerate(parts):
+    for table, base, (dist, pts, ms, size, width, at, offsets) in parts:
+        graph = (np.full(len(ms), table.spec.n), np.full(len(ms), table.spec.k), table.j1_x2[ms], table.j2_x2[ms])
         own = (table.i_min[ms], table.degeneracies[ms], table.copies[ms])
-        columns.append((np.full(len(ms), t), base + pts, ms, size, width, placed + at, offsets + stored, *own))
+        columns.append((base + pts, size, width, placed + at, offsets + stored, *graph, *own))
         stored += table.size
         placed += len(dist)
-    graph, pts, ms, size, width, at, offsets, i_min, deg, copies = (np.concatenate(c) for c in zip(*columns))
+    pts, size, width, at, offsets, *rest = (np.concatenate(c) for c in zip(*columns))
     order = np.lexsort((width, size))
     offsets = offsets[_ragged((np.cumsum(width) - width)[order], width[order])]
-    graph, pts, ms, size, width, at, i_min, deg, copies = (
-        column[order] for column in (graph, pts, ms, size, width, at, i_min, deg, copies)
-    )
-    store = _joined([table.flat[: table.size] for table in tables])
+    pts, size, width, at, n, k, j1, j2, i_min, deg, copies = (column[order] for column in (pts, size, width, at, *rest))
+    store = _joined([table.flat[: table.size] for table, _, _ in parts])
     dist = _joined([part[0] for _, _, part in parts])
     ends = np.cumsum(width).tolist()
     edges = np.flatnonzero(np.diff(size, prepend=0, append=0)).tolist()
     for lo, hi in zip(edges, edges[1:]):
-        n = int(size[lo])
-        step = max(1, STACK_BYTES // (8 * n * n))
+        dim = int(size[lo])
+        step = max(1, STACK_BYTES // (8 * dim * dim))
         for a in range(lo, hi, step):
             b = min(a + step, hi)
-            rows = dist[at[a:b, None] + np.arange(n)]
+            rows = dist[at[a:b, None] + np.arange(dim)]
             c = _gram(store, offsets[ends[a] - width[a] : ends[b - 1]], rows - i_min[a:b, None], width[a:b])
-            lams = readout(BlockStack(tables, graph[a:b], ms[a:b], pts[a:b], rows), c)
+            lams = readout(BlockStack(n[a:b], k[a:b], j1[a:b], j2[a:b], pts[a:b], rows), c)
             values.append(np.repeat(lams, copies[a:b], axis=0).ravel())
-            owners.append(np.repeat(pts[a:b], copies[a:b] * n))
-            mults.append(np.repeat(deg[a:b], copies[a:b] * n))
+            owners.append(np.repeat(pts[a:b], copies[a:b] * dim))
+            mults.append(np.repeat(deg[a:b], copies[a:b] * dim))
 
 
 @lru_cache(maxsize=32)

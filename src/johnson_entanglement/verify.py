@@ -251,11 +251,9 @@ def check_level_degeneracies(sizes, cap) -> tuple[bool, float, str]:
 
 
 def _A_action(label, spec: GraphSpec) -> np.ndarray:
-    """A on the module chain by ascending distance: the ladder and diagonal the T route is built from."""
-    table = terwilliger.module_table(spec)
-    a, b, start = table.ladder
-    top = start[table.row[label]] + label.i_min
-    return heun_mod._tridiagonal(b[None, top : top + label.dim], a[None, top : top + label.dim - 1])[0]
+    """A on the module chain by ascending distance, from the closed form the T route reads: :func:`.terwilliger.chain_ladder`."""
+    a, b = terwilliger.chain_ladder(spec.n, spec.k, label.j1_x2, label.j2_x2, np.array(label.distances))
+    return heun_mod._tridiagonal(b[None], a[None, :-1])[0]
 
 
 def _Astar_coefficients(j_x2: int, label, spec: GraphSpec) -> tuple[float, float]:
@@ -320,26 +318,44 @@ def check_action_convention(sizes) -> tuple[bool, float, str]:
     return worst <= 1e-8, worst, "module A action reproduces theta_j"
 
 
-def _chain_T(table, hs, ms: np.ndarray, dim: int) -> np.ndarray:
-    """Stacked :func:`.heun.build_T` of the modules ``ms``, whose chains all have ``dim`` rows."""
-    mu, nu = np.full(len(ms), hs.mu), np.full(len(ms), hs.nu)
-    return heun_mod._tridiagonal(*heun_mod._T_entries(table, mu, nu, ms, table.i_min[ms, None] + np.arange(dim)))
+def _chain_T(pairs) -> dict[tuple[int, int], np.ndarray]:
+    """{(p, dim): the stacked :func:`.heun.build_T` of pair p's modules with ``dim`` chain rows, in row order}.
+
+    Pair p is a (table, HeunSpec); each chain length's T, of every pair, is
+    built by one :func:`.heun._T_stack` call.
+    """
+    columns = [
+        (np.full(len(t.dim), p), np.full(len(t.dim), t.spec.n), np.full(len(t.dim), t.spec.k), t.j1_x2, t.j2_x2,
+         t.i_min, t.dim, np.full(len(t.dim), hs.mu), np.full(len(t.dim), hs.nu))
+        for p, (t, hs) in enumerate(pairs)
+    ]
+    pair, n, k, j1_x2, j2_x2, i_min, dims, mu, nu = (np.concatenate(column) for column in zip(*columns))
+    stacks = {}
+    for dim, at in terwilliger.size_groups(dims):
+        rows = i_min[at, None] + np.arange(dim)
+        t = heun_mod._tridiagonal(*heun_mod._T_stack(n[at], k[at], j1_x2[at], j2_x2[at], rows, mu[at], nu[at]))
+        stacks.update({(p, dim): t[pair[at] == p] for p in dict.fromkeys(pair[at].tolist())})
+    return stacks
 
 
 @_check("t_basis_similarity")
 def check_t_basis_similarity(grid) -> tuple[bool, float, str]:
     """Distance- and level-basis T per module, at each (n, k, n_cut, j0_pos) of ``grid``.
 
-    Both bases of every module with one chain length are solved by one ``eigvalsh`` call.
+    Both bases of every module with one chain length are solved by one
+    ``eigvalsh`` call, after :func:`_chain_T` has built the grid's distance-basis T.
     """
-    worst = 0.0
+    pairs = []
     for n, k, n_cut, j0_pos in grid:
         spec = GraphSpec(n, k)
         hs = heun_mod.heun_spec(spec, n_cut, spectral.level_labels_x2(spec)[j0_pos])
-        table = terwilliger.module_table(spec)
+        pairs.append((terwilliger.module_table(spec), hs))
+    t_stacks = _chain_T(pairs)
+    worst = 0.0
+    for p, (table, hs) in enumerate(pairs):
         for dim, ms in terwilliger.size_groups(table.dim):
-            level_basis = [_T_level_basis(table.labels[m], hs, spec) for m in ms]
-            w1, w2 = np.split(np.linalg.eigvalsh(np.concatenate([_chain_T(table, hs, ms, dim), level_basis])), 2)
+            level_basis = [_T_level_basis(table.labels[m], hs, table.spec) for m in ms]
+            w1, w2 = np.split(np.linalg.eigvalsh(np.concatenate([t_stacks[p, dim], level_basis])), 2)
             scale = np.maximum(1.0, np.max(np.abs(w1), axis=1))
             worst = max(worst, float(np.max(np.max(np.abs(w1 - w2), axis=1) / scale)))
     return worst <= 1e-8, worst, "distance- and level-basis T agree spectrally"
@@ -424,10 +440,8 @@ def check_heun_commutant(grid) -> tuple[bool, float, str]:
     must break [C, T] (above 1e-3) on every configuration with a T block over
     1x1; one without skips only that control, and the detail counts the skips.
     """
-    worst = 0.0
-    cuts_zero = control_ok = True
-    skipped = 0
-    for count, (n, k, n_cut, j0_pos) in enumerate(grid, 1):
+    configs, pairs = [], []
+    for n, k, n_cut, j0_pos in grid:
         spec = GraphSpec(n, k)
         labels = spectral.level_labels_x2(spec)
         hs = heun_mod.heun_spec(spec, n_cut, labels[j0_pos])
@@ -435,19 +449,25 @@ def check_heun_commutant(grid) -> tuple[bool, float, str]:
         sub = SubsystemSpec(frozenset(range(n_cut + 1)), default_base_vertex(spec))
         if heun_mod.plan(spec, filling, sub) != hs:
             raise ValueError("filling and subsystem do not plan to these cuts")
-        perturbed = replace(hs, mu=hs.mu + 1.0)
+        table = terwilliger.module_table(spec)
+        configs.append((spec, hs, filling, table))
+        pairs += [(table, hs), (table, replace(hs, mu=hs.mu + 1.0))]
+    t_stacks = _chain_T(pairs)
+    worst = 0.0
+    cuts_zero = control_ok = True
+    skipped = 0
+    for count, (spec, hs, filling, table) in enumerate(configs, 1):
         controls = []
         for label in terwilliger.enumerate_modules(spec):
             levels = terwilliger.module_admissible_levels(label, spec)
             if hs.j0_x2 in levels[:-1]:
                 pos = levels.index(hs.j0_x2)
                 cuts_zero = cuts_zero and _T_level_basis(label, hs, spec)[pos, pos + 1] == 0.0
-        table = terwilliger.module_table(spec)
         occupied = table.level_index(sorted(filling.occupied))[None, :]
         # the subsystem rows of each chain are the leading ones
-        sizes = np.minimum(table.i_max, n_cut) - table.i_min + 1
+        sizes = np.minimum(table.i_max, hs.n_cut) - table.i_min + 1
         for dim, ms in terwilliger.size_groups(table.dim):
-            t, t_perturbed = _chain_T(table, hs, ms, dim), _chain_T(table, perturbed, ms, dim)
+            t, t_perturbed = t_stacks[2 * count - 2, dim], t_stacks[2 * count - 1, dim]
             for size, sel in terwilliger.size_groups(sizes[ms]):
                 if size < dim:
                     cuts_zero = cuts_zero and bool(np.all(t[sel, size - 1, size] == 0.0))

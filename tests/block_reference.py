@@ -17,18 +17,18 @@ def solve_every_block(groups, readout):
     """:func:`stacked_spectra` of (table, points) groups with every nonempty block solved.
 
     Each graph's blocks of one size go to the readout as one stack of that
-    graph alone, whose :class:`BlockStack` names every table of the call.
+    graph alone.
     """
-    tables = tuple(table for table, _ in groups)
     values, owners, mults = [], [], []
     base = 0
-    for g, (table, configs) in enumerate(groups):
+    for table, configs in groups:
         dist, levels, start, sizes = table.layout(configs)
         for size, flat in size_groups(sizes.ravel()):
             pts, ms = np.divmod(flat, len(table.labels))
             rows = dist[pts[:, None], start[pts, ms][:, None] + np.arange(size)]
             c = table.blocks(ms, rows, levels[pts])
-            stack = BlockStack(tables, np.full(len(ms), g), ms, base + pts, rows)
+            graph = (np.full(len(ms), table.spec.n), np.full(len(ms), table.spec.k), table.j1_x2[ms], table.j2_x2[ms])
+            stack = BlockStack(*graph, base + pts, rows)
             values.append(readout(stack, c).ravel())
             owners.append(np.repeat(base + pts, size))
             mults.append(np.repeat(table.degeneracies[ms], size))

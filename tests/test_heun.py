@@ -1,10 +1,9 @@
-import gc
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
+from johnson_entanglement import heun
 from johnson_entanglement.heun import build_T, dual_eigenvalue_at_distance, heun_spec, spectrum_via_heun
 from johnson_entanglement.scheme import GraphSpec, default_base_vertex, dual_adjacency_matrix, neighborhood_size
 from johnson_entanglement.spectral import (
@@ -16,10 +15,11 @@ from johnson_entanglement.spectral import (
     theta_eigenvalue,
 )
 from johnson_entanglement.terwilliger import (
-    ModuleTable,
     assemble_spectrum,
+    chain_ladder,
     enumerate_modules,
     module_admissible_levels,
+    module_table,
 )
 from johnson_entanglement.verify import (
     _A_action,
@@ -108,46 +108,38 @@ def test_A_coefficients_vanish_at_chain_ends():
 
 
 def _scalar_chain_arrays(spec):
-    """a and b at every chain row, module by module along each chain, and each chain's first position."""
-    a, b, first = [], [], []
+    """a and b at every chain row, module by module along each chain, with each row's module labels and distance."""
+    a, b, rows = [], [], []
     for label in enumerate_modules(spec):
-        first.append(len(a))
         for i in label.distances:
             a_i, b_i = _A_coefficients(label, _m1_x2(i, spec), spec)
             a.append(a_i)
             b.append(b_i)
-    return np.array(a), np.array(b), np.array(first)
+            rows.append((label.j1_x2, label.j2_x2, i))
+    return np.array(a), np.array(b), np.array(rows).T
 
 
 @pytest.mark.parametrize("n", [*range(2, 31), 400])
 def test_chain_arrays_equal_the_scalar_coefficients(n):
     for k in range(1, n // 2 + 1) if n <= 30 else [n // 2]:
         spec = GraphSpec(n, k)
-        a, b, start = ModuleTable(spec).ladder  # a fresh table: keeps no J(400,200) arrays alive
-        want_a, want_b, first = _scalar_chain_arrays(spec)
-        i_min = np.array([label.i_min for label in enumerate_modules(spec)])
-        assert np.array_equal(a, want_a) and np.array_equal(b, want_b), (n, k)
-        assert np.array_equal(start + i_min, first), (n, k)
-        assert not any(arr.flags.writeable for arr in (a, b, start))
-        theta = [dual_eigenvalue_at_distance(i, spec) for i in range(k + 1)]
-        assert dual_eigenvalue_at_distance(np.arange(k + 1), spec).tobytes() == np.array(theta).tobytes()
+        want_a, want_b, (j1_x2, j2_x2, i) = _scalar_chain_arrays(spec)
+        a, b = chain_ladder(n, k, j1_x2, j2_x2, i)
+        assert a.tobytes() == want_a.tobytes() and b.tobytes() == want_b.tobytes(), (n, k)
+        theta = np.array([dual_eigenvalue_at_distance(i, spec) for i in range(k + 1)])
+        assert dual_eigenvalue_at_distance(np.arange(k + 1), spec).tobytes() == theta.tobytes()
+        # the per-block form T reads, with n and k as arrays
+        per_block = heun._dual_eigenvalue(np.full(k + 1, n), np.full(k + 1, k), np.arange(k + 1))
+        assert per_block.tobytes() == theta.tobytes()
 
 
-@pytest.mark.parametrize("n,k", [(200, 100), (400, 200)])
-def test_ladder_build_peaks_near_its_kept_arrays(n, k):
-    # a and b are filled a fixed number of rows at a time, so the integer
-    # temporaries stay small beside them; one pass over every row peaked at
-    # about four times the kept bytes
-    table = ModuleTable(GraphSpec(n, k))
-    gc.collect()
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        kept = sum(arr.nbytes for arr in table.ladder)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5 * kept, (peak, kept)
+@pytest.mark.parametrize("n,k", [(2_200_000, 2), (3_000_000, 1), (10**7, 3)])
+def test_dual_eigenvalue_of_an_array_equals_the_scalar_past_the_int64_range(n, k):
+    # n (n - 1) (n - 4i) passes 2^63 from n = 2.2 * 10^6: an int64 product would wrap there
+    spec = GraphSpec(n, k)
+    theta = [dual_eigenvalue_at_distance(i, spec) for i in range(k + 1)]
+    assert dual_eigenvalue_at_distance(np.arange(k + 1), spec).tolist() == theta
+    assert theta[0] == pytest.approx(n - 1)
 
 
 def test_A_action_trace_identity():
@@ -247,6 +239,31 @@ def test_T_cut_coupling_is_exactly_zero():
                 for pos, j_x2 in enumerate(levels[:-1]):
                     if j_x2 == j0:
                         assert t_lvl[pos, pos + 1] == t_lvl[pos + 1, pos] == 0.0
+
+
+def test_one_T_stack_across_graphs_equals_each_graphs_own_build():
+    # four-row blocks of four graphs, each under its own weights, shuffled
+    # into one call against one call per graph; each window holds rows
+    # n_cut - 1 .. n_cut + 2
+    parts = []
+    for n, k in [(12, 6), (29, 13), (30, 15), (66, 33)]:
+        spec = GraphSpec(n, k)
+        table = module_table(spec)
+        n_cut = k // 2
+        hs = heun_spec(spec, n_cut, level_labels_x2(spec)[k // 3])
+        ms = np.flatnonzero((table.i_min <= n_cut - 1) & (table.i_max >= n_cut + 2))
+        assert len(ms) > 0, (n, k)
+        rows = np.broadcast_to(np.arange(n_cut - 1, n_cut + 3), (len(ms), 4))
+        mu, nu = np.full(len(ms), hs.mu), np.full(len(ms), hs.nu)
+        own = heun._T_stack(n, k, table.j1_x2[ms], table.j2_x2[ms], rows, mu, nu)
+        parts.append((np.full(len(ms), n), np.full(len(ms), k), table.j1_x2[ms], table.j2_x2[ms], rows, mu, nu, *own))
+    columns = [np.concatenate(column) for column in zip(*parts)]
+    order = np.random.default_rng(7).permutation(len(columns[0]))
+    diag, off = heun._T_stack(*(column[order] for column in columns[:7]))
+    assert diag.tobytes() == columns[7][order].tobytes()
+    assert off.tobytes() == columns[8][order].tobytes()
+    assert np.all(off[:, 1] == 0.0)  # the coupling of n_cut to n_cut + 1: an exact zero, not small
+    assert np.all(off[:, [0, 2]] != 0.0)
 
 
 def test_T_one_dimensional_module_is_scalar():

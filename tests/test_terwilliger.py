@@ -431,7 +431,7 @@ def test_coupling_store_holds_each_fetched_column_once(monkeypatch):
 
 
 def test_module_table_holds_the_only_copy_of_its_columns(monkeypatch):
-    """A cold J(100,50) run keeps no more than the table's own arrays, and a modules run builds no A ladder."""
+    """A cold J(100,50) run keeps no more than the table's own arrays."""
     def point(spec, cut, fill):
         sub = SubsystemSpec(frozenset(range(cut + 1)), default_base_vertex(spec))
         return FillingSpec(frozenset(level_labels_x2(spec)[:fill])), sub
@@ -452,7 +452,7 @@ def test_module_table_holds_the_only_copy_of_its_columns(monkeypatch):
         tracemalloc.stop()
     table = tables(spec)
     arrays = sum(v.nbytes for v in vars(table).values() if isinstance(v, np.ndarray))
-    assert table.size > 0 and "ladder" not in vars(table)
+    assert table.size > 0
     assert grown <= arrays + 2**18, (grown, arrays)
 
 
@@ -532,8 +532,8 @@ def _unshared(spec):
 @pytest.mark.parametrize("k", range(1, 13))
 def test_twin_blocks_equal_their_owner_blocks_bit_for_bit(k):
     # every contiguous row window of every twin chain under every lowest
-    # filling: C built from the twin's own columns, and T from its own ladder
-    # rows, are byte for byte the owner's
+    # filling: C built from the twin's own columns, and T from its own labels,
+    # are byte for byte the owner's
     spec = GraphSpec(2 * k, k)
     table, plain = ModuleTable(spec), _unshared(spec)
     fills = [list(range(fill)) + [k + 1] * (k + 1 - fill) for fill in range(k + 2)]
@@ -550,8 +550,8 @@ def test_twin_blocks_equal_their_owner_blocks_bit_for_bit(k):
                     continue
                 hs = heun.heun_spec(spec, n_cut, 2 * j0)
                 mu, nu = np.full(len(rows), hs.mu), np.full(len(rows), hs.nu)
-                t_twin = heun._T_entries(table, mu, nu, ms, rows)
-                t_owner = heun._T_entries(table, mu, nu, ms * 0 + owner, rows)
+                t_twin = heun._T_stack(2 * k, k, table.j1_x2[m], table.j2_x2[m], rows, mu, nu)
+                t_owner = heun._T_stack(2 * k, k, table.j1_x2[owner], table.j2_x2[owner], rows, mu, nu)
                 assert all(a.tobytes() == b.tobytes() for a, b in zip(t_twin, t_owner)), (k, m, size)
 
 
