@@ -177,7 +177,7 @@ def module_admissible_levels(label: ModuleLabel, spec: GraphSpec) -> list[int]:
 
 
 def chain_ladder(n, k, j1_x2, j2_x2, i) -> tuple[np.ndarray, np.ndarray]:
-    """A on module (j1, j2)'s chain of J(n, k) at the rows i: its ladder a and diagonal b, over the broadcast integer arrays.
+    """A on module (j1, j2)'s chain of J(n, k) at the rows i: ladder a and diagonal b, over broadcast integer arrays.
 
     a = sqrt((j1+m1)(j1-m1+1)(j2-m2)(j2+m2+1)) couples the row at i to the row
     at i + 1 and is 0 at the chain's last row; b = j1(j1+1) + j2(j2+1) - m1^2

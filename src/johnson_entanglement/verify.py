@@ -251,7 +251,7 @@ def check_level_degeneracies(sizes, cap) -> tuple[bool, float, str]:
 
 
 def _A_action(label, spec: GraphSpec) -> np.ndarray:
-    """A on the module chain by ascending distance, from the closed form the T route reads: :func:`.terwilliger.chain_ladder`."""
+    """A on the module chain by ascending distance, from :func:`.terwilliger.chain_ladder`, which T reads too."""
     a, b = terwilliger.chain_ladder(spec.n, spec.k, label.j1_x2, label.j2_x2, np.array(label.distances))
     return heun_mod._tridiagonal(b[None], a[None, :-1])[0]
 
