@@ -6,9 +6,10 @@ sweep is a list of (graph, points) batches on one route that ``_grid_sweep``
 solves in one call, reading every point's entropy off the merged arrays.
 
 Exit codes: 0 success, 1 verification or cross-route agreement failure,
-2 invalid configuration, 3 dense-capacity overflow.  Output is deterministic:
-fixed orderings, floats at 12 significant digits, no timestamps.  Doubled
-half-integer labels appear in ``*_x2`` columns next to a decimal column.
+2 invalid configuration, 3 dense-capacity overflow or a failed allocation.
+Output is deterministic: fixed orderings, floats at 12 significant digits, no
+timestamps.  Doubled half-integer labels appear in ``*_x2`` columns next to a
+decimal column.
 """
 
 from __future__ import annotations
@@ -532,8 +533,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except CapacityError as exc:
-        print(f"capacity error: {exc}", file=sys.stderr)
+    except (CapacityError, MemoryError) as exc:
+        print(f"capacity error: {exc or 'out of memory'}", file=sys.stderr)
         return 3
 
 

@@ -1,57 +1,43 @@
-"""Special-function kernel: exact dual Hahn sums and su(2) Clebsch-Gordan
-coefficients.
+"""Special-function kernel: the one exact dual Hahn recurrence and su(2)
+Clebsch-Gordan coefficients.
 
 Angular-momentum labels are passed as doubled integers (``j_x2 = 2*j``) so
 half-integers, parities and selection rules stay exact.  A Clebsch-Gordan
 column is a normalized dual Hahn polynomial in its degree, so
-:func:`cg_column` generates it whole from the integer three-term degree
-recurrence and the integer ratio of consecutive weights.  Each entry is then
-one correctly rounded integer division and one square root, with no loss of
-precision at any graph size.
+:func:`cg_column` generates it whole from :func:`dual_hahn_numerators` and
+the integer ratio of consecutive weights: per entry one correctly rounded
+integer division and one square root, exact at any graph size.  ``spectral``
+reads the same recurrence at gamma = 0, delta = n - 2k, N = k for the
+eigenvalues of every A_i.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+from collections.abc import Iterator
 
 __all__ = [
     "clebsch_gordan",
     "cg_column",
+    "dual_hahn_numerators",
 ]
 
 
-def _dual_hahn_run(degree: int, lam: int, gamma: int, delta: int, n_max: int) -> list[Fraction]:
-    """Exact dual Hahn values R_0..R_degree(lam; gamma, delta, N), degree <= N, in one pass.
+def dual_hahn_numerators(lam: int, gamma: int, delta: int, n_max: int, length: int) -> Iterator[tuple[int, int]]:
+    """(P_i, a_i) for i = 0..length-1, the exact dual Hahn R_i(lam; gamma, delta, N) = P_i / D_i.
 
     Runs the degree recurrence a_i R_(i+1) = (a_i + c_i - lam) R_i - c_i R_(i-1)
-    with a_i = (gamma+i+1)(N-i) and c_i = i(delta+N+1-i), the one behind
-    :func:`cg_column`.
+    with a_i = (gamma+i+1)(N-i) and c_i = i(delta+N+1-i).  Over D_0 = 1 and
+    D_(i+1) = a_i D_i it is P_(i+1) = (a_i + c_i - lam) P_i - c_i a_(i-1) P_(i-1),
+    all in integers; R_i is defined for i <= N, and delta may be negative.
     """
-    out = [Fraction(0), Fraction(1)]  # R_(-1) = 0 starts the recurrence
-    for i in range(degree):
+    p_prev, p, a_prev = 0, 1, 0  # P_(i-1), P_i, a_(i-1)
+    for i in range(length):
         a = (gamma + i + 1) * (n_max - i)
+        yield p, a
         c = i * (delta + n_max + 1 - i)
-        out.append(((a + c - lam) * out[-1] - c * out[-2]) / a)
-    return out[1:]
-
-
-def _hyp2f1_rational(a_neg: int, b: int, c: int, z: Fraction) -> Fraction:
-    """Exact-rational terminating 2F1 for integer parameters and rational z."""
-    if a_neg > 0:
-        raise ValueError("first parameter must be a nonpositive integer")
-    total = Fraction(1)
-    term = Fraction(1)
-    for m in range(-a_neg):
-        num = (a_neg + m) * (b + m)
-        if num == 0:
-            break
-        den = (c + m) * (m + 1)
-        if den == 0:
-            raise ZeroDivisionError(f"2F1 pole: (c)_m vanishes at m={m + 1} before termination")
-        term *= Fraction(num, den) * z
-        total += term
-    return total
+        p_prev, p = p, (a + c - lam) * p - c * a_prev * p_prev
+        a_prev = a
 
 
 def _check_pair(name: str, j_x2: int, m_x2: int) -> None:
@@ -93,10 +79,9 @@ def cg_column(j_x2: int, j1_x2: int, j2_x2: int, m_x2: int) -> tuple[float, ...]
     bring the column to m >= 0 and j1 <= j2.  There the entry of degree
     i = j1 - m1 = 0, 1, ... is (-1)^i sqrt(w_i) R_i(lam; gamma, delta, N), a
     dual Hahn value with N = 2 j1, gamma = j2 - j1 + m, delta = j2 - j1 - m
-    and lam = x (x + gamma + delta + 1), x = j + j1 - j2 (spin units).  With
-    a_i = (gamma+i+1)(N-i) and c_i = i(delta+N+1-i), the degree recurrence
-    a_i R_(i+1) = (a_i + c_i - lam) R_i - c_i R_(i-1) keeps R_i = P_i / D_i
-    with integer P_i and D_(i+1) = a_i D_i > 0, and the weight steps by
+    and lam = x (x + gamma + delta + 1), x = j + j1 - j2 (spin units).
+    :func:`dual_hahn_numerators` gives R_i = P_i / D_i with integer P_i and
+    D_(i+1) = a_i D_i > 0, a_i = (gamma+i+1)(N-i), and the weight steps by
     w_(i+1) / w_i = a_i / ((delta+N-i)(i+1)).  The D_i cancel against the
     weight, so each magnitude is sqrt(W_0 P_i^2 / E_i) with integers W_0 and
     E_(i+1) = E_i a_i (delta+N-i)(i+1): one correctly rounded division of
@@ -134,15 +119,10 @@ def cg_column(j_x2: int, j1_x2: int, j2_x2: int, m_x2: int) -> tuple[float, ...]
     w_den = f(n_max - x) * f(gamma) * f(x) * f(x + gamma + delta + 1 + n_max) * f(delta + x)
 
     out = []
-    p_prev, p, a_prev = 0, 1, 0  # P_(i-1), P_i, a_(i-1)
-    for i in range(length):
+    for i, (p, a) in enumerate(dual_hahn_numerators(lam, gamma, delta, n_max, length)):
         magnitude = math.sqrt(w_num * p * p / w_den)
         # D_i > 0, so R_i < 0 exactly when P_i < 0; an exact zero keeps the
         # flip and degree phases only.
         out.append(-magnitude if negative ^ (p < 0) ^ (i % 2 == 1) else magnitude)
-        a = (gamma + i + 1) * (n_max - i)
-        c = i * (delta + n_max + 1 - i)
-        p_prev, p = p, (a + c - lam) * p - c * a_prev * p_prev
-        a_prev = a
         w_den *= a * (delta + n_max - i) * (i + 1)
     return tuple(reversed(out)) if flips == 1 else tuple(out)

@@ -5,7 +5,12 @@
   Gram-Schmidt down the j ladder.  Shares no code with the package.
 * :func:`_dual_hahn_rational`: one dual Hahn value summed term by term as
   the terminating series, the reference for the package's degree
-  recurrences.
+  recurrence, :func:`johnson_entanglement.specfn.dual_hahn_numerators`.
+* :func:`numerator_ratios`: the package's integer numerators P_i divided
+  by their D_i, the values the series must equal.
+* :func:`_hyp2f1_rational`: a terminating 2F1 in exact rationals, the
+  closed form behind :func:`exponential_energy_reference`, which
+  :func:`johnson_entanglement.spectral.energy_exponential` must equal.
 * :func:`seed_coefficient`: the per-entry closed form, a normalized dual
   Hahn series summed in exact rationals with one square root.  It rounds
   the same exact rational as :func:`johnson_entanglement.specfn.cg_column`,
@@ -16,6 +21,8 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+from johnson_entanglement.specfn import dual_hahn_numerators
 
 
 def _dual_hahn_rational(i: int, lam, gamma: int, delta: int, n_max: int) -> Fraction:
@@ -34,6 +41,41 @@ def _dual_hahn_rational(i: int, lam, gamma: int, delta: int, n_max: int) -> Frac
         term *= Fraction(r - i, (gamma + 1 + r) * (r - n_max) * (r + 1)) * (r * gd1 + r * r - lam)
         total += term
     return total
+
+
+def numerator_ratios(lam, gamma: int, delta: int, n_max: int) -> list[Fraction]:
+    """P_i / D_i of :func:`dual_hahn_numerators` over D_0 = 1, D_(i+1) = a_i D_i, degrees 0..N."""
+    ratios, d = [], 1
+    for p, a in dual_hahn_numerators(lam, gamma, delta, n_max, n_max + 1):
+        ratios.append(Fraction(p, d))
+        d *= a
+    return ratios
+
+
+def _hyp2f1_rational(a_neg: int, b: int, c: int, z: Fraction) -> Fraction:
+    """Exact-rational terminating 2F1 for integer parameters and rational z."""
+    if a_neg > 0:
+        raise ValueError("first parameter must be a nonpositive integer")
+    total = Fraction(1)
+    term = Fraction(1)
+    for m in range(-a_neg):
+        num = (a_neg + m) * (b + m)
+        if num == 0:
+            break
+        den = (c + m) * (m + 1)
+        if den == 0:
+            raise ZeroDivisionError(f"2F1 pole: (c)_m vanishes at m={m + 1} before termination")
+        term *= Fraction(num, den) * z
+        total += term
+    return total
+
+
+def exponential_energy_reference(spec, j_x2: int, z: Fraction) -> Fraction:
+    """Omega_j for alpha_i = z^i: (1 - z)^(n/2 - j) 2F1(n/2 - k - j, -n/2 + k - j; 1; z), exact."""
+    n, k = spec.n, spec.k
+    a = (n - 2 * k - j_x2) // 2
+    b = -(n - 2 * k + j_x2) // 2
+    return (1 - z) ** ((n - j_x2) // 2) * _hyp2f1_rational(a, b, 1, z)
 
 
 def su2_lowering(j_x2: int) -> tuple[np.ndarray, np.ndarray]:

@@ -25,11 +25,13 @@ from the combination indices and must match it exactly.
 full-size factors; the battery's ``verify._adjacency_polynomial_slabs``
 reads every A_i off one product chain and must match it bit for bit.
 
-:func:`level_kernel_reference` is the eigenprojector E_j at each distance as
-an exact ``Fraction`` per level, and :func:`correlation_kernel_reference`
-sums the occupied ones in ``Fraction`` and rounds each distance once; the
-oracle's kernel sums integer numerators over their shared denominator and
-must give the same floats.
+:func:`level_kernel_numerators` is the numerator m_j P_d(i) of the
+eigenprojector E_j at each distance, summed as the Eberlein sum, which the
+oracle's kernel must equal exactly.  :func:`level_kernel_reference` divides
+it into an exact ``Fraction`` per level, and
+:func:`correlation_kernel_reference` sums the occupied ones in ``Fraction``
+and rounds each distance once; the oracle's kernel sums integer numerators
+over their shared denominator and must give the same floats.
 """
 
 import math
@@ -120,17 +122,24 @@ def adjacency_via_polynomial(i: int, spec, cap=None) -> np.ndarray:
     return sgn * math.comb(k, i) * total
 
 
-def level_kernel_reference(spec, j_x2: int) -> tuple[Fraction, ...]:
-    """E_j's entry m_j P_d(i) / (C(n, k) C(k, d) C(n-k, d)) at each distance d = 0..k, as exact Fractions."""
+def level_kernel_numerators(spec, j_x2: int) -> tuple[int, ...]:
+    """m_j P_d(i) at each distance d = 0..k, with i = n/2 - j and the Eberlein sum
+    P_d(i) = sum_t (-1)^t C(i, t) C(k-i, d-t) C(n-k-i, d-t)."""
     n, k, comb = spec.n, spec.k, math.comb
     i = (n - j_x2) // 2
     m = level_degeneracy(j_x2, spec)
     return tuple(
-        Fraction(
-            m * sum((-1) ** t * comb(i, t) * comb(k - i, d - t) * comb(n - k - i, d - t) for t in range(d + 1)),
-            spec.vertex_count * comb(k, d) * comb(n - k, d),
-        )
+        m * sum((-1) ** t * comb(i, t) * comb(k - i, d - t) * comb(n - k - i, d - t) for t in range(d + 1))
         for d in range(k + 1)
+    )
+
+
+def level_kernel_reference(spec, j_x2: int) -> tuple[Fraction, ...]:
+    """E_j's entry m_j P_d(i) / (C(n, k) C(k, d) C(n-k, d)) at each distance d = 0..k, as exact Fractions."""
+    n, k, comb = spec.n, spec.k, math.comb
+    return tuple(
+        Fraction(p, spec.vertex_count * comb(k, d) * comb(n - k, d))
+        for d, p in enumerate(level_kernel_numerators(spec, j_x2))
     )
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from johnson_entanglement import cli, terwilliger
+from johnson_entanglement import cli, spectral, terwilliger
 from johnson_entanglement.cli import _build_parser, main
 from johnson_entanglement.entropy import binary_entropy, von_neumann
 from johnson_entanglement.heun import HeunSpec, plan
@@ -210,6 +210,22 @@ def test_exit_code_capacity():
     assert run([
         "entropy", "--n", "8", "--k", "4", "--cutoff", "1", "--route", "oracle", "--dense-cap", "10",
     ]) == 3
+
+
+def test_failed_allocation_is_a_one_line_capacity_error(monkeypatch, capsys):
+    # the cap lifted past the graph (C(30, 15) = 155,117,520 vertices) leaves a failed allocation the last guard
+    def unable(spec, sub):
+        raise MemoryError("Unable to allocate 355. GiB for an array with shape (218276, 218276) and data type float64")
+
+    monkeypatch.setattr(spectral, "_subsystem_distances", unable)
+    code = run([
+        "entropy", "--n", "30", "--k", "15", "--cutoff", "3", "--occupied", "30,28", "--route", "all",
+        "--dense-cap", "10000000000000000000000",
+    ])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("capacity error: Unable to allocate 355. GiB") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_exit_code_usage_error():

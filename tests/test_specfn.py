@@ -9,13 +9,16 @@ from hypothesis import strategies as st
 
 from johnson_entanglement import terwilliger
 from johnson_entanglement.scheme import GraphSpec
-from johnson_entanglement.specfn import (
-    _hyp2f1_rational,
-    cg_column,
-    clebsch_gordan,
-)
+from johnson_entanglement.specfn import cg_column, clebsch_gordan
 
-from cg_oracle import _dual_hahn_rational, coupled_states, oracle_coefficient, seed_coefficient
+from cg_oracle import (
+    _dual_hahn_rational,
+    _hyp2f1_rational,
+    coupled_states,
+    numerator_ratios,
+    oracle_coefficient,
+    seed_coefficient,
+)
 
 
 # ----------------------------------------------------------- 2F1
@@ -96,6 +99,27 @@ def test_dual_hahn_difference_equation(gamma, delta, n_max):
             b_x = (x + gamma + 1) * (x + gd + 1) * (n_max - x) / ((2 * x + gd + 1) * (2 * x + gd + 2))
             d_x = x * (x + gd + n_max + 1) * (x + delta) / ((2 * x + gd) * (2 * x + gd + 1))
             assert -i * y(i, x) == b_x * y(i, x + 1) - (b_x + d_x) * y(i, x) + d_x * y(i, x - 1)
+
+
+def test_dual_hahn_numerators_equal_the_series():
+    # every (gamma, delta, N, lam) that cg_column meets up to doubled spins 8, delta < 0 included,
+    # and a spread of other integer lam, delta < 0 again among them
+    grid = set()
+    for j1_x2 in range(9):
+        for j2_x2 in range(j1_x2, 9):
+            for j_x2 in range(j2_x2 - j1_x2, j1_x2 + j2_x2 + 1, 2):
+                for m_x2 in range(j_x2 % 2, j_x2 + 1, 2):
+                    x = (j_x2 + j1_x2 - j2_x2) // 2
+                    gamma, delta = (j2_x2 - j1_x2 + m_x2) // 2, (j2_x2 - j1_x2 - m_x2) // 2
+                    grid.add((gamma, delta, j1_x2, x * (x + gamma + delta + 1)))
+    assert sum(delta < 0 for _, delta, _, _ in grid) > 50
+    grid |= {
+        (gamma, delta, n_max, lam)
+        for gamma in range(3) for delta in range(-2, 3) for n_max in range(7) for lam in range(-5, 40, 3)
+    }
+    for gamma, delta, n_max, lam in sorted(grid):
+        series = [_dual_hahn_rational(i, lam, gamma, delta, n_max) for i in range(n_max + 1)]
+        assert numerator_ratios(lam, gamma, delta, n_max) == series, (gamma, delta, n_max, lam)
 
 
 # ----------------------------------------------------------- Clebsch-Gordan

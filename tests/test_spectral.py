@@ -38,7 +38,6 @@ from johnson_entanglement.spectral import (
     spectrum_oracle,
     theta_eigenvalue,
 )
-from johnson_entanglement.specfn import _dual_hahn_run
 from johnson_entanglement.terwilliger import assemble_spectrum
 from johnson_entanglement.verify import (
     check_hahn_polynomial,
@@ -50,13 +49,14 @@ from johnson_entanglement.verify import (
     spectra_max_diff,
 )
 
-from cg_oracle import _dual_hahn_rational
+from cg_oracle import _dual_hahn_rational, exponential_energy_reference, numerator_ratios
 from dense_oracle import (
     adjacency_via_polynomial,
     chopped_correlation_reference,
     correlation_kernel_reference,
     indicator_sum_distances,
     level_blocks_reference,
+    level_kernel_numerators,
     pairwise_distances,
     subsystem_indices,
 )
@@ -96,7 +96,7 @@ def test_energy_table_recurrence_matches_term_by_term_series():
                 j_x2 = row.j_x2
                 lam = Fraction(j_x2 * (j_x2 + 2) - (n - 2 * k) ** 2, 4) + Fraction(2 * k - n, 2)
                 series = [_dual_hahn_rational(i, lam, 0, n - 2 * k, k) for i in range(k + 1)]
-                assert _dual_hahn_run(k, int(lam), 0, n - 2 * k, k) == series, (n, k, j_x2)
+                assert numerator_ratios(int(lam), 0, n - 2 * k, k) == series, (n, k, j_x2)
                 omega = sum(
                     Fraction(a) * (-1) ** i * math.comb(k, i) * r for i, (a, r) in enumerate(zip(alphas, series))
                 )
@@ -139,6 +139,22 @@ def test_energy_exponential_matches_alpha_path(c):
         expanded = energy_table(spec, HoppingProfile(tuple(math.exp(-c * i) for i in range(k + 1))))
         for a, b in zip(closed.rows, expanded.rows):
             assert a.omega == pytest.approx(b.omega, rel=1e-9, abs=1e-12)
+
+
+def _exponential_points():
+    for n, k in graph_sizes(2, 30):
+        for c in (0.0, 0.1, 0.5, 3.0, 40.0, math.inf):
+            yield GraphSpec(n, k), c
+    yield GraphSpec(200, 100), 0.5
+
+
+def test_energy_exponential_equals_the_closed_form():
+    # the exact sum over z^i and the 2F1 closed form are one rational for the same double z
+    for spec, c in _exponential_points():
+        z = Fraction(math.exp(-c))
+        for row in energy_exponential(spec, c).rows:
+            omega = exponential_energy_reference(spec, row.j_x2, z)
+            assert (row.omega, row.sign) == (float(omega), (omega > 0) - (omega < 0)), (spec, c, row.j_x2)
 
 
 def test_energy_exponential_strictly_increasing():
@@ -373,6 +389,13 @@ def test_level_kernels_satisfy_the_three_term_recurrence():
             for d in range(k + 1):
                 a_d = k * (n - k) - b[d] - c[d]
                 assert c[d] * f[d - 1] + a_d * f[d] + b[d] * f[d + 1] == theta * f[d], (n, k, j_x2, d)
+
+
+@pytest.mark.parametrize("n,k", [(100, 50), (200, 100)])
+def test_level_kernels_equal_the_eberlein_sum(n, k):
+    spec = GraphSpec(n, k)
+    for j_x2 in level_labels_x2(spec):
+        assert spectral._level_kernel(spec, j_x2) == level_kernel_numerators(spec, j_x2), j_x2
 
 
 @pytest.mark.parametrize("n", range(2, 11))
