@@ -14,7 +14,6 @@ eigenvalues of every A_i.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 
 __all__ = [
     "clebsch_gordan",
@@ -23,21 +22,21 @@ __all__ = [
 ]
 
 
-def dual_hahn_numerators(lam: int, gamma: int, delta: int, n_max: int, length: int) -> Iterator[tuple[int, int]]:
-    """(P_i, a_i) for i = 0..length-1, the exact dual Hahn R_i(lam; gamma, delta, N) = P_i / D_i.
+def dual_hahn_numerators(lam: int, gamma: int, delta: int, n_max: int, length: int) -> list[int]:
+    """P_0..P_(length-1), the numerators of the exact dual Hahn R_i(lam; gamma, delta, N) = P_i / D_i.
 
     Runs the degree recurrence a_i R_(i+1) = (a_i + c_i - lam) R_i - c_i R_(i-1)
     with a_i = (gamma+i+1)(N-i) and c_i = i(delta+N+1-i).  Over D_0 = 1 and
     D_(i+1) = a_i D_i it is P_(i+1) = (a_i + c_i - lam) P_i - c_i a_(i-1) P_(i-1),
     all in integers; R_i is defined for i <= N, and delta may be negative.
     """
-    p_prev, p, a_prev = 0, 1, 0  # P_(i-1), P_i, a_(i-1)
-    for i in range(length):
-        a = (gamma + i + 1) * (n_max - i)
-        yield p, a
-        c = i * (delta + n_max + 1 - i)
+    numerators, p_prev, p, a_prev = [1], 0, 1, 0  # P_(i-1), P_i, a_(i-1)
+    for i in range(length - 1):
+        a, c = (gamma + i + 1) * (n_max - i), i * (delta + n_max + 1 - i)
         p_prev, p = p, (a + c - lam) * p - c * a_prev * p_prev
+        numerators.append(p)
         a_prev = a
+    return numerators[:length]
 
 
 def _check_pair(name: str, j_x2: int, m_x2: int) -> None:
@@ -119,10 +118,10 @@ def cg_column(j_x2: int, j1_x2: int, j2_x2: int, m_x2: int) -> tuple[float, ...]
     w_den = f(n_max - x) * f(gamma) * f(x) * f(x + gamma + delta + 1 + n_max) * f(delta + x)
 
     out = []
-    for i, (p, a) in enumerate(dual_hahn_numerators(lam, gamma, delta, n_max, length)):
+    for i, p in enumerate(dual_hahn_numerators(lam, gamma, delta, n_max, length)):
         magnitude = math.sqrt(w_num * p * p / w_den)
         # D_i > 0, so R_i < 0 exactly when P_i < 0; an exact zero keeps the
         # flip and degree phases only.
         out.append(-magnitude if negative ^ (p < 0) ^ (i % 2 == 1) else magnitude)
-        w_den *= a * (delta + n_max - i) * (i + 1)
+        w_den *= (gamma + i + 1) * (n_max - i) * (delta + n_max - i) * (i + 1)
     return tuple(reversed(out)) if flips == 1 else tuple(out)

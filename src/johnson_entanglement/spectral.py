@@ -147,7 +147,11 @@ def level_labels_x2(spec: GraphSpec) -> list[int]:
 
 def theta_eigenvalue(j_x2: int, spec: GraphSpec) -> float:
     """Adjacency eigenvalue theta_j = j(j+1) - (n-2k)^2/4 - n/2."""
-    n, k = spec.n, spec.k
+    return _theta(spec.n, spec.k, j_x2)
+
+
+def _theta(n, k, j_x2):
+    """:func:`theta_eigenvalue` over Python ints or int64 arrays; either way the numerator is rounded once."""
     return (j_x2 * (j_x2 + 2) - (n - 2 * k) ** 2) / 4.0 - n / 2.0
 
 
@@ -222,7 +226,7 @@ def _eigenvalues(spec: GraphSpec, j_x2: int, length: int) -> list[int]:
     n, k = spec.n, spec.k
     x = (j_x2 - (n - 2 * k)) // 2
     values, fact = [], 1
-    for i, (p, _) in enumerate(dual_hahn_numerators(x * (x + n - 2 * k + 1), 0, n - 2 * k, k, length)):
+    for i, p in enumerate(dual_hahn_numerators(x * (x + n - 2 * k + 1), 0, n - 2 * k, k, length)):
         fact *= i or 1
         values.append((-p if i % 2 else p) // (fact * fact))
     return values
@@ -271,22 +275,19 @@ def _correlation_kernel(spec: GraphSpec, occupied: frozenset[int]) -> np.ndarray
     return f
 
 
-def _subsystem_distances(spec: GraphSpec, sub: SubsystemSpec) -> np.ndarray:
-    """Integer distances between the subsystem's vertices, rows in colex rank order.
+def _vertex_layout(spec: GraphSpec, x0: Vertex, distances) -> np.ndarray:
+    """The 0/1 rows of R + S of every vertex at ``distances`` from x0, in colex rank order; a subset's rows keep it.
 
     A vertex at distance d from x0 is x0 with a d-set R of its elements
-    removed and a d-set S of the others added, and two such vertices lie at
-    distance |R| + |R'| - |R & R'| - |S & S'|.  The 0/1 rows of R + S are
-    set from the (R, S) index pairs, so neither a list of all C(n, k)
-    vertices nor an N x N array is made; the overlaps are one float64
-    product of 0/1 rows, exact.
+    removed and a d-set S of the others added.  The rows are set from the
+    (R, S) index pairs, so no list of all C(n, k) vertices is made.
     """
     n = spec.n
-    x0 = np.zeros(n)
-    x0[[e - 1 for e in sub.x0.subset]] = 1.0
-    inside, outside = np.flatnonzero(x0), np.flatnonzero(x0 == 0.0)
+    base = np.zeros(n)
+    base[[e - 1 for e in x0.subset]] = 1.0
+    inside, outside = np.flatnonzero(base), np.flatnonzero(base == 0.0)
     blocks = []
-    for d in sorted(sub.distances):
+    for d in sorted(distances):
         removed, added = (
             np.array(combos, dtype=np.intp).reshape(len(combos), d)
             for combos in (list(combinations(inside, d)), list(combinations(outside, d)))
@@ -299,7 +300,11 @@ def _subsystem_distances(spec: GraphSpec, sub: SubsystemSpec) -> np.ndarray:
         blocks.append(block)
     moved = np.vstack(blocks)
     # colex order compares the largest elements first: sort the vertex rows by element n, then n - 1, ...
-    moved = moved[np.lexsort((x0 + moved * (1.0 - 2.0 * x0)).T)]
+    return moved[np.lexsort((base + moved * (1.0 - 2.0 * base)).T)]
+
+
+def _layout_distances(moved: np.ndarray) -> np.ndarray:
+    """Distances |R| + |R'| - |R & R'| - |S & S'| between :func:`_vertex_layout` rows, by one exact 0/1 product."""
     d = moved.sum(axis=1) / 2.0
     g = moved @ moved.T
     g *= -1.0
@@ -311,7 +316,7 @@ def _subsystem_distances(spec: GraphSpec, sub: SubsystemSpec) -> np.ndarray:
 def eigenprojectors_oracle(spec: GraphSpec, cap: int | None = None) -> dict[int, np.ndarray]:
     """Eigenprojectors E_j of the adjacency matrix, keyed by doubled j: each its exact kernel read off the distances."""
     _require_capacity(spec, cap)
-    dist = _subsystem_distances(spec, SubsystemSpec(frozenset(range(spec.k + 1)), default_base_vertex(spec)))
+    dist = _layout_distances(_vertex_layout(spec, default_base_vertex(spec), range(spec.k + 1)))
     return {j_x2: _correlation_kernel(spec, frozenset({j_x2}))[dist] for j_x2 in level_labels_x2(spec)}
 
 
@@ -324,7 +329,7 @@ def chopped_correlation_oracle(
     symmetric; at most two |A| x |A| arrays exist at once.
     """
     _require_capacity(spec, cap)
-    return _correlation_kernel(spec, filling.occupied)[_subsystem_distances(spec, sub)]
+    return _correlation_kernel(spec, filling.occupied)[_layout_distances(_vertex_layout(spec, sub.x0, sub.distances))]
 
 
 def clamp_unit_interval(values: np.ndarray) -> np.ndarray:
@@ -471,8 +476,10 @@ def spectrum_oracle(c: np.ndarray) -> CorrelationSpectrum:
 def oracle_spectra(spec: GraphSpec, configs, cap: int | None = None) -> Iterator[CorrelationSpectrum]:
     """Spectra of many (filling, subsystem) points of one graph, in order, each solved on its own chopped matrix.
 
-    Each distinct subsystem's distances are built once and each of its
-    distinct fillings' matrices is read off them into a stack of at most
+    Each base vertex's :func:`_vertex_layout` is built once over every
+    distance its subsystems take, and each distinct subsystem's distances
+    are read off its own rows of it.  Each of a subsystem's distinct
+    fillings' matrices is read off those distances into a stack of at most
     :data:`STACK_BYTES` (one matrix when a matrix is larger).  Each stack is
     checked for exact symmetry and solved by one ``eigvalsh`` call, and every
     point is merged by one :func:`group_spectra`, so a point's entries equal
@@ -489,9 +496,16 @@ def oracle_spectra(spec: GraphSpec, configs, cap: int | None = None) -> Iterator
     sizes = {sub: sum(neighborhood_size(spec, d) for d in sub.distances) for sub in sides}
     total = sum(size * len(sides[sub]) for sub, size in sizes.items())
     values, owners = np.empty(total), np.empty(total, dtype=np.intp)
+    reach: dict[Vertex, set[int]] = {}
+    for sub in sides:
+        reach.setdefault(sub.x0, set()).update(sub.distances)
+    layouts = {x0: _vertex_layout(spec, x0, distances) for x0, distances in reach.items()}
     pos = 0
     for sub, fillings in sides.items():
-        dist, size = _subsystem_distances(spec, sub), sizes[sub]
+        # the side's rows: those whose |R + S| / 2, the distance from x0, is one of its distances
+        member, moved = np.zeros(2 * spec.k + 1, dtype=bool), layouts[sub.x0]
+        member[[2 * d for d in sub.distances]] = True
+        dist, size = _layout_distances(moved[member[moved.sum(axis=1).astype(np.intp)]]), sizes[sub]
         per_stack = max(1, STACK_BYTES // (8 * size * size))
         for lo in range(0, len(fillings), per_stack):
             part = fillings[lo : lo + per_stack]

@@ -53,7 +53,6 @@ __all__ = [
     "chain_ladder",
     "size_groups",
     "level_degeneracy",
-    "module_admissible_levels",
     "module_correlation_block",
     "stacked_spectra",
     "assemble_spectra",
@@ -168,12 +167,6 @@ def enumerate_modules(spec: GraphSpec) -> tuple[ModuleLabel, ...]:
     grid = _graph_modules(spec)
     columns = (grid.j1_x2, grid.j2_x2, grid.degeneracy, grid.i_min, grid.i_max)
     return tuple(map(ModuleLabel, *(column.tolist() for column in columns)))
-
-
-def module_admissible_levels(label: ModuleLabel, spec: GraphSpec) -> list[int]:
-    """Doubled j labels coupled inside the module: max(|j1-j2|, n/2-k) .. j1+j2."""
-    lo = max(abs(label.j1_x2 - label.j2_x2), spec.n - 2 * spec.k)
-    return list(range(lo, label.j1_x2 + label.j2_x2 + 1, 2))
 
 
 def chain_ladder(n, k, j1_x2, j2_x2, i) -> tuple[np.ndarray, np.ndarray]:

@@ -7,14 +7,15 @@ checks take their grids as input; :func:`run_battery` and the acceptance
 tests pass their own.  Grids are enumerated, never sampled.  The algebra
 that only the checks need (the module A and A* actions, the level-basis T,
 the Hahn-relation residuals, the distance matrices as polynomials in A)
-lives here, on plain arrays.
+lives here, on plain arrays.  The per-module checks build every graph's modules in
+closed form, a stack per chain length (:func:`_chain_groups`), each solved by one ``eigvalsh``.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache, wraps
 from itertools import accumulate
 
@@ -188,18 +189,20 @@ def check_hahn_polynomial(sizes, cap) -> tuple[bool, float, str]:
 
 @_check("cg_orthonormality")
 def _check_cg_orthonormality(sizes) -> tuple[bool, float, str]:
-    worst = 0.0
+    """Each module's square coupling matrix G, chain rows by levels, has G^T G = G G^T = I; one stack per length."""
     probe = [GraphSpec(n, k) for n, k in sizes] + [GraphSpec(30, 15), GraphSpec(29, 13)]
+    stacks: dict[int, list[np.ndarray]] = {}
     for spec in probe:
         table = terwilliger.module_table(spec)
         for dim, ms in terwilliger.size_groups(table.dim):
-            # each module's whole square coupling matrix, stacked by chain length:
-            # every chain row against every admissible level
             steps = np.arange(dim)
             g = table.entries(ms, table.i_min[ms, None] + steps, table.level_lo[ms, None] + steps)
-            eye = np.eye(dim)
-            worst = max(worst, float(np.max(np.abs(g.swapaxes(1, 2) @ g - eye))))
-            worst = max(worst, float(np.max(np.abs(g @ g.swapaxes(1, 2) - eye))))
+            stacks.setdefault(dim, []).append(g)
+    worst = 0.0
+    for dim, parts in stacks.items():
+        g, eye = np.concatenate(parts), np.eye(dim)
+        worst = max(worst, float(np.max(np.abs(g.swapaxes(1, 2) @ g - eye))))
+        worst = max(worst, float(np.max(np.abs(g @ g.swapaxes(1, 2) - eye))))
     return worst <= 1e-12, worst, "coupling columns orthonormal and complete"
 
 
@@ -240,124 +243,109 @@ def check_level_degeneracies(sizes, cap) -> tuple[bool, float, str]:
     worst = 0.0
     for n, k in sizes:
         spec = GraphSpec(n, k)
-        for j_x2, trace in _eigenprojector_traces(spec, cap).items():
-            count = sum(
-                m.degeneracy
-                for m in terwilliger.enumerate_modules(spec)
-                if abs(m.j1_x2 - m.j2_x2) <= j_x2 <= m.j1_x2 + m.j2_x2
-            )
+        traces = _eigenprojector_traces(spec, cap)
+        table = terwilliger.module_table(spec)
+        levels = table.level_index(list(traces))
+        coupled = (table.level_lo[None, :] <= levels[:, None]) & (levels[:, None] <= table.level_hi[None, :])
+        counts = (table._as_counts(coupled) @ table.degeneracies).tolist()
+        for (j_x2, trace), count in zip(traces.items(), counts):
             worst = max(worst, abs(trace - count), abs(count - terwilliger.level_degeneracy(j_x2, spec)))
     return worst < 1e-6, worst, "trace(E_j) equals the module count"
 
 
-def _A_action(label, spec: GraphSpec) -> np.ndarray:
-    """A on the module chain by ascending distance, from :func:`.terwilliger.chain_ladder`, which T reads too."""
-    a, b = terwilliger.chain_ladder(spec.n, spec.k, label.j1_x2, label.j2_x2, np.array(label.distances))
-    return heun_mod._tridiagonal(b[None], a[None, :-1])[0]
+def _module_columns(tables) -> list[np.ndarray]:
+    """Every module of ``tables``, end to end, as columns: its table's place, n, k, j1_x2, j2_x2, i_min and dim."""
+    columns = [
+        (np.full(len(t.dim), p), np.full(len(t.dim), t.spec.n), np.full(len(t.dim), t.spec.k), t.j1_x2, t.j2_x2,
+         t.i_min, t.dim)
+        for p, t in enumerate(tables)
+    ]
+    return [np.concatenate(column) for column in zip(*columns)]
 
 
-def _Astar_coefficients(j_x2: int, label, spec: GraphSpec) -> tuple[float, float]:
-    """Ladder weight a*_j and diagonal b*_j of A* in the module's level basis.
+def _chain_groups(tables):
+    """(positions, stack) per chain length, ascending: the :class:`.terwilliger.BlockStack` of those modules.
 
-    a*_j couples j to j - 1 and carries the square root of a product that
-    vanishes at the admissible-range edges, so no coupling ever leaves the
-    module.  For a one-row chain only b* is meaningful and it equals the
-    dual eigenvalue of that single row.
+    Module s of ``stack`` is row ``positions[s]`` of :func:`_module_columns`, of table ``stack.pts[s]``.
     """
-    n, k = spec.n, spec.k
-    j1, j2 = label.j1_x2, label.j2_x2
-    if not abs(j1 - j2) <= j_x2 <= j1 + j2:
-        raise ValueError(f"level j_x2={j_x2} outside the module's coupling range")
-    pref = n * (n - 1) / (k * (n - k))
-    mm = n - 2 * k
-    num = (
-        (j_x2**2 - mm**2)
-        * (j_x2**2 - (j1 - j2) ** 2)
-        * ((j1 + j2 + 2) ** 2 - j_x2**2)
-    )
-    if j_x2 <= 1 or num <= 0:
-        # j = 0 or 1/2 can only be a chain's lowest level, where the
-        # vanishing numerator factor already means "no coupling below"
-        a_star = 0.0
-    else:
-        a_star = pref * math.sqrt(num / ((j_x2**2 - 1) * j_x2**2)) / 8.0
-    base = -(n - 1) * (n - 2 * k) / (2.0 * k)
+    pts, n, k, j1_x2, j2_x2, i_min, dims = _module_columns(tables)
+    for dim, at in terwilliger.size_groups(dims):
+        yield at, terwilliger.BlockStack(n[at], k[at], j1_x2[at], j2_x2[at], pts[at], i_min[at, None] + np.arange(dim))
+
+
+def _levels_x2(stack) -> np.ndarray:
+    """Each module's doubled admissible levels max(|j1-j2|, n-2k) .. j1+j2, a row per module of ``stack``."""
+    low = np.maximum(np.abs(stack.j1_x2 - stack.j2_x2), stack.n - 2 * stack.k)
+    return low[:, None] + 2 * np.arange(stack.rows.shape[1])
+
+
+def _A_stack(stack) -> np.ndarray:
+    """A on each module chain of ``stack``, from :func:`.terwilliger.chain_ladder`, which T reads too."""
+    a, b = terwilliger.chain_ladder(*(x[:, None] for x in (stack.n, stack.k, stack.j1_x2, stack.j2_x2)), stack.rows)
+    return heun_mod._tridiagonal(b, a[:, :-1])
+
+
+def _Astar_stack(n, k, j1_x2, j2_x2, levels_x2) -> tuple[np.ndarray, np.ndarray]:
+    """A* of module (j1_x2[s], j2_x2[s]) of J(n[s], k[s]) at its admissible doubled levels ``levels_x2[s]``.
+
+    Returns the ladder a*_j to the level below and the diagonal b*_j.  The integer under a*'s root,
+    P = (j^2 - (n-2k)^2)(j^2 - (j1-j2)^2)((j1+j2+2)^2 - j^2), is 0 at a module's lowest level.  Its
+    quotient is rounded once, as over Python ints: from int64 while P < 2^53, so for n <= 400, else from Python ints.
+    """
+    n, k, j1, j2 = (np.reshape(x, (-1, 1)) for x in (n, k, j1_x2, j2_x2))
+    j = levels_x2
+    n_i, k_i, j1_i, j2_i, j_i = (x if n.max(initial=0) <= 400 else x.astype(object) for x in (n, k, j1, j2, j))
+    prod = (j_i**2 - (n_i - 2 * k_i) ** 2) * (j_i**2 - (j1_i - j2_i) ** 2) * ((j1_i + j2_i + 2) ** 2 - j_i**2)
+    # j = 0 or 1/2 is only ever a lowest level, where P is 0
+    quotient = (np.where(j > 1, prod, 0) / np.where(j > 1, (j_i**2 - 1) * j_i**2, 1)).astype(np.float64)
+    a_star = n * (n - 1) / (k * (n - k)) * np.sqrt(quotient) / 8.0
     swing = n * (n - 1) * (n - 2 * k) / (2.0 * k * (n - k))
-    if j_x2 == 0:
-        ratio = 0.0
-    else:
-        ratio = (j1 + j2 + 2) * (j1 - j2) / (2.0 * j_x2 * (j_x2 + 2))
-    b_star = base + swing * (0.5 + ratio)
-    return a_star, b_star
+    ratio = np.divide((j1 + j2 + 2) * (j1 - j2), 2.0 * j * (j + 2), out=np.zeros(j.shape), where=j > 0)
+    return a_star, -(n - 1) * (n - 2 * k) / (2.0 * k) + swing * (0.5 + ratio)
 
 
-def _T_level_basis(label, hs, spec: GraphSpec) -> np.ndarray:
-    """T on the module in the level basis, where its cut sits after j0; similar to :func:`.heun.build_T`."""
-    levels = terwilliger.module_admissible_levels(label, spec)
-    a_star, b_star = np.array([_Astar_coefficients(j_x2, label, spec) for j_x2 in levels]).T
-    th = np.array([spectral.theta_eigenvalue(j_x2, spec) for j_x2 in levels])
-    diag, off = hs.mu * b_star + hs.nu * th + 2.0 * b_star * th, a_star[1:] * ((th[1:] + th[:-1]) + hs.mu)
-    return heun_mod._tridiagonal(diag[None], off[None])[0]
+def _level_T_stack(n, k, j1_x2, j2_x2, levels_x2, mu, nu) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`.heun._T_stack` in the level basis, at the consecutive admissible doubled levels ``levels_x2[s]``.
+
+    There A is theta_j and A* is :func:`_Astar_stack`'s, so T's couplings are
+    a*_j (theta_j + theta_(j-1) + mu), the one from j0 up being the filling cut.
+    """
+    mu, nu = np.reshape(mu, (-1, 1)), np.reshape(nu, (-1, 1))
+    a_star, b_star = _Astar_stack(n, k, j1_x2, j2_x2, levels_x2)
+    theta = spectral._theta(np.reshape(n, (-1, 1)), np.reshape(k, (-1, 1)), levels_x2)
+    return mu * b_star + nu * theta + 2.0 * b_star * theta, a_star[:, 1:] * ((theta[:, 1:] + theta[:, :-1]) + mu)
 
 
 @_check("action_convention")
 def check_action_convention(sizes) -> tuple[bool, float, str]:
-    """Each module's A action against theta_j over its admissible levels.
-
-    The ladder indexing admits a transcription mirror; matching the spectra
-    pins the convention.
-    """
+    """Each module's A action against theta_j on its levels: matching spectra pin the ladder's direction."""
     worst = 0.0
-    for n, k in sizes:
-        spec = GraphSpec(n, k)
-        for label in terwilliger.enumerate_modules(spec):
-            got = np.linalg.eigvalsh(_A_action(label, spec))
-            levels = terwilliger.module_admissible_levels(label, spec)
-            want = np.sort([spectral.theta_eigenvalue(j, spec) for j in levels])
-            worst = max(worst, float(np.max(np.abs(got - want))) / max(1.0, float(np.max(np.abs(want)))))
+    for _, stack in _chain_groups([terwilliger.module_table(GraphSpec(n, k)) for n, k in sizes]):
+        got = np.linalg.eigvalsh(_A_stack(stack))
+        want = spectral._theta(stack.n[:, None], stack.k[:, None], _levels_x2(stack))
+        scale = np.maximum(1.0, np.max(np.abs(want), axis=1))
+        worst = max(worst, float(np.max(np.max(np.abs(got - want), axis=1) / scale)))
     return worst <= 1e-8, worst, "module A action reproduces theta_j"
-
-
-def _chain_T(pairs) -> dict[tuple[int, int], np.ndarray]:
-    """{(p, dim): the stacked :func:`.heun.build_T` of pair p's modules with ``dim`` chain rows, in row order}.
-
-    Pair p is a (table, HeunSpec); each chain length's T, of every pair, is
-    built by one :func:`.heun._T_stack` call.
-    """
-    columns = [
-        (np.full(len(t.dim), p), np.full(len(t.dim), t.spec.n), np.full(len(t.dim), t.spec.k), t.j1_x2, t.j2_x2,
-         t.i_min, t.dim, np.full(len(t.dim), hs.mu), np.full(len(t.dim), hs.nu))
-        for p, (t, hs) in enumerate(pairs)
-    ]
-    pair, n, k, j1_x2, j2_x2, i_min, dims, mu, nu = (np.concatenate(column) for column in zip(*columns))
-    stacks = {}
-    for dim, at in terwilliger.size_groups(dims):
-        rows = i_min[at, None] + np.arange(dim)
-        t = heun_mod._tridiagonal(*heun_mod._T_stack(n[at], k[at], j1_x2[at], j2_x2[at], rows, mu[at], nu[at]))
-        stacks.update({(p, dim): t[pair[at] == p] for p in dict.fromkeys(pair[at].tolist())})
-    return stacks
 
 
 @_check("t_basis_similarity")
 def check_t_basis_similarity(grid) -> tuple[bool, float, str]:
-    """Distance- and level-basis T per module, at each (n, k, n_cut, j0_pos) of ``grid``.
-
-    Both bases of every module with one chain length are solved by one
-    ``eigvalsh`` call, after :func:`_chain_T` has built the grid's distance-basis T.
-    """
-    pairs = []
+    """Distance- and level-basis T per module at each (n, k, n_cut, j0_pos) of ``grid``, one ``eigvalsh`` per length."""
+    tables, weights = [], []
     for n, k, n_cut, j0_pos in grid:
         spec = GraphSpec(n, k)
-        hs = heun_mod.heun_spec(spec, n_cut, spectral.level_labels_x2(spec)[j0_pos])
-        pairs.append((terwilliger.module_table(spec), hs))
-    t_stacks = _chain_T(pairs)
+        tables.append(terwilliger.module_table(spec))
+        weights.append(heun_mod.heun_spec(spec, n_cut, spectral.level_labels_x2(spec)[j0_pos]))
+    mu, nu = np.array([(hs.mu, hs.nu) for hs in weights]).T
     worst = 0.0
-    for p, (table, hs) in enumerate(pairs):
-        for dim, ms in terwilliger.size_groups(table.dim):
-            level_basis = [_T_level_basis(table.labels[m], hs, table.spec) for m in ms]
-            w1, w2 = np.split(np.linalg.eigvalsh(np.concatenate([t_stacks[p, dim], level_basis])), 2)
-            scale = np.maximum(1.0, np.max(np.abs(w1), axis=1))
-            worst = max(worst, float(np.max(np.max(np.abs(w1 - w2), axis=1) / scale)))
+    for _, stack in _chain_groups(tables):
+        labels, at = (stack.n, stack.k, stack.j1_x2, stack.j2_x2), stack.pts
+        chain = heun_mod._T_stack(*labels, stack.rows, mu[at], nu[at])
+        level = _level_T_stack(*labels, _levels_x2(stack), mu[at], nu[at])
+        bases = [heun_mod._tridiagonal(*chain), heun_mod._tridiagonal(*level)]
+        w1, w2 = np.split(np.linalg.eigvalsh(np.concatenate(bases)), 2)
+        scale = np.maximum(1.0, np.max(np.abs(w1), axis=1))
+        worst = max(worst, float(np.max(np.max(np.abs(w1 - w2), axis=1) / scale)))
     return worst <= 1e-8, worst, "distance- and level-basis T agree spectrally"
 
 
@@ -385,8 +373,8 @@ def check_route_agreement(sizes, cap) -> tuple[bool, float, str]:
     return worst <= 1e-8, worst, "oracle, module and T-readout spectra agree"
 
 
-def _hahn_residuals(spec: GraphSpec):
-    """(label, h2, h3) per module: the worst entries of the two quadratic commutator relations.
+def _hahn_stack(stack) -> tuple[np.ndarray, np.ndarray]:
+    """Residual matrices of the two quadratic commutator relations on each module of ``stack``.
 
     With K1 = 2k(n-k)/(n(n-1)) A*, K2 = A and K3 = [K1, K2], evaluates
 
@@ -398,32 +386,31 @@ def _hahn_residuals(spec: GraphSpec):
     the two Casimir values, which are constants on a module.  The module
     actions, and so the relations, are the same for every base vertex.
     """
-    n, k = spec.n, spec.k
+    n, k, j1, j2 = (x[:, None, None] for x in (stack.n, stack.k, stack.j1_x2, stack.j2_x2))
     a = -2.0
     b = -2.0 * (n - 2 * k) ** 2 / n
     c1 = -2.0 * n - (n - 2 * k) ** 2
     c2 = -4.0
-    for label in terwilliger.enumerate_modules(spec):
-        k2 = _A_action(label, spec)
-        astar = [heun_mod.dual_eigenvalue_at_distance(i, spec) for i in label.distances]
-        k1 = (2.0 * k * (n - k) / (n * (n - 1))) * np.diag(astar)
-        k3 = k1 @ k2 - k2 @ k1
-        cas1 = label.j1_x2 * (label.j1_x2 + 2) / 4.0
-        cas2 = label.j2_x2 * (label.j2_x2 + 2) / 4.0
-        d1 = -b * c1 / 4.0 + 2.0 * (n - 2 * k) * (cas1 - cas2)
-        d2 = -2.0 * n + 4.0 * (cas1 + cas2) - b * b / 8.0 + b * n / 4.0
-        eye = np.eye(label.dim)
-        h2 = (k2 @ k3 - k3 @ k2) - (a * (k1 @ k2 + k2 @ k1) + b * k2 + c1 * k1 + d1 * eye)
-        h3 = (k3 @ k1 - k1 @ k3) - (a * (k1 @ k1) + b * k1 + c2 * k2 + d2 * eye)
-        yield label, float(np.max(np.abs(h2))), float(np.max(np.abs(h3)))
+    k2 = _A_stack(stack)
+    astar = heun_mod._dual_eigenvalue(stack.n[:, None], stack.k[:, None], stack.rows)
+    k1 = heun_mod._tridiagonal((2.0 * k * (n - k) / (n * (n - 1)))[:, 0] * astar, np.zeros_like(astar[:, 1:]))
+    k3 = k1 @ k2 - k2 @ k1
+    cas1 = j1 * (j1 + 2) / 4.0
+    cas2 = j2 * (j2 + 2) / 4.0
+    d1 = -b * c1 / 4.0 + 2.0 * (n - 2 * k) * (cas1 - cas2)
+    d2 = -2.0 * n + 4.0 * (cas1 + cas2) - b * b / 8.0 + b * n / 4.0
+    eye = np.eye(stack.rows.shape[1])
+    h2 = (k2 @ k3 - k3 @ k2) - (a * (k1 @ k2 + k2 @ k1) + b * k2 + c1 * k1 + d1 * eye)
+    h3 = (k3 @ k1 - k1 @ k3) - (a * (k1 @ k1) + b * k1 + c2 * k2 + d2 * eye)
+    return h2, h3
 
 
 @_check("hahn_algebra_residuals")
 def check_hahn_algebra(sizes) -> tuple[bool, float, str]:
     worst = 0.0
-    for n, k in sizes:
-        for _, h2, h3 in _hahn_residuals(GraphSpec(n, k)):
-            worst = max(worst, h2, h3)
+    for _, stack in _chain_groups([terwilliger.module_table(GraphSpec(n, k)) for n, k in sizes]):
+        h2, h3 = _hahn_stack(stack)
+        worst = max(worst, float(np.max(np.abs(h2))), float(np.max(np.abs(h3))))
     return worst <= 1e-8, worst, "quadratic commutator relations per module"
 
 
@@ -440,7 +427,7 @@ def check_heun_commutant(grid) -> tuple[bool, float, str]:
     must break [C, T] (above 1e-3) on every configuration with a T block over
     1x1; one without skips only that control, and the detail counts the skips.
     """
-    configs, pairs = [], []
+    configs = []
     for n, k, n_cut, j0_pos in grid:
         spec = GraphSpec(n, k)
         labels = spectral.level_labels_x2(spec)
@@ -449,25 +436,31 @@ def check_heun_commutant(grid) -> tuple[bool, float, str]:
         sub = SubsystemSpec(frozenset(range(n_cut + 1)), default_base_vertex(spec))
         if heun_mod.plan(spec, filling, sub) != hs:
             raise ValueError("filling and subsystem do not plan to these cuts")
-        table = terwilliger.module_table(spec)
-        configs.append((spec, hs, filling, table))
-        pairs += [(table, hs), (table, replace(hs, mu=hs.mu + 1.0))]
-    t_stacks = _chain_T(pairs)
+        configs.append((hs, filling, terwilliger.module_table(spec)))
+    heun_specs, _, tables = zip(*configs)
+    # configuration p's weights, then at P + p the negative control's, mu raised by 1
+    mu, nu = np.array([(hs.mu, hs.nu) for hs in heun_specs] + [(hs.mu + 1.0, hs.nu) for hs in heun_specs]).T
+    t_stacks = {}
+    for _, stack in _chain_groups(tables * 2):
+        p = stack.pts
+        t = heun_mod._tridiagonal(*heun_mod._T_stack(stack.n, stack.k, stack.j1_x2, stack.j2_x2, stack.rows, mu[p], nu[p]))
+        t_stacks.update({(q, t.shape[1]): t[p == q] for q in dict.fromkeys(p.tolist())})
+    # the level-basis coupling from j0 up, of every module whose levels pass j0, in one evaluation
+    p, n, k, j1_x2, j2_x2, _, _ = _module_columns(tables)
+    j0 = np.array([hs.j0_x2 for hs in heun_specs])[p]
+    cut = np.flatnonzero((np.maximum(np.abs(j1_x2 - j2_x2), n - 2 * k) <= j0) & (j0 < j1_x2 + j2_x2))
+    labels = (n[cut], k[cut], j1_x2[cut], j2_x2[cut], j0[cut, None] + np.array([0, 2]))
+    cuts_zero = bool(np.all(_level_T_stack(*labels, mu[p[cut]], nu[p[cut]])[1] == 0.0))
     worst = 0.0
-    cuts_zero = control_ok = True
+    control_ok = True
     skipped = 0
-    for count, (spec, hs, filling, table) in enumerate(configs, 1):
+    for count, (hs, filling, table) in enumerate(configs, 1):
         controls = []
-        for label in terwilliger.enumerate_modules(spec):
-            levels = terwilliger.module_admissible_levels(label, spec)
-            if hs.j0_x2 in levels[:-1]:
-                pos = levels.index(hs.j0_x2)
-                cuts_zero = cuts_zero and _T_level_basis(label, hs, spec)[pos, pos + 1] == 0.0
         occupied = table.level_index(sorted(filling.occupied))[None, :]
         # the subsystem rows of each chain are the leading ones
         sizes = np.minimum(table.i_max, hs.n_cut) - table.i_min + 1
         for dim, ms in terwilliger.size_groups(table.dim):
-            t, t_perturbed = t_stacks[2 * count - 2, dim], t_stacks[2 * count - 1, dim]
+            t, t_perturbed = t_stacks[count - 1, dim], t_stacks[len(tables) + count - 1, dim]
             for size, sel in terwilliger.size_groups(sizes[ms]):
                 if size < dim:
                     cuts_zero = cuts_zero and bool(np.all(t[sel, size - 1, size] == 0.0))
@@ -523,7 +516,8 @@ def _check_mirror_symmetry(sizes) -> tuple[bool, float, str]:
         x0 = default_base_vertex(spec)
         filling = FillingSpec(frozenset(spectral.level_labels_x2(spec)[: max(1, (k + 1) // 3)]))
         groups.append((spec, [(filling, SubsystemSpec(frozenset({i}), x0)) for i in range(k + 1)]))
-    entropies = iter([entropy_mod.von_neumann(s) for s in terwilliger.assemble_spectra(groups)])
+    merged = terwilliger.assemble_spectra(groups)
+    entropies = iter(entropy_mod.entropies(merged.values, merged.mults, merged.edges).tolist())
     worst = 0.0
     for spec, shells in groups:
         values = [next(entropies) for _ in shells]

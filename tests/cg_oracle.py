@@ -44,11 +44,11 @@ def _dual_hahn_rational(i: int, lam, gamma: int, delta: int, n_max: int) -> Frac
 
 
 def numerator_ratios(lam, gamma: int, delta: int, n_max: int) -> list[Fraction]:
-    """P_i / D_i of :func:`dual_hahn_numerators` over D_0 = 1, D_(i+1) = a_i D_i, degrees 0..N."""
+    """P_i / D_i of :func:`dual_hahn_numerators` over D_0 = 1, D_(i+1) = a_i D_i, a_i = (gamma+i+1)(N-i), degrees 0..N."""
     ratios, d = [], 1
-    for p, a in dual_hahn_numerators(lam, gamma, delta, n_max, n_max + 1):
+    for i, p in enumerate(dual_hahn_numerators(lam, gamma, delta, n_max, n_max + 1)):
         ratios.append(Fraction(p, d))
-        d *= a
+        d *= (gamma + i + 1) * (n_max - i)
     return ratios
 
 

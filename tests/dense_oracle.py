@@ -18,8 +18,9 @@ vertex order, from :func:`johnson_entanglement.scheme.distances_from`.
 
 :func:`indicator_sum_distances` is the subsystem distance matrix built the
 earlier way, each moved-element row summed from rows of ``np.eye(n)``;
-:func:`johnson_entanglement.spectral._subsystem_distances` sets the rows
-from the combination indices and must match it exactly.
+:func:`johnson_entanglement.spectral._vertex_layout` sets the rows from
+the combination indices, :func:`johnson_entanglement.spectral._layout_distances`
+takes their product, and the two must match it exactly.
 
 :func:`adjacency_via_polynomial` rebuilds one A_i as its own product of i
 full-size factors; the battery's ``verify._adjacency_polynomial_slabs``

@@ -214,10 +214,11 @@ def test_exit_code_capacity():
 
 def test_failed_allocation_is_a_one_line_capacity_error(monkeypatch, capsys):
     # the cap lifted past the graph (C(30, 15) = 155,117,520 vertices) leaves a failed allocation the last guard
-    def unable(spec, sub):
+    def unable(moved):
         raise MemoryError("Unable to allocate 355. GiB for an array with shape (218276, 218276) and data type float64")
 
-    monkeypatch.setattr(spectral, "_subsystem_distances", unable)
+    # the one product per side that the 218,276-row ball would ask for
+    monkeypatch.setattr(spectral, "_layout_distances", unable)
     code = run([
         "entropy", "--n", "30", "--k", "15", "--cutoff", "3", "--occupied", "30,28", "--route", "all",
         "--dense-cap", "10000000000000000000000",

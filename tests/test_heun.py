@@ -18,18 +18,20 @@ from johnson_entanglement.terwilliger import (
     assemble_spectrum,
     chain_ladder,
     enumerate_modules,
-    module_admissible_levels,
     module_table,
 )
 from johnson_entanglement.verify import (
-    _A_action,
-    _Astar_coefficients,
-    _T_level_basis,
+    _A_stack,
+    _Astar_stack,
+    _level_T_stack,
+    _levels_x2,
     check_action_convention,
     check_heun_commutant,
     check_t_basis_similarity,
     spectra_max_diff,
 )
+
+from verify_reference import Astar_coefficients, module_admissible_levels, module_stacks
 
 
 def _module(spec, j1_x2, j2_x2):
@@ -142,18 +144,32 @@ def test_dual_eigenvalue_of_an_array_equals_the_scalar_past_the_int64_range(n, k
     assert theta[0] == pytest.approx(n - 1)
 
 
+def _stacked_module(spec, j1_x2, j2_x2):
+    """The chain-length stack that holds module (j1_x2, j2_x2) of the graph, and its place there."""
+    for label, stack, s in module_stacks(spec):
+        if (label.j1_x2, label.j2_x2) == (j1_x2, j2_x2):
+            return stack, s
+    raise LookupError
+
+
+def _Astar(stack):
+    """The stacked A* of the battery, at each module's admissible levels."""
+    return _Astar_stack(stack.n, stack.k, stack.j1_x2, stack.j2_x2, _levels_x2(stack))
+
+
 def test_A_action_trace_identity():
     for n, k in [(6, 3), (8, 4), (9, 4)]:
         spec = GraphSpec(n, k)
-        for label in enumerate_modules(spec):
-            action = _A_action(label, spec)
+        for label, stack, s in module_stacks(spec):
+            action = _A_stack(stack)[s]
             expected = sum(theta_eigenvalue(j, spec) for j in module_admissible_levels(label, spec))
             assert np.trace(action) == pytest.approx(expected, abs=1e-9)
 
 
 def test_A_action_octahedron_module_spectrum():
     spec = GraphSpec(4, 2)
-    action = _A_action(_module(spec, 2, 2), spec)
+    stack, s = _stacked_module(spec, 2, 2)
+    action = _A_stack(stack)[s]
     assert np.allclose(np.sort(np.linalg.eigvalsh(action)), [-2.0, 0.0, 4.0], atol=1e-10)
 
 
@@ -168,13 +184,13 @@ def test_Astar_one_dimensional_modules():
     found = 0
     for n, k in [(6, 2), (6, 3), (9, 4)]:
         spec = GraphSpec(n, k)
-        for label in enumerate_modules(spec):
+        for label, stack, s in module_stacks(spec):
             if label.dim != 1:
                 continue
             found += 1
             levels = module_admissible_levels(label, spec)
             assert len(levels) == 1
-            _, b_star = _Astar_coefficients(levels[0], label, spec)
+            b_star = _Astar(stack)[1][s, 0]
             assert b_star == pytest.approx(dual_eigenvalue_at_distance(label.i_min, spec))
     assert found > 0
 
@@ -183,33 +199,32 @@ def test_Astar_action_octahedron_spectrum():
     # similarity: distance-basis diagonal {3, 0, -3} must reappear as the
     # level-basis tridiagonal spectrum
     spec = GraphSpec(4, 2)
-    label = _module(spec, 2, 2)
-    levels = module_admissible_levels(label, spec)
-    dim = len(levels)
-    m = np.zeros((dim, dim))
-    for pos, j_x2 in enumerate(levels):
-        a_star, b_star = _Astar_coefficients(j_x2, label, spec)
-        m[pos, pos] = b_star
-        if pos > 0:
-            m[pos, pos - 1] = a_star
-            m[pos - 1, pos] = a_star
+    stack, s = _stacked_module(spec, 2, 2)
+    a_star, b_star = (x[s] for x in _Astar(stack))
+    assert len(b_star) == 3
+    m = np.diag(b_star) + np.diag(a_star[1:], 1) + np.diag(a_star[1:], -1)
     assert np.allclose(np.sort(np.linalg.eigvalsh(m)), [-3.0, 0.0, 3.0], atol=1e-10)
 
 
 def test_Astar_boundary_weight_vanishes():
     spec = GraphSpec(8, 4)
-    for label in enumerate_modules(spec):
-        levels = module_admissible_levels(label, spec)
-        if len(levels) < 2:
+    for label, stack, s in module_stacks(spec):
+        if label.dim < 2:
             continue
-        a_star, _ = _Astar_coefficients(levels[0], label, spec)
+        a_star = _Astar(stack)[0][s, 0]
         assert a_star == pytest.approx(0.0, abs=1e-12)
 
 
 def test_Astar_range_check():
+    # the scalar reference refuses a level outside the coupling range; the
+    # stacked A* is only ever evaluated at each module's admissible levels
     spec = GraphSpec(4, 2)
     with pytest.raises(ValueError):
-        _Astar_coefficients(6, _module(spec, 2, 2), spec)
+        Astar_coefficients(6, _module(spec, 2, 2), spec)
+    for n, k in [(4, 2), (7, 3), (12, 5)]:
+        spec = GraphSpec(n, k)
+        for label, stack, s in module_stacks(spec):
+            assert _levels_x2(stack)[s].tolist() == module_admissible_levels(label, spec)
 
 
 def test_heun_spec_validation():
@@ -234,7 +249,9 @@ def test_T_cut_coupling_is_exactly_zero():
                 for offset, i in enumerate(range(label.i_min, label.i_max)):
                     if i == n_cut:
                         assert t[offset, offset + 1] == t[offset + 1, offset] == 0.0  # exact zero, not small
-                t_lvl = _T_level_basis(label, hs, spec)
+                stack, s = _stacked_module(spec, label.j1_x2, label.j2_x2)
+                weights = (np.full(len(stack.n), hs.mu), np.full(len(stack.n), hs.nu))
+                t_lvl = heun._tridiagonal(*_level_T_stack(stack.n, stack.k, stack.j1_x2, stack.j2_x2, _levels_x2(stack), *weights))[s]
                 levels = module_admissible_levels(label, spec)
                 for pos, j_x2 in enumerate(levels[:-1]):
                     if j_x2 == j0:

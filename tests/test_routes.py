@@ -24,7 +24,6 @@ from johnson_entanglement.terwilliger import (
     assemble_spectrum,
     enumerate_modules,
     level_degeneracy,
-    module_admissible_levels,
     module_correlation_block,
     stacked_spectra,
 )
@@ -32,6 +31,7 @@ from johnson_entanglement.verify import DEFAULT_SIZES, graph_sizes, spectra_max_
 
 from block_reference import solve_every_block
 from merge_reference import group_spectrum_reference
+from verify_reference import module_admissible_levels
 
 
 def _ball(spec, n_cut):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from johnson_entanglement import heun, spectral, verify
@@ -352,7 +352,8 @@ def test_subsystem_distances_equal_the_indicator_sum_construction(n):
             for r in range(1, k + 2):
                 for distances in itertools.combinations(range(k + 1), r):
                     sub = SubsystemSpec(frozenset(distances), x0)
-                    got, want = spectral._subsystem_distances(spec, sub), indicator_sum_distances(spec, sub)
+                    got = spectral._layout_distances(spectral._vertex_layout(spec, x0, sub.distances))
+                    want = indicator_sum_distances(spec, sub)
                     assert got.dtype == want.dtype and np.array_equal(got, want), (n, k, x0, distances)
 
 
@@ -363,7 +364,7 @@ def test_layout_order_level_blocks_match_the_vertex_order_reference(n, k):
     # the plain-eigh products Q_j Q_j^T to within 2 N 2^-53 per entry
     spec = GraphSpec(n, k)
     whole = SubsystemSpec(frozenset(range(k + 1)), default_base_vertex(spec))
-    assert np.array_equal(spectral._subsystem_distances(spec, whole), pairwise_distances(spec))
+    assert np.array_equal(spectral._layout_distances(spectral._vertex_layout(spec, whole.x0, whole.distances)), pairwise_distances(spec))
     got = eigenprojectors_oracle(spec)
     ref = level_blocks_reference(spec)
     assert list(got) == list(ref) == level_labels_x2(spec)
@@ -546,33 +547,77 @@ def test_oracle_batch_equals_one_point_solves(n):
 
 
 def test_oracle_batch_builds_each_side_once_and_solves_each_stack_once(monkeypatch):
+    # one vertex layout per base vertex over every distance its sides take, then one distance matrix per side
     spec = GraphSpec(10, 5)
     configs = _mixed_batch(spec, random.Random(1))
-    built = []
-    real_distances = spectral._subsystem_distances
-    monkeypatch.setattr(spectral, "_subsystem_distances", lambda spec, sub: built.append(sub) or real_distances(spec, sub))
+    layouts, built = [], []
+    real_layout, real_distances = spectral._vertex_layout, spectral._layout_distances
+    monkeypatch.setattr(
+        spectral, "_vertex_layout", lambda spec, x0, distances: layouts.append((x0, set(distances))) or real_layout(spec, x0, distances)
+    )
+    monkeypatch.setattr(spectral, "_layout_distances", lambda moved: built.append(moved) or real_distances(moved))
     shapes = []
     real_eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: shapes.append(m.shape) or real_eigvalsh(m))
     monkeypatch.setattr(np.linalg, "eigh", None)
     list(spectral.oracle_spectra(spec, configs))
-    sides = {sub for _, sub in configs}
-    assert len(built) == len(set(built)) and set(built) == sides
+    sides = list(dict.fromkeys(sub for _, sub in configs))
+    bases = {sub.x0 for sub in sides}
+    assert len(bases) == 2 and sorted(x0.subset for x0, _ in layouts) == sorted(x0.subset for x0 in bases)
+    assert all(distances == set().union(*(sub.distances for sub in sides if sub.x0 == x0)) for x0, distances in layouts)
+    # each side's rows, in batch order, hold the layout rows of its vertices and nothing else
+    assert len(built) == len(sides)
+    for sub, moved in zip(sides, built):
+        want = sum(neighborhood_size(spec, d) for d in sub.distances)
+        assert moved.shape == (want, spec.n) and set((moved.sum(axis=1) // 2).astype(int).tolist()) == set(sub.distances)
     fillings = {sub: {filling.occupied for filling, other in configs if other == sub} for sub in sides}
-    assert [count for count, _, _ in shapes] == [len(fillings[sub]) for sub in built]
+    assert [count for count, _, _ in shapes] == [len(fillings[sub]) for sub in sides]
     # a byte budget of three matrices: each side's fillings in stacks of at most three
+    layouts.clear()
     built.clear()
     shapes.clear()
     monkeypatch.setattr(spectral, "STACK_BYTES", 3 * 8 * 126**2)
     list(spectral.oracle_spectra(spec, configs))
-    assert set(built) == sides
+    assert len(layouts) == 2 and len(built) == len(sides)
     want = []
-    for sub in built:
+    for sub in sides:
         size = sum(neighborhood_size(spec, d) for d in sub.distances)
         per_stack = max(1, 3 * 126**2 // size**2)
         count = len(fillings[sub])
         want += [(min(per_stack, count - lo), size, size) for lo in range(0, count, per_stack)]
     assert shapes == want and any(count > 1 for count, _, _ in shapes) and len(shapes) > len(sides)
+
+
+@st.composite
+def _layout_batch(draw):
+    """A graph with n <= 12, two or three base vertices and several distance sets for each, shuffled into one batch."""
+    n = draw(st.integers(2, 12))
+    k = draw(st.integers(1, n // 2))
+    spec = GraphSpec(n, k)
+    subset = st.lists(st.integers(1, n), min_size=k, max_size=k, unique=True).map(lambda e: tuple(sorted(e)))
+    bases = [vertex_from_subset(e, spec) for e in draw(st.lists(subset, min_size=2, max_size=3, unique=True))]
+    distances = st.frozensets(st.integers(0, k), min_size=1)
+    subs = [SubsystemSpec(draw(distances), x0) for x0 in bases for _ in range(draw(st.integers(1, 3)))]
+    labels = level_labels_x2(spec)
+    configs = [(FillingSpec(frozenset(labels[: draw(st.integers(0, k + 1))])), sub) for sub in subs]
+    return spec, draw(st.permutations(configs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_layout_batch())
+def test_every_side_of_a_batch_reads_the_indicator_sum_distances(batch):
+    # each side's distance matrix, read off its base vertex's shared layout, against the reference built alone
+    spec, configs = batch
+    built = []
+    real = spectral._layout_distances
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectral, "_layout_distances", lambda moved: built.append(real(moved)) or built[-1])
+        list(spectral.oracle_spectra(spec, configs))
+    sides = list(dict.fromkeys(sub for _, sub in configs))
+    assert len({sub.x0 for sub in sides}) >= 2 and len(built) == len(sides)
+    for sub, got in zip(sides, built):
+        want = indicator_sum_distances(spec, sub)
+        assert got.dtype == want.dtype and np.array_equal(got, want), (spec, sub)
 
 
 def test_oracle_batch_over_a_large_side_holds_its_budget_and_two_matrices():

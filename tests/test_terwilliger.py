@@ -24,13 +24,14 @@ from johnson_entanglement.terwilliger import (
     assemble_spectrum,
     enumerate_modules,
     level_degeneracy,
-    module_admissible_levels,
     module_correlation_block,
     module_grid,
     stacked_spectra,
 )
 from johnson_entanglement import heun, verify
-from johnson_entanglement.verify import _hahn_residuals, spectra_max_diff
+from johnson_entanglement.verify import spectra_max_diff
+
+from verify_reference import module_admissible_levels, stacked_hahn_maxima
 
 
 def _by_spins(spec):
@@ -458,14 +459,14 @@ def test_module_table_holds_the_only_copy_of_its_columns(monkeypatch):
 
 def test_hahn_relations_balanced_graphs():
     for n, k in [(4, 2), (6, 3), (8, 4)]:
-        for label, h2, h3 in _hahn_residuals(GraphSpec(n, k)):
+        for label, h2, h3 in stacked_hahn_maxima(GraphSpec(n, k)):
             assert h2 <= 1e-8, (n, k, label)
             assert h3 <= 1e-8, (n, k, label)
 
 
 def test_hahn_relation_one_dimensional_modules_trivial():
     spec = GraphSpec(4, 2)
-    for label, h2, h3 in _hahn_residuals(spec):
+    for label, h2, h3 in stacked_hahn_maxima(spec):
         if (label.j1_x2, label.j2_x2) != (2, 2):
             # scalars commute; both sides must cancel to zero exactly
             assert label.dim == 1
@@ -476,7 +477,7 @@ def test_hahn_relation_one_dimensional_modules_trivial():
 def test_hahn_second_relation_holds_off_balance():
     # the pure-square relation has no balanced-only terms and stays exact
     for n, k in [(6, 2), (7, 3), (9, 4)]:
-        for label, _, h3 in _hahn_residuals(GraphSpec(n, k)):
+        for label, _, h3 in stacked_hahn_maxima(GraphSpec(n, k)):
             assert h3 <= 1e-8, (n, k, label)
 
 
